@@ -226,14 +226,165 @@ _KIND_TABLES = {
     "temporal": dict(zip(TEMPORAL_TAGS, TEMPORAL_SLOTS)),
     "chsh": dict(zip(CHSH_TAGS, CHSH_SLOTS)),
 }
+_CODE_OF = {kind: {tag: code for code, tag in enumerate(table)} for kind, table in _KIND_TABLES.items()}
+
+
+def _infer_kind(rows: Iterable[tuple[str, int, int]]) -> str | None:
+    """The first record kind whose context table holds every (context, slot_x, slot_y)."""
+    rows = set(rows)
+    for kind, table in _KIND_TABLES.items():
+        if all(table.get(tag) == (sx, sy) for tag, sx, sy in rows):
+            return kind
+    return None
+
+
+def _tail_table(table: Mapping[str, tuple[int, int]]) -> np.ndarray:
+    # ",tag,x,y,s1,s2\n" by code * 4 + (s1 > 0) * 2 + (s2 > 0), NUL-padded to one width
+    tails = [f",{tag},{sx},{sy},{v1},{v2}\n".encode()
+             for tag, (sx, sy) in table.items() for v1 in (-1, 1) for v2 in (-1, 1)]
+    width = max(len(t) for t in tails)
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), np.uint8).reshape(len(tails), width)
+
+
+_TAILS = {kind: _tail_table(table) for kind, table in _KIND_TABLES.items()}
+_HEADER_LINE = (RECORDS_HEADER + "\n").encode("ascii")
+# trial 0 plus a tail names the kind; within a kind the slot digits name the context
+_KIND_OF_ROW0 = {b"0" + bytes(tail).rstrip(b"\0"): kind for kind, tails in _TAILS.items() for tail in tails}
+_MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row of either kind
+
+
+def _render_rows(kind: str, trial: np.ndarray, codes: np.ndarray,
+                 s1: np.ndarray, s2: np.ndarray) -> bytearray:
+    """Canonical CSV rows of a non-empty slice of record columns.
+
+    Every row is laid out in one fixed-width byte grid (sign, right-aligned
+    digits, tail), with NUL where a row is shorter than the grid; dropping the
+    NULs leaves the rows back to back.
+    """
+    tails = _TAILS[kind]
+    key = codes.astype(np.intp) * 4 + (s1 > 0) * 2 + (s2 > 0)
+    neg = trial < 0
+    signed = bool(neg.any())
+    mag = trial.view(np.uint64)
+    if signed:
+        mag = np.where(neg, -mag, mag)  # mod 2**64, so -2**63 maps to 2**63
+    top = int(mag.max())
+    width = len(str(top))
+    shortest = len(str(int(mag.min())))
+    digits = np.empty((width, trial.size), dtype=np.uint8)
+    q = mag.astype(np.uint32) if top < 1 << 32 else mag  # same digits, half the memory traffic
+    for d in range(1, width + 1):  # d-th digit from the right
+        above = q // 10
+        np.add(q - above * 10, ord("0"), out=digits[-d], casting="unsafe")
+        if d > shortest:  # a leading position in some rows: NUL where the number is shorter
+            digits[-d] *= q > 0
+        q = above
+    buf = bytearray(trial.size * (signed + width + tails.shape[1]))
+    grid = np.frombuffer(buf, np.uint8).reshape(trial.size, -1)
+    if signed:
+        grid[:, 0] = neg * ord("-")
+    grid[:, signed:signed + width] = digits.T
+    grid[:, signed + width:] = tails.take(key, axis=0)
+    return buf.translate(None, b"\0")
+
+
+def _parse_canonical(data: bytes) -> "RecordBatch | None":
+    """The records of LF-terminated CSV bytes the renderer would write, else None.
+
+    Each row's outcomes and slots are read from its last bytes, counted back
+    from its newline; the trials are taken to be 0..n-1.  The columns are then
+    rendered again and accepted only if that gives back exactly ``data``, so
+    any other input, valid or not, returns None.
+    """
+    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or len(data) == len(_HEADER_LINE):
+        return None
+    body = np.frombuffer(data, np.uint8, offset=len(_HEADER_LINE))
+    ends = np.flatnonzero(body == ord("\n"))
+    kind = _KIND_OF_ROW0.get(bytes(body[:ends[0] + 1]))
+    if kind is None or np.diff(ends, prepend=-1).min() < _MIN_ROW:
+        return None  # the reads below stay inside each row only from this length on
+    s2_neg = body[ends - 2] == ord("-")
+    comma2 = ends - 2 - s2_neg
+    s1_neg = body[comma2 - 2] == ord("-")
+    comma1 = comma2 - 2 - s1_neg
+    n = ends.size
+    slot_x, slot_y = body[comma1 - 3], body[comma1 - 1]
+    codes = np.full(n, 255, dtype=np.uint8)
+    for code, (sx, sy) in enumerate(_KIND_TABLES[kind].values()):
+        codes[(slot_x == ord(str(sx))) & (slot_y == ord(str(sy)))] = code
+    if codes.max() == 255:
+        return None
+    batch = RecordBatch(kind, np.arange(n, dtype=np.int64), codes,
+                        1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8))
+    start = len(_HEADER_LINE)
+    for lo in range(0, n, _CHUNK):
+        stop = len(_HEADER_LINE) + int(ends[min(lo + _CHUNK, n) - 1]) + 1
+        if data[start:stop] != batch._render(lo, lo + _CHUNK):
+            return None
+        start = stop
+    batch._sha256 = hashlib.sha256(data).hexdigest()
+    return batch
+
+
+def _parse_lines(data: bytes) -> "RecordBatch":
+    """Line-by-line parser: accepts any integer spelling and cites the line of the first error."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"records line {lineno}: non-ASCII byte") from None
+    lines = text.split("\n")
+    if lines[0] != RECORDS_HEADER:
+        raise ValidationError(f"records line 1: expected header {RECORDS_HEADER!r}")
+    if lines[-1] == "":
+        lines.pop()
+    rows, s1, s2 = [], [], []
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise ValidationError(f"records line {lineno}: expected 6 fields, got {len(parts)}")
+        try:
+            trial, sx, sy, v1, v2 = (int(parts[i]) for i in (0, 2, 3, 4, 5))
+        except ValueError:
+            raise ValidationError(f"records line {lineno}: non-integer field") from None
+        if v1 not in (-1, 1) or v2 not in (-1, 1):
+            raise ValidationError(f"records line {lineno}: outcomes must be +1 or -1")
+        row = (parts[1], sx, sy)
+        if row not in seen:
+            if _infer_kind([row]) is None:
+                raise ValidationError(f"records line {lineno}: unknown context/slot combination")
+            seen.add(row)
+        if trial != lineno - 2:
+            raise ValidationError(f"records line {lineno}: trial {trial} out of order, expected {lineno - 2} "
+                                  f"(trials run 0..n-1)")
+        rows.append(row)
+        s1.append(v1)
+        s2.append(v2)
+    kind = _infer_kind(seen)
+    if kind is None:
+        bad = next(i for i, row in enumerate(rows, start=2) if _infer_kind([rows[0], row]) is None)
+        raise ValidationError(f"records line {bad}: context/slot combination of another record kind than line 2")
+    code_of = _CODE_OF[kind]
+    return RecordBatch(kind, np.arange(len(rows), dtype=np.int64),
+                       np.array([code_of[tag] for tag, _, _ in rows], dtype=np.uint8),
+                       np.array(s1, dtype=np.int8), np.array(s2, dtype=np.int8))
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    col = np.asarray(values, dtype=dtype).view()
+    col.flags.writeable = False
+    return col
 
 
 class RecordBatch:
     """Columnar sequence of TrialRecord (cheap at millions of trials).
 
     Iterating or indexing yields TrialRecord objects; the underlying numpy
-    columns are exposed for estimation.  The CSV byte serialization below is
-    the canonical form used for hashing and on-disk records.
+    columns are exposed for estimation as read-only views of the arrays
+    passed in (no copy), which the caller must not change afterwards.  The
+    CSV byte serialization below is the canonical form used for hashing and
+    on-disk records; its SHA-256 is computed at most once per batch.
     """
 
     def __init__(self, kind: str, trial: np.ndarray, codes: np.ndarray,
@@ -243,13 +394,14 @@ class RecordBatch:
         self.kind = kind
         self.tags = TEMPORAL_TAGS if kind == "temporal" else CHSH_TAGS
         self.slots = TEMPORAL_SLOTS if kind == "temporal" else CHSH_SLOTS
-        self.trial = np.asarray(trial, dtype=np.int64)
-        self.codes = np.asarray(codes, dtype=np.uint8)
-        self.s1 = np.asarray(s1, dtype=np.int8)
-        self.s2 = np.asarray(s2, dtype=np.int8)
+        self.trial = _read_only(trial, np.int64)
+        self.codes = _read_only(codes, np.uint8)
+        self.s1 = _read_only(s1, np.int8)
+        self.s2 = _read_only(s2, np.int8)
         n = self.trial.size
         if not (self.codes.size == self.s1.size == self.s2.size == n):
             raise ValidationError("record columns must have equal length")
+        self._sha256: str | None = None
 
     def __len__(self) -> int:
         return self.trial.size
@@ -279,85 +431,63 @@ class RecordBatch:
     def from_records(cls, records: Iterable[TrialRecord]) -> "RecordBatch":
         records = list(records)
         seen = {(r.context, r.slot_x, r.slot_y) for r in records}
-        for kind, table in _KIND_TABLES.items():
-            if all(tag in table and table[tag] == (sx, sy) for tag, sx, sy in seen):
-                tags = TEMPORAL_TAGS if kind == "temporal" else CHSH_TAGS
-                code_of = {t: i for i, t in enumerate(tags)}
-                return cls(
-                    kind,
-                    np.array([r.index for r in records], dtype=np.int64),
-                    np.array([code_of[r.context] for r in records], dtype=np.uint8),
-                    np.array([r.s1 for r in records], dtype=np.int8),
-                    np.array([r.s2 for r in records], dtype=np.int8),
-                )
-        raise ValidationError(f"records carry an unknown context/slot combination: {sorted(seen)}")
+        kind = _infer_kind(seen)
+        if kind is None:
+            raise ValidationError(f"records carry an unknown context/slot combination: {sorted(seen)}")
+        code_of = _CODE_OF[kind]
+        return cls(
+            kind,
+            np.array([r.index for r in records], dtype=np.int64),
+            np.array([code_of[r.context] for r in records], dtype=np.uint8),
+            np.array([r.s1 for r in records], dtype=np.int8),
+            np.array([r.s2 for r in records], dtype=np.int8),
+        )
 
     # -- canonical CSV form --
 
+    def _render(self, lo: int, hi: int) -> bytearray:
+        return _render_rows(self.kind, self.trial[lo:hi], self.codes[lo:hi], self.s1[lo:hi], self.s2[lo:hi])
+
+    def _csv_chunks(self):
+        yield _HEADER_LINE
+        for lo in range(0, len(self), _CHUNK):
+            yield self._render(lo, lo + _CHUNK)
+
     def to_csv_bytes(self) -> bytes:
-        suffixes = []
-        for code, tag in enumerate(self.tags):
-            sx, sy = self.slots[code]
-            for b1 in (0, 1):
-                for b2 in (0, 1):
-                    suffixes.append(f",{tag},{sx},{sy},{b1 * 2 - 1},{b2 * 2 - 1}\n")
-        lookup = np.array(suffixes)
-        key = (
-            self.codes.astype(np.int64) * 4
-            + (self.s1 > 0).astype(np.int64) * 2
-            + (self.s2 > 0).astype(np.int64)
-        )
-        rows = np.char.add(self.trial.astype("U20"), lookup[key])
-        return (RECORDS_HEADER + "\n" + "".join(rows.tolist())).encode("ascii")
+        return b"".join(self._csv_chunks())
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.to_csv_bytes()).hexdigest()
+        """SHA-256 of the canonical CSV (LF line ends), rendered only if not yet known."""
+        if self._sha256 is None:
+            digest = hashlib.sha256()
+            for chunk in self._csv_chunks():
+                digest.update(chunk)
+            self._sha256 = digest.hexdigest()
+        return self._sha256
 
     def write_csv(self, path) -> None:
-        Path(path).write_bytes(self.to_csv_bytes())
+        """Write the canonical CSV _CHUNK rows at a time, hashing it on the way."""
+        digest = hashlib.sha256()
+        with open(path, "wb") as f:
+            for chunk in self._csv_chunks():
+                f.write(chunk)
+                digest.update(chunk)
+        self._sha256 = digest.hexdigest()
 
     @classmethod
     def from_csv(cls, path) -> "RecordBatch":
-        text = Path(path).read_text(encoding="ascii")
-        lines = text.split("\n")
-        if not lines or lines[0] != RECORDS_HEADER:
-            raise ValidationError(f"records line 1: expected header {RECORDS_HEADER!r}")
-        if lines and lines[-1] == "":
-            lines.pop()
-        trial, tags_seen, s1, s2 = [], [], [], []
-        slots_seen = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValidationError(f"records line {lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                trial.append(int(parts[0]))
-                slots_seen.append((int(parts[2]), int(parts[3])))
-                v1, v2 = int(parts[4]), int(parts[5])
-            except ValueError:
-                raise ValidationError(f"records line {lineno}: non-integer field") from None
-            if v1 not in (-1, 1) or v2 not in (-1, 1):
-                raise ValidationError(f"records line {lineno}: outcomes must be +1 or -1")
-            tags_seen.append(parts[1])
-            s1.append(v1)
-            s2.append(v2)
-        for kind, table in _KIND_TABLES.items():
-            if all(t in table and table[t] == sl for t, sl in zip(tags_seen, slots_seen)):
-                tags = TEMPORAL_TAGS if kind == "temporal" else CHSH_TAGS
-                code_of = {t: i for i, t in enumerate(tags)}
-                return cls(
-                    kind,
-                    np.array(trial, dtype=np.int64),
-                    np.array([code_of[t] for t in tags_seen], dtype=np.uint8),
-                    np.array(s1, dtype=np.int8),
-                    np.array(s2, dtype=np.int8),
-                )
-        bad = next(
-            (i + 2 for i, (t, sl) in enumerate(zip(tags_seen, slots_seen))
-             if not any(t in tb and tb[t] == sl for tb in _KIND_TABLES.values())),
-            2,
-        )
-        raise ValidationError(f"records line {bad}: unknown context/slot combination")
+        """Read a records CSV whose trial column runs 0..n-1.
+
+        Line ends may be LF, CRLF or CR, read as LF, so the hash of a CRLF
+        copy is that of the canonical file.  Canonical bytes take a vectorized
+        path; anything else, including valid spellings such as "+1" or "01",
+        goes through the line-by-line parser, which cites the first bad line.
+        """
+        data = Path(path).read_bytes()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        batch = _parse_canonical(data)
+        return batch if batch is not None else _parse_lines(data)
 
 
 # --- running experiments -------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,11 +32,6 @@ class BitString:
 
     def __len__(self) -> int:
         return self.bits.size
-
-    def as_text_lines(self, width: int = 64) -> list[str]:
-        chars = np.where(self.bits > 0, "1", "0")
-        s = "".join(chars.tolist())
-        return [s[i:i + width] for i in range(0, len(s), width)]
 
 
 @dataclass(frozen=True)
@@ -170,5 +164,15 @@ def certification_to_jsonable(cert: CertificationReport) -> dict:
 
 
 def write_bits(bits: BitString, path) -> None:
-    """Write bits as ASCII '0'/'1' lines, 64 bits per line."""
-    Path(path).write_text("\n".join(bits.as_text_lines()) + "\n", encoding="ascii")
+    """Write bits as ASCII '0'/'1' lines, 64 bits per line; no bits give a lone newline."""
+    width = 64
+    chars = (bits.bits > 0).view(np.uint8) + ord("0")
+    full = chars.size // width
+    lines = np.empty((full, width + 1), dtype=np.uint8)
+    lines[:, :width] = chars[:full * width].reshape(full, width)
+    lines[:, width] = ord("\n")
+    rest = chars[full * width:]
+    with open(path, "wb") as f:
+        f.write(lines)
+        if rest.size or not full:
+            f.write(rest.tobytes() + b"\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -17,6 +18,7 @@ def skewed_contextual_model():
         "BC": random_finite_model(103, 7),
     })
 from bellsim.protocol import (
+    RECORDS_HEADER,
     CorrelatorEstimate,
     ExperimentConfig,
     RecordBatch,
@@ -419,13 +421,38 @@ class TestRecordsCsv:
             ("0,AB,1,2,one,-1", 3),
             ("0,XY,1,2,1,-1", 3),
             ("0,AB,9,9,1,-1", 3),
+            ("1,\u00e9B,1,2,1,-1", 3),
+            ("99999999999999999999,AB,1,2,1,-1", 3),
         ],
     )
     def test_malformed_row_cites_line(self, tmp_path, row, lineno):
         path = tmp_path / "r.csv"
-        path.write_text("trial,context,slot_x,slot_y,s1,s2\n0,AB,1,2,1,-1\n" + row + "\n")
+        path.write_text("trial,context,slot_x,slot_y,s1,s2\n0,AB,1,2,1,-1\n" + row + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=f"line {lineno}"):
             RecordBatch.from_csv(path)
+
+    @pytest.mark.parametrize("trials,lineno", [([5, 5, -3], 2), ([0, 1, 1], 4), ([0, 2, 1], 3), ([1], 2)])
+    def test_trial_column_must_run_from_zero(self, tmp_path, trials, lineno):
+        path = tmp_path / "r.csv"
+        path.write_text(RECORDS_HEADER + "\n" + "".join(f"{t},AB,1,2,1,-1\n" for t in trials))
+        with pytest.raises(ValidationError, match=f"line {lineno}: trial"):
+            RecordBatch.from_csv(path)
+
+    def test_rows_of_both_kinds_cite_the_first_other_kind(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(RECORDS_HEADER + "\n0,AB,1,2,1,-1\n1,AC,1,3,1,1\n2,ABp,1,4,1,1\n")
+        with pytest.raises(ValidationError, match="line 4"):
+            RecordBatch.from_csv(path)
+
+    def test_non_canonical_spellings_keep_the_canonical_hash(self, tmp_path):
+        records = run_experiment(temporal_config(n_trials=20))
+        path = tmp_path / "records.csv"
+        records.write_csv(path)
+        text = path.read_text().replace(",1,", ",+1,").replace("\n1,", "\n01,")
+        path.write_text(text)
+        loaded = RecordBatch.from_csv(path)
+        assert loaded == records
+        assert loaded.sha256() == records.sha256() == hashlib.sha256(records.to_csv_bytes()).hexdigest()
 
     def test_from_records_list(self):
         records = [TrialRecord(0, "AB", 1, 2, 1, -1), TrialRecord(1, "BC", 2, 3, -1, -1)]
