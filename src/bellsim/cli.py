@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .errors import InsufficientDataError, IntegrityError, UnsupportedOperationError, ValidationError
 from .protocol import (
+    CorrelatorEstimate,
     RecordBatch,
     _json_float,
     analyze_records,
@@ -33,7 +34,7 @@ from .protocol import (
     run_experiment,
     write_report,
 )
-from .randomness import certification_to_jsonable, certify, extract_bits, write_bits
+from .randomness import certification_to_jsonable, certify_bits, extract_bits, write_bits
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -98,8 +99,8 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     records = RecordBatch.from_csv(args.records)
     report = load_report(args.report)
-    cert = certify(records, report)
     bits = extract_bits(records)
+    cert = certify_bits(bits, report)
     out = _out_dir(args)
     bits_path = out / "bits.txt"
     cert_path = out / "certification.json"
@@ -116,7 +117,8 @@ def cmd_oracle(args) -> int:
     contexts = config.context_set()
     sampler = make_sampler(config, contexts)
     values = {tag: sampler.analytic_correlator(code) for code, tag in enumerate(contexts.tags)}
-    estimates = {tag: _Exact(tag, v) for tag, v in values.items()}
+    # exact correlators carry no sampling error
+    estimates = {tag: CorrelatorEstimate(tag, 0, v, 0.0) for tag, v in values.items()}
     if contexts.kind == "temporal":
         report = bell_quantity(estimates, config.sigma_threshold)
     else:
@@ -134,15 +136,6 @@ def cmd_oracle(args) -> int:
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK
-
-
-class _Exact:
-    # exact correlators carry no sampling error
-    def __init__(self, context, mean):
-        self.context = context
-        self.mean = mean
-        self.stderr = 0.0
-        self.n = 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,8 @@ class Direction3:
     z: float
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+            raise ValidationError(f"direction ({self.x}, {self.y}, {self.z}) has a non-finite component")
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
         if abs(n2 - 1.0) > UNIT_TOL:
             raise ValidationError(

@@ -52,6 +52,8 @@ class FiniteHVModel:
         r = np.asarray(responses, dtype=np.int8)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("weights must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite numbers")
         if np.any(w < 0.0):
             raise ValidationError("weights must be nonnegative")
         total = float(w.sum())
@@ -282,10 +284,7 @@ def model_to_jsonable(model) -> dict:
 
 
 def load_model(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,9 +1,10 @@
 """Experiment orchestration: configs, trial records, estimators and verdicts.
 
 A run is fully determined by (mode, directions, n_trials, selector_seed,
-outcome_seed): the selector stream fixes the context of every trial up
-front, each trial's outcome randomness is derived from its index, and the
-backend samplers are pure, so records are bit-identical across re-runs,
+outcome_seed): the selector stream fixes the context of every trial (a
+span of trials continues it from the state its first trial needs), each
+trial's outcome randomness is derived from its index, and the backend
+samplers are pure, so records are bit-identical across re-runs,
 chunkings and thread counts.
 """
 
@@ -46,6 +47,7 @@ from .selector import (
     context_codes,
     derive_trial_randomness,
     next_context,
+    state_after,
     trial_uniforms,
     validate_seed,
 )
@@ -55,7 +57,8 @@ TEMPORAL_BOUND = 1.0
 CHSH_BOUND = 2.0
 SELECTOR_ALGORITHM = "splitmix64"
 
-_CHUNK = 1 << 20
+# trials per simulation span, rows per render and verification chunk
+_CHUNK = 1 << 16
 
 
 def round12(x: float) -> float:
@@ -253,6 +256,11 @@ _KIND_OF_ROW0 = {b"0" + bytes(tail).rstrip(b"\0"): kind for kind, tails in _TAIL
 _MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row of either kind
 
 
+def _outcome_key(codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    # code * 4 + (s1 > 0) * 2 + (s2 > 0): a trial's row in the tail and count tables
+    return codes * np.uint8(4) + (s1 > 0) * np.uint8(2) + (s2 > 0)
+
+
 def _render_rows(kind: str, trial: np.ndarray, codes: np.ndarray,
                  s1: np.ndarray, s2: np.ndarray) -> bytearray:
     """Canonical CSV rows of a non-empty slice of record columns.
@@ -262,7 +270,7 @@ def _render_rows(kind: str, trial: np.ndarray, codes: np.ndarray,
     NULs leaves the rows back to back.
     """
     tails = _TAILS[kind]
-    key = codes.astype(np.intp) * 4 + (s1 > 0) * 2 + (s2 > 0)
+    key = _outcome_key(codes, s1, s2)
     neg = trial < 0
     signed = bool(neg.any())
     mag = trial.view(np.uint64)
@@ -338,6 +346,8 @@ def _parse_lines(data: bytes) -> "RecordBatch":
         raise ValidationError(f"records line 1: expected header {RECORDS_HEADER!r}")
     if lines[-1] == "":
         lines.pop()
+    if len(lines) == 1:
+        raise ValidationError("records line 2: no trial rows")
     rows, s1, s2 = [], [], []
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
@@ -401,6 +411,8 @@ class RecordBatch:
         n = self.trial.size
         if not (self.codes.size == self.s1.size == self.s2.size == n):
             raise ValidationError("record columns must have equal length")
+        if n and int(self.codes.max()) >= len(self.tags):
+            raise ValidationError(f"context codes of {kind} records must be below {len(self.tags)}")
         self._sha256: str | None = None
 
     def __len__(self) -> int:
@@ -543,26 +555,29 @@ def run_experiment(config: ExperimentConfig, model=None,
                    state0: QubitState | None = None, threads: int | None = None) -> RecordBatch:
     """Run all trials of an experiment; bit-identical for identical seeds.
 
-    Trials are processed in fixed-size chunks whose outcome streams are
-    derived from the trial index, so the chunking (and any thread pool over
-    the chunks) cannot change the records.
+    The trials are split into balanced spans, at most _CHUNK trials each and
+    at least one per thread.  A span draws its contexts from the selector
+    state its first trial starts at, and its uniforms from the trial indices,
+    so neither the split nor the thread pool over the spans can change the
+    records.
     """
     contexts = config.context_set()
     sampler = make_sampler(config, contexts, model=model, state0=state0)
     n = config.n_trials
-    codes = context_codes(config.selector_seed, n, len(contexts))
+    n_threads = resolve_threads(threads)
+    codes = np.empty(n, dtype=np.uint8)
     s1 = np.empty(n, dtype=np.int8)
     s2 = np.empty(n, dtype=np.int8)
 
     def fill(lo: int, hi: int) -> None:
+        start = state_after(config.selector_seed, lo, len(contexts))
+        codes[lo:hi] = context_codes(start, hi - lo, len(contexts))
         u = trial_uniforms(config.outcome_seed, lo, hi, n_draws=2)
-        c1, c2 = sampler.run(codes[lo:hi], u[0], u[1])
-        s1[lo:hi] = c1
-        s2[lo:hi] = c2
+        s1[lo:hi], s2[lo:hi] = sampler.run(codes[lo:hi], u[0], u[1])
 
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    n_threads = resolve_threads(threads)
-    if n_threads == 1 or len(spans) == 1:
+    n_spans = min(max(-(-n // _CHUNK), n_threads), n)
+    spans = [(n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans)]
+    if n_threads == 1:
         for lo, hi in spans:
             fill(lo, hi)
     else:
@@ -621,20 +636,24 @@ def estimate_correlators(records, contexts: Iterable[str] | None = None) -> dict
     """Per-context sample means and standard errors of the outcome product.
 
     Every expected context (default: all contexts of the records' geometry)
-    must hold at least two trials.
+    must hold at least two trials.  The estimates read one table of outcome
+    counts per context; a sum of +-1 values is exact in float64, so the mean
+    (n_same - n_diff) / n is the sample mean of s1*s2 to the last bit.
     """
     batch = records if isinstance(records, RecordBatch) else RecordBatch.from_records(records)
     expected = tuple(contexts) if contexts is not None else batch.tags
-    prod = (batch.s1.astype(np.int32) * batch.s2.astype(np.int32))
+    # columns: (s1, s2) = (-1, -1), (-1, +1), (+1, -1), (+1, +1)
+    counts = np.bincount(_outcome_key(batch.codes, batch.s1, batch.s2),
+                         minlength=4 * len(batch.tags)).reshape(len(batch.tags), 4).tolist()
     out: dict[str, CorrelatorEstimate] = {}
     for tag in expected:
         if tag not in batch.tags:
             raise InsufficientDataError(f"context {tag}: no records (need >= 2)")
-        mask = batch.codes == batch.tags.index(tag)
-        n = int(np.count_nonzero(mask))
+        both_neg, neg_pos, pos_neg, both_pos = counts[batch.tags.index(tag)]
+        n = both_neg + neg_pos + pos_neg + both_pos
         if n < 2:
             raise InsufficientDataError(f"context {tag}: {n} record(s) (need >= 2)")
-        mean = float(prod[mask].mean())
+        mean = (both_neg + both_pos - neg_pos - pos_neg) / n
         stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / n)
         out[tag] = CorrelatorEstimate(tag, n, mean, stderr)
     return out

@@ -111,19 +111,27 @@ def runs_test(bits) -> RunsTestResult:
 def certify(records: RecordBatch, report: AnalysisReport) -> CertificationReport:
     """Certify the bits of a run, keyed to the inequality verdict of its report.
 
-    The report must have been produced from exactly these records (checked
-    by hash).  Certified means: verdict is a violation and both statistical
-    tests reach p >= 0.01.  Conspiracy-mode runs keep a caveat flag set:
-    the violation is then produced by a contextual model and certification
-    rests entirely on the no-conspiracy assumption.
+    The bits are extracted with :func:`extract_bits` and judged by
+    :func:`certify_bits`.
     """
-    records_hash = records.sha256()
+    return certify_bits(extract_bits(records), report)
+
+
+def certify_bits(bits: BitString, report: AnalysisReport) -> CertificationReport:
+    """Certify extracted bits, keyed to the inequality verdict of their run's report.
+
+    The report must have been produced from exactly the records the bits
+    came from (checked by hash).  Certified means: verdict is a violation
+    and both statistical tests reach p >= 0.01.  Conspiracy-mode runs keep a
+    caveat flag set: the violation is then produced by a contextual model
+    and certification rests entirely on the no-conspiracy assumption.
+    """
+    records_hash = bits.records_sha256
     if records_hash != report.records_sha256:
         raise IntegrityError(
             f"records hash {records_hash[:12]}... does not match the report's "
             f"{report.records_sha256[:12]}..."
         )
-    bits = extract_bits(records)
     p_mono = monobit_test(bits)
     runs = runs_test(bits)
     certified = (

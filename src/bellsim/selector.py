@@ -46,6 +46,21 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _unshift(z: int, k: int) -> int:
+    # inverse of z ^ (z >> k) on 64 bits: each pass fixes k more leading bits
+    x = z
+    for _ in range(64 // k):
+        x = z ^ (x >> k)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """Inverse of :func:`mix64`: the state whose avalanche is z."""
+    z = _unshift(z & MASK64, 31)
+    z = _unshift((z * pow(MIX2, -1, 1 << 64)) & MASK64, 27)
+    return _unshift((z * pow(MIX1, -1, 1 << 64)) & MASK64, 30)
+
+
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _U30)) * _U_MIX1
     z = (z ^ (z >> _U27)) * _U_MIX2
@@ -194,11 +209,34 @@ def context_codes(seed: int, n: int, n_contexts: int) -> np.ndarray:
         idx = np.arange(drawn + 1, drawn + block + 1, dtype=np.uint64)
         z = _mix64_vec(np.uint64(seed) + idx * _U_GAMMA)
         drawn += block
-        accepted = z[z <= bound] if _accept_bound(n_contexts) <= MASK64 else z
+        accepted = z[z <= bound]
         take = min(n - got, accepted.size)
         out[got : got + take] = (accepted[:take] % np.uint64(n_contexts)).astype(np.uint8)
         got += take
     return out
+
+
+def state_after(seed: int, count: int, n_contexts: int) -> int:
+    """The selector state once the first ``count`` contexts are emitted.
+
+    Used as a seed, it continues the stream: ``context_codes(state_after(seed,
+    lo, k), n, k)`` equals ``context_codes(seed, lo + n, k)[lo:]``, so any span
+    of trials can draw its own contexts.  Draw j reads the state seed + j*GAMMA,
+    which takes every 64-bit value once in 2^64 draws, and mix64 is a
+    bijection; so each of the 2^64 mod n_contexts rejected values is drawn at
+    exactly one index, found by inverting the avalanche, and the draws spent
+    on the first ``count`` contexts are ``count`` plus the rejected ones among
+    them.
+    """
+    seed = validate_seed(seed, "selector_seed")
+    inv_gamma = pow(GAMMA, -1, 1 << 64)
+    rejected = sorted(((unmix64(z) - seed) * inv_gamma) & MASK64
+                      for z in range(_accept_bound(n_contexts), 1 << 64))
+    drawn = count
+    for j in rejected:
+        if 1 <= j <= drawn:  # index 0 is the seed itself, drawn only after 2^64 draws
+            drawn += 1
+    return (seed + drawn * GAMMA) & MASK64
 
 
 # --- per-trial outcome randomness ---------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+import bellsim.cli as cli
+import bellsim.randomness as randomness
 from bellsim.cli import main
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.hidden_variables import random_finite_model, write_model
@@ -73,6 +75,22 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
         assert "n_trials" in capsys.readouterr().err
 
+    def test_nan_direction_is_named(self, tmp_path, capsys):
+        a, b, c = max_violation_triple()
+        cfg = write_config(tmp_path / "cfg.json", directions=[[math.nan, 0.0, 1.0], [b.x, b.y, b.z], [c.x, c.y, c.z]])
+        assert "NaN" in cfg.read_text()
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "'directions'[0]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    def test_nan_model_weight_is_named(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"lambdas": [{"weight": math.nan, "responses": [1, 1, 1]},
+                                                 {"weight": 0.5, "responses": [1, -1, 1]}]}))
+        cfg = write_config(tmp_path / "cfg.json", mode=f"hv:{model}")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "weights must be finite" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 2
 
@@ -114,6 +132,12 @@ class TestAnalyze:
         assert main(["analyze", "--records", str(records), "--out-dir", str(out)]) == 1
         assert "line 6" in capsys.readouterr().err
 
+    def test_header_only_records_exit_validation(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text("trial,context,slot_x,slot_y,s1,s2\n")
+        assert main(["analyze", "--records", str(records), "--out-dir", str(tmp_path)]) == 1
+        assert "line 2: no trial rows" in capsys.readouterr().err
+
     def test_floats_printed_with_12_significant_digits(self, tmp_path, capsys):
         _, out = run_pipeline(tmp_path, n_trials=6000)
         main(["analyze", "--records", str(out / "records.csv"), "--out-dir", str(out)])
@@ -140,6 +164,21 @@ class TestCertify:
         lines = (out / "bits.txt").read_text().splitlines()
         assert all(len(line) == 64 for line in lines[:-1])
         assert sum(len(line) for line in lines) == 120_000
+
+    def test_bits_are_extracted_once(self, tmp_path, monkeypatch):
+        out = self.run_analyze(tmp_path, n_trials=6000)
+        calls = []
+        extract = randomness.extract_bits
+
+        def counted(records):
+            calls.append(len(records))
+            return extract(records)
+
+        monkeypatch.setattr(cli, "extract_bits", counted)
+        monkeypatch.setattr(randomness, "extract_bits", counted)
+        assert main(["certify", "--records", str(out / "records.csv"),
+                     "--report", str(out / "report.json"), "--out-dir", str(out)]) == 0
+        assert calls == [6000]
 
     def test_conspiracy_caveat_flag(self, tmp_path):
         out = self.run_analyze(tmp_path, mode="conspiracy:qm-mimic", n_trials=60_000)

@@ -43,6 +43,11 @@ class TestFiniteModelValidation:
         with pytest.raises(ValidationError):
             FiniteHVModel([0.5, 0.4], [[1, 1, 1], [1, 1, 1]])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [math.inf, 0.5], [0.5, math.nan]])
+    def test_weights_must_be_finite(self, weights):
+        with pytest.raises(ValidationError, match="finite"):
+            FiniteHVModel(weights, [[1, 1, 1], [1, -1, 1]])
+
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
             FiniteHVModel([1.5, -0.5], [[1, 1, 1], [1, 1, 1]])

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -37,9 +39,37 @@ from bellsim.protocol import (
     write_report,
 )
 from bellsim.quantum import QubitState
+from bellsim.selector import GAMMA, MASK64, mix64
 
 TRIPLE = max_violation_triple()
 QUAD = tsirelson_quadruple()
+
+# a selector seed whose first draw finalizes to 2^64-1, the one value the
+# 3-way mapping rejects (see tests/test_selector.py)
+REJECTING_SEED = 0x31628AF67B2131AB
+
+# every backend, with in-memory models for the file-based ones
+BACKEND_CASES = [
+    (dict(mode="qm_sequential"), None),
+    (dict(mode="qm_singlet", directions=QUAD), None),
+    (dict(mode="hv:sign-model"), None),
+    (dict(mode="conspiracy:qm-mimic"), None),
+    (dict(mode="hv:mem.json"), random_finite_model(17, 5)),
+    (dict(mode="hv:mem4.json", directions=QUAD), random_finite_model(19, 4, n_slots=4)),
+    (dict(mode="conspiracy:mem.json"), skewed_contextual_model()),
+]
+
+
+def masked_mean_estimates(batch):
+    # the estimator before the count table: one mask and one mean per context
+    prod = batch.s1.astype(np.int32) * batch.s2.astype(np.int32)
+    out = {}
+    for code, tag in enumerate(batch.tags):
+        mask = batch.codes == code
+        n = int(np.count_nonzero(mask))
+        mean = float(prod[mask].mean())
+        out[tag] = CorrelatorEstimate(tag, n, mean, math.sqrt(max(0.0, 1.0 - mean * mean) / n))
+    return out
 
 
 def temporal_config(**overrides):
@@ -85,6 +115,13 @@ class TestConfigValidation:
         doc = config_doc()
         doc["directions"][0] = [1.0, 1.0, 0.0]
         with pytest.raises(ValidationError, match=r"directions"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("vector", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0]])
+    def test_non_finite_direction_rejected(self, vector):
+        doc = config_doc()
+        doc["directions"][0] = vector
+        with pytest.raises(ValidationError, match=r"'directions'\[0\]: .* non-finite"):
             ExperimentConfig.from_dict(doc)
 
     def test_wrong_arity_for_mode(self):
@@ -145,18 +182,7 @@ class TestRunExperiment:
         assert all(r.s1 in (-1, 1) and r.s2 in (-1, 1) for r in records)
         assert all(r.context in ("AB", "AC", "BC") for r in records)
 
-    @pytest.mark.parametrize(
-        "cfg_kwargs,model",
-        [
-            (dict(mode="qm_sequential"), None),
-            (dict(mode="qm_singlet", directions=QUAD), None),
-            (dict(mode="hv:sign-model"), None),
-            (dict(mode="conspiracy:qm-mimic"), None),
-            (dict(mode="hv:mem.json"), random_finite_model(17, 5)),
-            (dict(mode="hv:mem4.json", directions=QUAD), random_finite_model(19, 4, n_slots=4)),
-            (dict(mode="conspiracy:mem.json"), skewed_contextual_model()),
-        ],
-    )
+    @pytest.mark.parametrize("cfg_kwargs,model", BACKEND_CASES)
     def test_vectorized_run_matches_per_trial_reference(self, cfg_kwargs, model):
         cfg = temporal_config(n_trials=2000, selector_seed=31, outcome_seed=77, **cfg_kwargs)
         assert run_experiment(cfg, model=model) == _run_reference(cfg, model=model)
@@ -170,6 +196,35 @@ class TestRunExperiment:
         assert chunked == whole
         assert threaded == whole
         assert threaded.sha256() == whole.sha256()
+
+    @pytest.mark.parametrize("rejected_trial", [300, 1234, 1999])
+    def test_rejected_draw_in_a_later_span(self, monkeypatch, rejected_trial):
+        # draw k + 1 is rejected, so trial k takes draw k + 2 and every later
+        # span starts one draw further on; 2000 trials make 8 spans of 250
+        seed = (REJECTING_SEED - rejected_trial * GAMMA) % 2**64
+        assert mix64((seed + (rejected_trial + 1) * GAMMA) & MASK64) == MASK64
+        cfg = temporal_config(n_trials=2000, selector_seed=seed, outcome_seed=3)
+        reference = _run_reference(cfg)
+        monkeypatch.setattr(protocol, "_CHUNK", 257)
+        for threads in (1, 2, 4):
+            assert run_experiment(cfg, threads=threads) == reference
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        cfg = temporal_config(n_trials=20_000, selector_seed=(REJECTING_SEED - 7000 * GAMMA) % 2**64,
+                              outcome_seed=12)
+        whole = run_experiment(cfg, threads=1)
+        monkeypatch.setattr(protocol, "_CHUNK", 257)
+        result = []
+        worker = threading.Thread(target=lambda: result.append(run_experiment(cfg, threads=8)), daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result == [whole]
 
     def test_thread_env_override(self, monkeypatch):
         cfg = temporal_config(n_trials=500)
@@ -248,6 +303,11 @@ class TestEstimators:
         ]
         with pytest.raises(InsufficientDataError, match="AC"):
             estimate_correlators(records, contexts=["AB", "AC"])
+
+    @pytest.mark.parametrize("cfg_kwargs,model", BACKEND_CASES)
+    def test_count_table_equals_masked_means(self, cfg_kwargs, model):
+        records = run_experiment(temporal_config(n_trials=30_001, **cfg_kwargs), model=model)
+        assert estimate_correlators(records) == masked_mean_estimates(records)
 
     def test_default_contexts_cover_geometry(self):
         records = run_experiment(temporal_config(n_trials=2))
@@ -453,6 +513,19 @@ class TestRecordsCsv:
         loaded = RecordBatch.from_csv(path)
         assert loaded == records
         assert loaded.sha256() == records.sha256() == hashlib.sha256(records.to_csv_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("kind", ["temporal", "chsh"])
+    def test_header_only_file_is_rejected(self, tmp_path, kind):
+        empty = np.array([], dtype=np.int64)
+        path = tmp_path / "records.csv"
+        RecordBatch(kind, empty, empty, empty, empty).write_csv(path)
+        assert path.read_text() == RECORDS_HEADER + "\n"
+        with pytest.raises(ValidationError, match="line 2: no trial rows"):
+            RecordBatch.from_csv(path)
+
+    def test_context_code_outside_the_kind_is_rejected(self):
+        with pytest.raises(ValidationError, match="below 3"):
+            RecordBatch("temporal", np.array([0, 1]), np.array([0, 3]), np.array([1, 1]), np.array([1, 1]))
 
     def test_from_records_list(self):
         records = [TrialRecord(0, "AB", 1, 2, 1, -1), TrialRecord(1, "BC", 2, 3, -1, -1)]

@@ -16,7 +16,9 @@ from bellsim.selector import (
     derive_trial_randomness,
     mix64,
     next_context,
+    state_after,
     trial_uniforms,
+    unmix64,
     validate_seed,
 )
 
@@ -84,6 +86,21 @@ class TestSelectorStream:
         tags, _ = emit(seed, 300, contexts)
         codes = context_codes(seed, 300, len(contexts))
         assert [contexts.tags[c] for c in codes] == tags
+
+    @pytest.mark.parametrize("seed", [0, REJECTING_SEED, (REJECTING_SEED - 5 * GAMMA) % 2**64])
+    @pytest.mark.parametrize("contexts", [TEMPORAL, CHSH])
+    def test_state_after_continues_the_stream(self, seed, contexts):
+        k = len(contexts)
+        whole = context_codes(seed, 12, k)
+        for count in range(10):
+            _, state = emit(seed, count, contexts)
+            assert state_after(seed, count, k) == state.state
+            assert np.array_equal(context_codes(state_after(seed, count, k), 12 - count, k), whole[count:])
+
+    def test_unmix_inverts_mix(self):
+        for z in (0, 1, GAMMA, MASK64, 0xDEADBEEFCAFEF00D):
+            assert mix64(unmix64(z)) == z and unmix64(mix64(z)) == z
+        assert (unmix64(MASK64) - GAMMA) % 2**64 == REJECTING_SEED
 
     def test_context_frequencies(self):
         n = 300_000
