@@ -30,6 +30,7 @@ import numpy as np
 
 from .directions import Direction3, angle_between
 from .errors import UnsupportedOperationError, ValidationError
+from .quantum import _signs
 from .selector import ContextSet, MeasurementContext
 
 WEIGHT_TOL = 1e-12
@@ -48,8 +49,15 @@ class FiniteHVModel:
     """
 
     def __init__(self, weights, responses):
-        w = np.asarray(weights, dtype=np.float64)
-        r = np.asarray(responses, dtype=np.int8)
+        try:
+            w, r = np.asarray(weights), np.asarray(responses)
+        except ValueError:  # ragged nesting
+            raise ValidationError("weights and responses must be regular tables of numbers") from None
+        if w.dtype.kind not in "iuf":
+            raise ValidationError("weights must be real numbers")
+        if r.dtype.kind not in "iuf":
+            raise ValidationError("responses must be exactly +1 or -1")
+        w = w.astype(np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("weights must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(w)):
@@ -66,7 +74,7 @@ class FiniteHVModel:
         if not np.all(np.abs(r) == 1):
             raise ValidationError("responses must be exactly +1 or -1")
         self.weights = w
-        self.responses = r
+        self.responses = r.astype(np.int8)
         self._cum = np.cumsum(w)
 
     @property
@@ -81,10 +89,6 @@ class FiniteHVModel:
         """Index of the initial condition selected by one uniform draw."""
         idx = int(np.searchsorted(self._cum, u, side="right"))
         return min(idx, self.n_lambda - 1)
-
-    def sample_indices(self, u: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._cum, u, side="right")
-        return np.minimum(idx, self.n_lambda - 1)
 
     def response(self, index: int, slot: int) -> int:
         return int(self.responses[index, slot - 1])
@@ -231,6 +235,10 @@ def random_finite_model(seed: int, n_lambda: int, n_slots: int = 3) -> FiniteHVM
 _CONTEXT_FILE_KEYS = {"ab": "AB", "ac": "AC", "bc": "BC"}
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _finite_from_jsonable(doc, where: str) -> FiniteHVModel:
     entries = doc.get("lambdas")
     if not isinstance(entries, list) or not entries:
@@ -239,8 +247,13 @@ def _finite_from_jsonable(doc, where: str) -> FiniteHVModel:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "weight" not in entry or "responses" not in entry:
             raise ValidationError(f"{where}: lambdas[{i}] needs 'weight' and 'responses'")
-        weights.append(entry["weight"])
-        responses.append(entry["responses"])
+        weight, row = entry["weight"], entry["responses"]
+        if not _is_real(weight):
+            raise ValidationError(f"{where}: lambdas[{i}] 'weight' must be a number, got {weight!r}")
+        if not isinstance(row, list) or not all(_is_real(s) and s in (1, -1) for s in row):
+            raise ValidationError(f"{where}: lambdas[{i}] 'responses' must be a list of +1/-1, got {row!r}")
+        weights.append(weight)
+        responses.append(row)
     lengths = {len(r) for r in responses}
     if len(lengths) != 1:
         raise ValidationError(f"{where}: all response lists must have the same length")
@@ -297,12 +310,35 @@ def write_model(model, path) -> None:
 
 
 # --- per-context samplers used by the experiment runner ---------------------------
+#
+# A sampler's tables are built in __init__ and only read by run, which the
+# runner calls from several threads at once.
 
 
-def _slot_arrays(contexts: ContextSet):
-    sx = np.array([s[0] for s in contexts.slots], dtype=np.int64)
-    sy = np.array([s[1] for s in contexts.slots], dtype=np.int64)
-    return sx, sy
+class _BucketTables:
+    """Outcome lookup of finite models, one table per context, by one search per trial.
+
+    The sorted union of all contexts' cumulative weights cuts [0, 1) into
+    buckets; no threshold lies inside a bucket, so a bucket's lower edge
+    selects the same initial condition as every u in it, in every context.
+    """
+
+    def __init__(self, models, slots):
+        self.union = np.unique(np.concatenate([m._cum for m in models]))
+        lower = np.concatenate(([-np.inf], self.union))  # bucket b holds union[b-1] <= u < union[b]
+        self.n_buckets = lower.size
+        s1, s2 = [], []
+        for m, (sx, sy) in zip(models, slots):
+            idx = np.minimum(np.searchsorted(m._cum, lower, side="right"), m.n_lambda - 1)
+            s1.append(m.responses[idx, sx - 1])
+            s2.append(m.responses[idx, sy - 1])
+        self.s1 = np.concatenate(s1)
+        self.s2 = np.concatenate(s2)
+
+    def sample(self, codes: np.ndarray, u1: np.ndarray):
+        key = np.searchsorted(self.union, u1, side="right")
+        key += codes * np.intp(self.n_buckets)
+        return self.s1.take(key), self.s2.take(key)
 
 
 class FiniteModelSampler:
@@ -317,16 +353,13 @@ class FiniteModelSampler:
             )
         self.model = model
         self.contexts = contexts
-        self._sx, self._sy = _slot_arrays(contexts)
+        self._tables = _BucketTables([model] * len(contexts), contexts.slots)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         return hv_trial(self.model, self.contexts[code], u1, u2)
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        idx = self.model.sample_indices(u1)
-        s1 = self.model.responses[idx, self._sx[codes] - 1]
-        s2 = self.model.responses[idx, self._sy[codes] - 1]
-        return s1, s2
+        return self._tables.sample(codes, u1)
 
     def analytic_correlator(self, code: int) -> float:
         sx, sy = self.contexts.slots[code]
@@ -334,24 +367,32 @@ class FiniteModelSampler:
 
 
 class SignModelSampler:
-    """Vectorized trials of the continuous sign model."""
+    """Vectorized trials of the continuous sign model.
+
+    Each trial's axis is projected once on every slot direction, with the
+    scalar path's float operations; the signs, packed into bits after the
+    context code, index the outcome tables.
+    """
 
     def __init__(self, contexts: ContextSet):
         self.model = SignModel()
         self.contexts = contexts
-        self._dirs = np.array([[d.x, d.y, d.z] for d in contexts.directions])
-        self._sx, self._sy = _slot_arrays(contexts)
+        n_slots = len(contexts.directions)
+        key = np.arange(len(contexts) << n_slots)
+        code, bits = key >> n_slots, key & ((1 << n_slots) - 1)
+        sx, sy = (np.array(col)[code] for col in zip(*contexts.slots))
+        self._s1 = _signs((bits >> (sx - 1)) & 1)
+        self._s2 = _signs((bits >> (sy - 1)) & 1)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         return hv_trial(self.model, self.contexts[code], u1, u2)
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         lx, ly, lz = _sphere_axis(u1, u2)
-        dx = self._dirs[self._sx[codes] - 1]
-        dy = self._dirs[self._sy[codes] - 1]
-        s1 = np.where(lx * dx[:, 0] + ly * dx[:, 1] + lz * dx[:, 2] >= 0.0, 1, -1).astype(np.int8)
-        s2 = np.where(lx * dy[:, 0] + ly * dy[:, 1] + lz * dy[:, 2] >= 0.0, 1, -1).astype(np.int8)
-        return s1, s2
+        key = codes << np.uint8(len(self.contexts.directions))
+        for k, d in enumerate(self.contexts.directions):
+            key |= (lx * d.x + ly * d.y + lz * d.z >= 0.0).view(np.uint8) << np.uint8(k)
+        return self._s1.take(key), self._s2.take(key)
 
     def analytic_correlator(self, code: int) -> float:
         ctx = self.contexts[code]
@@ -367,22 +408,13 @@ class ContextualModelSampler:
         self.model = model
         self.contexts = contexts
         self._subs = [model.for_tag(tag) for tag in contexts.tags]
+        self._tables = _BucketTables(self._subs, contexts.slots)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         return conspiracy_trial(self.model, self.contexts[code], u1, u2)
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        s1 = np.empty(codes.size, dtype=np.int8)
-        s2 = np.empty(codes.size, dtype=np.int8)
-        for code, sub in enumerate(self._subs):
-            mask = codes == code
-            if not np.any(mask):
-                continue
-            idx = sub.sample_indices(u1[mask])
-            sx, sy = self.contexts.slots[code]
-            s1[mask] = sub.responses[idx, sx - 1]
-            s2[mask] = sub.responses[idx, sy - 1]
-        return s1, s2
+        return self._tables.sample(codes, u1)
 
     def analytic_correlator(self, code: int) -> float:
         sx, sy = self.contexts.slots[code]
@@ -401,10 +433,8 @@ class QmMimicSampler:
         return conspiracy_trial(self.model, self.contexts[code], u1, u2)
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        s1 = np.where(u1 < 0.5, 1, -1).astype(np.int8)
-        same = u2 < self._p_same[codes]
-        s2 = np.where(same, s1, -s1).astype(np.int8)
-        return s1, s2
+        s1 = _signs(u1 < 0.5)
+        return s1, np.where(u2 < self._p_same.take(codes), s1, -s1)
 
     def analytic_correlator(self, code: int) -> float:
         ctx = self.contexts[code]

@@ -172,9 +172,6 @@ class ExperimentConfig:
                 raise ValidationError(f"config key 'directions'[{i}] has non-numeric components") from None
             except ValidationError as exc:
                 raise ValidationError(f"config key 'directions'[{i}]: {exc}") from None
-        n_trials = doc["n_trials"]
-        if not isinstance(n_trials, int) or isinstance(n_trials, bool):
-            raise ValidationError("config key 'n_trials' must be an integer")
         kwargs = {}
         if "sigma_threshold" in doc:
             kwargs["sigma_threshold"] = doc["sigma_threshold"]
@@ -183,7 +180,7 @@ class ExperimentConfig:
         return cls(
             mode=doc["mode"],
             directions=tuple(directions),
-            n_trials=n_trials,
+            n_trials=doc["n_trials"],
             selector_seed=validate_seed(doc["selector_seed"], "selector_seed"),
             outcome_seed=validate_seed(doc["outcome_seed"], "outcome_seed"),
             **kwargs,
@@ -259,6 +256,11 @@ _MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row 
 def _outcome_key(codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     # code * 4 + (s1 > 0) * 2 + (s2 > 0): a trial's row in the tail and count tables
     return codes * np.uint8(4) + (s1 > 0) * np.uint8(2) + (s2 > 0)
+
+
+def _count_table(n_contexts: int, codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    counts = np.bincount(_outcome_key(codes, s1, s2), minlength=4 * n_contexts)
+    return _read_only(counts.reshape(n_contexts, 4), np.int64)
 
 
 def _render_rows(kind: str, trial: np.ndarray, codes: np.ndarray,
@@ -394,7 +396,8 @@ class RecordBatch:
     columns are exposed for estimation as read-only views of the arrays
     passed in (no copy), which the caller must not change afterwards.  The
     CSV byte serialization below is the canonical form used for hashing and
-    on-disk records; its SHA-256 is computed at most once per batch.
+    on-disk records; its SHA-256 and its outcome-count table are computed at
+    most once per batch.
     """
 
     def __init__(self, kind: str, trial: np.ndarray, codes: np.ndarray,
@@ -414,6 +417,7 @@ class RecordBatch:
         if n and int(self.codes.max()) >= len(self.tags):
             raise ValidationError(f"context codes of {kind} records must be below {len(self.tags)}")
         self._sha256: str | None = None
+        self._counts: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.trial.size
@@ -454,6 +458,17 @@ class RecordBatch:
             np.array([r.s1 for r in records], dtype=np.int8),
             np.array([r.s2 for r in records], dtype=np.int8),
         )
+
+    def outcome_counts(self) -> np.ndarray:
+        """The (n_contexts x 4) table of outcome counts, read-only.
+
+        Row ``code`` counts that context's trials by (s1, s2) in the column
+        order (-1, -1), (-1, +1), (+1, -1), (+1, +1); counted only if not yet
+        known (``run_experiment`` fills it while it runs).
+        """
+        if self._counts is None:
+            self._counts = _count_table(len(self.tags), self.codes, self.s1, self.s2)
+        return self._counts
 
     # -- canonical CSV form --
 
@@ -559,7 +574,8 @@ def run_experiment(config: ExperimentConfig, model=None,
     at least one per thread.  A span draws its contexts from the selector
     state its first trial starts at, and its uniforms from the trial indices,
     so neither the split nor the thread pool over the spans can change the
-    records.
+    records.  Each span also counts its outcomes, and the batch keeps the
+    sum as its :meth:`RecordBatch.outcome_counts`.
     """
     contexts = config.context_set()
     sampler = make_sampler(config, contexts, model=model, state0=state0)
@@ -569,21 +585,23 @@ def run_experiment(config: ExperimentConfig, model=None,
     s1 = np.empty(n, dtype=np.int8)
     s2 = np.empty(n, dtype=np.int8)
 
-    def fill(lo: int, hi: int) -> None:
+    def fill(lo: int, hi: int) -> np.ndarray:
         start = state_after(config.selector_seed, lo, len(contexts))
         codes[lo:hi] = context_codes(start, hi - lo, len(contexts))
         u = trial_uniforms(config.outcome_seed, lo, hi, n_draws=2)
         s1[lo:hi], s2[lo:hi] = sampler.run(codes[lo:hi], u[0], u[1])
+        return _count_table(len(contexts), codes[lo:hi], s1[lo:hi], s2[lo:hi])
 
     n_spans = min(max(-(-n // _CHUNK), n_threads), n)
     spans = [(n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans)]
     if n_threads == 1:
-        for lo, hi in spans:
-            fill(lo, hi)
+        tables = [fill(lo, hi) for lo, hi in spans]
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-    return RecordBatch(config.geometry, np.arange(n, dtype=np.int64), codes, s1, s2)
+            tables = list(pool.map(lambda span: fill(*span), spans))
+    batch = RecordBatch(config.geometry, np.arange(n, dtype=np.int64), codes, s1, s2)
+    batch._counts = _read_only(sum(tables), np.int64)
+    return batch
 
 
 def _run_reference(config: ExperimentConfig, model=None,
@@ -636,15 +654,13 @@ def estimate_correlators(records, contexts: Iterable[str] | None = None) -> dict
     """Per-context sample means and standard errors of the outcome product.
 
     Every expected context (default: all contexts of the records' geometry)
-    must hold at least two trials.  The estimates read one table of outcome
-    counts per context; a sum of +-1 values is exact in float64, so the mean
+    must hold at least two trials.  The estimates read the batch's table of
+    outcome counts; a sum of +-1 values is exact in float64, so the mean
     (n_same - n_diff) / n is the sample mean of s1*s2 to the last bit.
     """
     batch = records if isinstance(records, RecordBatch) else RecordBatch.from_records(records)
     expected = tuple(contexts) if contexts is not None else batch.tags
-    # columns: (s1, s2) = (-1, -1), (-1, +1), (+1, -1), (+1, +1)
-    counts = np.bincount(_outcome_key(batch.codes, batch.s1, batch.s2),
-                         minlength=4 * len(batch.tags)).reshape(len(batch.tags), 4).tolist()
+    counts = batch.outcome_counts().tolist()
     out: dict[str, CorrelatorEstimate] = {}
     for tag in expected:
         if tag not in batch.tags:

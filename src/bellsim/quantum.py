@@ -265,13 +265,17 @@ def balanced_preparation(contexts: ContextSet) -> QubitState:
     return _eigenstate(Direction3.normalized(cx, cy, cz), +1)
 
 
+def _signs(positive: np.ndarray) -> np.ndarray:
+    """+1 where positive, else -1, as int8 outcomes."""
+    return np.where(positive, np.int8(1), np.int8(-1))
+
+
 def _sample_two_step(p1, p2, codes, u1, u2):
     # p1: (nctx,) first-step +1 probability; p2: (nctx, 2) second-step +1
-    # probability indexed by [code, (s1+1)/2]
-    s1 = np.where(u1 < p1[codes], 1, -1).astype(np.int8)
-    p2_sel = p2[codes, (s1 + 1) >> 1]
-    s2 = np.where(u2 < p2_sel, 1, -1).astype(np.int8)
-    return s1, s2
+    # probability indexed by [code, (s1+1)/2], read flat at code * 2 + (s1 > 0)
+    up = u1 < p1.take(codes)
+    s2_up = u2 < p2.ravel().take(codes * np.uint8(2) + up)
+    return _signs(up), _signs(s2_up)
 
 
 class SequentialSampler:

@@ -62,9 +62,16 @@ def unmix64(z: int) -> int:
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U30)) * _U_MIX1
-    z = (z ^ (z >> _U27)) * _U_MIX2
-    return z ^ (z >> _U31)
+    """:func:`mix64` of every element, in place on z (a fresh uint64 array); returns z."""
+    t = z >> _U30
+    z ^= t
+    z *= _U_MIX1
+    np.right_shift(z, _U27, out=t)
+    z ^= t
+    z *= _U_MIX2
+    np.right_shift(z, _U31, out=t)
+    z ^= t
+    return z
 
 
 def validate_seed(value, name: str = "seed") -> int:
@@ -206,12 +213,17 @@ def context_codes(seed: int, n: int, n_contexts: int) -> np.ndarray:
     drawn = 0
     while got < n:
         block = max(n - got, 1024)
-        idx = np.arange(drawn + 1, drawn + block + 1, dtype=np.uint64)
-        z = _mix64_vec(np.uint64(seed) + idx * _U_GAMMA)
+        z = np.arange(drawn + 1, drawn + block + 1, dtype=np.uint64)
+        z *= _U_GAMMA
+        z += np.uint64(seed)
+        _mix64_vec(z)
         drawn += block
-        accepted = z[z <= bound]
-        take = min(n - got, accepted.size)
-        out[got : got + take] = (accepted[:take] % np.uint64(n_contexts)).astype(np.uint8)
+        if z.max() > bound:  # a rejected draw: keep the accepted ones, top up in the next block
+            z = z[z <= bound]
+        take = min(n - got, z.size)
+        q = z[:take] // np.uint64(n_contexts)  # a division by a constant, faster than remainder
+        q *= np.uint64(n_contexts)
+        np.subtract(z[:take], q, out=out[got : got + take], casting="unsafe")
         got += take
     return out
 
@@ -277,11 +289,13 @@ def trial_uniforms(master_seed: int, start: int, stop: int, n_draws: int = 2) ->
     each trial index i in order.
     """
     master_seed = validate_seed(master_seed, "outcome_seed")
-    idx = np.arange(start, stop, dtype=np.uint64)
-    s0 = _mix64_vec(np.uint64(master_seed) ^ idx)
+    s0 = np.arange(start, stop, dtype=np.uint64)
+    s0 ^= np.uint64(master_seed)
+    _mix64_vec(s0)
     out = np.empty((n_draws, stop - start), dtype=np.float64)
     for k in range(n_draws):
         step = np.uint64(((k + 1) * GAMMA) & MASK64)  # numpy scalar mult would warn on wrap
-        z = _mix64_vec(s0 + step)
-        out[k] = (z >> _U11).astype(np.float64) * _INV_2_53
+        z = _mix64_vec(np.add(s0, step, out=out[k].view(np.uint64)))
+        z >>= _U11
+        np.multiply(z, _INV_2_53, out=out[k])  # exact: z < 2^53 converts to float64 as is
     return out

@@ -91,6 +91,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         assert "weights must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,field", [({"weight": "half", "responses": [1, 1, 1]}, "'weight'"),
+                                             ({"weight": 0.5, "responses": [1, 1.5, 1]}, "'responses'")])
+    def test_malformed_model_entry_is_named(self, tmp_path, capsys, entry, field):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"lambdas": [{"weight": 0.5, "responses": [1, -1, 1]}, entry]}))
+        cfg = write_config(tmp_path / "cfg.json", mode=f"hv:{model}")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"lambdas[1] {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 2
 

@@ -64,6 +64,22 @@ class TestFiniteModelValidation:
         with pytest.raises(ValidationError):
             FiniteHVModel([1.0], [[1, 1, 1, 1, 1]])
 
+    @pytest.mark.parametrize("weights,responses", [
+        (["half", 0.5], [[1, 1, 1], [1, 1, 1]]),
+        ([True], [[1, 1, 1]]),
+        ([1.0], [[1, 1.5, 1]]),
+        ([1.0], [[1, "x", 1]]),
+        ([1.0], [[True, True, True]]),
+        ([1.0], [[1, [1], 1]]),
+    ])
+    def test_non_numeric_or_non_sign_entries_rejected(self, weights, responses):
+        with pytest.raises(ValidationError):
+            FiniteHVModel(weights, responses)
+
+    def test_numpy_tables_accepted(self):
+        model = FiniteHVModel(np.array([0.5, 0.5]), np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]]))
+        assert model.responses.dtype == np.int8 and model.responses[1, 0] == -1
+
 
 class TestExactCorrelators:
     def test_constant_model(self):
@@ -184,6 +200,17 @@ class TestSignModel:
         assert abs(p_bc) < 1e-12
         assert abs(abs(p_ab - p_ac) + p_bc - 1.0) < 1e-12  # saturation, not violation
 
+    def test_run_matches_trial_on_exactly_zero_projections(self):
+        # u1 = 1/2 puts the axis in the xy plane (z = 0 exactly); u2 = 0 puts it
+        # on the x axis (y = r sin 0 = 0 exactly)
+        sampler = SignModelSampler(ContextSet("temporal", (X_AXIS, Y_AXIS, Z_AXIS)))
+        u1 = np.array([0.5, 0.5, 0.5, 0.25, 0.75, 0.0])
+        u2 = np.array([0.0, 0.25, 0.5, 0.0, 0.0, 0.0])
+        for code in range(3):
+            codes = np.full(u1.size, code, dtype=np.uint8)
+            s1, s2 = sampler.run(codes, u1, u2)
+            assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, a, b) for a, b in zip(u1, u2)]
+
     def test_sampler_matches_formula(self, rng):
         sampler = SignModelSampler(TRIPLE)
         n = 100_000
@@ -280,6 +307,14 @@ class TestModelFiles:
             {"lambdas": [{"weight": 1.0}]},
             {"lambdas": [{"weight": 0.5, "responses": [1, 1, 1]}, {"weight": 0.5, "responses": [1, 1]}]},
             {"ab": {"lambdas": [{"weight": 1.0, "responses": [1, 1, 1]}]}},
+            {"lambdas": [{"weight": "half", "responses": [1, 1, 1]}, {"weight": 0.5, "responses": [1, 1, 1]}]},
+            {"lambdas": [{"weight": True, "responses": [1, 1, 1]}]},
+            {"lambdas": [{"weight": 1.0, "responses": [1, 1.5, 1]}]},
+            {"lambdas": [{"weight": 1.0, "responses": [1, "x", 1]}]},
+            {"lambdas": [{"weight": 1.0, "responses": [1, 257, 1]}]},
+            {"lambdas": [{"weight": 1.0, "responses": [1, [1], 1]}]},
+            {"lambdas": [{"weight": 1.0, "responses": [1, True, 1]}]},
+            {"lambdas": [{"weight": 1.0, "responses": "111"}]},
         ],
     )
     def test_malformed_documents_rejected(self, doc):
@@ -306,6 +341,24 @@ class TestSamplerBinding:
             mask = codes == code
             exact = sampler.analytic_correlator(code)
             assert abs(float(prod[mask].mean()) - exact) <= 4 / math.sqrt(mask.sum())
+
+    @pytest.mark.parametrize("contextual", [False, True])
+    def test_run_on_cumulative_edges_matches_trial(self, contextual):
+        # cumulative weights 0.25, 0.25, 0.75, 1 - 1e-13: u on a threshold takes
+        # the next initial condition, and u above the last one the last
+        edged = FiniteHVModel([0.25, 0.0, 0.5, 0.25 - 1e-13], [[1, 1, 1], [-1, -1, -1], [1, -1, 1], [-1, 1, -1]])
+        cum = np.cumsum(edged.weights)
+        assert cum[-1] < 1.0
+        if contextual:
+            tables = {"AB": edged, "AC": random_finite_model(7, 5), "BC": FiniteHVModel([1.0], [[-1, 1, 1]])}
+            sampler = ContextualModelSampler(ContextualFiniteModel(tables), TRIPLE)
+        else:
+            sampler = FiniteModelSampler(edged, TRIPLE)
+        u1 = np.concatenate([cum, [0.0, 0.3, (cum[-1] + 1.0) / 2, np.nextafter(1.0, 0.0)]])
+        assert [edged.sample_index(u) for u in u1] == [2, 2, 3, 3, 0, 2, 3, 3]
+        for code in range(3):
+            s1, s2 = sampler.run(np.full(u1.size, code, dtype=np.uint8), u1, np.zeros(u1.size))
+            assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, u, 0.0) for u in u1]
 
     def test_three_slot_model_rejected_for_chsh(self):
         contexts = ContextSet("chsh", (X_AXIS, Y_AXIS, Z_AXIS, X_AXIS))

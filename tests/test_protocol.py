@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 
 import bellsim.protocol as protocol
-from bellsim.directions import max_violation_triple, tsirelson_quadruple
+from bellsim.directions import X_AXIS, Y_AXIS, Z_AXIS, max_violation_triple, tsirelson_quadruple
 from bellsim.errors import InsufficientDataError, ValidationError
 from bellsim.hidden_variables import ContextualFiniteModel, FiniteHVModel, random_finite_model
 
 
-def skewed_contextual_model():
-    return ContextualFiniteModel({
-        "AB": random_finite_model(101, 4),
-        "AC": random_finite_model(102, 2),
-        "BC": random_finite_model(103, 7),
-    })
+def skewed_contextual_model(sizes=(4, 2, 7)):
+    return ContextualFiniteModel({tag: random_finite_model(101 + i, size)
+                                  for i, (tag, size) in enumerate(zip(("AB", "AC", "BC"), sizes))})
+
+
+def zero_weight_model():
+    # zero weights repeat cumulative values, so some initial conditions are never drawn
+    responses = [[1, 1, 1], [-1, -1, -1], [1, -1, 1], [-1, 1, -1], [1, 1, -1], [-1, -1, 1]]
+    return FiniteHVModel([0.0, 0.25, 0.0, 0.5, 0.0, 0.25], responses)
 from bellsim.protocol import (
     RECORDS_HEADER,
     CorrelatorEstimate,
@@ -57,6 +60,11 @@ BACKEND_CASES = [
     (dict(mode="hv:mem.json"), random_finite_model(17, 5)),
     (dict(mode="hv:mem4.json", directions=QUAD), random_finite_model(19, 4, n_slots=4)),
     (dict(mode="conspiracy:mem.json"), skewed_contextual_model()),
+    (dict(mode="hv:zeros.json"), zero_weight_model()),
+    (dict(mode="conspiracy:sizes.json"), skewed_contextual_model((1, 10, 3))),
+    (dict(mode="hv:sign-model", directions=QUAD), None),
+    # every projection on an axis adds two products with an exact zero factor
+    (dict(mode="hv:sign-model", directions=(X_AXIS, Y_AXIS, Z_AXIS)), None),
 ]
 
 
@@ -209,13 +217,15 @@ class TestRunExperiment:
         for threads in (1, 2, 4):
             assert run_experiment(cfg, threads=threads) == reference
 
-    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+    @pytest.mark.parametrize("cfg_kwargs,model", BACKEND_CASES)
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch, cfg_kwargs, model):
         cfg = temporal_config(n_trials=20_000, selector_seed=(REJECTING_SEED - 7000 * GAMMA) % 2**64,
-                              outcome_seed=12)
-        whole = run_experiment(cfg, threads=1)
+                              outcome_seed=12, **cfg_kwargs)
+        whole = run_experiment(cfg, model=model, threads=1)
         monkeypatch.setattr(protocol, "_CHUNK", 257)
         result = []
-        worker = threading.Thread(target=lambda: result.append(run_experiment(cfg, threads=8)), daemon=True)
+        worker = threading.Thread(target=lambda: result.append(run_experiment(cfg, model=model, threads=8)),
+                                  daemon=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -308,6 +318,22 @@ class TestEstimators:
     def test_count_table_equals_masked_means(self, cfg_kwargs, model):
         records = run_experiment(temporal_config(n_trials=30_001, **cfg_kwargs), model=model)
         assert estimate_correlators(records) == masked_mean_estimates(records)
+
+    @pytest.mark.parametrize("cfg_kwargs", [{}, dict(mode="qm_singlet", directions=QUAD)])
+    def test_run_fills_the_outcome_counts(self, tmp_path, monkeypatch, cfg_kwargs):
+        monkeypatch.setattr(protocol, "_CHUNK", 257)
+        cfg = temporal_config(n_trials=3000, **cfg_kwargs)
+        for threads in (1, 2, 4):
+            batch = run_experiment(cfg, threads=threads)
+            assert batch._counts is not None  # counted by the spans, not afterwards
+            counts = batch.outcome_counts()
+            n_ctx = len(batch.tags)
+            key = batch.codes * 4 + (batch.s1 > 0) * 2 + (batch.s2 > 0)
+            assert np.array_equal(counts, np.bincount(key, minlength=4 * n_ctx).reshape(n_ctx, 4))
+            assert not counts.flags.writeable
+        path = tmp_path / "records.csv"
+        batch.write_csv(path)
+        assert np.array_equal(RecordBatch.from_csv(path).outcome_counts(), counts)
 
     def test_default_contexts_cover_geometry(self):
         records = run_experiment(temporal_config(n_trials=2))
