@@ -30,7 +30,7 @@ import numpy as np
 
 from .directions import Direction3, angle_between
 from .errors import UnsupportedOperationError, ValidationError
-from .quantum import _signs
+from .quantum import _freeze, _signs
 from .selector import ContextSet, MeasurementContext
 
 WEIGHT_TOL = 1e-12
@@ -76,6 +76,7 @@ class FiniteHVModel:
         self.weights = w
         self.responses = r.astype(np.int8)
         self._cum = np.cumsum(w)
+        _freeze(self.weights, self.responses, self._cum)
 
     @property
     def n_lambda(self) -> int:
@@ -123,12 +124,13 @@ class ContextualFiniteModel:
 # --- sphere sampling shared by scalar and vectorized sign-model paths ---------
 
 
-def _sphere_axis(u1: np.ndarray, u2: np.ndarray):
-    """Uniform point on the unit sphere from two uniforms (z = 2u-1, azimuth)."""
+def _sphere_axis(u1: np.ndarray, u2: np.ndarray, with_y: bool = True):
+    """Uniform point on the unit sphere from two uniforms (z = 2u-1, azimuth);
+    the y component is None when not asked for."""
     c = 2.0 * u1 - 1.0
     r = np.sqrt(np.maximum(1.0 - c * c, 0.0))
     phi = TWO_PI * u2
-    return r * np.cos(phi), r * np.sin(phi), c
+    return r * np.cos(phi), r * np.sin(phi) if with_y else None, c
 
 
 def _sign_response(lx, ly, lz, d: Direction3):
@@ -334,6 +336,7 @@ class _BucketTables:
             s2.append(m.responses[idx, sy - 1])
         self.s1 = np.concatenate(s1)
         self.s2 = np.concatenate(s2)
+        _freeze(self.union, self.s1, self.s2)
 
     def sample(self, codes: np.ndarray, u1: np.ndarray):
         key = np.searchsorted(self.union, u1, side="right")
@@ -371,7 +374,9 @@ class SignModelSampler:
 
     Each trial's axis is projected once on every slot direction, with the
     scalar path's float operations; the signs, packed into bits after the
-    context code, index the outcome tables.
+    context code, index the outcome tables.  A projection term whose
+    direction component is exactly 0 is left out: the axis is finite, so the
+    term is +-0, and adding +-0 cannot change the ``>= 0`` test.
     """
 
     def __init__(self, contexts: ContextSet):
@@ -383,15 +388,23 @@ class SignModelSampler:
         sx, sy = (np.array(col)[code] for col in zip(*contexts.slots))
         self._s1 = _signs((bits >> (sx - 1)) & 1)
         self._s2 = _signs((bits >> (sy - 1)) & 1)
+        _freeze(self._s1, self._s2)
+        # per slot direction: (axis component, direction component) of its non-zero terms
+        self._terms = tuple(tuple((i, c) for i, c in enumerate((d.x, d.y, d.z)) if c != 0.0)
+                            for d in contexts.directions)
+        self._uses_y = any(d.y != 0.0 for d in contexts.directions)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         return hv_trial(self.model, self.contexts[code], u1, u2)
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        lx, ly, lz = _sphere_axis(u1, u2)
-        key = codes << np.uint8(len(self.contexts.directions))
-        for k, d in enumerate(self.contexts.directions):
-            key |= (lx * d.x + ly * d.y + lz * d.z >= 0.0).view(np.uint8) << np.uint8(k)
+        axis = _sphere_axis(u1, u2, with_y=self._uses_y)
+        key = codes << np.uint8(len(self._terms))
+        for k, ((i, c), *rest) in enumerate(self._terms):
+            dots = axis[i] * c
+            for i, c in rest:
+                dots += axis[i] * c
+            key |= (dots >= 0.0).view(np.uint8) << np.uint8(k)
         return self._s1.take(key), self._s2.take(key)
 
     def analytic_correlator(self, code: int) -> float:
@@ -428,6 +441,7 @@ class QmMimicSampler:
         self.model = QmMimicModel()
         self.contexts = contexts
         self._p_same = np.array([_mimic_p_same(ctx) for ctx in contexts.contexts])
+        _freeze(self._p_same)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         return conspiracy_trial(self.model, self.contexts[code], u1, u2)

@@ -251,6 +251,7 @@ _HEADER_LINE = (RECORDS_HEADER + "\n").encode("ascii")
 # trial 0 plus a tail names the kind; within a kind the slot digits name the context
 _KIND_OF_ROW0 = {b"0" + bytes(tail).rstrip(b"\0"): kind for kind, tails in _TAILS.items() for tail in tails}
 _MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row of either kind
+_TAIL_WIDTH = max(tails.shape[1] for tails in _TAILS.values())  # the longest tail of either kind
 
 
 def _outcome_key(codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -298,41 +299,75 @@ def _render_rows(kind: str, trial: np.ndarray, codes: np.ndarray,
     return buf.translate(None, b"\0")
 
 
-def _parse_canonical(data: bytes) -> "RecordBatch | None":
-    """The records of LF-terminated CSV bytes the renderer would write, else None.
+def _to_lf(data: bytes) -> bytes:
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
-    Each row's outcomes and slots are read from its last bytes, counted back
-    from its newline; the trials are taken to be 0..n-1.  The columns are then
-    rendered again and accepted only if that gives back exactly ``data``, so
-    any other input, valid or not, returns None.
+
+def _read_canonical(f) -> "RecordBatch | None":
+    """The records of a file the renderer would write (up to its line ends), else None.
+
+    The file is read, mapped to LF, parsed, verified and hashed _CHUNK rows
+    at a time, so only one step's bytes are held.  A step reads until it
+    holds as many bytes as _CHUNK canonical rows can take, or the rest of
+    the file; fewer than _CHUNK row ends in those bytes means a line longer
+    than any canonical row.  A CR that ends a read waits for the next byte,
+    which may make it a CRLF.  Each row's outcomes and slots are read from
+    its last bytes, counted back from its newline, and its trial is taken to
+    be its index.  The step's columns are then rendered again and accepted
+    only if that gives back exactly its bytes, so any other input, valid or
+    not, returns None at the first step that differs.
     """
-    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or len(data) == len(_HEADER_LINE):
-        return None
-    body = np.frombuffer(data, np.uint8, offset=len(_HEADER_LINE))
-    ends = np.flatnonzero(body == ord("\n"))
-    kind = _KIND_OF_ROW0.get(bytes(body[:ends[0] + 1]))
-    if kind is None or np.diff(ends, prepend=-1).min() < _MIN_ROW:
-        return None  # the reads below stay inside each row only from this length on
-    s2_neg = body[ends - 2] == ord("-")
-    comma2 = ends - 2 - s2_neg
-    s1_neg = body[comma2 - 2] == ord("-")
-    comma1 = comma2 - 2 - s1_neg
-    n = ends.size
-    slot_x, slot_y = body[comma1 - 3], body[comma1 - 1]
-    codes = np.full(n, 255, dtype=np.uint8)
-    for code, (sx, sy) in enumerate(_KIND_TABLES[kind].values()):
-        codes[(slot_x == ord(str(sx))) & (slot_y == ord(str(sy)))] = code
-    if codes.max() == 255:
-        return None
-    batch = RecordBatch(kind, np.arange(n, dtype=np.int64), codes,
-                        1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8))
-    start = len(_HEADER_LINE)
-    for lo in range(0, n, _CHUNK):
-        stop = len(_HEADER_LINE) + int(ends[min(lo + _CHUNK, n) - 1]) + 1
-        if data[start:stop] != batch._render(lo, lo + _CHUNK):
+    digest = hashlib.sha256()
+    buf, held, eof = b"", b"", False
+    kind, n, columns, counts = None, 0, [], 0
+    while True:
+        start = 0 if n else len(_HEADER_LINE)  # the first step also holds the header
+        limit = start + _CHUNK * (len(str(n + _CHUNK - 1)) + _TAIL_WIDTH)  # bytes of the step, at most
+        while len(buf) < limit and not eof:
+            raw = f.read(limit - len(buf))
+            eof = not raw
+            block = held + raw
+            held = b"\r" if raw.endswith(b"\r") else b""
+            buf += _to_lf(block[:len(block) - len(held)])
+        if start and not buf.startswith(_HEADER_LINE):
             return None
-        start = stop
-    batch._sha256 = hashlib.sha256(data).hexdigest()
+        body = np.frombuffer(buf, np.uint8, offset=start)
+        ends = np.flatnonzero(body == ord("\n"))[:_CHUNK]
+        m = ends.size
+        if not m:  # no row end left: the file must end in one and hold a row
+            if body.size or not n:
+                return None
+            break
+        if m < _CHUNK and not eof:
+            return None  # a line longer than any canonical row
+        if not n:
+            kind = _KIND_OF_ROW0.get(body[:ends[0] + 1].tobytes())
+        if kind is None or np.diff(ends, prepend=-1).min() < _MIN_ROW:
+            return None  # the reads below stay inside each row only from this length on
+        s2_neg = body[ends - 2] == ord("-")
+        comma2 = ends - 2 - s2_neg
+        s1_neg = body[comma2 - 2] == ord("-")
+        comma1 = comma2 - 2 - s1_neg
+        slot_x, slot_y = body[comma1 - 3], body[comma1 - 1]
+        codes = np.full(m, 255, dtype=np.uint8)
+        for code, (sx, sy) in enumerate(_KIND_TABLES[kind].values()):
+            codes[(slot_x == ord(str(sx))) & (slot_y == ord(str(sy)))] = code
+        if codes.max() == 255:
+            return None
+        s1, s2 = 1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8)
+        stop = start + int(ends[-1]) + 1
+        step = memoryview(buf)[:stop]
+        if _render_rows(kind, np.arange(n, n + m, dtype=np.int64), codes, s1, s2) != step[start:]:
+            return None
+        digest.update(step)
+        counts += np.bincount(_outcome_key(codes, s1, s2), minlength=4 * len(_KIND_TABLES[kind]))
+        columns.append((codes, s1, s2))
+        n += m
+        buf = buf[stop:]
+    codes, s1, s2 = (np.concatenate(col) for col in zip(*columns))
+    batch = RecordBatch(kind, np.arange(n, dtype=np.int64), codes, s1, s2)
+    batch._sha256 = digest.hexdigest()
+    batch._counts = _read_only(counts.reshape(-1, 4), np.int64)
     return batch
 
 
@@ -506,15 +541,19 @@ class RecordBatch:
         """Read a records CSV whose trial column runs 0..n-1.
 
         Line ends may be LF, CRLF or CR, read as LF, so the hash of a CRLF
-        copy is that of the canonical file.  Canonical bytes take a vectorized
-        path; anything else, including valid spellings such as "+1" or "01",
-        goes through the line-by-line parser, which cites the first bad line.
+        copy is that of the canonical file.  Canonical bytes are streamed
+        _CHUNK rows at a time through a vectorized path that also hashes and
+        counts them, so memory is the record columns plus one chunk.  Anything
+        else, including valid spellings such as "+1" or "01", goes through the
+        line-by-line parser over the whole file, which cites the first bad line.
         """
-        data = Path(path).read_bytes()
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        batch = _parse_canonical(data)
-        return batch if batch is not None else _parse_lines(data)
+        with open(path, "rb") as f:
+            batch = _read_canonical(f)
+            if batch is not None:
+                return batch
+            f.seek(0)
+            data = f.read()
+        return _parse_lines(_to_lf(data))
 
 
 # --- running experiments -------------------------------------------------------------
@@ -681,6 +720,9 @@ def _as_estimate_map(estimates) -> Mapping[str, CorrelatorEstimate]:
     return {e.context: e for e in estimates}
 
 
+_VERDICTS = ("violation", "consistent", "inconclusive")
+
+
 def _verdict(value: float, bound: float, stderr: float, k: float) -> tuple[float, str]:
     if stderr > 0.0:
         excess = (value - bound) / stderr
@@ -786,11 +828,17 @@ def report_to_jsonable(report: AnalysisReport) -> dict:
 
 def report_from_jsonable(doc: Mapping) -> AnalysisReport:
     try:
+        for key in ("estimates", "bell"):
+            if not isinstance(doc[key], Mapping):
+                raise ValidationError(f"malformed analysis report: {key!r} must be a JSON object")
         estimates = {
             tag: CorrelatorEstimate(tag, int(e["n"]), float(e["mean"]), float(e["stderr"]))
             for tag, e in doc["estimates"].items()
         }
         b = doc["bell"]
+        if b["verdict"] not in _VERDICTS:
+            raise ValidationError(f"malformed analysis report: 'verdict' must be one of "
+                                  f"{', '.join(_VERDICTS)}, got {b['verdict']!r}")
         sigma_excess = b["sigma_excess"]
         bell = BellReport(
             b["quantity"], float(b["value"]), float(b["bound"]), float(b["stderr"]),

@@ -270,6 +270,13 @@ def _signs(positive: np.ndarray) -> np.ndarray:
     return np.where(positive, np.int8(1), np.int8(-1))
 
 
+def _freeze(*tables: np.ndarray) -> None:
+    """Mark lookup tables read-only: they are built once, in __init__, and the
+    spans of a run only read them, from several threads at once."""
+    for table in tables:
+        table.flags.writeable = False
+
+
 def _sample_two_step(p1, p2, codes, u1, u2):
     # p1: (nctx,) first-step +1 probability; p2: (nctx, 2) second-step +1
     # probability indexed by [code, (s1+1)/2], read flat at code * 2 + (s1 > 0)
@@ -302,6 +309,7 @@ class SequentialSampler:
             for s1 in (-1, 1):
                 after = collapse(self.state0, ctx.dir_x, s1)
                 self._p2[code, (s1 + 1) >> 1] = prob_plus(after, ctx.dir_y)
+        _freeze(self._p1, self._p2)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         ctx = self.contexts[code]
@@ -329,6 +337,7 @@ class SingletSampler:
             for sA in (-1, 1):
                 collapsed = collapse_pair(state, ctx.dir_x, sA, 0)
                 self._pB[code, (sA + 1) >> 1] = prob_plus_pair(collapsed, ctx.dir_y, 1)
+        _freeze(self._pA, self._pB)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         ctx = self.contexts[code]

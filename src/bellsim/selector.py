@@ -14,6 +14,7 @@ across runs, chunkings and thread counts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +229,14 @@ def context_codes(seed: int, n: int, n_contexts: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _rejected_draws(seed: int, n_contexts: int) -> tuple[int, ...]:
+    # the sorted draw indices whose avalanche is rejected; the same for every span of a run
+    inv_gamma = pow(GAMMA, -1, 1 << 64)
+    return tuple(sorted(((unmix64(z) - seed) * inv_gamma) & MASK64
+                        for z in range(_accept_bound(n_contexts), 1 << 64)))
+
+
 def state_after(seed: int, count: int, n_contexts: int) -> int:
     """The selector state once the first ``count`` contexts are emitted.
 
@@ -241,11 +250,8 @@ def state_after(seed: int, count: int, n_contexts: int) -> int:
     them.
     """
     seed = validate_seed(seed, "selector_seed")
-    inv_gamma = pow(GAMMA, -1, 1 << 64)
-    rejected = sorted(((unmix64(z) - seed) * inv_gamma) & MASK64
-                      for z in range(_accept_bound(n_contexts), 1 << 64))
     drawn = count
-    for j in rejected:
+    for j in _rejected_draws(seed, n_contexts):
         if 1 <= j <= drawn:  # index 0 is the seed itself, drawn only after 2^64 draws
             drawn += 1
     return (seed + drawn * GAMMA) & MASK64

@@ -209,6 +209,29 @@ class TestCertify:
         assert code == 3
         assert "integrity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value,named", [
+        (("estimates",), [], "'estimates' must be a JSON object"),
+        (("bell",), "violation", "'bell' must be a JSON object"),
+        (("bell", "verdict"), 5, "'verdict' must be one of"),
+        (("bell", "verdict"), "VIOLATION", "'verdict' must be one of"),
+    ])
+    def test_hand_edited_report_exits_validation(self, tmp_path, capsys, path, value, named):
+        out = self.run_analyze(tmp_path, n_trials=6000)
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        *parents, key = path
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["certify", "--records", str(out / "records.csv"),
+                     "--report", str(report), "--out-dir", str(out)])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (out / "certification.json").exists()
+
 
 class TestOracle:
     def oracle(self, tmp_path, capsys, **overrides):

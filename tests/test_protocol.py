@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bellsim.protocol as protocol
-from bellsim.directions import X_AXIS, Y_AXIS, Z_AXIS, max_violation_triple, tsirelson_quadruple
+from bellsim.directions import X_AXIS, Y_AXIS, Z_AXIS, Direction3, max_violation_triple, tsirelson_quadruple
 from bellsim.errors import InsufficientDataError, ValidationError
 from bellsim.hidden_variables import ContextualFiniteModel, FiniteHVModel, random_finite_model
 
@@ -42,7 +42,7 @@ from bellsim.protocol import (
     write_report,
 )
 from bellsim.quantum import QubitState
-from bellsim.selector import GAMMA, MASK64, mix64
+from bellsim.selector import GAMMA, MASK64, context_codes, mix64, trial_uniforms
 
 TRIPLE = max_violation_triple()
 QUAD = tsirelson_quadruple()
@@ -65,7 +65,30 @@ BACKEND_CASES = [
     (dict(mode="hv:sign-model", directions=QUAD), None),
     # every projection on an axis adds two products with an exact zero factor
     (dict(mode="hv:sign-model", directions=(X_AXIS, Y_AXIS, Z_AXIS)), None),
+    # no component is zero, so every projection keeps all three terms
+    (dict(mode="hv:sign-model", directions=tuple(Direction3.normalized(*v)
+                                                 for v in [(1, 2, 3), (-2, 1, 1), (3, -1, 2)])), None),
 ]
+
+
+def reachable_attributes(sampler):
+    # every attribute reachable from the sampler, by path: the value and a copy if it is an array
+    found, todo, seen = {}, [("sampler", sampler)], set()
+    while todo:
+        path, obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, np.ndarray):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple)):
+            items = enumerate(obj)
+        elif isinstance(obj, dict):
+            items = obj.items()
+        else:
+            items = getattr(obj, "__dict__", {}).items()
+        for key, value in items:
+            found[f"{path}.{key}"] = (value, value.copy() if isinstance(value, np.ndarray) else None)
+            todo.append((f"{path}.{key}", value))
+    return found
 
 
 def masked_mean_estimates(batch):
@@ -235,6 +258,25 @@ class TestRunExperiment:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert result == [whole]
+
+    @pytest.mark.parametrize("cfg_kwargs,model", BACKEND_CASES)
+    def test_sampler_tables_are_read_only_and_run_changes_nothing(self, cfg_kwargs, model):
+        # spans call run from several threads, so a table built or changed there could race
+        cfg = temporal_config(**cfg_kwargs)
+        sampler = protocol.make_sampler(cfg, model=model)
+        before = reachable_attributes(sampler)
+        arrays = [path for path, (value, _) in before.items() if isinstance(value, np.ndarray)]
+        assert arrays
+        assert [path for path in arrays if before[path][0].flags.writeable] == []
+        codes = context_codes(cfg.selector_seed, 5000, len(cfg.context_set()))
+        u = trial_uniforms(cfg.outcome_seed, 0, 5000)
+        sampler.run(codes, u[0], u[1])
+        after = reachable_attributes(sampler)
+        assert after.keys() == before.keys()
+        for path, (value, copy) in before.items():
+            assert after[path][0] is value, path
+            if copy is not None:
+                assert np.array_equal(value, copy), path
 
     def test_thread_env_override(self, monkeypatch):
         cfg = temporal_config(n_trials=500)

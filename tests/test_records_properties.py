@@ -1,5 +1,6 @@
 """Property tests of the record path: rendering, parsing and the cached hash."""
 
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bellsim.protocol as protocol
-from bellsim.directions import max_violation_triple
+from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.errors import ValidationError
 from bellsim.protocol import RECORDS_HEADER, ExperimentConfig, RecordBatch, run_experiment
 
@@ -133,6 +134,120 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
     fresh = run_experiment(config)
     assert fresh.sha256() == fresh.sha256() == digest
     assert len(calls) == 12
+
+
+# --- the streamed reader, with _CHUNK patched small ---------------------------------
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Every (size, bytes) read from the files that from_csv opens."""
+    log = []
+
+    class Logged(io.BufferedReader):
+        def read(self, size=-1):
+            data = super().read(size)
+            log.append((size, data))
+            return data
+
+    def logged_open(path, mode):
+        return Logged(io.FileIO(path, mode)) if mode == "rb" else open(path, mode)
+
+    monkeypatch.setattr(protocol, "open", logged_open, raising=False)
+    return log
+
+
+@pytest.fixture
+def streamed(monkeypatch):
+    """Fail any load that leaves the streamed path for the line-by-line parser."""
+    def fell_back(data):
+        raise AssertionError("fell back to the line-by-line parser")
+
+    monkeypatch.setattr(protocol, "_parse_lines", fell_back)
+
+
+def small_chunk_batch(monkeypatch, tmp_path, chunk=7, n_trials=500, **overrides):
+    monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    config = dict(mode="qm_sequential", directions=max_violation_triple(), n_trials=n_trials,
+                  selector_seed=3, outcome_seed=4)
+    config.update(overrides)
+    batch = run_experiment(ExperimentConfig(**config))
+    path = tmp_path / "records.csv"
+    batch.write_csv(path)
+    return batch, path
+
+
+def assert_loads_as(path, batch):
+    loaded = RecordBatch.from_csv(path)
+    assert loaded == batch
+    assert loaded.sha256() == batch.sha256()
+    assert np.array_equal(loaded.outcome_counts(), batch.outcome_counts())
+
+
+@pytest.mark.parametrize("chunk", [4, 7, 64])
+def test_crlf_split_across_a_read_boundary(monkeypatch, tmp_path, reads, streamed, chunk):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, chunk=chunk, n_trials=2000)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert_loads_as(path, batch)
+    assert any(data.endswith(b"\r") for _, data in reads[:-1])  # its LF came with the next read
+
+
+@pytest.mark.parametrize("kind", ["temporal", "chsh"])
+def test_lone_cr_as_the_last_byte(monkeypatch, tmp_path, reads, streamed, kind):
+    extra = {} if kind == "temporal" else dict(mode="qm_singlet", directions=tsirelson_quadruple())
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, **extra)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    assert_loads_as(path, batch)
+    (_, last), (_, end) = reads[-2:]
+    assert last.endswith(b"\r") and end == b""  # the CR waited for the read that found the end
+
+
+def test_file_without_a_final_newline(monkeypatch, tmp_path):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path)
+    path.write_bytes(path.read_bytes()[:-1])
+    assert_loads_as(path, batch)
+
+
+def test_non_canonical_row_in_the_last_chunk(monkeypatch, tmp_path):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path)
+    head, last = path.read_bytes()[:-1].rsplit(b"\n", 1)
+    trial, rest = last.split(b",", 1)
+    path.write_bytes(head + b"\n" + trial + b"," + rest.replace(b",1", b",+1") + b"\n")
+    assert b"+1" in path.read_bytes()
+    assert_loads_as(path, batch)
+
+
+def test_bad_row_in_a_later_chunk_cites_its_line(monkeypatch, tmp_path):
+    _, path = small_chunk_batch(monkeypatch, tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    lines[300] = lines[300].rsplit(b",", 1)[0] + b",2"  # line 301, chunk 43 of 72
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValidationError, match=r"^records line 301: outcomes must be \+1 or -1$"):
+        RecordBatch.from_csv(path)
+
+
+def test_long_line_falls_back_after_one_step(monkeypatch, tmp_path, reads):
+    monkeypatch.setattr(protocol, "_CHUNK", 4)
+    path = tmp_path / "records.csv"
+    # a valid spelling of trial 0 (int() ignores the spaces), far longer than any canonical row
+    path.write_bytes(f"{RECORDS_HEADER}\n{' ' * 2_000_000}0,AB,1,2,1,-1\n1,BC,2,3,-1,1\n".encode())
+    loaded = RecordBatch.from_csv(path)
+    assert loaded.trial.tolist() == [0, 1] and loaded.s2.tolist() == [-1, 1]
+    streamed_bytes = sum(len(data) for size, data in reads if size != -1)
+    assert streamed_bytes < 200  # one step's worth, then one read of the whole file
+    assert [size for size, _ in reads].count(-1) == 1
+
+
+def test_canonical_file_is_never_read_whole(monkeypatch, tmp_path, reads, streamed):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, n_trials=3000)
+
+    def slurp(self):
+        raise AssertionError("read the whole file")
+
+    monkeypatch.setattr(Path, "read_bytes", slurp)
+    assert_loads_as(path, batch)
+    assert max(len(data) for _, data in reads) < 7 * 40  # one step of 7 rows at most
+    assert all(size != -1 for size, _ in reads)
 
 
 @pytest.mark.parametrize("column", ["trial", "codes", "s1", "s2"])
