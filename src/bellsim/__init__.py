@@ -10,23 +10,13 @@ violation.
 __version__ = "0.1.0"
 
 from .directions import Direction3, max_violation_triple, tsirelson_quadruple
-from .errors import (
-    BellsimError,
-    InsufficientDataError,
-    IntegrityError,
-    UnsupportedOperationError,
-    ValidationError,
-)
+from .errors import BellsimError, InsufficientDataError, IntegrityError, ValidationError
 from .hidden_variables import (
     ContextualFiniteModel,
     FiniteHVModel,
-    QmMimicModel,
-    SignModel,
-    conspiracy_trial,
     exact_chsh_correlators,
     exact_correlator,
     exact_temporal_correlators,
-    hv_trial,
     load_model,
     random_finite_model,
     sign_model_correlator,

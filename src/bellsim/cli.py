@@ -19,14 +19,13 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import InsufficientDataError, IntegrityError, UnsupportedOperationError, ValidationError
+from .errors import InsufficientDataError, IntegrityError, ValidationError
 from .protocol import (
+    QUANTITIES,
     CorrelatorEstimate,
     RecordBatch,
     _json_float,
     analyze_records,
-    bell_quantity,
-    chsh_quantity,
     load_config,
     load_report,
     make_sampler,
@@ -119,10 +118,7 @@ def cmd_oracle(args) -> int:
     values = {tag: sampler.analytic_correlator(code) for code, tag in enumerate(contexts.tags)}
     # exact correlators carry no sampling error
     estimates = {tag: CorrelatorEstimate(tag, 0, v, 0.0) for tag, v in values.items()}
-    if contexts.kind == "temporal":
-        report = bell_quantity(estimates, config.sigma_threshold)
-    else:
-        report = chsh_quantity(estimates, config.sigma_threshold)
+    report = QUANTITIES[contexts.kind](estimates, config.sigma_threshold)
     doc = {
         "mode": config.mode,
         "geometry": contexts.kind,
@@ -176,7 +172,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, InsufficientDataError, UnsupportedOperationError) as exc:
+    except (ValidationError, InsufficientDataError) as exc:
         print(f"bellsim: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except IntegrityError as exc:

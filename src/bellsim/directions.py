@@ -56,10 +56,6 @@ Y_AXIS = Direction3(0.0, 1.0, 0.0)
 Z_AXIS = Direction3(0.0, 0.0, 1.0)
 
 
-def dot(d1: Direction3, d2: Direction3) -> float:
-    return d1.dot(d2)
-
-
 def angle_between(d1: Direction3, d2: Direction3) -> float:
     """Angle in [0, pi] between two unit directions."""
     return math.acos(max(-1.0, min(1.0, d1.dot(d2))))

@@ -13,9 +13,5 @@ class InsufficientDataError(BellsimError):
     """A correlator context has too few trial records to estimate."""
 
 
-class UnsupportedOperationError(BellsimError):
-    """Operation not defined for this model kind (e.g. exact sums on a sampler)."""
-
-
 class IntegrityError(BellsimError):
     """Records and report do not belong together (hash mismatch)."""

@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .directions import Direction3, angle_between
-from .errors import UnsupportedOperationError, ValidationError
+from .errors import ValidationError
 from .quantum import _freeze, _signs
-from .selector import ContextSet, MeasurementContext
+from .selector import GEOMETRIES, ContextSet, MeasurementContext
 
 WEIGHT_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -95,17 +95,6 @@ class FiniteHVModel:
         return int(self.responses[index, slot - 1])
 
 
-class SignModel:
-    """Continuous non-contextual model: an axis drawn uniformly on the unit
-    sphere answers slot k with the sign of its projection on that slot's
-    direction."""
-
-
-class QmMimicModel:
-    """Contextual joint-outcome sampler reproducing the quantum correlator
-    x.y in every context (the initial condition is the outcome pair itself)."""
-
-
 class ContextualFiniteModel:
     """Finite model with a separate weight/response table per context."""
 
@@ -121,7 +110,7 @@ class ContextualFiniteModel:
             raise ValidationError(f"contextual model has no table for context {tag!r}") from None
 
 
-# --- sphere sampling shared by scalar and vectorized sign-model paths ---------
+# --- the built-in models, shared by their scalar and vectorized paths ------------
 
 
 def _sphere_axis(u1: np.ndarray, u2: np.ndarray, with_y: bool = True):
@@ -133,50 +122,9 @@ def _sphere_axis(u1: np.ndarray, u2: np.ndarray, with_y: bool = True):
     return r * np.cos(phi), r * np.sin(phi) if with_y else None, c
 
 
-def _sign_response(lx, ly, lz, d: Direction3):
-    dots = lx * d.x + ly * d.y + lz * d.z
-    return np.where(dots >= 0.0, 1, -1).astype(np.int8)
-
-
-# --- trial sampling ------------------------------------------------------------
-
-
-def hv_trial(model, context: MeasurementContext, u1: float, u2: float) -> tuple[int, int]:
-    """One trial of a non-contextual model in the given context.
-
-    The initial condition is drawn once and answers both slots; u2 is only
-    consumed by the continuous sign model (its sphere point needs two
-    uniforms).
-    """
-    if isinstance(model, FiniteHVModel):
-        idx = model.sample_index(u1)
-        return model.response(idx, context.slot_x), model.response(idx, context.slot_y)
-    if isinstance(model, SignModel):
-        # length-1 arrays so the draw goes through the very same ufunc
-        # loops as the vectorized runner (bit-identical trigonometry)
-        lx, ly, lz = _sphere_axis(np.array([u1]), np.array([u2]))
-        s1 = _sign_response(lx, ly, lz, context.dir_x)
-        s2 = _sign_response(lx, ly, lz, context.dir_y)
-        return int(s1[0]), int(s2[0])
-    raise ValidationError(f"hv_trial does not accept models of type {type(model).__name__}")
-
-
 def _mimic_p_same(context: MeasurementContext) -> float:
     v = context.dir_x.dot(context.dir_y)
     return min(1.0, max(0.0, (1.0 + v) / 2.0))
-
-
-def conspiracy_trial(model, context: MeasurementContext, u1: float, u2: float) -> tuple[int, int]:
-    """One trial of a contextual model: the distribution depends on the context."""
-    if isinstance(model, ContextualFiniteModel):
-        sub = model.for_tag(context.tag)
-        idx = sub.sample_index(u1)
-        return sub.response(idx, context.slot_x), sub.response(idx, context.slot_y)
-    if isinstance(model, QmMimicModel):
-        s1 = 1 if u1 < 0.5 else -1
-        s2 = s1 if u2 < _mimic_p_same(context) else -s1
-        return s1, s2
-    raise ValidationError(f"conspiracy_trial does not accept models of type {type(model).__name__}")
 
 
 # --- exact evaluation (finite models only) --------------------------------------
@@ -184,8 +132,6 @@ def conspiracy_trial(model, context: MeasurementContext, u1: float, u2: float) -
 
 def exact_correlator(model: FiniteHVModel, slot_x: int, slot_y: int) -> float:
     """P(x,y) = sum_i w_i * S(i, slot_x) * S(i, slot_y), exact finite sum."""
-    if isinstance(model, SignModel):
-        raise UnsupportedOperationError("exact sums are only defined for finite models")
     if not isinstance(model, FiniteHVModel):
         raise ValidationError(f"expected a finite model, got {type(model).__name__}")
     if max(slot_x, slot_y) > model.n_slots:
@@ -196,21 +142,12 @@ def exact_correlator(model: FiniteHVModel, slot_x: int, slot_y: int) -> float:
 
 def exact_temporal_correlators(model: FiniteHVModel) -> tuple[float, float, float]:
     """The three consecutive-measurement correlators P(a,b), P(a,c), P(b,c)."""
-    return (
-        exact_correlator(model, 1, 2),
-        exact_correlator(model, 1, 3),
-        exact_correlator(model, 2, 3),
-    )
+    return tuple(exact_correlator(model, sx, sy) for sx, sy in GEOMETRIES["temporal"][1])
 
 
 def exact_chsh_correlators(model: FiniteHVModel) -> tuple[float, float, float, float]:
     """P(a,b), P(a,b'), P(a',b), P(a',b') for a 4-slot finite model."""
-    return (
-        exact_correlator(model, 1, 3),
-        exact_correlator(model, 1, 4),
-        exact_correlator(model, 2, 3),
-        exact_correlator(model, 2, 4),
-    )
+    return tuple(exact_correlator(model, sx, sy) for sx, sy in GEOMETRIES["chsh"][1])
 
 
 def sign_model_correlator(dir_x: Direction3, dir_y: Direction3) -> float:
@@ -314,73 +251,88 @@ def write_model(model, path) -> None:
 # --- per-context samplers used by the experiment runner ---------------------------
 #
 # A sampler's tables are built in __init__ and only read by run, which the
-# runner calls from several threads at once.
+# runner calls from several threads at once.  Its trial method is the
+# per-trial scalar reference that run matches bit for bit.
 
 
-class _BucketTables:
-    """Outcome lookup of finite models, one table per context, by one search per trial.
+class _FiniteSampler:
+    """Finite models, one per context, sampled by one table lookup per trial.
 
     The sorted union of all contexts' cumulative weights cuts [0, 1) into
     buckets; no threshold lies inside a bucket, so a bucket's lower edge
     selects the same initial condition as every u in it, in every context.
     """
 
-    def __init__(self, models, slots):
-        self.union = np.unique(np.concatenate([m._cum for m in models]))
-        lower = np.concatenate(([-np.inf], self.union))  # bucket b holds union[b-1] <= u < union[b]
-        self.n_buckets = lower.size
+    def __init__(self, subs: list[FiniteHVModel], contexts: ContextSet):
+        self.contexts = contexts
+        self._subs = subs
+        self._union = np.unique(np.concatenate([m._cum for m in subs]))
+        lower = np.concatenate(([-np.inf], self._union))  # bucket b holds union[b-1] <= u < union[b]
+        self._n_buckets = lower.size
         s1, s2 = [], []
-        for m, (sx, sy) in zip(models, slots):
+        for m, (sx, sy) in zip(subs, contexts.slots):
             idx = np.minimum(np.searchsorted(m._cum, lower, side="right"), m.n_lambda - 1)
             s1.append(m.responses[idx, sx - 1])
             s2.append(m.responses[idx, sy - 1])
-        self.s1 = np.concatenate(s1)
-        self.s2 = np.concatenate(s2)
-        _freeze(self.union, self.s1, self.s2)
+        self._s1 = np.concatenate(s1)
+        self._s2 = np.concatenate(s2)
+        _freeze(self._union, self._s1, self._s2)
 
-    def sample(self, codes: np.ndarray, u1: np.ndarray):
-        key = np.searchsorted(self.union, u1, side="right")
-        key += codes * np.intp(self.n_buckets)
-        return self.s1.take(key), self.s2.take(key)
-
-
-class FiniteModelSampler:
-    """Vectorized trials of a finite non-contextual model bound to a context set."""
-
-    def __init__(self, model: FiniteHVModel, contexts: ContextSet):
-        max_slot = max(s for pair in contexts.slots for s in pair)
-        if model.n_slots < max_slot:
-            raise ValidationError(
-                f"{contexts.kind} geometry needs {max_slot}-slot response tables, "
-                f"model has {model.n_slots}"
-            )
-        self.model = model
-        self.contexts = contexts
-        self._tables = _BucketTables([model] * len(contexts), contexts.slots)
+    def _sample(self, codes: np.ndarray, u1: np.ndarray):
+        key = np.searchsorted(self._union, u1, side="right")
+        key += codes * np.intp(self._n_buckets)
+        return self._s1.take(key), self._s2.take(key)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
-        return hv_trial(self.model, self.contexts[code], u1, u2)
-
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        return self._tables.sample(codes, u1)
+        sub, (sx, sy) = self._subs[code], self.contexts.slots[code]
+        idx = sub.sample_index(u1)
+        return sub.response(idx, sx), sub.response(idx, sy)
 
     def analytic_correlator(self, code: int) -> float:
         sx, sy = self.contexts.slots[code]
-        return exact_correlator(self.model, sx, sy)
+        return exact_correlator(self._subs[code], sx, sy)
+
+
+class FiniteModelSampler(_FiniteSampler):
+    """Vectorized trials of a finite non-contextual model bound to a context set."""
+
+    def __init__(self, model: FiniteHVModel, contexts: ContextSet):
+        if model.n_slots < len(contexts.directions):
+            raise ValidationError(
+                f"{contexts.kind} geometry needs {len(contexts.directions)}-slot response tables, "
+                f"model has {model.n_slots}"
+            )
+        super().__init__([model] * len(contexts), contexts)
+
+    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
+        return self._sample(codes, u1)
+
+
+class ContextualModelSampler(_FiniteSampler):
+    """Vectorized trials of a per-context finite model (temporal geometry)."""
+
+    def __init__(self, model: ContextualFiniteModel, contexts: ContextSet):
+        if contexts.kind != "temporal":
+            raise ValidationError("contextual models are defined for the temporal contexts only")
+        super().__init__([model.for_tag(tag) for tag in contexts.tags], contexts)
+
+    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
+        return self._sample(codes, u1)
 
 
 class SignModelSampler:
-    """Vectorized trials of the continuous sign model.
+    """Trials of the continuous sign model: an axis drawn uniformly on the unit
+    sphere answers each slot with the sign of its projection on that slot's
+    direction.
 
-    Each trial's axis is projected once on every slot direction, with the
-    scalar path's float operations; the signs, packed into bits after the
-    context code, index the outcome tables.  A projection term whose
-    direction component is exactly 0 is left out: the axis is finite, so the
-    term is +-0, and adding +-0 cannot change the ``>= 0`` test.
+    run projects each trial's axis once on every slot direction, with the
+    float operations of trial; the signs, packed into bits after the context
+    code, index the outcome tables.  A projection term whose direction
+    component is exactly 0 is left out: the axis is finite, so the term is
+    +-0, and adding +-0 cannot change the ``>= 0`` test.
     """
 
     def __init__(self, contexts: ContextSet):
-        self.model = SignModel()
         self.contexts = contexts
         n_slots = len(contexts.directions)
         key = np.arange(len(contexts) << n_slots)
@@ -395,7 +347,11 @@ class SignModelSampler:
         self._uses_y = any(d.y != 0.0 for d in contexts.directions)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
-        return hv_trial(self.model, self.contexts[code], u1, u2)
+        # length-1 arrays, so the draw goes through the very same ufunc loops as run
+        lx, ly, lz = _sphere_axis(np.array([u1]), np.array([u2]))
+        ctx = self.contexts[code]
+        s1, s2 = (1 if (lx * d.x + ly * d.y + lz * d.z)[0] >= 0.0 else -1 for d in (ctx.dir_x, ctx.dir_y))
+        return s1, s2
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         axis = _sphere_axis(u1, u2, with_y=self._uses_y)
@@ -412,39 +368,18 @@ class SignModelSampler:
         return sign_model_correlator(ctx.dir_x, ctx.dir_y)
 
 
-class ContextualModelSampler:
-    """Vectorized trials of a per-context finite model (temporal geometry)."""
-
-    def __init__(self, model: ContextualFiniteModel, contexts: ContextSet):
-        if contexts.kind != "temporal":
-            raise ValidationError("contextual models are defined for the temporal contexts only")
-        self.model = model
-        self.contexts = contexts
-        self._subs = [model.for_tag(tag) for tag in contexts.tags]
-        self._tables = _BucketTables(self._subs, contexts.slots)
-
-    def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
-        return conspiracy_trial(self.model, self.contexts[code], u1, u2)
-
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        return self._tables.sample(codes, u1)
-
-    def analytic_correlator(self, code: int) -> float:
-        sx, sy = self.contexts.slots[code]
-        return exact_correlator(self._subs[code], sx, sy)
-
-
 class QmMimicSampler:
-    """Vectorized trials of the built-in quantum-mimicking contextual sampler."""
+    """Trials of the built-in contextual qm-mimic model: outcome pairs with joint
+    probability (1 + s1*s2*x.y)/4, the quantum correlator x.y in every context."""
 
     def __init__(self, contexts: ContextSet):
-        self.model = QmMimicModel()
         self.contexts = contexts
         self._p_same = np.array([_mimic_p_same(ctx) for ctx in contexts.contexts])
         _freeze(self._p_same)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
-        return conspiracy_trial(self.model, self.contexts[code], u1, u2)
+        s1 = 1 if u1 < 0.5 else -1
+        return s1, s1 if u2 < _mimic_p_same(self.contexts[code]) else -s1
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         s1 = _signs(u1 < 0.5)

@@ -14,10 +14,11 @@ import json
 import hashlib
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,18 +31,13 @@ from .hidden_variables import (
     ContextualModelSampler,
     FiniteHVModel,
     FiniteModelSampler,
-    QmMimicModel,
     QmMimicSampler,
-    SignModel,
     SignModelSampler,
     load_model,
 )
 from .quantum import QubitState, SequentialSampler, SingletSampler
 from .selector import (
-    CHSH_SLOTS,
-    CHSH_TAGS,
-    TEMPORAL_SLOTS,
-    TEMPORAL_TAGS,
+    GEOMETRIES,
     ContextSet,
     SelectorState,
     context_codes,
@@ -75,20 +71,37 @@ def _json_float(x):
 # --- configuration --------------------------------------------------------------
 
 
+class _Mode(NamedTuple):
+    counts: tuple[int, ...]  # the direction counts the mode accepts
+    sampler: type  # its sampler when no model is given
+    builtin: str | None = None  # the model name that selects that sampler; None: the mode takes no model
+    model_type: type | None = None  # the model a model file must hold
+    model_sampler: type | None = None  # that model's sampler
+
+
+# a mode is written as its kind, or as kind:<model> where the row names a built-in model
+_MODES = {
+    "qm_sequential": _Mode((3,), SequentialSampler),
+    "qm_singlet": _Mode((4,), SingletSampler),
+    "hv": _Mode((3, 4), SignModelSampler, SIGN_MODEL_NAME, FiniteHVModel, FiniteModelSampler),
+    "conspiracy": _Mode((3,), QmMimicSampler, QM_MIMIC_NAME, ContextualFiniteModel, ContextualModelSampler),
+}
+
+
+def _geometry(n_directions: int) -> str:
+    return "temporal" if n_directions == 3 else "chsh"
+
+
 def parse_mode(mode: str) -> tuple[str, str | None]:
     """Split a mode string into (kind, model argument)."""
     if not isinstance(mode, str):
         raise ValidationError(f"config key 'mode' must be a string, got {type(mode).__name__}")
-    if mode in ("qm_sequential", "qm_singlet"):
-        return mode, None
-    for kind in ("hv", "conspiracy"):
-        prefix = kind + ":"
-        if mode.startswith(prefix) and len(mode) > len(prefix):
-            return kind, mode[len(prefix):]
-    raise ValidationError(
-        f"config key 'mode' must be qm_sequential, qm_singlet, hv:<model> or "
-        f"conspiracy:<model>, got {mode!r}"
-    )
+    kind, sep, arg = mode.partition(":")
+    row = _MODES.get(kind)
+    if row is not None and (arg if row.builtin else not sep):
+        return kind, arg or None
+    *first, last = (k if r.builtin is None else f"{k}:<model>" for k, r in _MODES.items())
+    raise ValidationError(f"config key 'mode' must be {', '.join(first)} or {last}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -108,21 +121,16 @@ class ExperimentConfig:
         for i, d in enumerate(self.directions):
             if not isinstance(d, Direction3):
                 raise ValidationError(f"config key 'directions'[{i}] must be a unit 3-vector")
-        n_dirs = len(self.directions)
-        if kind == "qm_sequential" and n_dirs != 3:
-            raise ValidationError("config key 'directions': qm_sequential needs 3 directions (a, b, c)")
-        if kind == "qm_singlet" and n_dirs != 4:
-            raise ValidationError("config key 'directions': qm_singlet needs 4 directions (a, a', b, b')")
-        if kind == "hv" and n_dirs not in (3, 4):
-            raise ValidationError("config key 'directions': hv mode needs 3 or 4 directions")
-        if kind == "conspiracy" and n_dirs != 3:
-            raise ValidationError("config key 'directions': conspiracy mode needs 3 directions")
+        counts = _MODES[kind].counts
+        if len(self.directions) not in counts:
+            raise ValidationError(f"config key 'directions': {kind} mode needs "
+                                  f"{' or '.join(map(str, counts))} directions, got {len(self.directions)}")
         if not isinstance(self.n_trials, int) or isinstance(self.n_trials, bool):
             raise ValidationError("config key 'n_trials' must be an integer")
         if self.n_trials < 1:
             raise ValidationError(f"config key 'n_trials' must be >= 1, got {self.n_trials}")
-        validate_seed(self.selector_seed, "selector_seed")
-        validate_seed(self.outcome_seed, "outcome_seed")
+        for key in ("selector_seed", "outcome_seed"):  # stored parsed, so "0xAB" and 0xAB are one config
+            object.__setattr__(self, key, validate_seed(getattr(self, key), key))
         k = self.sigma_threshold
         if not isinstance(k, (int, float)) or isinstance(k, bool) or not math.isfinite(k) or k <= 0:
             raise ValidationError("config key 'sigma_threshold' must be a positive finite number")
@@ -135,12 +143,7 @@ class ExperimentConfig:
     @property
     def geometry(self) -> str:
         """'temporal' (three settings, consecutive) or 'chsh' (four settings, pair)."""
-        kind, _ = parse_mode(self.mode)
-        if kind == "qm_sequential" or kind == "conspiracy":
-            return "temporal"
-        if kind == "qm_singlet":
-            return "chsh"
-        return "temporal" if len(self.directions) == 3 else "chsh"
+        return _geometry(len(self.directions))
 
     def context_set(self) -> ContextSet:
         return ContextSet(self.geometry, self.directions)
@@ -181,8 +184,8 @@ class ExperimentConfig:
             mode=doc["mode"],
             directions=tuple(directions),
             n_trials=doc["n_trials"],
-            selector_seed=validate_seed(doc["selector_seed"], "selector_seed"),
-            outcome_seed=validate_seed(doc["outcome_seed"], "outcome_seed"),
+            selector_seed=doc["selector_seed"],
+            outcome_seed=doc["outcome_seed"],
             **kwargs,
         )
 
@@ -222,10 +225,7 @@ class TrialRecord:
     s2: int
 
 
-_KIND_TABLES = {
-    "temporal": dict(zip(TEMPORAL_TAGS, TEMPORAL_SLOTS)),
-    "chsh": dict(zip(CHSH_TAGS, CHSH_SLOTS)),
-}
+_KIND_TABLES = {kind: dict(zip(tags, slots)) for kind, (tags, slots) in GEOMETRIES.items()}
 _CODE_OF = {kind: {tag: code for code, tag in enumerate(table)} for kind, table in _KIND_TABLES.items()}
 
 
@@ -264,38 +264,29 @@ def _count_table(n_contexts: int, codes: np.ndarray, s1: np.ndarray, s2: np.ndar
     return _read_only(counts.reshape(n_contexts, 4), np.int64)
 
 
-def _render_rows(kind: str, trial: np.ndarray, codes: np.ndarray,
-                 s1: np.ndarray, s2: np.ndarray) -> bytearray:
-    """Canonical CSV rows of a non-empty slice of record columns.
+def _render_rows(kind: str, lo: int, codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> bytearray:
+    """Canonical CSV rows of trials lo..lo+m-1, given their m >= 1 record columns.
 
-    Every row is laid out in one fixed-width byte grid (sign, right-aligned
-    digits, tail), with NUL where a row is shorter than the grid; dropping the
-    NULs leaves the rows back to back.
+    Every row is laid out in one fixed-width byte grid (right-aligned trial
+    digits, tail), with NUL where a row is shorter than the grid; dropping
+    the NULs leaves the rows back to back.
     """
     tails = _TAILS[kind]
-    key = _outcome_key(codes, s1, s2)
-    neg = trial < 0
-    signed = bool(neg.any())
-    mag = trial.view(np.uint64)
-    if signed:
-        mag = np.where(neg, -mag, mag)  # mod 2**64, so -2**63 maps to 2**63
-    top = int(mag.max())
-    width = len(str(top))
-    shortest = len(str(int(mag.min())))
-    digits = np.empty((width, trial.size), dtype=np.uint8)
-    q = mag.astype(np.uint32) if top < 1 << 32 else mag  # same digits, half the memory traffic
+    m = codes.size
+    top = lo + m - 1
+    width, shortest = len(str(top)), len(str(lo))
+    digits = np.empty((width, m), dtype=np.uint8)
+    q = np.arange(lo, top + 1, dtype=np.uint32 if top < 1 << 32 else np.uint64)
     for d in range(1, width + 1):  # d-th digit from the right
         above = q // 10
         np.add(q - above * 10, ord("0"), out=digits[-d], casting="unsafe")
         if d > shortest:  # a leading position in some rows: NUL where the number is shorter
             digits[-d] *= q > 0
         q = above
-    buf = bytearray(trial.size * (signed + width + tails.shape[1]))
-    grid = np.frombuffer(buf, np.uint8).reshape(trial.size, -1)
-    if signed:
-        grid[:, 0] = neg * ord("-")
-    grid[:, signed:signed + width] = digits.T
-    grid[:, signed + width:] = tails.take(key, axis=0)
+    buf = bytearray(m * (width + tails.shape[1]))
+    grid = np.frombuffer(buf, np.uint8).reshape(m, -1)
+    grid[:, :width] = digits.T
+    grid[:, width:] = tails.take(_outcome_key(codes, s1, s2), axis=0)
     return buf.translate(None, b"\0")
 
 
@@ -357,7 +348,7 @@ def _read_canonical(f) -> "RecordBatch | None":
         s1, s2 = 1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8)
         stop = start + int(ends[-1]) + 1
         step = memoryview(buf)[:stop]
-        if _render_rows(kind, np.arange(n, n + m, dtype=np.int64), codes, s1, s2) != step[start:]:
+        if _render_rows(kind, n, codes, s1, s2) != step[start:]:
             return None
         digest.update(step)
         counts += np.bincount(_outcome_key(codes, s1, s2), minlength=4 * len(_KIND_TABLES[kind]))
@@ -365,14 +356,29 @@ def _read_canonical(f) -> "RecordBatch | None":
         n += m
         buf = buf[stop:]
     codes, s1, s2 = (np.concatenate(col) for col in zip(*columns))
-    batch = RecordBatch(kind, np.arange(n, dtype=np.int64), codes, s1, s2)
+    batch = RecordBatch(kind, codes, s1, s2)
     batch._sha256 = digest.hexdigest()
     batch._counts = _read_only(counts.reshape(-1, 4), np.int64)
     return batch
 
 
+# zeros before a digit that no digit precedes: leading zeros, after any space and sign
+_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
+
+
+def _int_field(text: str) -> int:
+    """ASCII digits, optionally signed and space-padded: int() also reads "_"
+    separators, and refuses more than 4300 digits even if most are leading zeros."""
+    if "_" in text:
+        raise ValueError(text)
+    try:
+        return int(text)
+    except ValueError:
+        return int(_LEADING_ZEROS.sub("", text, count=1))
+
+
 def _parse_lines(data: bytes) -> "RecordBatch":
-    """Line-by-line parser: accepts any integer spelling and cites the line of the first error."""
+    """Line-by-line parser of every spelling _int_field reads; cites the line of the first error."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -392,7 +398,7 @@ def _parse_lines(data: bytes) -> "RecordBatch":
         if len(parts) != 6:
             raise ValidationError(f"records line {lineno}: expected 6 fields, got {len(parts)}")
         try:
-            trial, sx, sy, v1, v2 = (int(parts[i]) for i in (0, 2, 3, 4, 5))
+            trial, sx, sy, v1, v2 = map(_int_field, (parts[0], *parts[2:]))
         except ValueError:
             raise ValidationError(f"records line {lineno}: non-integer field") from None
         if v1 not in (-1, 1) or v2 not in (-1, 1):
@@ -413,8 +419,7 @@ def _parse_lines(data: bytes) -> "RecordBatch":
         bad = next(i for i, row in enumerate(rows, start=2) if _infer_kind([rows[0], row]) is None)
         raise ValidationError(f"records line {bad}: context/slot combination of another record kind than line 2")
     code_of = _CODE_OF[kind]
-    return RecordBatch(kind, np.arange(len(rows), dtype=np.int64),
-                       np.array([code_of[tag] for tag, _, _ in rows], dtype=np.uint8),
+    return RecordBatch(kind, np.array([code_of[tag] for tag, _, _ in rows], dtype=np.uint8),
                        np.array(s1, dtype=np.int8), np.array(s2, dtype=np.int8))
 
 
@@ -427,41 +432,43 @@ def _read_only(values, dtype) -> np.ndarray:
 class RecordBatch:
     """Columnar sequence of TrialRecord (cheap at millions of trials).
 
-    Iterating or indexing yields TrialRecord objects; the underlying numpy
-    columns are exposed for estimation as read-only views of the arrays
-    passed in (no copy), which the caller must not change afterwards.  The
-    CSV byte serialization below is the canonical form used for hashing and
-    on-disk records; its SHA-256 and its outcome-count table are computed at
-    most once per batch.
+    A record's index is its position: trials run 0..n-1, so no trial column
+    is stored.  Iterating or indexing yields TrialRecord objects; the
+    underlying numpy columns are exposed for estimation as read-only views
+    of the arrays passed in (no copy), which the caller must not change
+    afterwards.  The CSV byte serialization below is the canonical form used
+    for hashing and on-disk records; its SHA-256 and its outcome-count table
+    are computed at most once per batch.
     """
 
-    def __init__(self, kind: str, trial: np.ndarray, codes: np.ndarray,
-                 s1: np.ndarray, s2: np.ndarray):
-        if kind not in _KIND_TABLES:
+    def __init__(self, kind: str, codes: np.ndarray, s1: np.ndarray, s2: np.ndarray):
+        if kind not in GEOMETRIES:
             raise ValidationError(f"unknown record kind {kind!r}")
         self.kind = kind
-        self.tags = TEMPORAL_TAGS if kind == "temporal" else CHSH_TAGS
-        self.slots = TEMPORAL_SLOTS if kind == "temporal" else CHSH_SLOTS
-        self.trial = _read_only(trial, np.int64)
+        self.tags, self.slots = GEOMETRIES[kind]
         self.codes = _read_only(codes, np.uint8)
         self.s1 = _read_only(s1, np.int8)
         self.s2 = _read_only(s2, np.int8)
-        n = self.trial.size
-        if not (self.codes.size == self.s1.size == self.s2.size == n):
+        if not (self.codes.size == self.s1.size == self.s2.size):
             raise ValidationError("record columns must have equal length")
-        if n and int(self.codes.max()) >= len(self.tags):
+        if self.codes.size and int(self.codes.max()) >= len(self.tags):
             raise ValidationError(f"context codes of {kind} records must be below {len(self.tags)}")
         self._sha256: str | None = None
         self._counts: np.ndarray | None = None
 
+    @property
+    def trial(self) -> np.ndarray:
+        """The trial indices 0..n-1 (read-only)."""
+        return _read_only(np.arange(len(self)), np.int64)
+
     def __len__(self) -> int:
-        return self.trial.size
+        return self.codes.size
 
     def __getitem__(self, i: int) -> TrialRecord:
+        i = range(len(self))[i]  # a negative index counts from the end
         code = int(self.codes[i])
         sx, sy = self.slots[code]
-        return TrialRecord(int(self.trial[i]), self.tags[code], sx, sy,
-                           int(self.s1[i]), int(self.s2[i]))
+        return TrialRecord(i, self.tags[code], sx, sy, int(self.s1[i]), int(self.s2[i]))
 
     def __iter__(self):
         for i in range(len(self)):
@@ -472,7 +479,6 @@ class RecordBatch:
             return NotImplemented
         return (
             self.kind == other.kind
-            and np.array_equal(self.trial, other.trial)
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.s1, other.s1)
             and np.array_equal(self.s2, other.s2)
@@ -480,7 +486,12 @@ class RecordBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[TrialRecord]) -> "RecordBatch":
+        """A batch of records whose indices run 0..n-1 in order."""
         records = list(records)
+        bad = next((i for i, r in enumerate(records) if r.index != i), None)
+        if bad is not None:
+            raise ValidationError(f"record {bad} has index {records[bad].index}; "
+                                  f"indices run 0..n-1 in order")
         seen = {(r.context, r.slot_x, r.slot_y) for r in records}
         kind = _infer_kind(seen)
         if kind is None:
@@ -488,7 +499,6 @@ class RecordBatch:
         code_of = _CODE_OF[kind]
         return cls(
             kind,
-            np.array([r.index for r in records], dtype=np.int64),
             np.array([code_of[r.context] for r in records], dtype=np.uint8),
             np.array([r.s1 for r in records], dtype=np.int8),
             np.array([r.s2 for r in records], dtype=np.int8),
@@ -507,13 +517,11 @@ class RecordBatch:
 
     # -- canonical CSV form --
 
-    def _render(self, lo: int, hi: int) -> bytearray:
-        return _render_rows(self.kind, self.trial[lo:hi], self.codes[lo:hi], self.s1[lo:hi], self.s2[lo:hi])
-
     def _csv_chunks(self):
         yield _HEADER_LINE
         for lo in range(0, len(self), _CHUNK):
-            yield self._render(lo, lo + _CHUNK)
+            span = slice(lo, lo + _CHUNK)
+            yield _render_rows(self.kind, lo, self.codes[span], self.s1[span], self.s2[span])
 
     def to_csv_bytes(self) -> bytes:
         return b"".join(self._csv_chunks())
@@ -564,30 +572,19 @@ def make_sampler(config: ExperimentConfig, contexts: ContextSet | None = None,
     """Build the trial sampler for a config (optionally with an in-memory model)."""
     contexts = contexts if contexts is not None else config.context_set()
     kind, arg = parse_mode(config.mode)
-    if state0 is not None and kind != "qm_sequential":
-        raise ValidationError("an initial state is only meaningful for qm_sequential mode")
     if kind == "qm_sequential":
         return SequentialSampler(contexts, state0)
-    if kind == "qm_singlet":
-        return SingletSampler(contexts)
-    if kind == "hv":
-        if model is None:
-            model = SignModel() if arg == SIGN_MODEL_NAME else load_model(arg)
-        if isinstance(model, SignModel):
-            return SignModelSampler(contexts)
-        if isinstance(model, FiniteHVModel):
-            return FiniteModelSampler(model, contexts)
-        raise ValidationError(
-            f"hv mode needs a non-contextual model, got {type(model).__name__} "
-            f"(contextual models run under conspiracy mode)"
-        )
-    if model is None:
-        model = QmMimicModel() if arg == QM_MIMIC_NAME else load_model(arg)
-    if isinstance(model, QmMimicModel):
-        return QmMimicSampler(contexts)
-    if isinstance(model, ContextualFiniteModel):
-        return ContextualModelSampler(model, contexts)
-    raise ValidationError(f"conspiracy mode needs a contextual model, got {type(model).__name__}")
+    if state0 is not None:
+        raise ValidationError("an initial state is only meaningful for qm_sequential mode")
+    row = _MODES[kind]
+    if model is None and arg != row.builtin:
+        model = load_model(arg)
+    if model is None or row.model_type is None:
+        return row.sampler(contexts)
+    if not isinstance(model, row.model_type):
+        raise ValidationError(f"{kind} mode needs a {row.model_type.__name__} model, "
+                              f"got {type(model).__name__}")
+    return row.model_sampler(model, contexts)
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -638,7 +635,7 @@ def run_experiment(config: ExperimentConfig, model=None,
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             tables = list(pool.map(lambda span: fill(*span), spans))
-    batch = RecordBatch(config.geometry, np.arange(n, dtype=np.int64), codes, s1, s2)
+    batch = RecordBatch(config.geometry, codes, s1, s2)
     batch._counts = _read_only(sum(tables), np.int64)
     return batch
 
@@ -660,7 +657,7 @@ def _run_reference(config: ExperimentConfig, model=None,
         u1 = stream.next()
         u2 = stream.next()
         codes[i], (s1[i], s2[i]) = code, sampler.trial(code, u1, u2)
-    return RecordBatch(config.geometry, np.arange(n, dtype=np.int64), codes, s1, s2)
+    return RecordBatch(config.geometry, codes, s1, s2)
 
 
 # --- estimation and inequality reports --------------------------------------------------
@@ -738,7 +735,7 @@ def _verdict(value: float, bound: float, stderr: float, k: float) -> tuple[float
 def bell_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
     """|P(a,b) - P(a,c)| + P(b,c) against the determinism bound 1."""
     est = _as_estimate_map(estimates)
-    for tag in TEMPORAL_TAGS:
+    for tag in GEOMETRIES["temporal"][0]:
         if tag not in est:
             raise InsufficientDataError(f"missing correlator estimate for context {tag}")
     ab, ac, bc = est["AB"], est["AC"], est["BC"]
@@ -751,13 +748,18 @@ def bell_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
 def chsh_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
     """|P(a,b) - P(a,b')| + |P(a',b') + P(a',b)| against the bound 2."""
     est = _as_estimate_map(estimates)
-    for tag in CHSH_TAGS:
+    tags = GEOMETRIES["chsh"][0]
+    for tag in tags:
         if tag not in est:
             raise InsufficientDataError(f"missing correlator estimate for context {tag}")
     value = abs(est["AB"].mean - est["ABp"].mean) + abs(est["ApBp"].mean + est["ApB"].mean)
-    stderr = math.sqrt(sum(est[t].stderr ** 2 for t in CHSH_TAGS))
+    stderr = math.sqrt(sum(est[t].stderr ** 2 for t in tags))
     excess, verdict = _verdict(value, CHSH_BOUND, stderr, sigma_threshold)
     return BellReport("chsh", value, CHSH_BOUND, stderr, excess, verdict, sigma_threshold)
+
+
+# the inequality that records of each geometry test
+QUANTITIES = {"temporal": bell_quantity, "chsh": chsh_quantity}
 
 
 # --- analysis report document -------------------------------------------------------------
@@ -783,26 +785,17 @@ def analyze_records(records: RecordBatch, mode: str | None = None,
     else:
         _check_mode_matches(mode, records.kind)
     estimates = estimate_correlators(records)
-    if records.kind == "temporal":
-        report = bell_quantity(estimates, sigma_threshold)
-    else:
-        report = chsh_quantity(estimates, sigma_threshold)
+    report = QUANTITIES[records.kind](estimates, sigma_threshold)
     return AnalysisReport(mode, records.sha256(), len(records), sigma_threshold, estimates, report)
 
 
 def _check_mode_matches(mode: str, kind: str) -> None:
-    if mode in ("temporal", "chsh"):
-        expected = mode
-    else:
-        kindspec, _ = parse_mode(mode)
-        if kindspec == "qm_sequential" or kindspec == "conspiracy":
-            expected = "temporal"
-        elif kindspec == "qm_singlet":
-            expected = "chsh"
-        else:
-            return  # hv runs either geometry; the records decide
-    if expected != kind:
-        raise ValidationError(f"mode {mode!r} implies {expected} records, got {kind}")
+    if mode in GEOMETRIES:
+        expected = [mode]
+    else:  # hv accepts either count: the records decide
+        expected = [_geometry(n) for n in _MODES[parse_mode(mode)[0]].counts]
+    if kind not in expected:
+        raise ValidationError(f"mode {mode!r} implies {' or '.join(expected)} records, got {kind}")
 
 
 def report_to_jsonable(report: AnalysisReport) -> dict:

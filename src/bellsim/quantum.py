@@ -277,6 +277,15 @@ def _freeze(*tables: np.ndarray) -> None:
         table.flags.writeable = False
 
 
+def _two_step_tables(contexts: ContextSet, first, second):
+    # p1[code] = first(ctx), the first-step +1 probability; p2[code, (s1 + 1) >> 1] =
+    # second(ctx, s1), the second-step +1 probability after outcome s1
+    p1 = np.array([first(ctx) for ctx in contexts.contexts])
+    p2 = np.array([[second(ctx, s1) for s1 in (-1, 1)] for ctx in contexts.contexts])
+    _freeze(p1, p2)
+    return p1, p2
+
+
 def _sample_two_step(p1, p2, codes, u1, u2):
     # p1: (nctx,) first-step +1 probability; p2: (nctx, 2) second-step +1
     # probability indexed by [code, (s1+1)/2], read flat at code * 2 + (s1 > 0)
@@ -301,15 +310,9 @@ class SequentialSampler:
     def __init__(self, contexts: ContextSet, state0: QubitState | None = None):
         self.contexts = contexts
         self.state0 = state0 if state0 is not None else balanced_preparation(contexts)
-        nctx = len(contexts)
-        self._p1 = np.empty(nctx)
-        self._p2 = np.empty((nctx, 2))
-        for code, ctx in enumerate(contexts.contexts):
-            self._p1[code] = prob_plus(self.state0, ctx.dir_x)
-            for s1 in (-1, 1):
-                after = collapse(self.state0, ctx.dir_x, s1)
-                self._p2[code, (s1 + 1) >> 1] = prob_plus(after, ctx.dir_y)
-        _freeze(self._p1, self._p2)
+        self._p1, self._p2 = _two_step_tables(
+            contexts, lambda ctx: prob_plus(self.state0, ctx.dir_x),
+            lambda ctx, s1: prob_plus(collapse(self.state0, ctx.dir_x, s1), ctx.dir_y))
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         ctx = self.contexts[code]
@@ -328,16 +331,10 @@ class SingletSampler:
 
     def __init__(self, contexts: ContextSet):
         self.contexts = contexts
-        state = TwoQubitState.singlet()
-        nctx = len(contexts)
-        self._pA = np.empty(nctx)
-        self._pB = np.empty((nctx, 2))
-        for code, ctx in enumerate(contexts.contexts):
-            self._pA[code] = prob_plus_pair(state, ctx.dir_x, 0)
-            for sA in (-1, 1):
-                collapsed = collapse_pair(state, ctx.dir_x, sA, 0)
-                self._pB[code, (sA + 1) >> 1] = prob_plus_pair(collapsed, ctx.dir_y, 1)
-        _freeze(self._pA, self._pB)
+        pair = TwoQubitState.singlet()
+        self._pA, self._pB = _two_step_tables(
+            contexts, lambda ctx: prob_plus_pair(pair, ctx.dir_x, 0),
+            lambda ctx, sA: prob_plus_pair(collapse_pair(pair, ctx.dir_x, sA, 0), ctx.dir_y, 1))
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         ctx = self.contexts[code]

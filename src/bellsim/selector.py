@@ -95,10 +95,11 @@ def validate_seed(value, name: str = "seed") -> int:
 
 # --- measurement contexts ---------------------------------------------------
 
-TEMPORAL_TAGS = ("AB", "AC", "BC")
-TEMPORAL_SLOTS = ((1, 2), (1, 3), (2, 3))
-CHSH_TAGS = ("AB", "ABp", "ApB", "ApBp")
-CHSH_SLOTS = ((1, 3), (1, 4), (2, 3), (2, 4))
+# geometry -> (context tags, their (slot_x, slot_y)); slots 1..n are the n directions
+GEOMETRIES = {
+    "temporal": (("AB", "AC", "BC"), ((1, 2), (1, 3), (2, 3))),
+    "chsh": (("AB", "ABp", "ApB", "ApBp"), ((1, 3), (1, 4), (2, 3), (2, 4))),
+}
 
 
 @dataclass(frozen=True)
@@ -123,16 +124,12 @@ class ContextSet:
     """
 
     def __init__(self, kind: str, directions: tuple[Direction3, ...]):
-        if kind == "temporal":
-            if len(directions) != 3:
-                raise ValidationError("temporal geometry needs exactly 3 directions")
-            tags, slots = TEMPORAL_TAGS, TEMPORAL_SLOTS
-        elif kind == "chsh":
-            if len(directions) != 4:
-                raise ValidationError("chsh geometry needs exactly 4 directions")
-            tags, slots = CHSH_TAGS, CHSH_SLOTS
-        else:
+        if kind not in GEOMETRIES:
             raise ValidationError(f"unknown context-set kind {kind!r}")
+        tags, slots = GEOMETRIES[kind]
+        n_slots = max(max(pair) for pair in slots)
+        if len(directions) != n_slots:
+            raise ValidationError(f"{kind} geometry needs exactly {n_slots} directions")
         self.kind = kind
         self.directions = tuple(directions)
         self.tags = tags
@@ -147,9 +144,6 @@ class ContextSet:
 
     def __getitem__(self, code: int) -> MeasurementContext:
         return self.contexts[code]
-
-    def direction_of_slot(self, slot: int) -> Direction3:
-        return self.directions[slot - 1]
 
     def code_of_tag(self, tag: str) -> int:
         try:

@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 
 from bellsim.directions import X_AXIS, Y_AXIS, Z_AXIS, max_violation_triple
-from bellsim.errors import UnsupportedOperationError, ValidationError
+from bellsim.errors import ValidationError
 from bellsim.hidden_variables import (
     ContextualFiniteModel,
     ContextualModelSampler,
     FiniteHVModel,
     FiniteModelSampler,
-    QmMimicModel,
     QmMimicSampler,
-    SignModel,
     SignModelSampler,
-    conspiracy_trial,
     exact_chsh_correlators,
     exact_correlator,
     exact_temporal_correlators,
-    hv_trial,
     load_model,
     model_from_jsonable,
     model_to_jsonable,
@@ -28,14 +24,19 @@ from bellsim.hidden_variables import (
     sign_model_correlator,
     write_model,
 )
+from bellsim.protocol import ExperimentConfig, make_sampler
 from bellsim.selector import ContextSet
 
 TRIPLE = ContextSet("temporal", max_violation_triple())
-AB, AC, BC = TRIPLE.contexts
+AB, AC, BC = range(3)  # context codes of TRIPLE
 
 
 def constant_model(n_slots=3):
     return FiniteHVModel([1.0], [[1] * n_slots])
+
+
+def constant_contextual_model():
+    return ContextualFiniteModel({"AB": constant_model(), "AC": constant_model(), "BC": constant_model()})
 
 
 class TestFiniteModelValidation:
@@ -93,9 +94,9 @@ class TestExactCorrelators:
         model = FiniteHVModel([0.5, 0.5], [[1, 1, 1], [1, -1, -1]])
         assert exact_temporal_correlators(model) == (0.0, 0.0, 1.0)
 
-    def test_continuous_model_unsupported(self):
-        with pytest.raises(UnsupportedOperationError):
-            exact_correlator(SignModel(), 1, 2)
+    def test_non_finite_model_rejected(self):
+        with pytest.raises(ValidationError, match="finite model"):
+            exact_correlator(constant_contextual_model(), 1, 2)
 
     def test_slot_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -152,29 +153,35 @@ class TestRandomFiniteModel:
             random_finite_model(0, 0)
 
 
-class TestHvTrial:
+class TestFiniteTrial:
+    # the scalar reference of FiniteModelSampler, one trial at a time
     def test_constant_model_always_agrees(self, rng):
-        model = constant_model()
-        for ctx in TRIPLE.contexts:
+        sampler = FiniteModelSampler(constant_model(), TRIPLE)
+        for code in range(len(TRIPLE)):
             for _ in range(20):
-                assert hv_trial(model, ctx, rng.random(), rng.random()) == (1, 1)
+                assert sampler.trial(code, rng.random(), rng.random()) == (1, 1)
 
     def test_lambda_selection_thresholds(self):
-        model = FiniteHVModel([0.25, 0.75], [[1, 1, 1], [-1, -1, -1]])
-        assert hv_trial(model, AB, 0.2, 0.0) == (1, 1)
-        assert hv_trial(model, AB, 0.25, 0.0) == (-1, -1)  # right-closed at the cumsum
-        assert hv_trial(model, AB, 0.999999, 0.0) == (-1, -1)
+        sampler = FiniteModelSampler(FiniteHVModel([0.25, 0.75], [[1, 1, 1], [-1, -1, -1]]), TRIPLE)
+        assert sampler.trial(AB, 0.2, 0.0) == (1, 1)
+        assert sampler.trial(AB, 0.25, 0.0) == (-1, -1)  # right-closed at the cumsum
+        assert sampler.trial(AB, 0.999999, 0.0) == (-1, -1)
 
     def test_same_lambda_feeds_both_slots(self, rng):
-        model = FiniteHVModel([0.5, 0.5], [[1, 1, 1], [-1, -1, -1]])
+        sampler = FiniteModelSampler(FiniteHVModel([0.5, 0.5], [[1, 1, 1], [-1, -1, -1]]), TRIPLE)
         for _ in range(50):
-            s1, s2 = hv_trial(model, AB, rng.random(), rng.random())
+            s1, s2 = sampler.trial(AB, rng.random(), rng.random())
             assert s1 == s2
 
     def test_rejects_contextual_models(self):
-        contextual = ContextualFiniteModel({"AB": constant_model(), "AC": constant_model(), "BC": constant_model()})
-        with pytest.raises(ValidationError):
-            hv_trial(contextual, AB, 0.5, 0.5)
+        config = ExperimentConfig("hv:ctx.json", max_violation_triple(), 10, 1, 2)
+        with pytest.raises(ValidationError, match="hv mode needs a FiniteHVModel"):
+            make_sampler(config, model=constant_contextual_model())
+
+    def test_conspiracy_rejects_non_contextual_models(self):
+        config = ExperimentConfig("conspiracy:finite.json", max_violation_triple(), 10, 1, 2)
+        with pytest.raises(ValidationError, match="conspiracy mode needs a ContextualFiniteModel"):
+            make_sampler(config, model=constant_model())
 
 
 class TestSignModel:
@@ -223,23 +230,24 @@ class TestSignModel:
 
 class TestQmMimic:
     def test_aligned_directions_always_agree(self, rng):
-        ctx = ContextSet("temporal", (Z_AXIS, Z_AXIS, X_AXIS)).contexts[0]  # x.y = 1
-        model = QmMimicModel()
+        sampler = QmMimicSampler(ContextSet("temporal", (Z_AXIS, Z_AXIS, X_AXIS)))  # AB: x.y = 1
         for _ in range(50):
-            s1, s2 = conspiracy_trial(model, ctx, rng.random(), rng.random())
+            s1, s2 = sampler.trial(AB, rng.random(), rng.random())
             assert s1 == s2
 
     def test_joint_distribution_enumeration(self):
-        # outcome map is piecewise constant in (u1, u2) with thresholds at
-        # 1/2 and p_same, so cell probabilities enumerate exactly
-        model = QmMimicModel()
-        for ctx in TRIPLE.contexts:
+        # trial is piecewise constant in (u1, u2) with thresholds at 1/2 and
+        # p_same, so one trial per cell, weighted by its area, gives the joint law
+        sampler = QmMimicSampler(TRIPLE)
+        for code, ctx in enumerate(TRIPLE.contexts):
             v = ctx.dir_x.dot(ctx.dir_y)
             p_same = (1.0 + v) / 2.0
             joint = {}
-            for s1, pa in ((1, 0.5), (-1, 0.5)):
-                joint[(s1, s1)] = pa * p_same
-                joint[(s1, -s1)] = joint.get((s1, -s1), 0.0) + pa * (1.0 - p_same)
+            for u1 in (0.25, 0.75):
+                for u2, width in ((p_same / 2, p_same), ((1.0 + p_same) / 2, 1.0 - p_same)):
+                    pair = sampler.trial(code, u1, u2)
+                    joint[pair] = joint.get(pair, 0.0) + 0.5 * width
+            assert len(joint) == 4
             for (s1, s2), p in joint.items():
                 assert abs(p - (1.0 + s1 * s2 * v) / 4.0) < 1e-12
             correlator = sum(s1 * s2 * p for (s1, s2), p in joint.items())
@@ -290,10 +298,10 @@ class TestModelFiles:
             "AC": FiniteHVModel([1.0], [[-1, -1, -1]]),
             "BC": FiniteHVModel([1.0], [[1, -1, 1]]),
         }
-        model = ContextualFiniteModel(per)
-        assert conspiracy_trial(model, AB, rng.random(), rng.random()) == (1, 1)
-        assert conspiracy_trial(model, AC, rng.random(), rng.random()) == (-1, -1)
-        assert conspiracy_trial(model, BC, rng.random(), rng.random()) == (-1, 1)
+        sampler = ContextualModelSampler(ContextualFiniteModel(per), TRIPLE)
+        assert sampler.trial(AB, rng.random(), rng.random()) == (1, 1)
+        assert sampler.trial(AC, rng.random(), rng.random()) == (-1, -1)
+        assert sampler.trial(BC, rng.random(), rng.random()) == (-1, 1)
 
     def test_missing_context_table(self):
         with pytest.raises(ValidationError):

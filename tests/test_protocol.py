@@ -172,6 +172,13 @@ class TestConfigValidation:
         cfg = ExperimentConfig.from_dict(config_doc(selector_seed="0xAB", outcome_seed="17"))
         assert cfg.selector_seed == 0xAB and cfg.outcome_seed == 17
 
+    def test_seed_strings_are_stored_parsed(self):
+        spelled = ExperimentConfig("qm_sequential", TRIPLE, 100, "0xAB", "17")
+        parsed = ExperimentConfig("qm_sequential", TRIPLE, 100, 0xAB, 17)
+        assert spelled == parsed and hash(spelled) == hash(parsed)
+        assert spelled.to_jsonable() == parsed.to_jsonable()
+        assert spelled.to_jsonable()["selector_seed"] == 171
+
     def test_sigma_threshold_must_be_positive(self):
         with pytest.raises(ValidationError, match="sigma_threshold"):
             ExperimentConfig.from_dict(config_doc(sigma_threshold=0.0))
@@ -508,7 +515,6 @@ class TestRecordsCsv:
     def test_exact_csv_layout(self):
         records = RecordBatch(
             "temporal",
-            np.array([0, 1, 2]),
             np.array([0, 2, 1]),
             np.array([1, -1, 1]),
             np.array([-1, -1, 1]),
@@ -551,6 +557,8 @@ class TestRecordsCsv:
             ("0,AB,9,9,1,-1", 3),
             ("1,\u00e9B,1,2,1,-1", 3),
             ("99999999999999999999,AB,1,2,1,-1", 3),
+            ("0_1,AB,1,2,0_1,-1", 3),  # int() alone reads this as trial 1 with s1 = +1
+            ("1,AB,1,2,0_1,-1", 3),
         ],
     )
     def test_malformed_row_cites_line(self, tmp_path, row, lineno):
@@ -558,6 +566,18 @@ class TestRecordsCsv:
         path.write_text("trial,context,slot_x,slot_y,s1,s2\n0,AB,1,2,1,-1\n" + row + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=f"line {lineno}"):
             RecordBatch.from_csv(path)
+
+    def test_leading_zeros_past_the_int_digit_limit(self, tmp_path):
+        # int() refuses more than 4300 digits, even if all of them are zeros
+        records = RecordBatch("temporal", np.array([0, 2]), np.array([1, -1]), np.array([-1, 1]))
+        path = tmp_path / "r.csv"
+        path.write_text(f"{RECORDS_HEADER}\n{'0' * 5000},AB,1,2,1,-1\n-{'0' * 4999}1,BC,02,3,-1,{'0' * 5000}1\n")
+        with pytest.raises(ValidationError, match="line 3: trial -1 out of order"):
+            RecordBatch.from_csv(path)
+        path.write_text(f"{RECORDS_HEADER}\n{'0' * 5000},AB,1,2,1,-1\n+{'0' * 4999}1,BC,02,3,-1,{'0' * 5000}1\n")
+        loaded = RecordBatch.from_csv(path)
+        assert loaded == records
+        assert loaded.sha256() == records.sha256()
 
     @pytest.mark.parametrize("trials,lineno", [([5, 5, -3], 2), ([0, 1, 1], 4), ([0, 2, 1], 3), ([1], 2)])
     def test_trial_column_must_run_from_zero(self, tmp_path, trials, lineno):
@@ -586,14 +606,14 @@ class TestRecordsCsv:
     def test_header_only_file_is_rejected(self, tmp_path, kind):
         empty = np.array([], dtype=np.int64)
         path = tmp_path / "records.csv"
-        RecordBatch(kind, empty, empty, empty, empty).write_csv(path)
+        RecordBatch(kind, empty, empty, empty).write_csv(path)
         assert path.read_text() == RECORDS_HEADER + "\n"
         with pytest.raises(ValidationError, match="line 2: no trial rows"):
             RecordBatch.from_csv(path)
 
     def test_context_code_outside_the_kind_is_rejected(self):
         with pytest.raises(ValidationError, match="below 3"):
-            RecordBatch("temporal", np.array([0, 1]), np.array([0, 3]), np.array([1, 1]), np.array([1, 1]))
+            RecordBatch("temporal", np.array([0, 3]), np.array([1, 1]), np.array([1, 1]))
 
     def test_from_records_list(self):
         records = [TrialRecord(0, "AB", 1, 2, 1, -1), TrialRecord(1, "BC", 2, 3, -1, -1)]
@@ -604,6 +624,30 @@ class TestRecordsCsv:
     def test_from_records_rejects_unknown_context(self):
         with pytest.raises(ValidationError):
             RecordBatch.from_records([TrialRecord(0, "ZZ", 1, 2, 1, 1)])
+
+    @pytest.mark.parametrize("indices,bad", [([0, 0], 1), ([1, 0], 0), ([0, 2, 1], 1), ([0, 1, 3], 2), ([-1], 0)])
+    def test_from_records_rejects_indices_other_than_positions(self, indices, bad):
+        records = [TrialRecord(i, "AB", 1, 2, 1, -1) for i in indices]
+        with pytest.raises(ValidationError, match=f"record {bad} has index {indices[bad]}; indices run 0..n-1"):
+            RecordBatch.from_records(records)
+
+    def test_index_is_position(self):
+        records = run_experiment(temporal_config(n_trials=7))
+        assert records[-1].index == len(records) - 1 == 6
+        assert records[-7] == records[0] and records[0].index == 0
+        assert [r.index for r in records] == list(range(7))
+        with pytest.raises(IndexError):
+            records[7]
+        with pytest.raises(IndexError):
+            records[-8]
+
+    def test_trial_is_a_read_only_view_of_the_positions(self):
+        records = run_experiment(temporal_config(n_trials=7))
+        assert records.trial.tolist() == list(range(7)) and records.trial.dtype == np.int64
+        assert not records.trial.flags.writeable
+        with pytest.raises(AttributeError):
+            records.trial = np.arange(7)
+        assert "trial" not in vars(records)  # computed, not stored
 
 
 class TestAnalysisReport:
@@ -632,8 +676,8 @@ class TestAnalysisReport:
         assert report_from_jsonable(json.loads(text)).n_trials == 5000
 
     def test_infinite_sigma_excess_survives_round_trip(self):
-        records = [TrialRecord(i, tag, sx, sy, 1, 1)
-                   for i in range(6) for tag, sx, sy in [("AB", 1, 2), ("AC", 1, 3), ("BC", 2, 3)]]
+        records = [TrialRecord(3 * i + k, tag, sx, sy, 1, 1)
+                   for i in range(6) for k, (tag, sx, sy) in enumerate([("AB", 1, 2), ("AC", 1, 3), ("BC", 2, 3)])]
         batch = RecordBatch.from_records(records)
         report = analyze_records(batch)
         assert report.bell.value == 1.0 and report.bell.verdict == "consistent"

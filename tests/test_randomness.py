@@ -61,8 +61,7 @@ class TestExtractBits:
         assert np.all(bits.bits == 1)
 
     def test_empty_records_rejected(self):
-        empty = RecordBatch("temporal", np.array([], dtype=np.int64),
-                            np.array([], dtype=np.uint8), np.array([], dtype=np.int8),
+        empty = RecordBatch("temporal", np.array([], dtype=np.uint8), np.array([], dtype=np.int8),
                             np.array([], dtype=np.int8))
         with pytest.raises(ValidationError):
             extract_bits(empty)

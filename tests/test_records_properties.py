@@ -14,9 +14,9 @@ import bellsim.protocol as protocol
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.errors import ValidationError
 from bellsim.protocol import RECORDS_HEADER, ExperimentConfig, RecordBatch, run_experiment
+from bellsim.selector import GEOMETRIES
 
 N_CONTEXTS = {"temporal": 3, "chsh": 4}
-INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
 
 
 def reference_csv(batch: RecordBatch) -> bytes:
@@ -38,17 +38,15 @@ def reference_csv(batch: RecordBatch) -> bytes:
 
 
 @st.composite
-def batches(draw, min_size=0, any_trials=False):
+def batches(draw, min_size=0):
     kind = draw(st.sampled_from(sorted(N_CONTEXTS)))
     n = draw(st.integers(min_size, 120))
 
     def column(elements):
         return draw(st.lists(elements, min_size=n, max_size=n))
 
-    trial = column(INT64) if any_trials else range(n)
     return RecordBatch(
         kind,
-        np.array(trial, dtype=np.int64),
         np.array(column(st.integers(0, N_CONTEXTS[kind] - 1)), dtype=np.uint8),
         np.array(column(st.sampled_from([-1, 1])), dtype=np.int8),
         np.array(column(st.sampled_from([-1, 1])), dtype=np.int8),
@@ -59,11 +57,24 @@ CHUNKS = st.integers(1, 9)
 
 
 @settings(max_examples=100, deadline=None)
-@given(batch=batches(any_trials=True), chunk=CHUNKS)
+@given(batch=batches(), chunk=CHUNKS)
 def test_renderer_matches_reference(batch, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "_CHUNK", chunk)
         assert batch.to_csv_bytes() == reference_csv(batch)
+
+
+@pytest.mark.parametrize("lo", [0, 7, 99_990, 2 ** 32 - 5, 10 ** 12 - 3])
+def test_render_rows_across_digit_widths(lo):
+    # trials lo..lo+9 cross a digit width (and, at 2**32, the 32-bit digit loop)
+    codes = np.arange(10, dtype=np.uint8) % 4
+    s1 = np.where(np.arange(10) % 2, 1, -1).astype(np.int8)
+    s2 = -s1
+    got = protocol._render_rows("chsh", lo, codes, s1, s2)
+    tags = RecordBatch("chsh", codes, s1, s2).tags
+    slots = GEOMETRIES["chsh"][1]
+    assert got == "".join(f"{lo + i},{tags[c]},{slots[c][0]},{slots[c][1]},{a},{b}\n"
+                          for i, (c, a, b) in enumerate(zip(codes, s1, s2))).encode()
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,7 +122,7 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
     render = protocol._render_rows
 
     def counting(*args):
-        calls.append(args[1].size)
+        calls.append(args[2].size)  # (kind, lo, codes, s1, s2)
         return render(*args)
 
     monkeypatch.setattr(protocol, "_render_rows", counting)
