@@ -15,6 +15,7 @@ import hashlib
 import math
 import os
 import re
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .directions import Direction3
-from .errors import InsufficientDataError, ValidationError
+from .errors import InsufficientDataError, IntegrityError, ValidationError
 from .hidden_variables import (
     QM_MIMIC_NAME,
     SIGN_MODEL_NAME,
@@ -294,45 +295,54 @@ def _to_lf(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _read_canonical(f) -> "RecordBatch | None":
-    """The records of a file the renderer would write (up to its line ends), else None.
+class RecordReader:
+    """The rows of an open records file, checked and yielded one step at a time.
 
-    The file is read, mapped to LF, parsed, verified and hashed _CHUNK rows
-    at a time, so only one step's bytes are held.  A step reads until it
-    holds as many bytes as _CHUNK canonical rows can take, or the rest of
-    the file; fewer than _CHUNK row ends in those bytes means a line longer
-    than any canonical row.  A CR that ends a read waits for the next byte,
-    which may make it a CRLF.  Each row's outcomes and slots are read from
-    its last bytes, counted back from its newline, and its trial is taken to
-    be its index.  The step's columns are then rendered again and accepted
-    only if that gives back exactly its bytes, so any other input, valid or
-    not, returns None at the first step that differs.
+    Iterating yields each step as (lo, codes, s1, s2), the columns of trials
+    lo..lo+m-1, while the SHA-256 of the canonical form and the outcome-count
+    table are kept up to date; :meth:`summary` returns them after the last
+    step.  Only one step's bytes are held.
+
+    A step first tries the canonical path: it reads until it holds as many
+    bytes as _CHUNK canonical rows can take, or the rest of the file, maps
+    line ends to LF (a CR that ends a read waits for the next byte, which may
+    make it a CRLF), reads each row's outcomes and slots from its last bytes,
+    counted back from its newline, takes its trial to be its index, and
+    accepts the rows only if rendering them again gives back exactly their
+    bytes.  A step that differs (another valid spelling, a line longer than
+    any canonical row, or an error) goes through the line-by-line parser
+    instead, which cites the file's line of the first error; its rows are
+    hashed as rendered from their columns, and the next step tries the
+    canonical path again.
     """
-    digest = hashlib.sha256()
-    buf, held, eof = b"", b"", False
-    kind, n, columns, counts = None, 0, [], 0
-    while True:
-        start = 0 if n else len(_HEADER_LINE)  # the first step also holds the header
-        limit = start + _CHUNK * (len(str(n + _CHUNK - 1)) + _TAIL_WIDTH)  # bytes of the step, at most
-        while len(buf) < limit and not eof:
-            raw = f.read(limit - len(buf))
-            eof = not raw
-            block = held + raw
-            held = b"\r" if raw.endswith(b"\r") else b""
-            buf += _to_lf(block[:len(block) - len(held)])
-        if start and not buf.startswith(_HEADER_LINE):
+
+    def __init__(self, f):
+        self._f = f
+        self._buf, self._held, self._eof = b"", b"", False  # LF-mapped bytes not yet in a step
+        self._digest = hashlib.sha256()
+        self._counts = 0
+        self.kind: str | None = None
+        self.n = 0
+
+    def _fill(self, size: int) -> None:
+        # read until the buffer holds `size` bytes or the file ends
+        while len(self._buf) < size and not self._eof:
+            raw = self._f.read(size - len(self._buf))
+            self._eof = not raw
+            block = self._held + raw
+            self._held = b"\r" if raw.endswith(b"\r") else b""
+            self._buf += _to_lf(block[:len(block) - len(self._held)])
+
+    def _canonical_step(self, start: int):
+        """(kind, codes, s1, s2, end) of the rows after buf[:start], hashed, if canonical; else None."""
+        if not (self.n or self._buf.startswith(_HEADER_LINE)):
             return None
-        body = np.frombuffer(buf, np.uint8, offset=start)
+        body = np.frombuffer(self._buf, np.uint8, offset=start)
         ends = np.flatnonzero(body == ord("\n"))[:_CHUNK]
         m = ends.size
-        if not m:  # no row end left: the file must end in one and hold a row
-            if body.size or not n:
-                return None
-            break
-        if m < _CHUNK and not eof:
-            return None  # a line longer than any canonical row
-        if not n:
-            kind = _KIND_OF_ROW0.get(body[:ends[0] + 1].tobytes())
+        if not m or (m < _CHUNK and not self._eof):
+            return None  # no row end, or a line longer than any canonical row
+        kind = self.kind if self.n else _KIND_OF_ROW0.get(body[:ends[0] + 1].tobytes())
         if kind is None or np.diff(ends, prepend=-1).min() < _MIN_ROW:
             return None  # the reads below stay inside each row only from this length on
         s2_neg = body[ends - 2] == ord("-")
@@ -346,20 +356,88 @@ def _read_canonical(f) -> "RecordBatch | None":
         if codes.max() == 255:
             return None
         s1, s2 = 1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8)
-        stop = start + int(ends[-1]) + 1
-        step = memoryview(buf)[:stop]
-        if _render_rows(kind, n, codes, s1, s2) != step[start:]:
+        end = start + int(ends[-1]) + 1
+        step = memoryview(self._buf)[:end]
+        if _render_rows(kind, self.n, codes, s1, s2) != step[start:]:
             return None
-        digest.update(step)
-        counts += np.bincount(_outcome_key(codes, s1, s2), minlength=4 * len(_KIND_TABLES[kind]))
-        columns.append((codes, s1, s2))
-        n += m
-        buf = buf[stop:]
-    codes, s1, s2 = (np.concatenate(col) for col in zip(*columns))
-    batch = RecordBatch(kind, codes, s1, s2)
-    batch._sha256 = digest.hexdigest()
-    batch._counts = _read_only(counts.reshape(-1, 4), np.int64)
-    return batch
+        self._digest.update(step)
+        return kind, codes, s1, s2, end
+
+    def _parsed_step(self):
+        """(kind, codes, s1, s2, end) of the next whole lines, at most _CHUNK rows, by the line parser.
+
+        The rows are hashed as rendered from their columns.
+        """
+        header = 0 if self.n else 1
+        while True:  # at least one row (after the header) or the end of the file
+            ends = np.flatnonzero(np.frombuffer(self._buf, np.uint8) == ord("\n"))[:_CHUNK + header]
+            if ends.size > header or self._eof:
+                break
+            self._fill(2 * len(self._buf) + 1)
+        if ends.size == _CHUNK + header or not self._eof:
+            end = int(ends[-1]) + 1
+        else:  # the rest of the file, also a last line without a newline
+            end = len(self._buf)
+        batch = _parse_lines(self._buf[:end], self.n + 2 - header, self.kind)
+        if header:
+            self._digest.update(_HEADER_LINE)
+        self._digest.update(_render_rows(batch.kind, self.n, batch.codes, batch.s1, batch.s2))
+        return batch.kind, batch.codes, batch.s1, batch.s2, end
+
+    def __iter__(self):
+        while True:
+            start = 0 if self.n else len(_HEADER_LINE)  # the first step also holds the header
+            self._fill(start + _CHUNK * (len(str(self.n + _CHUNK - 1)) + _TAIL_WIDTH))
+            if self.n and self._eof and not self._buf:
+                return
+            kind, codes, s1, s2, end = self._canonical_step(start) or self._parsed_step()
+            self.kind = kind
+            self._counts += np.bincount(_outcome_key(codes, s1, s2), minlength=4 * len(_KIND_TABLES[kind]))
+            self._buf = self._buf[end:]
+            lo, self.n = self.n, self.n + codes.size
+            yield lo, codes, s1, s2
+
+    def summary(self) -> "RecordSummary":
+        """Kind, size, canonical hash and count table of the rows read so far."""
+        return RecordSummary(self.kind, self.n, self._digest.hexdigest(),
+                             _read_only(np.reshape(self._counts, (-1, 4)), np.int64))
+
+
+@dataclass(frozen=True)
+class RecordSummary:
+    """What analysis reads of a records set: its kind, size, canonical hash and count table.
+
+    It answers ``kind``, ``tags``, ``len()``, ``sha256()`` and
+    ``outcome_counts()`` as a :class:`RecordBatch` of the same records does,
+    so :func:`analyze_records` takes either.
+    """
+
+    kind: str
+    n: int
+    records_sha256: str
+    counts: np.ndarray
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        return GEOMETRIES[self.kind][0]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def sha256(self) -> str:
+        return self.records_sha256
+
+    def outcome_counts(self) -> np.ndarray:
+        return self.counts
+
+    @classmethod
+    def from_csv(cls, path) -> "RecordSummary":
+        """Read a records file step by step, as :meth:`RecordBatch.from_csv` does, keeping no columns."""
+        with open(path, "rb") as f:
+            reader = RecordReader(f)
+            for _ in reader:
+                pass
+        return reader.summary()
 
 
 # zeros before a digit that no digit precedes: leading zeros, after any space and sign
@@ -377,24 +455,30 @@ def _int_field(text: str) -> int:
         return int(_LEADING_ZEROS.sub("", text, count=1))
 
 
-def _parse_lines(data: bytes) -> "RecordBatch":
-    """Line-by-line parser of every spelling _int_field reads; cites the line of the first error."""
+def _parse_lines(data: bytes, line: int = 1, kind: str | None = None) -> "RecordBatch":
+    """Line-by-line parser of every spelling _int_field reads; cites the line of the first error.
+
+    ``data`` holds whole lines of a records file, the first of them its line
+    ``line``: the header if that is 1, else the row of trial ``line - 2``.
+    Every row must be of ``kind``, or of the first row's kind if it is None.
+    """
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = line + data.count(b"\n", 0, exc.start)
         raise ValidationError(f"records line {lineno}: non-ASCII byte") from None
     lines = text.split("\n")
-    if lines[0] != RECORDS_HEADER:
+    if line == 1 and lines[0] != RECORDS_HEADER:
         raise ValidationError(f"records line 1: expected header {RECORDS_HEADER!r}")
     if lines[-1] == "":
         lines.pop()
-    if len(lines) == 1:
+    rows = lines[1:] if line == 1 else lines
+    if not rows:
         raise ValidationError("records line 2: no trial rows")
-    rows, s1, s2 = [], [], []
-    seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    codes, s1, s2 = [], [], []
+    kind_of = {}  # (context, slot_x, slot_y) -> its record kind
+    for lineno, row_text in enumerate(rows, start=max(line, 2)):
+        parts = row_text.split(",")
         if len(parts) != 6:
             raise ValidationError(f"records line {lineno}: expected 6 fields, got {len(parts)}")
         try:
@@ -404,22 +488,23 @@ def _parse_lines(data: bytes) -> "RecordBatch":
         if v1 not in (-1, 1) or v2 not in (-1, 1):
             raise ValidationError(f"records line {lineno}: outcomes must be +1 or -1")
         row = (parts[1], sx, sy)
-        if row not in seen:
-            if _infer_kind([row]) is None:
+        row_kind = kind_of.get(row)
+        if row_kind is None:
+            row_kind = kind_of[row] = _infer_kind([row])
+            if row_kind is None:
                 raise ValidationError(f"records line {lineno}: unknown context/slot combination")
-            seen.add(row)
         if trial != lineno - 2:
             raise ValidationError(f"records line {lineno}: trial {trial} out of order, expected {lineno - 2} "
                                   f"(trials run 0..n-1)")
-        rows.append(row)
+        if kind is None:
+            kind = row_kind
+        elif row_kind != kind:
+            raise ValidationError(f"records line {lineno}: context/slot combination of another record kind "
+                                  f"than line 2")
+        codes.append(_CODE_OF[kind][row[0]])
         s1.append(v1)
         s2.append(v2)
-    kind = _infer_kind(seen)
-    if kind is None:
-        bad = next(i for i, row in enumerate(rows, start=2) if _infer_kind([rows[0], row]) is None)
-        raise ValidationError(f"records line {bad}: context/slot combination of another record kind than line 2")
-    code_of = _CODE_OF[kind]
-    return RecordBatch(kind, np.array([code_of[tag] for tag, _, _ in rows], dtype=np.uint8),
+    return RecordBatch(kind, np.array(codes, dtype=np.uint8),
                        np.array(s1, dtype=np.int8), np.array(s2, dtype=np.int8))
 
 
@@ -517,51 +602,61 @@ class RecordBatch:
 
     # -- canonical CSV form --
 
-    def _csv_chunks(self):
-        yield _HEADER_LINE
+    def _steps(self):
         for lo in range(0, len(self), _CHUNK):
-            span = slice(lo, lo + _CHUNK)
-            yield _render_rows(self.kind, lo, self.codes[span], self.s1[span], self.s2[span])
+            step = slice(lo, lo + _CHUNK)
+            yield lo, self.codes[step], self.s1[step], self.s2[step]
 
     def to_csv_bytes(self) -> bytes:
-        return b"".join(self._csv_chunks())
+        return b"".join(_csv_chunks(self.kind, self._steps()))
 
     def sha256(self) -> str:
         """SHA-256 of the canonical CSV (LF line ends), rendered only if not yet known."""
         if self._sha256 is None:
             digest = hashlib.sha256()
-            for chunk in self._csv_chunks():
+            for chunk in _csv_chunks(self.kind, self._steps()):
                 digest.update(chunk)
             self._sha256 = digest.hexdigest()
         return self._sha256
 
     def write_csv(self, path) -> None:
         """Write the canonical CSV _CHUNK rows at a time, hashing it on the way."""
-        digest = hashlib.sha256()
-        with open(path, "wb") as f:
-            for chunk in self._csv_chunks():
-                f.write(chunk)
-                digest.update(chunk)
-        self._sha256 = digest.hexdigest()
+        self._sha256 = _write_csv(path, self.kind, self._steps())
 
     @classmethod
     def from_csv(cls, path) -> "RecordBatch":
         """Read a records CSV whose trial column runs 0..n-1.
 
         Line ends may be LF, CRLF or CR, read as LF, so the hash of a CRLF
-        copy is that of the canonical file.  Canonical bytes are streamed
-        _CHUNK rows at a time through a vectorized path that also hashes and
-        counts them, so memory is the record columns plus one chunk.  Anything
-        else, including valid spellings such as "+1" or "01", goes through the
-        line-by-line parser over the whole file, which cites the first bad line.
+        copy is that of the canonical file.  The file is read, checked, hashed
+        and counted one step of _CHUNK rows at a time by :class:`RecordReader`
+        (canonical steps on a vectorized path, any other spelling such as "+1"
+        or "01" line by line), and the steps' columns are joined.
         """
         with open(path, "rb") as f:
-            batch = _read_canonical(f)
-            if batch is not None:
-                return batch
-            f.seek(0)
-            data = f.read()
-        return _parse_lines(_to_lf(data))
+            reader = RecordReader(f)
+            columns = [step[1:] for step in reader]
+        summary = reader.summary()
+        batch = cls(summary.kind, *(np.concatenate(col) for col in zip(*columns)))
+        batch._sha256, batch._counts = summary.records_sha256, summary.counts
+        return batch
+
+
+def _csv_chunks(kind: str, steps):
+    """The canonical CSV of (lo, codes, s1, s2) steps in trial order: the header, then each step's rows."""
+    yield _HEADER_LINE
+    for lo, codes, s1, s2 in steps:
+        yield _render_rows(kind, lo, codes, s1, s2)
+
+
+def _write_csv(path, kind: str, steps) -> str:
+    """Write the canonical CSV of (lo, codes, s1, s2) steps to path as they come; returns its SHA-256."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for chunk in _csv_chunks(kind, steps):
+            f.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # --- running experiments -------------------------------------------------------------
@@ -602,42 +697,79 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def run_experiment(config: ExperimentConfig, model=None,
-                   state0: QubitState | None = None, threads: int | None = None) -> RecordBatch:
-    """Run all trials of an experiment; bit-identical for identical seeds.
+def run_spans(config: ExperimentConfig, model=None, state0: QubitState | None = None,
+              threads: int | None = None, columns=None):
+    """Yield every span of a run as (lo, codes, s1, s2, counts), in trial order.
 
     The trials are split into balanced spans, at most _CHUNK trials each and
     at least one per thread.  A span draws its contexts from the selector
     state its first trial starts at, and its uniforms from the trial indices,
     so neither the split nor the thread pool over the spans can change the
-    records.  Each span also counts its outcomes, and the batch keeps the
-    sum as its :meth:`RecordBatch.outcome_counts`.
+    records; ``counts`` is the span's outcome-count table.  With more than
+    one thread, at most 2 x threads spans are submitted ahead of the consumer.
+    Given ``columns``, three arrays (codes, s1, s2) of n_trials each, every
+    span is written into them where it is computed, and yields views of them.
     """
     contexts = config.context_set()
     sampler = make_sampler(config, contexts, model=model, state0=state0)
-    n = config.n_trials
+    n, k = config.n_trials, len(contexts)
     n_threads = resolve_threads(threads)
-    codes = np.empty(n, dtype=np.uint8)
-    s1 = np.empty(n, dtype=np.int8)
-    s2 = np.empty(n, dtype=np.int8)
 
-    def fill(lo: int, hi: int) -> np.ndarray:
-        start = state_after(config.selector_seed, lo, len(contexts))
-        codes[lo:hi] = context_codes(start, hi - lo, len(contexts))
+    def span(lo: int, hi: int):
+        codes = context_codes(state_after(config.selector_seed, lo, k), hi - lo, k)
         u = trial_uniforms(config.outcome_seed, lo, hi, n_draws=2)
-        s1[lo:hi], s2[lo:hi] = sampler.run(codes[lo:hi], u[0], u[1])
-        return _count_table(len(contexts), codes[lo:hi], s1[lo:hi], s2[lo:hi])
+        s1, s2 = sampler.run(codes, u[0], u[1])
+        if columns is not None:
+            for column, values in zip(columns, (codes, s1, s2)):
+                column[lo:hi] = values
+            codes, s1, s2 = (column[lo:hi] for column in columns)
+        return lo, codes, s1, s2, _count_table(k, codes, s1, s2)
 
     n_spans = min(max(-(-n // _CHUNK), n_threads), n)
     spans = [(n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans)]
     if n_threads == 1:
-        tables = [fill(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            tables = list(pool.map(lambda span: fill(*span), spans))
+        for lo, hi in spans:
+            yield span(lo, hi)
+        return
+    ahead = 2 * n_threads
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        pending = deque(pool.submit(span, *edges) for edges in spans[:ahead])
+        for edges in spans[ahead:]:
+            yield pending.popleft().result()
+            pending.append(pool.submit(span, *edges))
+        while pending:
+            yield pending.popleft().result()
+
+
+def run_experiment(config: ExperimentConfig, model=None,
+                   state0: QubitState | None = None, threads: int | None = None) -> RecordBatch:
+    """Run all trials of an experiment; bit-identical for identical seeds.
+
+    The spans of :func:`run_spans` are written into the batch's columns by
+    the threads that compute them (so each span's arrays are freed where they
+    were made), and the sum of their count tables becomes its
+    :meth:`RecordBatch.outcome_counts`.
+    """
+    n = config.n_trials
+    codes = np.empty(n, dtype=np.uint8)
+    s1 = np.empty(n, dtype=np.int8)
+    s2 = np.empty(n, dtype=np.int8)
+    counts = 0
+    for *_, table in run_spans(config, model, state0, threads, columns=(codes, s1, s2)):
+        counts = counts + table
     batch = RecordBatch(config.geometry, codes, s1, s2)
-    batch._counts = _read_only(sum(tables), np.int64)
+    batch._counts = _read_only(counts, np.int64)
     return batch
+
+
+def write_run(config: ExperimentConfig, path, threads: int | None = None) -> str:
+    """Run an experiment straight into a records CSV, one span at a time; returns its SHA-256.
+
+    The file holds exactly the bytes ``run_experiment(config).write_csv(path)``
+    writes, but no more than the spans in flight are held at once.
+    """
+    spans = (span[:4] for span in run_spans(config, threads=threads))
+    return _write_csv(path, config.geometry, spans)
 
 
 def _run_reference(config: ExperimentConfig, model=None,
@@ -694,7 +826,9 @@ def estimate_correlators(records, contexts: Iterable[str] | None = None) -> dict
     outcome counts; a sum of +-1 values is exact in float64, so the mean
     (n_same - n_diff) / n is the sample mean of s1*s2 to the last bit.
     """
-    batch = records if isinstance(records, RecordBatch) else RecordBatch.from_records(records)
+    batch = records
+    if not isinstance(records, (RecordBatch, RecordSummary)):
+        batch = RecordBatch.from_records(records)
     expected = tuple(contexts) if contexts is not None else batch.tags
     counts = batch.outcome_counts().tolist()
     out: dict[str, CorrelatorEstimate] = {}
@@ -777,9 +911,9 @@ class AnalysisReport:
     bell: BellReport
 
 
-def analyze_records(records: RecordBatch, mode: str | None = None,
+def analyze_records(records: "RecordBatch | RecordSummary", mode: str | None = None,
                     sigma_threshold: float = 5.0) -> AnalysisReport:
-    """Estimate all correlators of a record batch and evaluate its inequality."""
+    """Estimate all correlators of a record batch (or its summary) and evaluate its inequality."""
     if mode is None:
         mode = records.kind
     else:
@@ -817,6 +951,20 @@ def report_to_jsonable(report: AnalysisReport) -> dict:
             "verdict": report.bell.verdict,
         },
     }
+
+
+def check_report(report: AnalysisReport, records: "RecordBatch | RecordSummary") -> None:
+    """Raise IntegrityError unless the records give the report's n_trials, estimates and bell block.
+
+    The records are analysed again at the report's own sigma_threshold, and
+    both reports are compared as :func:`report_to_jsonable` writes them.
+    """
+    saved = report_to_jsonable(report)
+    again = report_to_jsonable(analyze_records(records, sigma_threshold=report.sigma_threshold))
+    for key in ("n_trials", "estimates", "bell"):
+        if saved[key] != again[key]:
+            raise IntegrityError(f"report {key} {saved[key]!r} does not match its records, "
+                                 f"which give {again[key]!r}")
 
 
 def report_from_jsonable(doc: Mapping) -> AnalysisReport:

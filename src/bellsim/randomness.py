@@ -60,14 +60,19 @@ class CertificationReport:
     significance_floor: float = SIGNIFICANCE_FLOOR
 
 
+def _bits_of(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    # per trial s1 then s2, +1 -> 1, -1 -> 0
+    bits = np.empty(2 * s1.size, dtype=np.uint8)
+    bits[0::2] = s1 > 0
+    bits[1::2] = s2 > 0
+    return bits
+
+
 def extract_bits(records: RecordBatch) -> BitString:
     """Bits from outcomes in trial order: per trial s1 then s2, +1 -> 1, -1 -> 0."""
     if len(records) == 0:
         raise ValidationError("cannot extract bits from an empty record set")
-    bits = np.empty(2 * len(records), dtype=np.uint8)
-    bits[0::2] = records.s1 > 0
-    bits[1::2] = records.s2 > 0
-    return BitString(bits, records.sha256())
+    return BitString(_bits_of(records.s1, records.s2), records.sha256())
 
 
 def _as_bit_array(bits) -> np.ndarray:
@@ -79,13 +84,45 @@ def _as_bit_array(bits) -> np.ndarray:
     return arr
 
 
+@dataclass
+class BitCounts:
+    """All that the frequency and runs tests read of a bit string, counted a step at a time.
+
+    ``transitions`` counts the adjacent pairs that differ, also the pair
+    across two steps, for which the last bit of a step is kept.
+    """
+
+    n: int = 0
+    ones: int = 0
+    transitions: int = 0
+    last: int | None = None
+
+    def add(self, bits: np.ndarray) -> None:
+        """Count the next bits of the string (a uint8 array of 0/1)."""
+        if not bits.size:
+            return
+        self.n += bits.size
+        self.ones += int(np.count_nonzero(bits))
+        self.transitions += int(np.count_nonzero(bits[1:] != bits[:-1]))
+        if self.last is not None and int(bits[0]) != self.last:
+            self.transitions += 1
+        self.last = int(bits[-1])
+
+    @classmethod
+    def of(cls, bits) -> "BitCounts":
+        """The counts of a whole bit string (a BitString or a sequence of 0/1)."""
+        counts = cls()
+        counts.add(_as_bit_array(bits))
+        return counts
+
+
 def monobit_test(bits) -> float:
-    """Frequency test: p = erfc(|#ones - #zeros| / sqrt(2n))."""
-    arr = _as_bit_array(bits)
-    n = arr.size
+    """Frequency test: p = erfc(|#ones - #zeros| / sqrt(2n)); ``bits`` may also be their BitCounts."""
+    counts = bits if isinstance(bits, BitCounts) else BitCounts.of(bits)
+    n = counts.n
     if n < MIN_BITS:
         raise ValidationError(f"monobit test needs at least {MIN_BITS} bits, got {n}")
-    s = 2 * int(np.count_nonzero(arr)) - n
+    s = 2 * counts.ones - n
     return math.erfc(abs(s) / math.sqrt(2.0 * n))
 
 
@@ -94,16 +131,17 @@ def runs_test(bits) -> RunsTestResult:
 
     Requires at least MIN_BITS bits and a ones proportion pi with
     |pi - 1/2| < 2/sqrt(n); otherwise the test is reported not applicable
-    (the frequency test already fails such sequences).
+    (the frequency test already fails such sequences).  ``bits`` may also be
+    their BitCounts.
     """
-    arr = _as_bit_array(bits)
-    n = arr.size
+    counts = bits if isinstance(bits, BitCounts) else BitCounts.of(bits)
+    n = counts.n
     if n < MIN_BITS:
         return RunsTestResult(False, None, None, f"needs at least {MIN_BITS} bits, got {n}")
-    pi = int(np.count_nonzero(arr)) / n
+    pi = counts.ones / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return RunsTestResult(False, None, None, f"ones proportion {pi:.6f} too far from 1/2")
-    v = 1 + int(np.count_nonzero(np.diff(arr)))
+    v = 1 + counts.transitions
     p = math.erfc(abs(v - 2.0 * n * pi * (1.0 - pi)) / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)))
     return RunsTestResult(True, p, v)
 
@@ -112,13 +150,14 @@ def certify(records: RecordBatch, report: AnalysisReport) -> CertificationReport
     """Certify the bits of a run, keyed to the inequality verdict of its report.
 
     The bits are extracted with :func:`extract_bits` and judged by
-    :func:`certify_bits`.
+    :func:`certify_counts`.
     """
-    return certify_bits(extract_bits(records), report)
+    bits = extract_bits(records)
+    return certify_counts(BitCounts.of(bits), bits.records_sha256, report)
 
 
-def certify_bits(bits: BitString, report: AnalysisReport) -> CertificationReport:
-    """Certify extracted bits, keyed to the inequality verdict of their run's report.
+def certify_counts(counts: BitCounts, records_sha256: str, report: AnalysisReport) -> CertificationReport:
+    """Certify a bit string from its counts, keyed to the inequality verdict of its run's report.
 
     The report must have been produced from exactly the records the bits
     came from (checked by hash).  Certified means: verdict is a violation
@@ -126,14 +165,13 @@ def certify_bits(bits: BitString, report: AnalysisReport) -> CertificationReport
     caveat flag set: the violation is then produced by a contextual model
     and certification rests entirely on the no-conspiracy assumption.
     """
-    records_hash = bits.records_sha256
-    if records_hash != report.records_sha256:
+    if records_sha256 != report.records_sha256:
         raise IntegrityError(
-            f"records hash {records_hash[:12]}... does not match the report's "
+            f"records hash {records_sha256[:12]}... does not match the report's "
             f"{report.records_sha256[:12]}..."
         )
-    p_mono = monobit_test(bits)
-    runs = runs_test(bits)
+    p_mono = monobit_test(counts)
+    runs = runs_test(counts)
     certified = (
         report.bell.verdict == "violation"
         and p_mono >= SIGNIFICANCE_FLOOR
@@ -146,9 +184,9 @@ def certify_bits(bits: BitString, report: AnalysisReport) -> CertificationReport
         bell_value=report.bell.value,
         monobit_p=p_mono,
         runs=runs,
-        n_bits=len(bits),
-        records_sha256=records_hash,
-        extraction_rule=bits.extraction_rule,
+        n_bits=counts.n,
+        records_sha256=records_sha256,
+        extraction_rule=EXTRACTION_RULE,
         conspiracy_caveat=report.mode.startswith("conspiracy"),
     )
 
@@ -171,16 +209,52 @@ def certification_to_jsonable(cert: CertificationReport) -> dict:
     }
 
 
+class _BitLines:
+    """bits.txt written a step at a time: 64 bits a line, a partial line carried into the next step."""
+
+    WIDTH = 64
+
+    def __init__(self, f):
+        self._f = f
+        self._rest = np.empty(0, dtype=np.uint8)  # the chars of a line not yet full
+        self._lines = 0
+
+    def write(self, bits: np.ndarray) -> None:
+        width = self.WIDTH
+        chars = np.concatenate((self._rest, (bits > 0).view(np.uint8) + ord("0")))
+        full = chars.size // width
+        lines = np.empty((full, width + 1), dtype=np.uint8)
+        lines[:, :width] = chars[:full * width].reshape(full, width)
+        lines[:, width] = ord("\n")
+        self._f.write(lines)
+        self._rest = chars[full * width:].copy()
+        self._lines += full
+
+    def finish(self) -> None:
+        """End the file: the partial last line, or a lone newline if there were no bits."""
+        if self._rest.size or not self._lines:
+            self._f.write(self._rest.tobytes() + b"\n")
+
+
 def write_bits(bits: BitString, path) -> None:
     """Write bits as ASCII '0'/'1' lines, 64 bits per line; no bits give a lone newline."""
-    width = 64
-    chars = (bits.bits > 0).view(np.uint8) + ord("0")
-    full = chars.size // width
-    lines = np.empty((full, width + 1), dtype=np.uint8)
-    lines[:, :width] = chars[:full * width].reshape(full, width)
-    lines[:, width] = ord("\n")
-    rest = chars[full * width:]
     with open(path, "wb") as f:
-        f.write(lines)
-        if rest.size or not full:
-            f.write(rest.tobytes() + b"\n")
+        lines = _BitLines(f)
+        lines.write(bits.bits)
+        lines.finish()
+
+
+def stream_bits(steps, f) -> BitCounts:
+    """Extract, count and write the bits of (lo, codes, s1, s2) record steps, one step at a time.
+
+    The bytes written to the open binary file ``f`` are those
+    :func:`write_bits` writes for the whole run; the counts are those
+    :func:`monobit_test` and :func:`runs_test` read.
+    """
+    counts, lines = BitCounts(), _BitLines(f)
+    for _, _, s1, s2 in steps:
+        bits = _bits_of(s1, s2)
+        counts.add(bits)
+        lines.write(bits)
+    lines.finish()
+    return counts

@@ -1,14 +1,19 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-import bellsim.cli as cli
+import bellsim.protocol as protocol
 import bellsim.randomness as randomness
 from bellsim.cli import main
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.hidden_variables import random_finite_model, write_model
+from bellsim.protocol import (ExperimentConfig, RecordBatch, analyze_records, report_to_jsonable,
+                              run_experiment)
+from bellsim.randomness import certification_to_jsonable, certify, extract_bits, write_bits
 
 
 def write_config(path, **overrides):
@@ -33,6 +38,22 @@ def run_pipeline(tmp_path, **overrides):
     return cfg, out
 
 
+def stage_argv(stage, out, cfg=None, mode="qm_sequential", threads=1):
+    if stage == "run":
+        return ["run", "--config", str(cfg), "--out-dir", str(out), "--threads", str(threads)]
+    if stage == "analyze":
+        return ["analyze", "--records", str(out / "records.csv"), "--mode", mode, "--out-dir", str(out)]
+    return ["certify", "--records", str(out / "records.csv"), "--report", str(out / "report.json"),
+            "--out-dir", str(out)]
+
+
+def no_partial_files(out):
+    return not out.exists() or not list(out.glob("*.partial"))
+
+
+STAGES = ["run", "analyze", "certify"]
+
+
 class TestRun:
     def test_writes_records_and_manifest(self, tmp_path, capsys):
         _, out = run_pipeline(tmp_path)
@@ -43,6 +64,29 @@ class TestRun:
         assert manifest["artifact"] == "bellsim"
         assert manifest["config"]["n_trials"] == 6000
         assert manifest["records_sha256"] == hashlib.sha256((out / "records.csv").read_bytes()).hexdigest()
+
+    def test_manifest_explains_the_run(self, tmp_path):
+        cfg, out = run_pipeline(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings, environment = manifest["timings"], manifest["environment"]
+        assert set(timings) == {"run_s", "trials_per_s", "peak_rss_mb"}
+        assert timings["run_s"] > 0 and timings["trials_per_s"] > 0
+        assert timings["peak_rss_mb"] is None or timings["peak_rss_mb"] > 0
+        assert manifest["duration_seconds"] == timings["run_s"]
+        assert set(environment) == {"python", "numpy", "platform", "nproc", "threads"}
+        assert environment["numpy"] == np.__version__ and environment["threads"] == 1
+        config = ExperimentConfig.from_dict(json.loads(cfg.read_text()))
+        assert manifest["records_sha256"] == run_experiment(config).sha256()
+
+    def test_runs_where_the_c_library_has_no_mallopt(self, tmp_path, monkeypatch):
+        import ctypes
+
+        def no_c_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_c_library)
+        _, out = run_pipeline(tmp_path)
+        assert (out / "records.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg, out1 = run_pipeline(tmp_path)
@@ -100,6 +144,8 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         assert f"lambdas[1] {field}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "records.csv").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert no_partial_files(tmp_path / "out")
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 2
@@ -175,20 +221,22 @@ class TestCertify:
         assert all(len(line) == 64 for line in lines[:-1])
         assert sum(len(line) for line in lines) == 120_000
 
-    def test_bits_are_extracted_once(self, tmp_path, monkeypatch):
+    def test_every_trials_bits_are_extracted_once(self, tmp_path, monkeypatch):
         out = self.run_analyze(tmp_path, n_trials=6000)
-        calls = []
-        extract = randomness.extract_bits
+        whole = extract_bits(RecordBatch.from_csv(out / "records.csv")).bits
+        steps = []
+        bits_of = randomness._bits_of
 
-        def counted(records):
-            calls.append(len(records))
-            return extract(records)
+        def logged(s1, s2):
+            steps.append(bits_of(s1, s2))
+            return steps[-1]
 
-        monkeypatch.setattr(cli, "extract_bits", counted)
-        monkeypatch.setattr(randomness, "extract_bits", counted)
+        monkeypatch.setattr(protocol, "_CHUNK", 1000)
+        monkeypatch.setattr(randomness, "_bits_of", logged)
         assert main(["certify", "--records", str(out / "records.csv"),
                      "--report", str(out / "report.json"), "--out-dir", str(out)]) == 0
-        assert calls == [6000]
+        assert [bits.size // 2 for bits in steps] == [1000] * 6  # trials 0..5999, one step at a time
+        assert np.array_equal(np.concatenate(steps), whole)  # each trial once, in order
 
     def test_conspiracy_caveat_flag(self, tmp_path):
         out = self.run_analyze(tmp_path, mode="conspiracy:qm-mimic", n_trials=60_000)
@@ -208,6 +256,51 @@ class TestCertify:
                      "--report", str(out / "report.json"), "--out-dir", str(out)])
         assert code == 3
         assert "integrity" in capsys.readouterr().err
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+        assert no_partial_files(out)
+
+    def test_hand_set_violation_fails_the_recheck(self, tmp_path, capsys):
+        # the sign model saturates the bound: B = 1.00307 here, inconclusive
+        out = self.run_analyze(tmp_path, mode="hv:sign-model", n_trials=200_000,
+                               selector_seed=1, outcome_seed=2)
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        assert doc["bell"]["verdict"] == "inconclusive"
+        doc["bell"]["verdict"] = "violation"
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 3
+        assert "integrity error: report bell" in capsys.readouterr().err
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+        assert no_partial_files(out)
+
+    @pytest.mark.parametrize("path,value", [
+        (("n_trials",), 5999),
+        (("estimates", "AB", "n"), 1),
+        (("estimates", "BC", "mean"), 0.5),
+        (("bell", "value"), 2.0),
+        (("bell", "sigma_excess"), None),
+    ])
+    def test_report_that_its_records_do_not_give_fails_integrity(self, tmp_path, capsys, path, value):
+        out = self.run_analyze(tmp_path, n_trials=6000)
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        *parents, key = path
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        report.write_text(json.dumps(doc))
+        assert main(stage_argv("certify", out)) == 3
+        assert not (out / "certification.json").exists()
+
+    def test_failed_move_leaves_no_new_outputs(self, tmp_path, capsys):
+        out = self.run_analyze(tmp_path, n_trials=6000)
+        (out / "bits.txt").mkdir()  # the partial bits file cannot replace a directory
+        assert main(stage_argv("certify", out)) == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert not (out / "certification.json").exists()
+        assert no_partial_files(out)
 
     @pytest.mark.parametrize("path,value,named", [
         (("estimates",), [], "'estimates' must be a JSON object"),
@@ -231,6 +324,48 @@ class TestCertify:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not (out / "certification.json").exists()
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
+    @pytest.mark.parametrize("mode,directions", [("qm_sequential", max_violation_triple()),
+                                                  ("qm_singlet", tsirelson_quadruple())])
+    def test_outputs_equal_the_library_rendering(self, tmp_path, monkeypatch, threads, mode, directions):
+        # 257-trial steps give 514 bits each, so bits.txt carries part of a line across steps
+        monkeypatch.setattr(protocol, "_CHUNK", 257)
+        cfg = write_config(tmp_path / "cfg.json", mode=mode, n_trials=3000,
+                           directions=[[d.x, d.y, d.z] for d in directions])
+        out = tmp_path / "out"
+        for stage in STAGES:
+            assert main(stage_argv(stage, out, cfg, mode=mode, threads=threads)) == 0
+        batch = run_experiment(ExperimentConfig.from_dict(json.loads(cfg.read_text())))
+        report = analyze_records(batch, mode=mode)
+        write_bits(extract_bits(batch), tmp_path / "bits.txt")
+        assert (out / "records.csv").read_bytes() == batch.to_csv_bytes()
+        assert (out / "report.json").read_text() == json.dumps(report_to_jsonable(report), indent=2) + "\n"
+        assert (out / "bits.txt").read_bytes() == (tmp_path / "bits.txt").read_bytes()
+        cert = certification_to_jsonable(certify(batch, report))
+        assert (out / "certification.json").read_text() == json.dumps(cert, indent=2) + "\n"
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stage_memory_does_not_grow_with_the_trials(self, tmp_path, monkeypatch, capsys, stage):
+        monkeypatch.setattr(protocol, "_CHUNK", 1024)
+
+        def peak(n_trials):
+            cfg = write_config(tmp_path / f"cfg-{n_trials}.json", n_trials=n_trials)
+            out = tmp_path / str(n_trials)
+            for before in STAGES[:STAGES.index(stage)]:
+                assert main(stage_argv(before, out, cfg)) == 0
+            tracemalloc.start()
+            try:
+                assert main(stage_argv(stage, out, cfg)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8192)  # first calls allocate what later calls reuse
+        small, large = peak(8192), peak(65536)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestOracle:

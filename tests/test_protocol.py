@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,27 @@ class TestRunExperiment:
         assert chunked == whole
         assert threaded == whole
         assert threaded.sha256() == whole.sha256()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_spans_run_at_most_two_per_thread_ahead(self, monkeypatch, threads):
+        monkeypatch.setattr(protocol, "_CHUNK", 100)
+        started = []
+        context_codes = protocol.context_codes
+
+        def logged(*args):
+            started.append(args[1])
+            return context_codes(*args)
+
+        monkeypatch.setattr(protocol, "context_codes", logged)
+        spans = protocol.run_spans(temporal_config(n_trials=5000), threads=threads)
+        lo, codes, *_ = next(spans)
+        time.sleep(0.05)  # time for a pool without a bound to run ahead
+        assert lo == 0 and codes.size == 100
+        assert len(started) <= (2 * threads if threads > 1 else 1)
+        spans.close()
+        whole = np.concatenate([span[1] for span in protocol.run_spans(temporal_config(n_trials=5000),
+                                                                       threads=threads)])
+        assert np.array_equal(whole, run_experiment(temporal_config(n_trials=5000)).codes)
 
     @pytest.mark.parametrize("rejected_trial", [300, 1234, 1999])
     def test_rejected_draw_in_a_later_span(self, monkeypatch, rejected_trial):

@@ -15,6 +15,7 @@ from bellsim.protocol import (
 )
 from bellsim.randomness import (
     EXTRACTION_RULE,
+    BitCounts,
     certification_to_jsonable,
     certify,
     extract_bits,
@@ -109,6 +110,20 @@ class TestRunsTest:
         bits = rng.integers(0, 2, size=20_000).astype(np.uint8)
         result = runs_test(bits)
         assert result.applicable and result.p_value >= 0.01
+
+
+class TestBitCounts:
+    @pytest.mark.parametrize("step", [1, 63, 64, 65, 500])
+    def test_counts_of_steps_equal_the_counts_of_the_whole(self, rng, step):
+        bits = rng.integers(0, 2, 1000).astype(np.uint8)
+        stepped = BitCounts()
+        for lo in range(0, bits.size, step):
+            stepped.add(bits[lo:lo + step])
+        whole = BitCounts.of(bits)
+        assert stepped == whole
+        assert whole.transitions == np.count_nonzero(np.diff(bits))
+        assert monobit_test(stepped) == monobit_test(bits)
+        assert runs_test(stepped) == runs_test(bits)
 
 
 class TestCertify:

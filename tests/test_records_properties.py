@@ -171,7 +171,7 @@ def reads(monkeypatch):
 @pytest.fixture
 def streamed(monkeypatch):
     """Fail any load that leaves the streamed path for the line-by-line parser."""
-    def fell_back(data):
+    def fell_back(*args):
         raise AssertionError("fell back to the line-by-line parser")
 
     monkeypatch.setattr(protocol, "_parse_lines", fell_back)
@@ -244,9 +244,28 @@ def test_long_line_falls_back_after_one_step(monkeypatch, tmp_path, reads):
     path.write_bytes(f"{RECORDS_HEADER}\n{' ' * 2_000_000}0,AB,1,2,1,-1\n1,BC,2,3,-1,1\n".encode())
     loaded = RecordBatch.from_csv(path)
     assert loaded.trial.tolist() == [0, 1] and loaded.s2.tolist() == [-1, 1]
-    streamed_bytes = sum(len(data) for size, data in reads if size != -1)
-    assert streamed_bytes < 200  # one step's worth, then one read of the whole file
-    assert [size for size, _ in reads].count(-1) == 1
+    assert len(reads[0][1]) < 200  # one step's worth first
+    assert all(size != -1 for size, _ in reads)  # the file is never read whole ...
+    assert len(reads) < 40  # ... and the long line in reads that double in size
+
+
+@pytest.mark.parametrize("row", [499, 250, 0])
+def test_only_the_step_that_differs_is_parsed_line_by_line(monkeypatch, tmp_path, row):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
+    lines = path.read_bytes().split(b"\n")
+    lines[row + 1] = b"0" + lines[row + 1]  # a leading zero: valid, not canonical
+    path.write_bytes(b"\n".join(lines))
+    calls = []
+    parse = protocol._parse_lines
+
+    def logged(data, line=1, kind=None):
+        calls.append(line)
+        return parse(data, line, kind)
+
+    monkeypatch.setattr(protocol, "_parse_lines", logged)
+    assert_loads_as(path, batch)
+    first = row - row % 7
+    assert calls == [first + 2 if first else 1]  # the file's line of the step's first row (or header)
 
 
 def test_canonical_file_is_never_read_whole(monkeypatch, tmp_path, reads, streamed):

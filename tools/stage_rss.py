@@ -1,0 +1,89 @@
+"""Peak memory of each CLI stage at 3 M and at 30 M trials, each stage in a fresh process.
+
+    PYTHONPATH=src python tools/stage_rss.py
+
+Runs the README config through `bellsim run`, `analyze` and `certify` at
+both sizes, prints each stage's wall time and peak resident set size
+(``ru_maxrss`` of its own process), and exits 1 if any stage fails, or if a
+30 M-trial stage peaks above 1.1 times its 3 M-trial peak or above 100 MB.
+The work files (about 0.5 GB at 30 M trials) go to a temporary directory.
+
+On Linux a child's ru_maxrss starts at the high-water mark of the process
+that exec'd it, so this script imports nothing large (not numpy) and
+allocates nothing large before it starts the children.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SIZES = (3_000_000, 30_000_000)
+GROWTH_LIMIT = 1.1  # a 30 M stage's peak over its 3 M peak, at most
+PEAK_LIMIT_MB = 100.0
+
+README_CONFIG = {
+    "mode": "qm_sequential",
+    "directions": [[-0.7071067811865475, 0.0, 0.7071067811865475],
+                   [0.0, 0.0, 1.0],
+                   [1.0, 0.0, 0.0]],
+    "selector_seed": "0xB0E1",
+    "outcome_seed": 12648430,
+    "sigma_threshold": 5.0,
+}
+
+
+def stage(argv: list[str]) -> tuple[int, float, float]:
+    """Exit code, wall seconds and peak RSS in MB of one `bellsim` stage in a fresh process."""
+    started = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "bellsim.cli", *argv], stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    peak_kib = usage.ru_maxrss * (1 / 1024 if sys.platform == "darwin" else 1)  # bytes on macOS
+    return proc.returncode, time.perf_counter() - started, peak_kib / 1024
+
+
+def pipeline(work: Path, n_trials: int) -> dict[str, tuple[int, float, float]]:
+    out = work / str(n_trials)
+    config = work / f"config-{n_trials}.json"
+    config.write_text(json.dumps(dict(README_CONFIG, n_trials=n_trials)), encoding="utf-8")
+    records, report = str(out / "records.csv"), str(out / "report.json")
+    stages = {
+        "run": ["run", "--config", str(config), "--out-dir", str(out)],
+        "analyze": ["analyze", "--records", records, "--mode", README_CONFIG["mode"], "--out-dir", str(out)],
+        "certify": ["certify", "--records", records, "--report", report, "--out-dir", str(out)],
+    }
+    results = {}
+    for name, argv in stages.items():
+        results[name] = stage(argv)
+        code, seconds, peak = results[name]
+        print(f"{n_trials:>11,} {name:8s} exit {code}  {seconds:7.2f} s  {peak:7.1f} MB", flush=True)
+    return results
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="stage-rss-") as tmp:
+        small, large = (pipeline(Path(tmp), n) for n in SIZES)
+    problems = []
+    for name, (code, _, peak) in large.items():
+        base = small[name][2]
+        if code != 0 or small[name][0] != 0:
+            problems.append(f"{name}: exit {small[name][0]} at {SIZES[0]:,}, {code} at {SIZES[1]:,} trials")
+        if peak > GROWTH_LIMIT * base:
+            problems.append(f"{name}: {peak:.1f} MB at {SIZES[1]:,} trials is above {GROWTH_LIMIT} x "
+                            f"its {base:.1f} MB at {SIZES[0]:,}")
+        if peak > PEAK_LIMIT_MB:
+            problems.append(f"{name}: {peak:.1f} MB at {SIZES[1]:,} trials is above {PEAK_LIMIT_MB:.0f} MB")
+    for problem in problems:
+        print(f"FAIL {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
