@@ -30,6 +30,7 @@ from .protocol import (
     _json_float,
     analyze_records,
     check_report,
+    check_sigma_threshold,
     load_config,
     load_report,
     make_sampler,
@@ -137,6 +138,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    check_sigma_threshold(args.sigma_threshold, "--sigma-threshold")  # before the records are read
     records = RecordSummary.from_csv(args.records)
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
     out = _out_dir(args)
@@ -210,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--mode", default=None,
                       help="mode label for the report (default: inferred geometry)")
     p_an.add_argument("--sigma-threshold", type=float, default=5.0,
-                      help="significance threshold k for the violation verdict (default 5)")
+                      help="significance threshold k for the violation verdict, positive and finite "
+                           "(default 5)")
     p_an.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p_an.set_defaults(func=cmd_analyze)
 

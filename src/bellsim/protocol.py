@@ -132,9 +132,7 @@ class ExperimentConfig:
             raise ValidationError(f"config key 'n_trials' must be >= 1, got {self.n_trials}")
         for key in ("selector_seed", "outcome_seed"):  # stored parsed, so "0xAB" and 0xAB are one config
             object.__setattr__(self, key, validate_seed(getattr(self, key), key))
-        k = self.sigma_threshold
-        if not isinstance(k, (int, float)) or isinstance(k, bool) or not math.isfinite(k) or k <= 0:
-            raise ValidationError("config key 'sigma_threshold' must be a positive finite number")
+        check_sigma_threshold(self.sigma_threshold, "config key 'sigma_threshold'")
         if self.selector_algorithm != SELECTOR_ALGORITHM:
             raise ValidationError(
                 f"config key 'selector_algorithm': only {SELECTOR_ALGORITHM!r} is available, "
@@ -202,6 +200,13 @@ class ExperimentConfig:
         }
 
 
+def check_sigma_threshold(k, name: str = "sigma_threshold") -> float:
+    """k as a float if it is a positive finite number; else a ValidationError naming it."""
+    if not isinstance(k, (int, float)) or isinstance(k, bool) or not math.isfinite(k) or k <= 0:
+        raise ValidationError(f"{name} must be a positive finite number, got {k!r}")
+    return float(k)
+
+
 def load_config(path) -> ExperimentConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -255,6 +260,18 @@ _MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row 
 _TAIL_WIDTH = max(tails.shape[1] for tails in _TAILS.values())  # the longest tail of either kind
 
 
+def _slot_table(table: Mapping[str, tuple[int, int]]) -> np.ndarray:
+    # context code by slot_x byte << 8 | slot_y byte; 255 where no context has those slots
+    codes = np.full(1 << 16, 255, dtype=np.uint8)
+    for code, (sx, sy) in enumerate(table.values()):
+        codes[ord(str(sx)) << 8 | ord(str(sy))] = code
+    codes.flags.writeable = False
+    return codes
+
+
+_CODE_OF_SLOTS = {kind: _slot_table(table) for kind, table in _KIND_TABLES.items()}
+
+
 def _outcome_key(codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     # code * 4 + (s1 > 0) * 2 + (s2 > 0): a trial's row in the tail and count tables
     return codes * np.uint8(4) + (s1 > 0) * np.uint8(2) + (s2 > 0)
@@ -270,29 +287,55 @@ def _render_rows(kind: str, lo: int, codes: np.ndarray, s1: np.ndarray, s2: np.n
 
     Every row is laid out in one fixed-width byte grid (right-aligned trial
     digits, tail), with NUL where a row is shorter than the grid; dropping
-    the NULs leaves the rows back to back.
+    the NULs leaves the rows back to back.  Each digit column and the tails
+    are written straight into the grid.
     """
     tails = _TAILS[kind]
     m = codes.size
     top = lo + m - 1
     width, shortest = len(str(top)), len(str(lo))
-    digits = np.empty((width, m), dtype=np.uint8)
+    buf = bytearray(m * (width + tails.shape[1]))
+    grid = np.frombuffer(buf, np.uint8).reshape(m, -1)
     q = np.arange(lo, top + 1, dtype=np.uint32 if top < 1 << 32 else np.uint64)
     for d in range(1, width + 1):  # d-th digit from the right
         above = q // 10
-        np.add(q - above * 10, ord("0"), out=digits[-d], casting="unsafe")
+        column = grid[:, width - d]
+        np.add(q - above * 10, ord("0"), out=column, casting="unsafe")
         if d > shortest:  # a leading position in some rows: NUL where the number is shorter
-            digits[-d] *= q > 0
+            column *= q > 0
         q = above
-    buf = bytearray(m * (width + tails.shape[1]))
-    grid = np.frombuffer(buf, np.uint8).reshape(m, -1)
-    grid[:, :width] = digits.T
     grid[:, width:] = tails.take(_outcome_key(codes, s1, s2), axis=0)
     return buf.translate(None, b"\0")
 
 
+_CRLF = int.from_bytes(b"\r\n", "little")
+_WORDS = 1 << 16  # byte pairs compared at a time, so the comparison masks stay small
+
+
+def _crlf_count(data: bytes) -> int:
+    # "\r\n" pairs, counted as 2-byte words at even and at odd offsets (no two pairs overlap)
+    n = 0
+    for offset in (0, 1):
+        words = np.frombuffer(data, "<u2", count=(len(data) - offset) // 2, offset=offset)
+        for i in range(0, words.size, _WORDS):
+            n += int(np.count_nonzero(words[i:i + _WORDS] == _CRLF))
+    return n
+
+
 def _to_lf(data: bytes) -> bytes:
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+    """data with each CRLF and each lone CR read as LF, but a CR that ends it dropped.
+
+    Whether a final CR ends a line on its own depends on the byte after it.
+    """
+    if b"\r" not in data:
+        return data
+    held = data.endswith(b"\r")
+    pairs = _crlf_count(data)
+    if pairs:
+        lf = data.translate(None, b"\r")
+        if len(data) - len(lf) == pairs + held:  # each CR but a final one was that of a CRLF
+            return lf
+    return data[:len(data) - held].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 class RecordReader:
@@ -304,43 +347,59 @@ class RecordReader:
     step.  Only one step's bytes are held.
 
     A step first tries the canonical path: it reads until it holds as many
-    bytes as _CHUNK canonical rows can take, or the rest of the file, maps
-    line ends to LF (a CR that ends a read waits for the next byte, which may
-    make it a CRLF), reads each row's outcomes and slots from its last bytes,
-    counted back from its newline, takes its trial to be its index, and
-    accepts the rows only if rendering them again gives back exactly their
-    bytes.  A step that differs (another valid spelling, a line longer than
-    any canonical row, or an error) goes through the line-by-line parser
-    instead, which cites the file's line of the first error; its rows are
-    hashed as rendered from their columns, and the next step tries the
-    canonical path again.
+    bytes as _CHUNK canonical rows can take, or the rest of the file (one
+    read, also for CRLF line ends, unless the file ends), maps line ends to
+    LF (a CR that ends a read waits for the next byte, which may make it a
+    CRLF), reads each row's outcomes and slots from its last bytes, counted
+    back from its newline within those bytes, takes its trial to be its
+    index, and accepts the rows only if rendering them again gives back
+    exactly their bytes.  A step that differs (another valid spelling, a
+    line longer than any canonical row, or an error) goes through the
+    line-by-line parser instead, which cites the file's line of the first
+    error; its rows are hashed as rendered from their columns, and the next
+    step tries the canonical path again.
     """
 
     def __init__(self, f):
         self._f = f
-        self._buf, self._held, self._eof = b"", b"", False  # LF-mapped bytes not yet in a step
+        self._buf, self._eof = b"", False  # LF-mapped bytes not yet in a step
+        self._held = False  # the last read ended in a CR, which _to_lf dropped
         self._digest = hashlib.sha256()
         self._counts = 0
         self.kind: str | None = None
         self.n = 0
 
     def _fill(self, size: int) -> None:
-        # read until the buffer holds `size` bytes or the file ends
-        while len(self._buf) < size and not self._eof:
-            raw = self._f.read(size - len(self._buf))
+        # read until the buffer holds `size` bytes or the file ends; a read asks for the missing
+        # bytes and one more per row they can hold, for a CRLF file's CRs, so one read fills a
+        # step, and the LF-mapped pieces are joined once
+        pieces = [self._buf] if self._buf else []
+        have = len(self._buf)
+        while have < size and not self._eof:
+            missing = size - have
+            raw = self._f.read(missing + missing // _MIN_ROW + 1)
             self._eof = not raw
-            block = self._held + raw
-            self._held = b"\r" if raw.endswith(b"\r") else b""
-            self._buf += _to_lf(block[:len(block) - len(self._held)])
+            if self._held and not raw.startswith(b"\n"):  # that CR ended a line on its own
+                pieces.append(b"\n")
+                have += 1
+            self._held = raw.endswith(b"\r")
+            pieces.append(_to_lf(raw))
+            have += len(pieces[-1])
+        self._buf = b"".join(pieces)
 
-    def _canonical_step(self, start: int):
-        """(kind, codes, s1, s2, end) of the rows after buf[:start], hashed, if canonical; else None."""
+    def _canonical_step(self, start: int, size: int):
+        """(kind, codes, s1, s2, end) of the rows in buf[start:size], hashed, if canonical; else None.
+
+        ``size`` is the most bytes that the header and _CHUNK canonical rows can take.
+        """
         if not (self.n or self._buf.startswith(_HEADER_LINE)):
             return None
-        body = np.frombuffer(self._buf, np.uint8, offset=start)
-        ends = np.flatnonzero(body == ord("\n"))[:_CHUNK]
+        usable = min(size, len(self._buf))
+        body = np.frombuffer(self._buf, np.uint8, count=usable - start, offset=start)
+        # int32 positions (a step's bytes are far fewer than 2**31) halve the index arrays below
+        ends = np.flatnonzero(body == ord("\n"))[:_CHUNK].astype(np.int32)
         m = ends.size
-        if not m or (m < _CHUNK and not self._eof):
+        if not m or (m < _CHUNK and not (self._eof and usable == len(self._buf))):
             return None  # no row end, or a line longer than any canonical row
         kind = self.kind if self.n else _KIND_OF_ROW0.get(body[:ends[0] + 1].tobytes())
         if kind is None or np.diff(ends, prepend=-1).min() < _MIN_ROW:
@@ -349,10 +408,8 @@ class RecordReader:
         comma2 = ends - 2 - s2_neg
         s1_neg = body[comma2 - 2] == ord("-")
         comma1 = comma2 - 2 - s1_neg
-        slot_x, slot_y = body[comma1 - 3], body[comma1 - 1]
-        codes = np.full(m, 255, dtype=np.uint8)
-        for code, (sx, sy) in enumerate(_KIND_TABLES[kind].values()):
-            codes[(slot_x == ord(str(sx))) & (slot_y == ord(str(sy)))] = code
+        slots = body[comma1 - 3].astype(np.uint16) << 8 | body[comma1 - 1]
+        codes = _CODE_OF_SLOTS[kind].take(slots)
         if codes.max() == 255:
             return None
         s1, s2 = 1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8)
@@ -387,10 +444,11 @@ class RecordReader:
     def __iter__(self):
         while True:
             start = 0 if self.n else len(_HEADER_LINE)  # the first step also holds the header
-            self._fill(start + _CHUNK * (len(str(self.n + _CHUNK - 1)) + _TAIL_WIDTH))
+            size = start + _CHUNK * (len(str(self.n + _CHUNK - 1)) + _TAIL_WIDTH)
+            self._fill(size)
             if self.n and self._eof and not self._buf:
                 return
-            kind, codes, s1, s2, end = self._canonical_step(start) or self._parsed_step()
+            kind, codes, s1, s2, end = self._canonical_step(start, size) or self._parsed_step()
             self.kind = kind
             self._counts += np.bincount(_outcome_key(codes, s1, s2), minlength=4 * len(_KIND_TABLES[kind]))
             self._buf = self._buf[end:]
@@ -705,10 +763,11 @@ def run_spans(config: ExperimentConfig, model=None, state0: QubitState | None = 
     at least one per thread.  A span draws its contexts from the selector
     state its first trial starts at, and its uniforms from the trial indices,
     so neither the split nor the thread pool over the spans can change the
-    records; ``counts`` is the span's outcome-count table.  With more than
-    one thread, at most 2 x threads spans are submitted ahead of the consumer.
-    Given ``columns``, three arrays (codes, s1, s2) of n_trials each, every
-    span is written into them where it is computed, and yields views of them.
+    records.  With more than one thread, at most 2 x threads spans are
+    submitted ahead of the consumer.  Given ``columns``, three arrays (codes,
+    s1, s2) of n_trials each, every span is written into them and counted
+    where it is computed, and yields views of them and its outcome-count
+    table as ``counts``; without, ``counts`` is None.
     """
     contexts = config.context_set()
     sampler = make_sampler(config, contexts, model=model, state0=state0)
@@ -719,10 +778,11 @@ def run_spans(config: ExperimentConfig, model=None, state0: QubitState | None = 
         codes = context_codes(state_after(config.selector_seed, lo, k), hi - lo, k)
         u = trial_uniforms(config.outcome_seed, lo, hi, n_draws=2)
         s1, s2 = sampler.run(codes, u[0], u[1])
-        if columns is not None:
-            for column, values in zip(columns, (codes, s1, s2)):
-                column[lo:hi] = values
-            codes, s1, s2 = (column[lo:hi] for column in columns)
+        if columns is None:
+            return lo, codes, s1, s2, None
+        for column, values in zip(columns, (codes, s1, s2)):
+            column[lo:hi] = values
+        codes, s1, s2 = (column[lo:hi] for column in columns)
         return lo, codes, s1, s2, _count_table(k, codes, s1, s2)
 
     n_spans = min(max(-(-n // _CHUNK), n_threads), n)
@@ -914,6 +974,7 @@ class AnalysisReport:
 def analyze_records(records: "RecordBatch | RecordSummary", mode: str | None = None,
                     sigma_threshold: float = 5.0) -> AnalysisReport:
     """Estimate all correlators of a record batch (or its summary) and evaluate its inequality."""
+    check_sigma_threshold(sigma_threshold)
     if mode is None:
         mode = records.kind
     else:
@@ -981,15 +1042,15 @@ def report_from_jsonable(doc: Mapping) -> AnalysisReport:
             raise ValidationError(f"malformed analysis report: 'verdict' must be one of "
                                   f"{', '.join(_VERDICTS)}, got {b['verdict']!r}")
         sigma_excess = b["sigma_excess"]
+        k = check_sigma_threshold(doc["sigma_threshold"], "malformed analysis report: 'sigma_threshold'")
         bell = BellReport(
             b["quantity"], float(b["value"]), float(b["bound"]), float(b["stderr"]),
             math.inf if sigma_excess is None and b["verdict"] == "violation"
             else (-math.inf if sigma_excess is None else float(sigma_excess)),
-            b["verdict"], float(doc["sigma_threshold"]),
+            b["verdict"], k,
         )
         return AnalysisReport(
-            str(doc["mode"]), str(doc["records_sha256"]), int(doc["n_trials"]),
-            float(doc["sigma_threshold"]), estimates, bell,
+            str(doc["mode"]), str(doc["records_sha256"]), int(doc["n_trials"]), k, estimates, bell,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed analysis report: {exc!r}") from None

@@ -326,6 +326,38 @@ class TestCertify:
         assert not (out / "certification.json").exists()
 
 
+SIGNIFICANCE_PROBE = dict(mode="hv:sign-model", n_trials=200_000, selector_seed=1, outcome_seed=2)
+
+
+class TestSigmaThreshold:
+    # the sign model at B = 1.00307, about 0.5 standard errors above the bound: any k <= 0.5
+    # would call it a violation and let certify certify its bits
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_flag_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        _, out = run_pipeline(tmp_path, **SIGNIFICANCE_PROBE)
+        capsys.readouterr()
+        assert main(["analyze", "--records", str(out / "records.csv"), "--sigma-threshold", value,
+                     "--out-dir", str(out)]) == 1
+        assert "--sigma-threshold must be a positive finite number" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [0, -1, math.nan, math.inf])
+    def test_report_threshold_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        _, out = run_pipeline(tmp_path, **SIGNIFICANCE_PROBE)
+        assert main(stage_argv("analyze", out, mode="hv:sign-model")) == 0
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        assert doc["bell"]["verdict"] == "inconclusive"
+        doc["sigma_threshold"] = value
+        report.write_text(json.dumps(doc))  # nan and inf as NaN and Infinity, which json reads back
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 1
+        assert "'sigma_threshold' must be a positive finite number" in capsys.readouterr().err
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+        assert no_partial_files(out)
+
+
 class TestStreaming:
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     @pytest.mark.parametrize("mode,directions", [("qm_sequential", max_violation_triple()),
@@ -347,8 +379,11 @@ class TestStreaming:
         cert = certification_to_jsonable(certify(batch, report))
         assert (out / "certification.json").read_text() == json.dumps(cert, indent=2) + "\n"
 
-    @pytest.mark.parametrize("stage", STAGES)
-    def test_stage_memory_does_not_grow_with_the_trials(self, tmp_path, monkeypatch, capsys, stage):
+    @pytest.mark.parametrize("stage,crlf", [*(pytest.param(stage, False, id=stage) for stage in STAGES),
+                                            *(pytest.param(stage, True, id=f"{stage}-crlf")
+                                              for stage in STAGES[1:])])
+    def test_stage_memory_does_not_grow_with_the_trials(self, tmp_path, monkeypatch, capsys, stage, crlf):
+        # with crlf, analyze and certify read a CRLF copy of the records
         monkeypatch.setattr(protocol, "_CHUNK", 1024)
 
         def peak(n_trials):
@@ -356,6 +391,9 @@ class TestStreaming:
             out = tmp_path / str(n_trials)
             for before in STAGES[:STAGES.index(stage)]:
                 assert main(stage_argv(before, out, cfg)) == 0
+                if before == "run" and crlf:
+                    records = out / "records.csv"
+                    records.write_bytes(records.read_bytes().replace(b"\n", b"\r\n"))
             tracemalloc.start()
             try:
                 assert main(stage_argv(stage, out, cfg)) == 0

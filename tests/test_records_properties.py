@@ -195,12 +195,52 @@ def assert_loads_as(path, batch):
     assert np.array_equal(loaded.outcome_counts(), batch.outcome_counts())
 
 
-@pytest.mark.parametrize("chunk", [4, 7, 64])
-def test_crlf_split_across_a_read_boundary(monkeypatch, tmp_path, reads, streamed, chunk):
-    batch, path = small_chunk_batch(monkeypatch, tmp_path, chunk=chunk, n_trials=2000)
+@pytest.mark.parametrize("chunk,n_trials", [(4, 2000), (9, 2000), (64, 5000)])
+def test_crlf_split_across_a_read_boundary(monkeypatch, tmp_path, reads, streamed, chunk, n_trials):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, chunk=chunk, n_trials=n_trials)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert_loads_as(path, batch)
     assert any(data.endswith(b"\r") for _, data in reads[:-1])  # its LF came with the next read
+
+
+@pytest.mark.parametrize("kind", ["temporal", "chsh"])
+def test_crlf_file_takes_one_read_per_step(monkeypatch, tmp_path, reads, streamed, kind):
+    extra = {} if kind == "temporal" else dict(mode="qm_singlet", directions=tsirelson_quadruple())
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, **extra)  # 500 rows in 72 steps of 7
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert_loads_as(path, batch)
+    assert len(reads) <= 72 + 1  # and one more that finds the end
+
+
+def test_mixed_line_ends_load_on_the_streamed_path(monkeypatch, tmp_path, streamed):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
+    lines = path.read_bytes().split(b"\n")  # the header, 500 rows and an empty last piece
+    assert len(lines) == 502
+    # CRLF up to trial 148, a lone CR after trial 149 (the third row of its step), then LF
+    path.write_bytes(b"\r\n".join(lines[:150]) + b"\r\n" + lines[150] + b"\r" + b"\n".join(lines[151:]))
+    assert_loads_as(path, batch)
+
+
+def test_slots_of_no_context_cite_their_line(monkeypatch, tmp_path):
+    _, path = small_chunk_batch(monkeypatch, tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    row = next(i for i in range(300, 500) if b",AB,1,2," in lines[i])
+    lines[row] = lines[row].replace(b",AB,1,2,", b",AB,1,9,")
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValidationError, match=rf"^records line {row + 1}: unknown context/slot combination$"):
+        RecordBatch.from_csv(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"0", b","]), max_size=40),
+       sizes=st.lists(st.integers(1, 8), min_size=1))
+def test_reads_of_any_size_map_line_ends_as_the_whole_file(pieces, sizes):
+    data = b"".join(pieces)
+    reader = protocol.RecordReader(io.BytesIO(data))
+    for i in range(len(data) + 2):  # each fill reads at least once until the end
+        reader._fill(len(reader._buf) + sizes[i % len(sizes)])
+    assert reader._eof
+    assert reader._buf == data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 @pytest.mark.parametrize("kind", ["temporal", "chsh"])

@@ -3,10 +3,13 @@
     PYTHONPATH=src python tools/stage_rss.py
 
 Runs the README config through `bellsim run`, `analyze` and `certify` at
-both sizes, prints each stage's wall time and peak resident set size
-(``ru_maxrss`` of its own process), and exits 1 if any stage fails, or if a
-30 M-trial stage peaks above 1.1 times its 3 M-trial peak or above 100 MB.
-The work files (about 0.5 GB at 30 M trials) go to a temporary directory.
+both sizes, then `analyze` and `certify` again on a CRLF copy of the
+records (a file bellsim did not write), prints each stage's wall time and
+peak resident set size (``ru_maxrss`` of its own process), and exits 1 if
+any stage fails, if the CRLF copy's report, bits or certification differ
+from the LF file's, or if a 30 M-trial stage peaks above 1.1 times its
+3 M-trial peak or above 100 MB.  The work files (about 1.2 GB at 30 M
+trials) go to a temporary directory.
 
 On Linux a child's ru_maxrss starts at the high-water mark of the process
 that exec'd it, so this script imports nothing large (not numpy) and
@@ -15,6 +18,7 @@ allocates nothing large before it starts the children.
 
 from __future__ import annotations
 
+import filecmp
 import json
 import os
 import subprocess
@@ -49,28 +53,48 @@ def stage(argv: list[str]) -> tuple[int, float, float]:
     return proc.returncode, time.perf_counter() - started, peak_kib / 1024
 
 
-def pipeline(work: Path, n_trials: int) -> dict[str, tuple[int, float, float]]:
-    out = work / str(n_trials)
+def crlf_copy(src: Path, dst: Path) -> None:
+    """Write src to dst with every LF as CRLF, 1 MB at a time."""
+    with open(src, "rb") as source, open(dst, "wb") as copy:
+        while block := source.read(1 << 20):
+            copy.write(block.replace(b"\n", b"\r\n"))
+
+
+def pipeline(work: Path, n_trials: int, problems: list[str]) -> dict[str, tuple[int, float, float]]:
+    out, crlf = work / str(n_trials), work / f"{n_trials}-crlf"
     config = work / f"config-{n_trials}.json"
     config.write_text(json.dumps(dict(README_CONFIG, n_trials=n_trials)), encoding="utf-8")
-    records, report = str(out / "records.csv"), str(out / "report.json")
-    stages = {
-        "run": ["run", "--config", str(config), "--out-dir", str(out)],
-        "analyze": ["analyze", "--records", records, "--mode", README_CONFIG["mode"], "--out-dir", str(out)],
-        "certify": ["certify", "--records", records, "--report", report, "--out-dir", str(out)],
-    }
+
+    def analyze_certify(d: Path) -> dict[str, list[str]]:
+        records, report = str(d / "records.csv"), str(d / "report.json")
+        return {
+            "analyze": ["analyze", "--records", records, "--mode", README_CONFIG["mode"], "--out-dir", str(d)],
+            "certify": ["certify", "--records", records, "--report", report, "--out-dir", str(d)],
+        }
+
+    stages = {"run": ["run", "--config", str(config), "--out-dir", str(out)], **analyze_certify(out)}
+    stages.update((f"{name}-crlf", argv) for name, argv in analyze_certify(crlf).items())
     results = {}
     for name, argv in stages.items():
+        if name == "analyze-crlf" and (out / "records.csv").exists():  # made between the timed stages
+            crlf.mkdir()
+            crlf_copy(out / "records.csv", crlf / "records.csv")
+            (out / "records.csv").unlink()  # keeps the disk use near one records file
         results[name] = stage(argv)
         code, seconds, peak = results[name]
-        print(f"{n_trials:>11,} {name:8s} exit {code}  {seconds:7.2f} s  {peak:7.1f} MB", flush=True)
+        print(f"{n_trials:>11,} {name:12s} exit {code}  {seconds:7.2f} s  {peak:7.1f} MB", flush=True)
+    for name in ("report.json", "bits.txt", "certification.json"):
+        if not ((out / name).exists() and (crlf / name).exists() and filecmp.cmp(out / name, crlf / name,
+                                                                                 shallow=False)):
+            problems.append(f"{name} of the CRLF copy is missing or differs from the LF file's "
+                            f"at {n_trials:,} trials")
     return results
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory(prefix="stage-rss-") as tmp:
-        small, large = (pipeline(Path(tmp), n) for n in SIZES)
     problems = []
+    with tempfile.TemporaryDirectory(prefix="stage-rss-") as tmp:
+        small, large = (pipeline(Path(tmp), n, problems) for n in SIZES)
     for name, (code, _, peak) in large.items():
         base = small[name][2]
         if code != 0 or small[name][0] != 0:
