@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InsufficientDataError, IntegrityError, ValidationError
+from .hidden_variables import write_json
 from .protocol import (
     QUANTITIES,
     CorrelatorEstimate,
@@ -29,7 +30,6 @@ from .protocol import (
     RecordSummary,
     _json_float,
     analyze_records,
-    check_report,
     check_sigma_threshold,
     load_config,
     load_report,
@@ -81,10 +81,6 @@ def _committed(*paths: Path):
             partial.unlink(missing_ok=True)
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
 def _peak_rss_mb() -> float | None:
     """This process's peak resident set size in MB, or None where it cannot be read."""
     try:
@@ -132,7 +128,7 @@ def cmd_run(args) -> int:
                 "threads": threads,
             },
         }
-        _write_json(manifest, manifest_tmp)
+        write_json(manifest, manifest_tmp)
     print(f"wrote {records_path} ({config.n_trials} trials) and {manifest_path}")
     return EXIT_OK
 
@@ -162,10 +158,8 @@ def cmd_certify(args) -> int:
         with open(args.records, "rb") as f, open(bits_tmp, "wb") as bits_file:
             reader = RecordReader(f)
             counts = stream_bits(reader, bits_file)
-        records = reader.summary()
-        cert = certify_counts(counts, records.sha256(), report)
-        check_report(report, records)
-        _write_json(certification_to_jsonable(cert), cert_tmp)
+        cert = certify_counts(counts, reader.summary(), report)
+        write_json(certification_to_jsonable(cert), cert_tmp)
     status = "certified" if cert.certified else "NOT certified"
     caveat = " (conspiracy caveat applies)" if cert.conspiracy_caveat else ""
     print(f"{cert.n_bits} bits {status}{caveat}; wrote {bits_path} and {cert_path}")

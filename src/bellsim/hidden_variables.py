@@ -235,17 +235,26 @@ def model_to_jsonable(model) -> dict:
     raise ValidationError(f"cannot serialize models of type {type(model).__name__}")
 
 
-def load_model(path):
+def read_json(path, what: str):
+    """The JSON document in a file; invalid JSON is a ValidationError naming the file as ``what``."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file {path}: invalid JSON ({exc})") from None
-    return model_from_jsonable(doc)
+        raise ValidationError(f"{what} file {path}: invalid JSON ({exc})") from None
+
+
+def write_json(doc, path) -> None:
+    """Write a JSON document as bellsim writes every JSON file: 2-space indent, final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def load_model(path):
+    return model_from_jsonable(read_json(path, "model"))
 
 
 def write_model(model, path) -> None:
-    Path(path).write_text(json.dumps(model_to_jsonable(model), indent=2) + "\n", encoding="utf-8")
+    write_json(model_to_jsonable(model), path)
 
 
 # --- per-context samplers used by the experiment runner ---------------------------

@@ -10,15 +10,13 @@ chunkings and thread counts.
 
 from __future__ import annotations
 
-import json
 import hashlib
 import math
 import os
 import re
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -35,6 +33,8 @@ from .hidden_variables import (
     QmMimicSampler,
     SignModelSampler,
     load_model,
+    read_json,
+    write_json,
 )
 from .quantum import QubitState, SequentialSampler, SingletSampler
 from .selector import (
@@ -151,16 +151,13 @@ class ExperimentConfig:
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
         if not isinstance(doc, Mapping):
             raise ValidationError("config must be a JSON object")
-        known = {
-            "mode", "directions", "n_trials", "selector_seed", "outcome_seed",
-            "sigma_threshold", "selector_algorithm",
-        }
-        unknown = set(doc) - known
+        keys = fields(cls)
+        unknown = set(doc) - {key.name for key in keys}
         if unknown:
             raise ValidationError(f"unknown config key {sorted(unknown)[0]!r}")
-        for key in ("mode", "directions", "n_trials", "selector_seed", "outcome_seed"):
-            if key not in doc:
-                raise ValidationError(f"missing required config key {key!r}")
+        for key in keys:
+            if key.default is MISSING and key.name not in doc:
+                raise ValidationError(f"missing required config key {key.name!r}")
         raw_dirs = doc["directions"]
         if not isinstance(raw_dirs, (list, tuple)):
             raise ValidationError("config key 'directions' must be a list of 3-vectors")
@@ -174,19 +171,7 @@ class ExperimentConfig:
                 raise ValidationError(f"config key 'directions'[{i}] has non-numeric components") from None
             except ValidationError as exc:
                 raise ValidationError(f"config key 'directions'[{i}]: {exc}") from None
-        kwargs = {}
-        if "sigma_threshold" in doc:
-            kwargs["sigma_threshold"] = doc["sigma_threshold"]
-        if "selector_algorithm" in doc:
-            kwargs["selector_algorithm"] = doc["selector_algorithm"]
-        return cls(
-            mode=doc["mode"],
-            directions=tuple(directions),
-            n_trials=doc["n_trials"],
-            selector_seed=doc["selector_seed"],
-            outcome_seed=doc["outcome_seed"],
-            **kwargs,
-        )
+        return cls(**{**doc, "directions": tuple(directions)})
 
     def to_jsonable(self) -> dict:
         return {
@@ -208,12 +193,7 @@ def check_sigma_threshold(k, name: str = "sigma_threshold") -> float:
 
 
 def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path}: invalid JSON ({exc})") from None
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict(read_json(path, "config"))
 
 
 # --- trial records ----------------------------------------------------------------
@@ -231,28 +211,20 @@ class TrialRecord:
     s2: int
 
 
-_KIND_TABLES = {kind: dict(zip(tags, slots)) for kind, (tags, slots) in GEOMETRIES.items()}
-_CODE_OF = {kind: {tag: code for code, tag in enumerate(table)} for kind, table in _KIND_TABLES.items()}
+# (context, slot_x, slot_y) -> (record kind, context code); the kinds share no row
+_ROWS = {(tag, *slot): (kind, code)
+         for kind, (tags, slots) in GEOMETRIES.items() for code, (tag, slot) in enumerate(zip(tags, slots))}
 
 
-def _infer_kind(rows: Iterable[tuple[str, int, int]]) -> str | None:
-    """The first record kind whose context table holds every (context, slot_x, slot_y)."""
-    rows = set(rows)
-    for kind, table in _KIND_TABLES.items():
-        if all(table.get(tag) == (sx, sy) for tag, sx, sy in rows):
-            return kind
-    return None
-
-
-def _tail_table(table: Mapping[str, tuple[int, int]]) -> np.ndarray:
+def _tail_table(tags: tuple[str, ...], slots: tuple[tuple[int, int], ...]) -> np.ndarray:
     # ",tag,x,y,s1,s2\n" by code * 4 + (s1 > 0) * 2 + (s2 > 0), NUL-padded to one width
     tails = [f",{tag},{sx},{sy},{v1},{v2}\n".encode()
-             for tag, (sx, sy) in table.items() for v1 in (-1, 1) for v2 in (-1, 1)]
+             for tag, (sx, sy) in zip(tags, slots) for v1 in (-1, 1) for v2 in (-1, 1)]
     width = max(len(t) for t in tails)
     return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), np.uint8).reshape(len(tails), width)
 
 
-_TAILS = {kind: _tail_table(table) for kind, table in _KIND_TABLES.items()}
+_TAILS = {kind: _tail_table(*geometry) for kind, geometry in GEOMETRIES.items()}
 _HEADER_LINE = (RECORDS_HEADER + "\n").encode("ascii")
 # trial 0 plus a tail names the kind; within a kind the slot digits name the context
 _KIND_OF_ROW0 = {b"0" + bytes(tail).rstrip(b"\0"): kind for kind, tails in _TAILS.items() for tail in tails}
@@ -260,16 +232,16 @@ _MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row 
 _TAIL_WIDTH = max(tails.shape[1] for tails in _TAILS.values())  # the longest tail of either kind
 
 
-def _slot_table(table: Mapping[str, tuple[int, int]]) -> np.ndarray:
+def _slot_table(slots: tuple[tuple[int, int], ...]) -> np.ndarray:
     # context code by slot_x byte << 8 | slot_y byte; 255 where no context has those slots
     codes = np.full(1 << 16, 255, dtype=np.uint8)
-    for code, (sx, sy) in enumerate(table.values()):
+    for code, (sx, sy) in enumerate(slots):
         codes[ord(str(sx)) << 8 | ord(str(sy))] = code
     codes.flags.writeable = False
     return codes
 
 
-_CODE_OF_SLOTS = {kind: _slot_table(table) for kind, table in _KIND_TABLES.items()}
+_CODE_OF_SLOTS = {kind: _slot_table(slots) for kind, (_, slots) in GEOMETRIES.items()}
 
 
 def _outcome_key(codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -277,13 +249,13 @@ def _outcome_key(codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarra
     return codes * np.uint8(4) + (s1 > 0) * np.uint8(2) + (s2 > 0)
 
 
-def _count_table(n_contexts: int, codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    counts = np.bincount(_outcome_key(codes, s1, s2), minlength=4 * n_contexts)
-    return _read_only(counts.reshape(n_contexts, 4), np.int64)
+def _count_table(n_contexts: int, key: np.ndarray) -> np.ndarray:
+    # the (n_contexts x 4) outcome counts of the trials with these _outcome_key values
+    return _read_only(np.bincount(key, minlength=4 * n_contexts).reshape(n_contexts, 4), np.int64)
 
 
-def _render_rows(kind: str, lo: int, codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> bytearray:
-    """Canonical CSV rows of trials lo..lo+m-1, given their m >= 1 record columns.
+def _render_rows(kind: str, lo: int, key: np.ndarray) -> bytearray:
+    """Canonical CSV rows of trials lo..lo+m-1, given their m >= 1 _outcome_key values.
 
     Every row is laid out in one fixed-width byte grid (right-aligned trial
     digits, tail), with NUL where a row is shorter than the grid; dropping
@@ -291,7 +263,7 @@ def _render_rows(kind: str, lo: int, codes: np.ndarray, s1: np.ndarray, s2: np.n
     are written straight into the grid.
     """
     tails = _TAILS[kind]
-    m = codes.size
+    m = key.size
     top = lo + m - 1
     width, shortest = len(str(top)), len(str(lo))
     buf = bytearray(m * (width + tails.shape[1]))
@@ -304,7 +276,7 @@ def _render_rows(kind: str, lo: int, codes: np.ndarray, s1: np.ndarray, s2: np.n
         if d > shortest:  # a leading position in some rows: NUL where the number is shorter
             column *= q > 0
         q = above
-    grid[:, width:] = tails.take(_outcome_key(codes, s1, s2), axis=0)
+    grid[:, width:] = tails.take(key, axis=0)
     return buf.translate(None, b"\0")
 
 
@@ -388,9 +360,10 @@ class RecordReader:
         self._buf = b"".join(pieces)
 
     def _canonical_step(self, start: int, size: int):
-        """(kind, codes, s1, s2, end) of the rows in buf[start:size], hashed, if canonical; else None.
+        """(kind, codes, s1, s2, counts, end) of the rows in buf[start:size], hashed, if canonical; else None.
 
-        ``size`` is the most bytes that the header and _CHUNK canonical rows can take.
+        ``size`` is the most bytes that the header and _CHUNK canonical rows can take; ``counts``
+        is the flat outcome-count table of the rows.
         """
         if not (self.n or self._buf.startswith(_HEADER_LINE)):
             return None
@@ -415,15 +388,16 @@ class RecordReader:
         s1, s2 = 1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8)
         end = start + int(ends[-1]) + 1
         step = memoryview(self._buf)[:end]
-        if _render_rows(kind, self.n, codes, s1, s2) != step[start:]:
+        key = _outcome_key(codes, s1, s2)
+        if _render_rows(kind, self.n, key) != step[start:]:
             return None
         self._digest.update(step)
-        return kind, codes, s1, s2, end
+        return kind, codes, s1, s2, np.bincount(key, minlength=len(_TAILS[kind])), end
 
     def _parsed_step(self):
-        """(kind, codes, s1, s2, end) of the next whole lines, at most _CHUNK rows, by the line parser.
+        """(kind, codes, s1, s2, counts, end) of the next whole lines, at most _CHUNK rows, by the line parser.
 
-        The rows are hashed as rendered from their columns.
+        The rows are hashed as rendered from their columns, and counted.
         """
         header = 0 if self.n else 1
         while True:  # at least one row (after the header) or the end of the file
@@ -436,10 +410,12 @@ class RecordReader:
         else:  # the rest of the file, also a last line without a newline
             end = len(self._buf)
         batch = _parse_lines(self._buf[:end], self.n + 2 - header, self.kind)
+        key = _outcome_key(batch.codes, batch.s1, batch.s2)
         if header:
             self._digest.update(_HEADER_LINE)
-        self._digest.update(_render_rows(batch.kind, self.n, batch.codes, batch.s1, batch.s2))
-        return batch.kind, batch.codes, batch.s1, batch.s2, end
+        self._digest.update(_render_rows(batch.kind, self.n, key))
+        counts = np.bincount(key, minlength=len(_TAILS[batch.kind]))
+        return batch.kind, batch.codes, batch.s1, batch.s2, counts, end
 
     def __iter__(self):
         while True:
@@ -448,9 +424,8 @@ class RecordReader:
             self._fill(size)
             if self.n and self._eof and not self._buf:
                 return
-            kind, codes, s1, s2, end = self._canonical_step(start, size) or self._parsed_step()
-            self.kind = kind
-            self._counts += np.bincount(_outcome_key(codes, s1, s2), minlength=4 * len(_KIND_TABLES[kind]))
+            self.kind, codes, s1, s2, counts, end = self._canonical_step(start, size) or self._parsed_step()
+            self._counts += counts
             self._buf = self._buf[end:]
             lo, self.n = self.n, self.n + codes.size
             yield lo, codes, s1, s2
@@ -520,21 +495,20 @@ def _parse_lines(data: bytes, line: int = 1, kind: str | None = None) -> "Record
     ``line``: the header if that is 1, else the row of trial ``line - 2``.
     Every row must be of ``kind``, or of the first row's kind if it is None.
     """
+    if line == 1 and data[:len(_HEADER_LINE)] not in (_HEADER_LINE, _HEADER_LINE[:-1]):  # before decoding
+        raise ValidationError(f"records line 1: expected header {RECORDS_HEADER!r}")
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         lineno = line + data.count(b"\n", 0, exc.start)
         raise ValidationError(f"records line {lineno}: non-ASCII byte") from None
     lines = text.split("\n")
-    if line == 1 and lines[0] != RECORDS_HEADER:
-        raise ValidationError(f"records line 1: expected header {RECORDS_HEADER!r}")
     if lines[-1] == "":
         lines.pop()
     rows = lines[1:] if line == 1 else lines
     if not rows:
         raise ValidationError("records line 2: no trial rows")
     codes, s1, s2 = [], [], []
-    kind_of = {}  # (context, slot_x, slot_y) -> its record kind
     for lineno, row_text in enumerate(rows, start=max(line, 2)):
         parts = row_text.split(",")
         if len(parts) != 6:
@@ -545,21 +519,19 @@ def _parse_lines(data: bytes, line: int = 1, kind: str | None = None) -> "Record
             raise ValidationError(f"records line {lineno}: non-integer field") from None
         if v1 not in (-1, 1) or v2 not in (-1, 1):
             raise ValidationError(f"records line {lineno}: outcomes must be +1 or -1")
-        row = (parts[1], sx, sy)
-        row_kind = kind_of.get(row)
-        if row_kind is None:
-            row_kind = kind_of[row] = _infer_kind([row])
-            if row_kind is None:
-                raise ValidationError(f"records line {lineno}: unknown context/slot combination")
+        row = _ROWS.get((parts[1], sx, sy))
+        if row is None:
+            raise ValidationError(f"records line {lineno}: unknown context/slot combination")
         if trial != lineno - 2:
             raise ValidationError(f"records line {lineno}: trial {trial} out of order, expected {lineno - 2} "
                                   f"(trials run 0..n-1)")
+        row_kind, code = row
         if kind is None:
             kind = row_kind
         elif row_kind != kind:
             raise ValidationError(f"records line {lineno}: context/slot combination of another record kind "
                                   f"than line 2")
-        codes.append(_CODE_OF[kind][row[0]])
+        codes.append(code)
         s1.append(v1)
         s2.append(v2)
     return RecordBatch(kind, np.array(codes, dtype=np.uint8),
@@ -635,14 +607,13 @@ class RecordBatch:
         if bad is not None:
             raise ValidationError(f"record {bad} has index {records[bad].index}; "
                                   f"indices run 0..n-1 in order")
-        seen = {(r.context, r.slot_x, r.slot_y) for r in records}
-        kind = _infer_kind(seen)
-        if kind is None:
-            raise ValidationError(f"records carry an unknown context/slot combination: {sorted(seen)}")
-        code_of = _CODE_OF[kind]
+        rows = [(r.context, r.slot_x, r.slot_y) for r in records]
+        kinds = {_ROWS.get(row, (None,))[0] for row in rows}
+        if None in kinds or len(kinds) > 1:
+            raise ValidationError(f"records carry an unknown context/slot combination: {sorted(set(rows))}")
         return cls(
-            kind,
-            np.array([code_of[r.context] for r in records], dtype=np.uint8),
+            kinds.pop() if kinds else "temporal",
+            np.array([_ROWS[row][1] for row in rows], dtype=np.uint8),
             np.array([r.s1 for r in records], dtype=np.int8),
             np.array([r.s2 for r in records], dtype=np.int8),
         )
@@ -655,7 +626,7 @@ class RecordBatch:
         known (``run_experiment`` fills it while it runs).
         """
         if self._counts is None:
-            self._counts = _count_table(len(self.tags), self.codes, self.s1, self.s2)
+            self._counts = _count_table(len(self.tags), _outcome_key(self.codes, self.s1, self.s2))
         return self._counts
 
     # -- canonical CSV form --
@@ -704,7 +675,7 @@ def _csv_chunks(kind: str, steps):
     """The canonical CSV of (lo, codes, s1, s2) steps in trial order: the header, then each step's rows."""
     yield _HEADER_LINE
     for lo, codes, s1, s2 in steps:
-        yield _render_rows(kind, lo, codes, s1, s2)
+        yield _render_rows(kind, lo, _outcome_key(codes, s1, s2))
 
 
 def _write_csv(path, kind: str, steps) -> str:
@@ -783,7 +754,7 @@ def run_spans(config: ExperimentConfig, model=None, state0: QubitState | None = 
         for column, values in zip(columns, (codes, s1, s2)):
             column[lo:hi] = values
         codes, s1, s2 = (column[lo:hi] for column in columns)
-        return lo, codes, s1, s2, _count_table(k, codes, s1, s2)
+        return lo, codes, s1, s2, _count_table(k, _outcome_key(codes, s1, s2))
 
     n_spans = min(max(-(-n // _CHUNK), n_threads), n)
     spans = [(n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans)]
@@ -844,7 +815,7 @@ def _run_reference(config: ExperimentConfig, model=None,
     s2 = np.empty(n, dtype=np.int8)
     for i in range(n):
         ctx, sel = next_context(sel, contexts)
-        code = contexts.code_of_tag(ctx.tag)
+        code = contexts.contexts.index(ctx)
         stream = derive_trial_randomness(config.outcome_seed, i)
         u1 = stream.next()
         u2 = stream.next()
@@ -905,10 +876,13 @@ def estimate_correlators(records, contexts: Iterable[str] | None = None) -> dict
     return out
 
 
-def _as_estimate_map(estimates) -> Mapping[str, CorrelatorEstimate]:
-    if isinstance(estimates, Mapping):
-        return estimates
-    return {e.context: e for e in estimates}
+def _estimates_of(kind: str, estimates) -> Mapping[str, CorrelatorEstimate]:
+    # the estimates by context (a mapping, or a sequence of them), which must cover every context of kind
+    est = estimates if isinstance(estimates, Mapping) else {e.context: e for e in estimates}
+    for tag in GEOMETRIES[kind][0]:
+        if tag not in est:
+            raise InsufficientDataError(f"missing correlator estimate for context {tag}")
+    return est
 
 
 _VERDICTS = ("violation", "consistent", "inconclusive")
@@ -928,10 +902,7 @@ def _verdict(value: float, bound: float, stderr: float, k: float) -> tuple[float
 
 def bell_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
     """|P(a,b) - P(a,c)| + P(b,c) against the determinism bound 1."""
-    est = _as_estimate_map(estimates)
-    for tag in GEOMETRIES["temporal"][0]:
-        if tag not in est:
-            raise InsufficientDataError(f"missing correlator estimate for context {tag}")
+    est = _estimates_of("temporal", estimates)
     ab, ac, bc = est["AB"], est["AC"], est["BC"]
     value = abs(ab.mean - ac.mean) + bc.mean
     stderr = math.sqrt(ab.stderr ** 2 + ac.stderr ** 2 + bc.stderr ** 2)
@@ -941,13 +912,9 @@ def bell_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
 
 def chsh_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
     """|P(a,b) - P(a,b')| + |P(a',b') + P(a',b)| against the bound 2."""
-    est = _as_estimate_map(estimates)
-    tags = GEOMETRIES["chsh"][0]
-    for tag in tags:
-        if tag not in est:
-            raise InsufficientDataError(f"missing correlator estimate for context {tag}")
+    est = _estimates_of("chsh", estimates)
     value = abs(est["AB"].mean - est["ABp"].mean) + abs(est["ApBp"].mean + est["ApB"].mean)
-    stderr = math.sqrt(sum(est[t].stderr ** 2 for t in tags))
+    stderr = math.sqrt(sum(est[t].stderr ** 2 for t in GEOMETRIES["chsh"][0]))
     excess, verdict = _verdict(value, CHSH_BOUND, stderr, sigma_threshold)
     return BellReport("chsh", value, CHSH_BOUND, stderr, excess, verdict, sigma_threshold)
 
@@ -1033,8 +1000,12 @@ def report_from_jsonable(doc: Mapping) -> AnalysisReport:
         for key in ("estimates", "bell"):
             if not isinstance(doc[key], Mapping):
                 raise ValidationError(f"malformed analysis report: {key!r} must be a JSON object")
+        for n in (doc["n_trials"], *(e["n"] for e in doc["estimates"].values())):
+            if not isinstance(n, int) or isinstance(n, bool):  # int() would truncate 6000.9, read "6000"
+                raise ValidationError(f"malformed analysis report: 'n_trials' and each 'n' must be integers, "
+                                      f"got {n!r}")
         estimates = {
-            tag: CorrelatorEstimate(tag, int(e["n"]), float(e["mean"]), float(e["stderr"]))
+            tag: CorrelatorEstimate(tag, e["n"], float(e["mean"]), float(e["stderr"]))
             for tag, e in doc["estimates"].items()
         }
         b = doc["bell"]
@@ -1049,21 +1020,14 @@ def report_from_jsonable(doc: Mapping) -> AnalysisReport:
             else (-math.inf if sigma_excess is None else float(sigma_excess)),
             b["verdict"], k,
         )
-        return AnalysisReport(
-            str(doc["mode"]), str(doc["records_sha256"]), int(doc["n_trials"]), k, estimates, bell,
-        )
+        return AnalysisReport(str(doc["mode"]), str(doc["records_sha256"]), doc["n_trials"], k, estimates, bell)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed analysis report: {exc!r}") from None
 
 
 def write_report(report: AnalysisReport, path) -> None:
-    Path(path).write_text(json.dumps(report_to_jsonable(report), indent=2) + "\n", encoding="utf-8")
+    write_json(report_to_jsonable(report), path)
 
 
 def load_report(path) -> AnalysisReport:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"report file {path}: invalid JSON ({exc})") from None
-    return report_from_jsonable(doc)
+    return report_from_jsonable(read_json(path, "report"))

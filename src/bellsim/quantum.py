@@ -251,18 +251,13 @@ def balanced_preparation(contexts: ContextSet) -> QubitState:
         if all(ctx.dir_x.dot(d) < 1.0 - 1e-9 for d in firsts):
             firsts.append(ctx.dir_x)
     d0 = firsts[0]
-    if len(firsts) > 1:
-        d1 = firsts[1]
+    helper = Direction3(0.0, 0.0, 1.0) if abs(d0.z) < 0.9 else Direction3(1.0, 0.0, 0.0)
+    for d1 in (*firsts[1:2], helper):  # the helper is never near d0, so its cross product is kept
         cx = d0.y * d1.z - d0.z * d1.y
         cy = d0.z * d1.x - d0.x * d1.z
         cz = d0.x * d1.y - d0.y * d1.x
         if math.sqrt(cx * cx + cy * cy + cz * cz) > 1e-9:
             return _eigenstate(Direction3.normalized(cx, cy, cz), +1)
-    helper = Direction3(0.0, 0.0, 1.0) if abs(d0.z) < 0.9 else Direction3(1.0, 0.0, 0.0)
-    cx = d0.y * helper.z - d0.z * helper.y
-    cy = d0.z * helper.x - d0.x * helper.z
-    cz = d0.x * helper.y - d0.y * helper.x
-    return _eigenstate(Direction3.normalized(cx, cy, cz), +1)
 
 
 def _signs(positive: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError, ValidationError
-from .protocol import AnalysisReport, RecordBatch, _json_float
+from .protocol import AnalysisReport, RecordBatch, RecordSummary, _json_float, check_report
 
 EXTRACTION_RULE = "s1s2-interleaved-v1"
 SIGNIFICANCE_FLOOR = 0.01
@@ -152,19 +152,23 @@ def certify(records: RecordBatch, report: AnalysisReport) -> CertificationReport
     The bits are extracted with :func:`extract_bits` and judged by
     :func:`certify_counts`.
     """
-    bits = extract_bits(records)
-    return certify_counts(BitCounts.of(bits), bits.records_sha256, report)
+    return certify_counts(BitCounts.of(extract_bits(records)), records, report)
 
 
-def certify_counts(counts: BitCounts, records_sha256: str, report: AnalysisReport) -> CertificationReport:
+def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
+                   report: AnalysisReport) -> CertificationReport:
     """Certify a bit string from its counts, keyed to the inequality verdict of its run's report.
 
-    The report must have been produced from exactly the records the bits
-    came from (checked by hash).  Certified means: verdict is a violation
-    and both statistical tests reach p >= 0.01.  Conspiracy-mode runs keep a
-    caveat flag set: the violation is then produced by a contextual model
-    and certification rests entirely on the no-conspiracy assumption.
+    ``records`` (a batch or its summary) are those the bits came from.  Their
+    hash must be the report's; after the frequency and runs tests,
+    :func:`~bellsim.protocol.check_report` raises IntegrityError unless they
+    give the report's n_trials, estimates and bell block.  Certified means:
+    verdict is a violation and both statistical tests reach p >= 0.01.
+    Conspiracy-mode runs keep a caveat flag set: the violation is then
+    produced by a contextual model and certification rests entirely on the
+    no-conspiracy assumption.
     """
+    records_sha256 = records.sha256()
     if records_sha256 != report.records_sha256:
         raise IntegrityError(
             f"records hash {records_sha256[:12]}... does not match the report's "
@@ -172,6 +176,7 @@ def certify_counts(counts: BitCounts, records_sha256: str, report: AnalysisRepor
         )
     p_mono = monobit_test(counts)
     runs = runs_test(counts)
+    check_report(report, records)
     certified = (
         report.bell.verdict == "violation"
         and p_mono >= SIGNIFICANCE_FLOOR

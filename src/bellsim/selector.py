@@ -37,6 +37,7 @@ _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 
 _INV_2_53 = 2.0 ** -53
+_INV_GAMMA = pow(GAMMA, -1, 1 << 64)
 
 
 def mix64(z: int) -> int:
@@ -145,12 +146,6 @@ class ContextSet:
     def __getitem__(self, code: int) -> MeasurementContext:
         return self.contexts[code]
 
-    def code_of_tag(self, tag: str) -> int:
-        try:
-            return self.tags.index(tag)
-        except ValueError:
-            raise ValidationError(f"unknown context tag {tag!r} for {self.kind} geometry") from None
-
 
 # --- selector device ---------------------------------------------------------
 
@@ -195,40 +190,48 @@ def next_context(state: SelectorState, contexts: ContextSet) -> tuple[Measuremen
 def context_codes(seed: int, n: int, n_contexts: int) -> np.ndarray:
     """Vectorized selector: the first n context codes for the given seed.
 
-    Exactly reproduces n calls to :func:`next_context` (including the
-    rejection skips, which occur with probability (2^64 mod n_contexts)/2^64
-    per draw).
+    Exactly reproduces n calls to :func:`next_context`: it draws the n
+    draws plus the rejected ones among them (see :func:`_rejected_among`) in
+    one block and drops the rejected ones.
     """
     seed = validate_seed(seed, "selector_seed")
     if n < 0:
         raise ValidationError(f"context count must be >= 0, got {n}")
-    bound = np.uint64(_accept_bound(n_contexts) - 1)  # accept z <= bound
+    rejected = _rejected_among(seed, n, n_contexts)
+    z = np.arange(1, n + len(rejected) + 1, dtype=np.uint64)
+    z *= _U_GAMMA
+    z += np.uint64(seed)
+    _mix64_vec(z)
+    if rejected:
+        z = np.delete(z, np.subtract(rejected, 1))
+    q = z // np.uint64(n_contexts)  # a division by a constant, faster than remainder
+    q *= np.uint64(n_contexts)
     out = np.empty(n, dtype=np.uint8)
-    got = 0
-    drawn = 0
-    while got < n:
-        block = max(n - got, 1024)
-        z = np.arange(drawn + 1, drawn + block + 1, dtype=np.uint64)
-        z *= _U_GAMMA
-        z += np.uint64(seed)
-        _mix64_vec(z)
-        drawn += block
-        if z.max() > bound:  # a rejected draw: keep the accepted ones, top up in the next block
-            z = z[z <= bound]
-        take = min(n - got, z.size)
-        q = z[:take] // np.uint64(n_contexts)  # a division by a constant, faster than remainder
-        q *= np.uint64(n_contexts)
-        np.subtract(z[:take], q, out=out[got : got + take], casting="unsafe")
-        got += take
+    np.subtract(z, q, out=out, casting="unsafe")
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _rejected_draws(seed: int, n_contexts: int) -> tuple[int, ...]:
-    # the sorted draw indices whose avalanche is rejected; the same for every span of a run
-    inv_gamma = pow(GAMMA, -1, 1 << 64)
-    return tuple(sorted(((unmix64(z) - seed) * inv_gamma) & MASK64
-                        for z in range(_accept_bound(n_contexts), 1 << 64)))
+@functools.lru_cache(maxsize=None)
+def _rejected_states(n_contexts: int) -> tuple[int, ...]:
+    # the states whose avalanche is rejected, one per value at or above the accept bound
+    return tuple(unmix64(z) for z in range(_accept_bound(n_contexts), 1 << 64))
+
+
+def _rejected_among(seed: int, count: int, n_contexts: int) -> list[int]:
+    """The rejected draw indices among the draws the first ``count`` contexts spend, in order.
+
+    Draw j reads the state seed + j*GAMMA, which takes every 64-bit value
+    once in 2^64 draws, and mix64 is a bijection; so each of the 2^64 mod
+    n_contexts rejected values is drawn at exactly one index, found by
+    inverting the avalanche, and ``count`` contexts spend draws 1..count plus
+    one more for each rejected index among them.
+    """
+    indices = sorted(((state - seed) * _INV_GAMMA) & MASK64 for state in _rejected_states(n_contexts))
+    rejected = []
+    for j in indices:
+        if 1 <= j <= count + len(rejected):  # index 0 is the seed itself, drawn only after 2^64 draws
+            rejected.append(j)
+    return rejected
 
 
 def state_after(seed: int, count: int, n_contexts: int) -> int:
@@ -236,19 +239,10 @@ def state_after(seed: int, count: int, n_contexts: int) -> int:
 
     Used as a seed, it continues the stream: ``context_codes(state_after(seed,
     lo, k), n, k)`` equals ``context_codes(seed, lo + n, k)[lo:]``, so any span
-    of trials can draw its own contexts.  Draw j reads the state seed + j*GAMMA,
-    which takes every 64-bit value once in 2^64 draws, and mix64 is a
-    bijection; so each of the 2^64 mod n_contexts rejected values is drawn at
-    exactly one index, found by inverting the avalanche, and the draws spent
-    on the first ``count`` contexts are ``count`` plus the rejected ones among
-    them.
+    of trials can draw its own contexts.
     """
     seed = validate_seed(seed, "selector_seed")
-    drawn = count
-    for j in _rejected_draws(seed, n_contexts):
-        if 1 <= j <= drawn:  # index 0 is the seed itself, drawn only after 2^64 draws
-            drawn += 1
-    return (seed + drawn * GAMMA) & MASK64
+    return (seed + (count + len(_rejected_among(seed, count, n_contexts))) * GAMMA) & MASK64
 
 
 # --- per-trial outcome randomness ---------------------------------------------

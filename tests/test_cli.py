@@ -11,8 +11,9 @@ import bellsim.randomness as randomness
 from bellsim.cli import main
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.hidden_variables import random_finite_model, write_model
-from bellsim.protocol import (ExperimentConfig, RecordBatch, analyze_records, report_to_jsonable,
-                              run_experiment)
+from bellsim.errors import IntegrityError
+from bellsim.protocol import (ExperimentConfig, RecordBatch, analyze_records, report_from_jsonable,
+                              report_to_jsonable, run_experiment)
 from bellsim.randomness import certification_to_jsonable, certify, extract_bits, write_bits
 
 
@@ -51,7 +52,24 @@ def no_partial_files(out):
     return not out.exists() or not list(out.glob("*.partial"))
 
 
+def edited(doc, path, value):
+    """doc with the value at path (a tuple of keys) replaced; a callable value is applied to the old one."""
+    *parents, key = path
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = value(target[key]) if callable(value) else value
+    return doc
+
+
 STAGES = ["run", "analyze", "certify"]
+
+# hand edits of a 6 000-trial qm_sequential report that its records do not give
+RECHECKED_EDITS = [
+    pytest.param(("bell", "verdict"), "inconclusive", id="verdict"),
+    pytest.param(("n_trials",), 5000, id="n_trials"),
+    pytest.param(("estimates", "AC", "mean"), lambda mean: mean + 0.001, id="mean"),
+]
 
 
 class TestRun:
@@ -294,6 +312,48 @@ class TestCertify:
         assert main(stage_argv("certify", out)) == 3
         assert not (out / "certification.json").exists()
 
+    @pytest.mark.parametrize("side", ["library", "cli"])
+    @pytest.mark.parametrize("path,value", RECHECKED_EDITS)
+    def test_library_and_cli_refuse_the_same_reports(self, tmp_path, capsys, side, path, value):
+        cfg, out = run_pipeline(tmp_path)
+        records = run_experiment(ExperimentConfig.from_dict(json.loads(cfg.read_text())))
+        doc = report_to_jsonable(analyze_records(records, mode="qm_sequential"))
+        assert doc["bell"]["verdict"] == "violation"
+        certify(records, report_from_jsonable(doc))  # the unedited report passes
+        doc = edited(doc, path, value)
+        if side == "library":
+            with pytest.raises(IntegrityError):
+                certify(records, report_from_jsonable(doc))
+            return
+        (out / "report.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 3
+        assert capsys.readouterr().out == ""
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+        assert no_partial_files(out)
+
+    @pytest.mark.parametrize("edits", [
+        pytest.param([(("n_trials",), 6000.9), (("estimates", "AB", "n"), lambda n: n + 0.7)], id="truncated"),
+        pytest.param([(("n_trials",), 6000.0)], id="n_trials-float"),
+        pytest.param([(("n_trials",), True)], id="n_trials-bool"),
+        pytest.param([(("n_trials",), "6000")], id="n_trials-string"),
+        pytest.param([(("estimates", "BC", "n"), float)], id="n-float"),
+        pytest.param([(("estimates", "BC", "n"), lambda n: True)], id="n-bool"),
+    ])
+    def test_non_integer_counts_exit_validation(self, tmp_path, capsys, edits):
+        # int() would truncate 6000.9 to the records' 6000, and read "6000" and true as numbers
+        out = self.run_analyze(tmp_path)
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        for path, value in edits:
+            doc = edited(doc, path, value)
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 1
+        assert "malformed analysis report" in capsys.readouterr().err
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+        assert no_partial_files(out)
+
     def test_failed_move_leaves_no_new_outputs(self, tmp_path, capsys):
         out = self.run_analyze(tmp_path, n_trials=6000)
         (out / "bits.txt").mkdir()  # the partial bits file cannot replace a directory
@@ -356,6 +416,25 @@ class TestSigmaThreshold:
         assert "'sigma_threshold' must be a positive finite number" in capsys.readouterr().err
         assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
         assert no_partial_files(out)
+
+
+@pytest.mark.parametrize("what", ["config", "report", "model"])
+def test_invalid_json_names_the_file_kind(tmp_path, capsys, what):
+    bad = tmp_path / f"{what}.json"
+    if what == "report":
+        _, out = run_pipeline(tmp_path)
+        argv = ["certify", "--records", str(out / "records.csv"), "--report", str(bad), "--out-dir", str(out)]
+        outputs = ["bits.txt", "certification.json"]
+    else:
+        out = tmp_path / "out"
+        cfg = bad if what == "config" else write_config(tmp_path / "cfg.json", mode=f"hv:{bad}")
+        argv = ["run", "--config", str(cfg), "--out-dir", str(out)]
+        outputs = ["records.csv", "manifest.json"]
+    bad.write_text("{not json")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"{what} file {bad}: invalid JSON" in capsys.readouterr().err
+    assert not any((out / name).exists() for name in outputs)
 
 
 class TestStreaming:

@@ -43,7 +43,7 @@ from bellsim.protocol import (
     write_report,
 )
 from bellsim.quantum import QubitState
-from bellsim.selector import GAMMA, MASK64, context_codes, mix64, trial_uniforms
+from bellsim.selector import GAMMA, GEOMETRIES, MASK64, context_codes, mix64, trial_uniforms
 
 TRIPLE = max_violation_triple()
 QUAD = tsirelson_quadruple()
@@ -568,6 +568,10 @@ class TestRecordsCsv:
         path.write_text("foo,bar\n")
         with pytest.raises(ValidationError, match="line 1"):
             RecordBatch.from_csv(path)
+        # the first error is cited, also when a later line holds a non-ASCII byte
+        path.write_bytes(b"trial,ctx,slot_x,slot_y,s1,s2\n0,AB,1,2,1,-1\n1,AB,1,2,1,-1\n2,\xe9B,1,2,1,-1\n")
+        with pytest.raises(ValidationError, match="records line 1: expected header"):
+            RecordBatch.from_csv(path)
 
     @pytest.mark.parametrize(
         "row,lineno",
@@ -632,6 +636,9 @@ class TestRecordsCsv:
         assert path.read_text() == RECORDS_HEADER + "\n"
         with pytest.raises(ValidationError, match="line 2: no trial rows"):
             RecordBatch.from_csv(path)
+
+    def test_no_context_slot_row_belongs_to_both_kinds(self):
+        assert len(protocol._ROWS) == sum(len(tags) for tags, _ in GEOMETRIES.values())
 
     def test_context_code_outside_the_kind_is_rejected(self):
         with pytest.raises(ValidationError, match="below 3"):

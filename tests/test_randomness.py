@@ -165,16 +165,30 @@ class TestCertify:
         assert not cert.certified
 
     def test_verdict_flip_is_monotone(self):
+        # a downgraded verdict is one the records do not give: the re-check refuses it
         import dataclasses
 
         records = qm_run(60_000)
         report = analyze_records(records, mode="qm_sequential")
-        certified_before = certify(records, report).certified
+        assert certify(records, report).certified
         downgraded = dataclasses.replace(
             report, bell=dataclasses.replace(report.bell, verdict="consistent")
         )
-        certified_after = certify(records, downgraded).certified
-        assert not certified_after or certified_before
+        with pytest.raises(IntegrityError, match="report bell"):
+            certify(records, downgraded)
+
+    def test_hand_set_violation_fails_the_recheck(self):
+        # the sign model saturates the bound: B = 1.00307 here, inconclusive
+        import dataclasses
+
+        cfg = ExperimentConfig(mode="hv:sign-model", directions=max_violation_triple(),
+                               n_trials=200_000, selector_seed=1, outcome_seed=2)
+        records = run_experiment(cfg)
+        report = analyze_records(records, mode="hv:sign-model")
+        assert report.bell.verdict == "inconclusive"
+        forged = dataclasses.replace(report, bell=dataclasses.replace(report.bell, verdict="violation"))
+        with pytest.raises(IntegrityError, match="report bell"):
+            certify(records, forged)
 
     def test_hash_mismatch_is_integrity_error(self):
         records = qm_run(2000)

@@ -70,7 +70,7 @@ def test_render_rows_across_digit_widths(lo):
     codes = np.arange(10, dtype=np.uint8) % 4
     s1 = np.where(np.arange(10) % 2, 1, -1).astype(np.int8)
     s2 = -s1
-    got = protocol._render_rows("chsh", lo, codes, s1, s2)
+    got = protocol._render_rows("chsh", lo, protocol._outcome_key(codes, s1, s2))
     tags = RecordBatch("chsh", codes, s1, s2).tags
     slots = GEOMETRIES["chsh"][1]
     assert got == "".join(f"{lo + i},{tags[c]},{slots[c][0]},{slots[c][1]},{a},{b}\n"
@@ -122,7 +122,7 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
     render = protocol._render_rows
 
     def counting(*args):
-        calls.append(args[2].size)  # (kind, lo, codes, s1, s2)
+        calls.append(args[2].size)  # (kind, lo, key)
         return render(*args)
 
     monkeypatch.setattr(protocol, "_render_rows", counting)

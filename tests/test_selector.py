@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bellsim.protocol as protocol
 from bellsim.directions import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.errors import ValidationError
 from bellsim.selector import (
@@ -115,6 +116,27 @@ class TestSelectorStream:
         assert ctx.tag == "AC"
         assert ctx.slot_x == 1 and ctx.slot_y == 3
         assert ctx.dir_x == X_AXIS and ctx.dir_y == Z_AXIS
+
+
+def rejecting_at(j: int) -> int:
+    # the seed whose draw j reads the one state whose avalanche 3 contexts reject
+    return (unmix64(MASK64) - j * GAMMA) % 2**64
+
+
+class TestRejectedDraw:
+    @pytest.mark.parametrize("n", [2, 300])
+    @pytest.mark.parametrize("where", ["1", "n-1", "n", "n+1"])
+    def test_codes_equal_the_scalar_selector(self, n, where):
+        seed = rejecting_at({"1": 1, "n-1": n - 1, "n": n, "n+1": n + 1}[where])
+        tags, _ = emit(seed, n)
+        assert [TEMPORAL.tags[c] for c in context_codes(seed, n, 3)] == tags
+
+    @pytest.mark.parametrize("j", [200, 201])  # the last draw of the first span, the first of the second
+    def test_span_edge_in_a_run(self, monkeypatch, j):
+        monkeypatch.setattr(protocol, "_CHUNK", 257)  # 600 trials: spans 0..199, 200..399, 400..599
+        config = protocol.ExperimentConfig("qm_sequential", (X_AXIS, Y_AXIS, Z_AXIS), 600, rejecting_at(j), 7)
+        tags, _ = emit(config.selector_seed, 600)
+        assert [TEMPORAL.tags[c] for c in protocol.run_experiment(config).codes] == tags
 
 
 class TestTrialStreams:
