@@ -48,7 +48,6 @@ from .quantum import (
     singlet_joint_trial,
 )
 from .randomness import (
-    BitString,
     CertificationReport,
     certify,
     extract_bits,

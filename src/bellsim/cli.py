@@ -139,7 +139,8 @@ def cmd_analyze(args) -> int:
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
     out = _out_dir(args)
     report_path = out / "report.json"
-    write_report(report, report_path)
+    with _committed(report_path) as (report_tmp,):
+        write_report(report, report_tmp)
     b = report.bell
     print(
         f"{b.quantity}: value {b.value:.12g} vs bound {b.bound:.12g} "

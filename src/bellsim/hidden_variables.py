@@ -236,11 +236,11 @@ def model_to_jsonable(model) -> dict:
 
 
 def read_json(path, what: str):
-    """The JSON document in a file; invalid JSON is a ValidationError naming the file as ``what``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON document in a UTF-8 file; anything else is a ValidationError naming the file as ``what``."""
+    data = Path(path).read_bytes()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{what} file {path}: invalid JSON ({exc})") from None
 
 

@@ -32,11 +32,12 @@ from .hidden_variables import (
     FiniteModelSampler,
     QmMimicSampler,
     SignModelSampler,
+    _is_real,
     load_model,
     read_json,
     write_json,
 )
-from .quantum import QubitState, SequentialSampler, SingletSampler
+from .quantum import SequentialSampler, SingletSampler
 from .selector import (
     GEOMETRIES,
     ContextSet,
@@ -174,15 +175,8 @@ class ExperimentConfig:
         return cls(**{**doc, "directions": tuple(directions)})
 
     def to_jsonable(self) -> dict:
-        return {
-            "mode": self.mode,
-            "directions": [[d.x, d.y, d.z] for d in self.directions],
-            "n_trials": self.n_trials,
-            "selector_seed": self.selector_seed,
-            "outcome_seed": self.outcome_seed,
-            "sigma_threshold": self.sigma_threshold,
-            "selector_algorithm": self.selector_algorithm,
-        }
+        doc = {key.name: getattr(self, key.name) for key in fields(self)}
+        return {**doc, "directions": [[d.x, d.y, d.z] for d in self.directions]}
 
 
 def check_sigma_threshold(k, name: str = "sigma_threshold") -> float:
@@ -337,7 +331,7 @@ class RecordReader:
         self._buf, self._eof = b"", False  # LF-mapped bytes not yet in a step
         self._held = False  # the last read ended in a CR, which _to_lf dropped
         self._digest = hashlib.sha256()
-        self._counts = 0
+        self._counts: np.ndarray | None = None  # allocated at the first step, then added to in place
         self.kind: str | None = None
         self.n = 0
 
@@ -363,7 +357,7 @@ class RecordReader:
         """(kind, codes, s1, s2, counts, end) of the rows in buf[start:size], hashed, if canonical; else None.
 
         ``size`` is the most bytes that the header and _CHUNK canonical rows can take; ``counts``
-        is the flat outcome-count table of the rows.
+        is the outcome-count table of the rows.
         """
         if not (self.n or self._buf.startswith(_HEADER_LINE)):
             return None
@@ -392,7 +386,7 @@ class RecordReader:
         if _render_rows(kind, self.n, key) != step[start:]:
             return None
         self._digest.update(step)
-        return kind, codes, s1, s2, np.bincount(key, minlength=len(_TAILS[kind])), end
+        return kind, codes, s1, s2, _count_table(len(GEOMETRIES[kind][0]), key), end
 
     def _parsed_step(self):
         """(kind, codes, s1, s2, counts, end) of the next whole lines, at most _CHUNK rows, by the line parser.
@@ -414,8 +408,7 @@ class RecordReader:
         if header:
             self._digest.update(_HEADER_LINE)
         self._digest.update(_render_rows(batch.kind, self.n, key))
-        counts = np.bincount(key, minlength=len(_TAILS[batch.kind]))
-        return batch.kind, batch.codes, batch.s1, batch.s2, counts, end
+        return batch.kind, batch.codes, batch.s1, batch.s2, _count_table(len(batch.tags), key), end
 
     def __iter__(self):
         while True:
@@ -425,15 +418,18 @@ class RecordReader:
             if self.n and self._eof and not self._buf:
                 return
             self.kind, codes, s1, s2, counts, end = self._canonical_step(start, size) or self._parsed_step()
+            if self._counts is None:
+                self._counts = np.zeros_like(counts)
             self._counts += counts
             self._buf = self._buf[end:]
             lo, self.n = self.n, self.n + codes.size
             yield lo, codes, s1, s2
 
     def summary(self) -> "RecordSummary":
-        """Kind, size, canonical hash and count table of the rows read so far."""
-        return RecordSummary(self.kind, self.n, self._digest.hexdigest(),
-                             _read_only(np.reshape(self._counts, (-1, 4)), np.int64))
+        """Kind, size, canonical hash and count table of the rows read so far (at least one step)."""
+        if self._counts is None:
+            raise ValidationError("records: no step read yet")
+        return RecordSummary(self.kind, self.n, self._digest.hexdigest(), _read_only(self._counts, np.int64))
 
 
 @dataclass(frozen=True)
@@ -691,15 +687,10 @@ def _write_csv(path, kind: str, steps) -> str:
 # --- running experiments -------------------------------------------------------------
 
 
-def make_sampler(config: ExperimentConfig, contexts: ContextSet | None = None,
-                 model=None, state0: QubitState | None = None):
+def make_sampler(config: ExperimentConfig, contexts: ContextSet | None = None, model=None):
     """Build the trial sampler for a config (optionally with an in-memory model)."""
     contexts = contexts if contexts is not None else config.context_set()
     kind, arg = parse_mode(config.mode)
-    if kind == "qm_sequential":
-        return SequentialSampler(contexts, state0)
-    if state0 is not None:
-        raise ValidationError("an initial state is only meaningful for qm_sequential mode")
     row = _MODES[kind]
     if model is None and arg != row.builtin:
         model = load_model(arg)
@@ -726,8 +717,7 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def run_spans(config: ExperimentConfig, model=None, state0: QubitState | None = None,
-              threads: int | None = None, columns=None):
+def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, columns=None):
     """Yield every span of a run as (lo, codes, s1, s2, counts), in trial order.
 
     The trials are split into balanced spans, at most _CHUNK trials each and
@@ -741,7 +731,7 @@ def run_spans(config: ExperimentConfig, model=None, state0: QubitState | None = 
     table as ``counts``; without, ``counts`` is None.
     """
     contexts = config.context_set()
-    sampler = make_sampler(config, contexts, model=model, state0=state0)
+    sampler = make_sampler(config, contexts, model=model)
     n, k = config.n_trials, len(contexts)
     n_threads = resolve_threads(threads)
 
@@ -772,8 +762,7 @@ def run_spans(config: ExperimentConfig, model=None, state0: QubitState | None = 
             yield pending.popleft().result()
 
 
-def run_experiment(config: ExperimentConfig, model=None,
-                   state0: QubitState | None = None, threads: int | None = None) -> RecordBatch:
+def run_experiment(config: ExperimentConfig, model=None, threads: int | None = None) -> RecordBatch:
     """Run all trials of an experiment; bit-identical for identical seeds.
 
     The spans of :func:`run_spans` are written into the batch's columns by
@@ -786,7 +775,7 @@ def run_experiment(config: ExperimentConfig, model=None,
     s1 = np.empty(n, dtype=np.int8)
     s2 = np.empty(n, dtype=np.int8)
     counts = 0
-    for *_, table in run_spans(config, model, state0, threads, columns=(codes, s1, s2)):
+    for *_, table in run_spans(config, model, threads, columns=(codes, s1, s2)):
         counts = counts + table
     batch = RecordBatch(config.geometry, codes, s1, s2)
     batch._counts = _read_only(counts, np.int64)
@@ -803,11 +792,10 @@ def write_run(config: ExperimentConfig, path, threads: int | None = None) -> str
     return _write_csv(path, config.geometry, spans)
 
 
-def _run_reference(config: ExperimentConfig, model=None,
-                   state0: QubitState | None = None) -> RecordBatch:
+def _run_reference(config: ExperimentConfig, model=None) -> RecordBatch:
     # per-trial scalar path; the vectorized runner must match it bit-for-bit
     contexts = config.context_set()
-    sampler = make_sampler(config, contexts, model=model, state0=state0)
+    sampler = make_sampler(config, contexts, model=model)
     sel = SelectorState.from_seed(config.selector_seed)
     n = config.n_trials
     codes = np.empty(n, dtype=np.uint8)
@@ -849,24 +837,20 @@ class BellReport:
     sigma_threshold: float
 
 
-def estimate_correlators(records, contexts: Iterable[str] | None = None) -> dict[str, CorrelatorEstimate]:
+def estimate_correlators(records) -> dict[str, CorrelatorEstimate]:
     """Per-context sample means and standard errors of the outcome product.
 
-    Every expected context (default: all contexts of the records' geometry)
-    must hold at least two trials.  The estimates read the batch's table of
-    outcome counts; a sum of +-1 values is exact in float64, so the mean
-    (n_same - n_diff) / n is the sample mean of s1*s2 to the last bit.
+    Every context of the records' geometry must hold at least two trials.
+    The estimates read the batch's table of outcome counts; a sum of +-1
+    values is exact in float64, so the mean (n_same - n_diff) / n is the
+    sample mean of s1*s2 to the last bit.
     """
     batch = records
     if not isinstance(records, (RecordBatch, RecordSummary)):
         batch = RecordBatch.from_records(records)
-    expected = tuple(contexts) if contexts is not None else batch.tags
     counts = batch.outcome_counts().tolist()
     out: dict[str, CorrelatorEstimate] = {}
-    for tag in expected:
-        if tag not in batch.tags:
-            raise InsufficientDataError(f"context {tag}: no records (need >= 2)")
-        both_neg, neg_pos, pos_neg, both_pos = counts[batch.tags.index(tag)]
+    for tag, (both_neg, neg_pos, pos_neg, both_pos) in zip(batch.tags, counts):
         n = both_neg + neg_pos + pos_neg + both_pos
         if n < 2:
             raise InsufficientDataError(f"context {tag}: {n} record(s) (need >= 2)")
@@ -995,33 +979,41 @@ def check_report(report: AnalysisReport, records: "RecordBatch | RecordSummary")
                                  f"which give {again[key]!r}")
 
 
+# the JSON type a report field must have, as the test its value must pass
+_JSON_TYPES = {
+    "integer": lambda x: _is_real(x) and isinstance(x, int),  # int() would truncate 6000.9, read "6000"
+    "number": _is_real,  # float() would read "0.5" and true
+    "number or null": lambda x: x is None or _is_real(x),
+    "string": lambda x: isinstance(x, str),  # str() would read any value
+    "object": lambda x: isinstance(x, Mapping),
+}
+
+
+def _report_field(doc: Mapping, key: str, kind: str):
+    value = doc[key]
+    if not _JSON_TYPES[kind](value):
+        raise ValidationError(f"malformed analysis report: {key!r} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def report_from_jsonable(doc: Mapping) -> AnalysisReport:
     try:
-        for key in ("estimates", "bell"):
-            if not isinstance(doc[key], Mapping):
-                raise ValidationError(f"malformed analysis report: {key!r} must be a JSON object")
-        for n in (doc["n_trials"], *(e["n"] for e in doc["estimates"].values())):
-            if not isinstance(n, int) or isinstance(n, bool):  # int() would truncate 6000.9, read "6000"
-                raise ValidationError(f"malformed analysis report: 'n_trials' and each 'n' must be integers, "
-                                      f"got {n!r}")
-        estimates = {
-            tag: CorrelatorEstimate(tag, e["n"], float(e["mean"]), float(e["stderr"]))
-            for tag, e in doc["estimates"].items()
-        }
-        b = doc["bell"]
+        estimates = {}
+        for tag, e in _report_field(doc, "estimates", "object").items():
+            mean, stderr = (float(_report_field(e, key, "number")) for key in ("mean", "stderr"))
+            estimates[tag] = CorrelatorEstimate(tag, _report_field(e, "n", "integer"), mean, stderr)
+        b = _report_field(doc, "bell", "object")
         if b["verdict"] not in _VERDICTS:
             raise ValidationError(f"malformed analysis report: 'verdict' must be one of "
                                   f"{', '.join(_VERDICTS)}, got {b['verdict']!r}")
-        sigma_excess = b["sigma_excess"]
+        value, bound, stderr = (float(_report_field(b, key, "number")) for key in ("value", "bound", "stderr"))
+        excess = _report_field(b, "sigma_excess", "number or null")  # null where it is infinite
+        excess = (math.inf if b["verdict"] == "violation" else -math.inf) if excess is None else float(excess)
         k = check_sigma_threshold(doc["sigma_threshold"], "malformed analysis report: 'sigma_threshold'")
-        bell = BellReport(
-            b["quantity"], float(b["value"]), float(b["bound"]), float(b["stderr"]),
-            math.inf if sigma_excess is None and b["verdict"] == "violation"
-            else (-math.inf if sigma_excess is None else float(sigma_excess)),
-            b["verdict"], k,
-        )
-        return AnalysisReport(str(doc["mode"]), str(doc["records_sha256"]), doc["n_trials"], k, estimates, bell)
-    except (KeyError, TypeError, ValueError) as exc:
+        bell = BellReport(b["quantity"], value, bound, stderr, excess, b["verdict"], k)
+        return AnalysisReport(_report_field(doc, "mode", "string"), _report_field(doc, "records_sha256", "string"),
+                              _report_field(doc, "n_trials", "integer"), k, estimates, bell)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed analysis report: {exc!r}") from None
 
 

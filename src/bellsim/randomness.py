@@ -23,18 +23,6 @@ MIN_BITS = 100
 
 
 @dataclass(frozen=True)
-class BitString:
-    """Extracted bits plus the provenance needed to tie them to a records file."""
-
-    bits: np.ndarray  # uint8 array of 0/1 in extraction order
-    records_sha256: str
-    extraction_rule: str = EXTRACTION_RULE
-
-    def __len__(self) -> int:
-        return self.bits.size
-
-
-@dataclass(frozen=True)
 class RunsTestResult:
     """Runs-test outcome; not applicable when the frequency precondition fails."""
 
@@ -68,15 +56,15 @@ def _bits_of(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return bits
 
 
-def extract_bits(records: RecordBatch) -> BitString:
-    """Bits from outcomes in trial order: per trial s1 then s2, +1 -> 1, -1 -> 0."""
+def extract_bits(records: RecordBatch) -> np.ndarray:
+    """Bits from outcomes in trial order, as a uint8 array: per trial s1 then s2, +1 -> 1, -1 -> 0."""
     if len(records) == 0:
         raise ValidationError("cannot extract bits from an empty record set")
-    return BitString(_bits_of(records.s1, records.s2), records.sha256())
+    return _bits_of(records.s1, records.s2)
 
 
 def _as_bit_array(bits) -> np.ndarray:
-    arr = bits.bits if isinstance(bits, BitString) else np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValidationError("bits must be a 1-d sequence of 0/1")
     if arr.size and not np.all((arr == 0) | (arr == 1)):
@@ -110,7 +98,7 @@ class BitCounts:
 
     @classmethod
     def of(cls, bits) -> "BitCounts":
-        """The counts of a whole bit string (a BitString or a sequence of 0/1)."""
+        """The counts of a whole bit string (a sequence of 0/1)."""
         counts = cls()
         counts.add(_as_bit_array(bits))
         return counts
@@ -241,11 +229,11 @@ class _BitLines:
             self._f.write(self._rest.tobytes() + b"\n")
 
 
-def write_bits(bits: BitString, path) -> None:
-    """Write bits as ASCII '0'/'1' lines, 64 bits per line; no bits give a lone newline."""
+def write_bits(bits, path) -> None:
+    """Write bits (a sequence of 0/1) as ASCII '0'/'1' lines, 64 bits per line; no bits give a lone newline."""
     with open(path, "wb") as f:
         lines = _BitLines(f)
-        lines.write(bits.bits)
+        lines.write(_as_bit_array(bits))
         lines.finish()
 
 

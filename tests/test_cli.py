@@ -212,6 +212,24 @@ class TestAnalyze:
         assert main(["analyze", "--records", str(records), "--out-dir", str(tmp_path)]) == 1
         assert "line 2: no trial rows" in capsys.readouterr().err
 
+    def test_failed_write_leaves_no_new_report(self, tmp_path, capsys, monkeypatch):
+        _, out = run_pipeline(tmp_path)
+        report = out / "report.json"
+
+        def failing_write(doc, path):
+            path.write_text(json.dumps(doc)[:40])
+            raise OSError("no space left on device")
+
+        for earlier in (None, b"written by an earlier analyze\n"):
+            if earlier is not None:
+                report.write_bytes(earlier)
+            monkeypatch.setattr(protocol, "write_json", failing_write)
+            capsys.readouterr()
+            assert main(stage_argv("analyze", out)) == 2
+            assert "i/o error" in capsys.readouterr().err
+            assert (report.read_bytes() if report.exists() else None) == earlier
+            assert no_partial_files(out)
+
     def test_floats_printed_with_12_significant_digits(self, tmp_path, capsys):
         _, out = run_pipeline(tmp_path, n_trials=6000)
         main(["analyze", "--records", str(out / "records.csv"), "--out-dir", str(out)])
@@ -241,7 +259,7 @@ class TestCertify:
 
     def test_every_trials_bits_are_extracted_once(self, tmp_path, monkeypatch):
         out = self.run_analyze(tmp_path, n_trials=6000)
-        whole = extract_bits(RecordBatch.from_csv(out / "records.csv")).bits
+        whole = extract_bits(RecordBatch.from_csv(out / "records.csv"))
         steps = []
         bits_of = randomness._bits_of
 
@@ -367,23 +385,29 @@ class TestCertify:
         (("bell",), "violation", "'bell' must be a JSON object"),
         (("bell", "verdict"), 5, "'verdict' must be one of"),
         (("bell", "verdict"), "VIOLATION", "'verdict' must be one of"),
+        # float() and str() would read each of these as the value the records give
+        pytest.param(("estimates", "AB", "mean"), str, "'mean' must be a JSON number", id="mean-string"),
+        pytest.param(("estimates", "AB", "stderr"), True, "'stderr' must be a JSON number", id="stderr-bool"),
+        pytest.param(("bell", "value"), str, "'value' must be a JSON number", id="value-string"),
+        pytest.param(("bell", "bound"), "1", "'bound' must be a JSON number", id="bound-string"),
+        pytest.param(("bell", "stderr"), False, "'stderr' must be a JSON number", id="bell-stderr-bool"),
+        pytest.param(("bell", "sigma_excess"), str, "'sigma_excess' must be a JSON number or null",
+                     id="sigma_excess-string"),
+        pytest.param(("mode",), ["x"], "'mode' must be a JSON string", id="mode-list"),
+        pytest.param(("records_sha256",), lambda digest: int(digest, 16), "'records_sha256' must be a JSON string",
+                     id="records_sha256-number"),
     ])
     def test_hand_edited_report_exits_validation(self, tmp_path, capsys, path, value, named):
         out = self.run_analyze(tmp_path, n_trials=6000)
         report = out / "report.json"
-        doc = json.loads(report.read_text())
-        *parents, key = path
-        target = doc
-        for parent in parents:
-            target = target[parent]
-        target[key] = value
-        report.write_text(json.dumps(doc))
+        report.write_text(json.dumps(edited(json.loads(report.read_text()), path, value)))
         capsys.readouterr()
         code = main(["certify", "--records", str(out / "records.csv"),
                      "--report", str(report), "--out-dir", str(out)])
         assert code == 1
         assert named in capsys.readouterr().err
-        assert not (out / "certification.json").exists()
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+        assert no_partial_files(out)
 
 
 SIGNIFICANCE_PROBE = dict(mode="hv:sign-model", n_trials=200_000, selector_seed=1, outcome_seed=2)
@@ -430,11 +454,12 @@ def test_invalid_json_names_the_file_kind(tmp_path, capsys, what):
         cfg = bad if what == "config" else write_config(tmp_path / "cfg.json", mode=f"hv:{bad}")
         argv = ["run", "--config", str(cfg), "--out-dir", str(out)]
         outputs = ["records.csv", "manifest.json"]
-    bad.write_text("{not json")
-    capsys.readouterr()
-    assert main(argv) == 1
-    assert f"{what} file {bad}: invalid JSON" in capsys.readouterr().err
-    assert not any((out / name).exists() for name in outputs)
+    for content in (b"{not json", b"\xff"):  # not JSON, not UTF-8
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"{what} file {bad}: invalid JSON" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in outputs)
 
 
 class TestStreaming:

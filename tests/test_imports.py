@@ -1,16 +1,20 @@
-"""Every module-level import in a bellsim module is named by that module.
+"""Every module-level import in a bellsim module is named by that module,
+and every module-level private name is named somewhere else.
 
 No lint tool runs on the package, and deleting code tends to leave its
-imports behind; this test parses each module with ``ast`` instead.
-``__init__.py`` is left out: its imports are the package's exports.
+imports and private helpers behind; these tests parse each module with
+``ast`` instead.  ``__init__.py`` is left out of the import check: its
+imports are the package's exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bellsim"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "bellsim"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -35,3 +39,50 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The private (single-underscore) names that the module's top-level defs, classes and assignments bind."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+def named(tree: ast.Module) -> set[str]:
+    """Every name the module reads: as a variable, as an attribute, or imported by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_private_names(sources: list[str], tests_text: str = "") -> list[str]:
+    """The private module-level names of ``sources`` that no source reads and ``tests_text`` never names."""
+    trees = [ast.parse(source) for source in sources]
+    read = set().union(*map(named, trees))
+    return [name for tree in trees for name in private_definitions(tree)
+            if name not in read and not re.search(rf"\b{name}\b", tests_text)]
+
+
+def test_the_check_finds_a_dead_private_name():
+    module = "_LIMIT = 3\n_unused_limit = 4\ndef _helper():\n    return _LIMIT\nclass _Left:\n    pass\n"
+    caller = "from .module import _helper\nx = _helper()\n"
+    assert dead_private_names([module, caller]) == ["_unused_limit", "_Left"]
+    assert dead_private_names([module, caller], "assert mod._Left") == ["_unused_limit"]
+
+
+def test_no_dead_private_name():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    tests_text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
+                           if path.name != Path(__file__).name)  # not the names of the example above
+    assert dead_private_names(sources, tests_text) == []

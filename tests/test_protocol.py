@@ -42,7 +42,7 @@ from bellsim.protocol import (
     run_experiment,
     write_report,
 )
-from bellsim.quantum import QubitState
+from bellsim.quantum import QubitState, SequentialSampler
 from bellsim.selector import GAMMA, GEOMETRIES, MASK64, context_codes, mix64, trial_uniforms
 
 TRIPLE = max_violation_triple()
@@ -337,18 +337,18 @@ class TestRunExperiment:
         assert [s1.analytic_correlator(c) for c in range(3)] == [s2.analytic_correlator(c) for c in range(3)]
 
     def test_initial_state_override_keeps_correlators(self):
+        # the sampler's preparation moves the marginals, not the correlators
         cfg = temporal_config(n_trials=60_000, selector_seed=8, outcome_seed=9)
+        contexts = cfg.context_set()
+        codes = context_codes(cfg.selector_seed, cfg.n_trials, len(contexts))
+        u = trial_uniforms(cfg.outcome_seed, 0, cfg.n_trials)
+        skewed = SequentialSampler(contexts, QubitState.up()).run(codes, u[0], u[1])
         default_run = estimate_correlators(run_experiment(cfg))
-        skewed_run = estimate_correlators(run_experiment(cfg, state0=QubitState.up()))
+        skewed_run = estimate_correlators(RecordBatch(cfg.geometry, codes, *skewed))
         for tag in ("AB", "AC", "BC"):
             assert abs(default_run[tag].mean - skewed_run[tag].mean) <= 5 * (
                 default_run[tag].stderr + skewed_run[tag].stderr
             )
-
-    def test_state0_rejected_outside_sequential_mode(self):
-        cfg = temporal_config(mode="qm_singlet", directions=QUAD)
-        with pytest.raises(ValidationError):
-            run_experiment(cfg, state0=QubitState.up())
 
     def test_saturation_when_doubling_trials(self):
         cfg_n = temporal_config(n_trials=20_000, selector_seed=3, outcome_seed=4)
@@ -359,31 +359,37 @@ class TestRunExperiment:
             assert abs(est_n[tag].mean - est_2n[tag].mean) < 3 * est_n[tag].stderr
 
 
+def temporal_records(*rows):
+    """TrialRecords of (context, s1, s2) rows, in trial order, at the temporal slots."""
+    tags, slots = GEOMETRIES["temporal"]
+    return [TrialRecord(i, tag, *slots[tags.index(tag)], v1, v2) for i, (tag, v1, v2) in enumerate(rows)]
+
+
+# two trials of each context but AB, with mixed outcomes
+OTHER_CONTEXTS = [("AC", 1, -1), ("BC", -1, -1), ("AC", -1, -1), ("BC", 1, -1)]
+
+
 class TestEstimators:
     def test_single_context_constant_records(self):
-        records = [TrialRecord(i, "AB", 1, 2, 1, 1) for i in range(4)]
-        est = estimate_correlators(records, contexts=["AB"])
+        records = temporal_records(*[("AB", 1, 1)] * 4, *OTHER_CONTEXTS)
+        est = estimate_correlators(records)
         assert est["AB"].mean == 1.0 and est["AB"].stderr == 0.0 and est["AB"].n == 4
 
     def test_two_record_formula(self):
-        records = [TrialRecord(0, "AB", 1, 2, 1, 1), TrialRecord(1, "AB", 1, 2, 1, -1)]
-        est = estimate_correlators(records, contexts=["AB"])
+        records = temporal_records(("AB", 1, 1), ("AB", 1, -1), *OTHER_CONTEXTS)
+        est = estimate_correlators(records)
         assert est["AB"].mean == 0.0
         assert abs(est["AB"].stderr - math.sqrt(0.5)) < 1e-15
 
     def test_missing_context_is_named(self):
-        records = [TrialRecord(i, "AB", 1, 2, 1, 1) for i in range(4)]
-        with pytest.raises(InsufficientDataError, match="BC"):
-            estimate_correlators(records, contexts=["AB", "BC"])
+        records = temporal_records(*[("AB", 1, 1)] * 4, ("AC", 1, 1), ("AC", -1, 1))
+        with pytest.raises(InsufficientDataError, match="^context BC: 0 record"):
+            estimate_correlators(records)
 
     def test_undersized_context_is_named(self):
-        records = [
-            TrialRecord(0, "AB", 1, 2, 1, 1),
-            TrialRecord(1, "AB", 1, 2, 1, 1),
-            TrialRecord(2, "AC", 1, 3, 1, 1),
-        ]
-        with pytest.raises(InsufficientDataError, match="AC"):
-            estimate_correlators(records, contexts=["AB", "AC"])
+        records = temporal_records(("AB", 1, 1), ("AB", 1, 1), ("AC", 1, 1), ("BC", 1, 1), ("BC", -1, 1))
+        with pytest.raises(InsufficientDataError, match="^context AC: 1 record"):
+            estimate_correlators(records)
 
     @pytest.mark.parametrize("cfg_kwargs,model", BACKEND_CASES)
     def test_count_table_equals_masked_means(self, cfg_kwargs, model):

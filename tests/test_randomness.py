@@ -14,7 +14,6 @@ from bellsim.protocol import (
     run_experiment,
 )
 from bellsim.randomness import (
-    EXTRACTION_RULE,
     BitCounts,
     certification_to_jsonable,
     certify,
@@ -41,25 +40,23 @@ class TestExtractBits:
     def test_single_record_mapping(self):
         batch = RecordBatch.from_records([TrialRecord(0, "AB", 1, 2, 1, -1)])
         bits = extract_bits(batch)
-        assert bits.bits.tolist() == [1, 0]
+        assert bits.tolist() == [1, 0]
 
     def test_interleaving_order(self):
         batch = RecordBatch.from_records([
             TrialRecord(0, "AB", 1, 2, -1, 1),
             TrialRecord(1, "BC", 2, 3, 1, 1),
         ])
-        assert extract_bits(batch).bits.tolist() == [0, 1, 1, 1]
+        assert extract_bits(batch).tolist() == [0, 1, 1, 1]
 
     def test_length_is_two_per_trial(self):
         records = qm_run(500)
         bits = extract_bits(records)
         assert len(bits) == 1000
-        assert bits.records_sha256 == records.sha256()
-        assert bits.extraction_rule == EXTRACTION_RULE
 
     def test_constant_model_is_all_ones(self):
         bits = extract_bits(constant_run())
-        assert np.all(bits.bits == 1)
+        assert np.all(bits == 1)
 
     def test_empty_records_rejected(self):
         empty = RecordBatch("temporal", np.array([], dtype=np.uint8), np.array([], dtype=np.int8),
@@ -217,4 +214,4 @@ class TestBitsFile:
         assert len(lines) == math.ceil(200 / 64)
         assert all(set(line) <= {"0", "1"} for line in lines)
         assert all(len(line) == 64 for line in lines[:-1])
-        assert "".join(lines) == "".join(str(b) for b in bits.bits.tolist())
+        assert "".join(lines) == "".join(str(b) for b in bits.tolist())

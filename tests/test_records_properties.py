@@ -243,6 +243,21 @@ def test_reads_of_any_size_map_line_ends_as_the_whole_file(pieces, sizes):
     assert reader._buf == data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
+def test_summary_before_any_step_is_a_validation_error():
+    with pytest.raises(ValidationError, match="^records: no step read yet$"):
+        protocol.RecordReader(io.BytesIO(b"")).summary()
+
+
+def test_the_count_table_is_added_to_in_place(monkeypatch, tmp_path):
+    # one table for the whole file: a new table per step would be one more allocation per step
+    batch, path = small_chunk_batch(monkeypatch, tmp_path)
+    with open(path, "rb") as f:
+        reader = protocol.RecordReader(f)
+        tables = [reader._counts for _ in reader]
+    assert len(tables) == 72 and all(table is tables[0] for table in tables)
+    assert np.array_equal(reader.summary().counts, batch.outcome_counts())
+
+
 @pytest.mark.parametrize("kind", ["temporal", "chsh"])
 def test_lone_cr_as_the_last_byte(monkeypatch, tmp_path, reads, streamed, kind):
     extra = {} if kind == "temporal" else dict(mode="qm_singlet", directions=tsirelson_quadruple())
