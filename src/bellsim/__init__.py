@@ -28,7 +28,6 @@ from .protocol import (
     CorrelatorEstimate,
     ExperimentConfig,
     RecordBatch,
-    TrialRecord,
     analyze_records,
     bell_quantity,
     chsh_quantity,

@@ -227,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _reuse_step_memory() -> None:
     """Let the C allocator keep, for the next step, the memory a stage frees after each step.
 
-    A step allocates a few MB of temporaries (its bytes, the newline mask,
+    A step allocates about 2 MB of temporaries (its bytes, the newline mask,
     the rendered rows) and frees them before the next step.  glibc serves
     blocks above a moving threshold by mmap and returns the top of the heap
     once twice that threshold is free, so by default every step faults its
-    memory in again: about 48 000 minor faults and 0.1 s per 3 M-trial
-    `analyze` or `certify`.  Serving blocks up to 32 MB from the heap and
+    memory in again: about 26 000 minor faults and 0.08 s per 3 M-trial
+    `analyze`.  Serving blocks up to 32 MB from the heap and
     keeping up to 64 MB free at its top lets the steps reuse their memory;
     a stage still holds one step at a time, so its peak is unchanged.  C
     libraries without ``mallopt`` are left as they are.

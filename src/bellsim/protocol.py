@@ -15,9 +15,8 @@ import math
 import os
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -55,8 +54,10 @@ TEMPORAL_BOUND = 1.0
 CHSH_BOUND = 2.0
 SELECTOR_ALGORITHM = "splitmix64"
 
-# trials per simulation span, rows per render and verification chunk
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # trials per simulation span
+# rows per record step, rendered or read and checked at once: the buffers of a step (about 1.9 MB)
+# stay near the size of a core's L2 cache, where those of a whole span would not
+_STEP = 1 << 14
 
 
 def round12(x: float) -> float:
@@ -193,18 +194,6 @@ def load_config(path) -> ExperimentConfig:
 # --- trial records ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One protocol trial: which context was selected and the two outcomes."""
-
-    index: int
-    context: str
-    slot_x: int
-    slot_y: int
-    s1: int
-    s2: int
-
-
 # (context, slot_x, slot_y) -> (record kind, context code); the kinds share no row
 _ROWS = {(tag, *slot): (kind, code)
          for kind, (tags, slots) in GEOMETRIES.items() for code, (tag, slot) in enumerate(zip(tags, slots))}
@@ -313,7 +302,7 @@ class RecordReader:
     step.  Only one step's bytes are held.
 
     A step first tries the canonical path: it reads until it holds as many
-    bytes as _CHUNK canonical rows can take, or the rest of the file (one
+    bytes as _STEP canonical rows can take, or the rest of the file (one
     read, also for CRLF line ends, unless the file ends), maps line ends to
     LF (a CR that ends a read waits for the next byte, which may make it a
     CRLF), reads each row's outcomes and slots from its last bytes, counted
@@ -356,7 +345,7 @@ class RecordReader:
     def _canonical_step(self, start: int, size: int):
         """(kind, codes, s1, s2, counts, end) of the rows in buf[start:size], hashed, if canonical; else None.
 
-        ``size`` is the most bytes that the header and _CHUNK canonical rows can take; ``counts``
+        ``size`` is the most bytes that the header and _STEP canonical rows can take; ``counts``
         is the outcome-count table of the rows.
         """
         if not (self.n or self._buf.startswith(_HEADER_LINE)):
@@ -364,9 +353,9 @@ class RecordReader:
         usable = min(size, len(self._buf))
         body = np.frombuffer(self._buf, np.uint8, count=usable - start, offset=start)
         # int32 positions (a step's bytes are far fewer than 2**31) halve the index arrays below
-        ends = np.flatnonzero(body == ord("\n"))[:_CHUNK].astype(np.int32)
+        ends = np.flatnonzero(body == ord("\n"))[:_STEP].astype(np.int32)
         m = ends.size
-        if not m or (m < _CHUNK and not (self._eof and usable == len(self._buf))):
+        if not m or (m < _STEP and not (self._eof and usable == len(self._buf))):
             return None  # no row end, or a line longer than any canonical row
         kind = self.kind if self.n else _KIND_OF_ROW0.get(body[:ends[0] + 1].tobytes())
         if kind is None or np.diff(ends, prepend=-1).min() < _MIN_ROW:
@@ -389,17 +378,17 @@ class RecordReader:
         return kind, codes, s1, s2, _count_table(len(GEOMETRIES[kind][0]), key), end
 
     def _parsed_step(self):
-        """(kind, codes, s1, s2, counts, end) of the next whole lines, at most _CHUNK rows, by the line parser.
+        """(kind, codes, s1, s2, counts, end) of the next whole lines, at most _STEP rows, by the line parser.
 
         The rows are hashed as rendered from their columns, and counted.
         """
         header = 0 if self.n else 1
         while True:  # at least one row (after the header) or the end of the file
-            ends = np.flatnonzero(np.frombuffer(self._buf, np.uint8) == ord("\n"))[:_CHUNK + header]
+            ends = np.flatnonzero(np.frombuffer(self._buf, np.uint8) == ord("\n"))[:_STEP + header]
             if ends.size > header or self._eof:
                 break
             self._fill(2 * len(self._buf) + 1)
-        if ends.size == _CHUNK + header or not self._eof:
+        if ends.size == _STEP + header or not self._eof:
             end = int(ends[-1]) + 1
         else:  # the rest of the file, also a last line without a newline
             end = len(self._buf)
@@ -413,7 +402,7 @@ class RecordReader:
     def __iter__(self):
         while True:
             start = 0 if self.n else len(_HEADER_LINE)  # the first step also holds the header
-            size = start + _CHUNK * (len(str(self.n + _CHUNK - 1)) + _TAIL_WIDTH)
+            size = start + _STEP * (len(str(self.n + _STEP - 1)) + _TAIL_WIDTH)
             self._fill(size)
             if self.n and self._eof and not self._buf:
                 return
@@ -426,10 +415,14 @@ class RecordReader:
             yield lo, codes, s1, s2
 
     def summary(self) -> "RecordSummary":
-        """Kind, size, canonical hash and count table of the rows read so far (at least one step)."""
+        """Kind, size, canonical hash and count table of the rows read so far (at least one step).
+
+        The table is a copy, so later steps leave the summary as it was taken.
+        """
         if self._counts is None:
             raise ValidationError("records: no step read yet")
-        return RecordSummary(self.kind, self.n, self._digest.hexdigest(), _read_only(self._counts, np.int64))
+        counts = _read_only(self._counts.copy(), np.int64)
+        return RecordSummary(self.kind, self.n, self._digest.hexdigest(), counts)
 
 
 @dataclass(frozen=True)
@@ -541,12 +534,11 @@ def _read_only(values, dtype) -> np.ndarray:
 
 
 class RecordBatch:
-    """Columnar sequence of TrialRecord (cheap at millions of trials).
+    """Trial records as columns: context codes and the two outcomes (cheap at millions of trials).
 
     A record's index is its position: trials run 0..n-1, so no trial column
-    is stored.  Iterating or indexing yields TrialRecord objects; the
-    underlying numpy columns are exposed for estimation as read-only views
-    of the arrays passed in (no copy), which the caller must not change
+    is stored.  The numpy columns are exposed for estimation as read-only
+    views of the arrays passed in (no copy), which the caller must not change
     afterwards.  The CSV byte serialization below is the canonical form used
     for hashing and on-disk records; its SHA-256 and its outcome-count table
     are computed at most once per batch.
@@ -575,16 +567,6 @@ class RecordBatch:
     def __len__(self) -> int:
         return self.codes.size
 
-    def __getitem__(self, i: int) -> TrialRecord:
-        i = range(len(self))[i]  # a negative index counts from the end
-        code = int(self.codes[i])
-        sx, sy = self.slots[code]
-        return TrialRecord(i, self.tags[code], sx, sy, int(self.s1[i]), int(self.s2[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordBatch):
             return NotImplemented
@@ -593,25 +575,6 @@ class RecordBatch:
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.s1, other.s1)
             and np.array_equal(self.s2, other.s2)
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[TrialRecord]) -> "RecordBatch":
-        """A batch of records whose indices run 0..n-1 in order."""
-        records = list(records)
-        bad = next((i for i, r in enumerate(records) if r.index != i), None)
-        if bad is not None:
-            raise ValidationError(f"record {bad} has index {records[bad].index}; "
-                                  f"indices run 0..n-1 in order")
-        rows = [(r.context, r.slot_x, r.slot_y) for r in records]
-        kinds = {_ROWS.get(row, (None,))[0] for row in rows}
-        if None in kinds or len(kinds) > 1:
-            raise ValidationError(f"records carry an unknown context/slot combination: {sorted(set(rows))}")
-        return cls(
-            kinds.pop() if kinds else "temporal",
-            np.array([_ROWS[row][1] for row in rows], dtype=np.uint8),
-            np.array([r.s1 for r in records], dtype=np.int8),
-            np.array([r.s2 for r in records], dtype=np.int8),
         )
 
     def outcome_counts(self) -> np.ndarray:
@@ -627,26 +590,24 @@ class RecordBatch:
 
     # -- canonical CSV form --
 
-    def _steps(self):
-        for lo in range(0, len(self), _CHUNK):
-            step = slice(lo, lo + _CHUNK)
-            yield lo, self.codes[step], self.s1[step], self.s2[step]
+    def _span(self):
+        return ((0, self.codes, self.s1, self.s2),)
 
     def to_csv_bytes(self) -> bytes:
-        return b"".join(_csv_chunks(self.kind, self._steps()))
+        return b"".join(_csv_chunks(self.kind, self._span()))
 
     def sha256(self) -> str:
         """SHA-256 of the canonical CSV (LF line ends), rendered only if not yet known."""
         if self._sha256 is None:
             digest = hashlib.sha256()
-            for chunk in _csv_chunks(self.kind, self._steps()):
+            for chunk in _csv_chunks(self.kind, self._span()):
                 digest.update(chunk)
             self._sha256 = digest.hexdigest()
         return self._sha256
 
     def write_csv(self, path) -> None:
-        """Write the canonical CSV _CHUNK rows at a time, hashing it on the way."""
-        self._sha256 = _write_csv(path, self.kind, self._steps())
+        """Write the canonical CSV _STEP rows at a time, hashing it on the way."""
+        self._sha256 = _write_csv(path, self.kind, self._span())
 
     @classmethod
     def from_csv(cls, path) -> "RecordBatch":
@@ -654,7 +615,7 @@ class RecordBatch:
 
         Line ends may be LF, CRLF or CR, read as LF, so the hash of a CRLF
         copy is that of the canonical file.  The file is read, checked, hashed
-        and counted one step of _CHUNK rows at a time by :class:`RecordReader`
+        and counted one step of _STEP rows at a time by :class:`RecordReader`
         (canonical steps on a vectorized path, any other spelling such as "+1"
         or "01" line by line), and the steps' columns are joined.
         """
@@ -667,18 +628,23 @@ class RecordBatch:
         return batch
 
 
-def _csv_chunks(kind: str, steps):
-    """The canonical CSV of (lo, codes, s1, s2) steps in trial order: the header, then each step's rows."""
+def _csv_chunks(kind: str, spans):
+    """The canonical CSV of (lo, codes, s1, s2) spans in trial order: the header, then each span's rows.
+
+    The rows are rendered _STEP at a time, so a span of any length adds only one step's buffers.
+    """
     yield _HEADER_LINE
-    for lo, codes, s1, s2 in steps:
-        yield _render_rows(kind, lo, _outcome_key(codes, s1, s2))
+    for lo, codes, s1, s2 in spans:
+        for i in range(0, codes.size, _STEP):
+            step = slice(i, i + _STEP)
+            yield _render_rows(kind, lo + i, _outcome_key(codes[step], s1[step], s2[step]))
 
 
-def _write_csv(path, kind: str, steps) -> str:
-    """Write the canonical CSV of (lo, codes, s1, s2) steps to path as they come; returns its SHA-256."""
+def _write_csv(path, kind: str, spans) -> str:
+    """Write the canonical CSV of (lo, codes, s1, s2) spans to path as they come; returns its SHA-256."""
     digest = hashlib.sha256()
     with open(path, "wb") as f:
-        for chunk in _csv_chunks(kind, steps):
+        for chunk in _csv_chunks(kind, spans):
             f.write(chunk)
             digest.update(chunk)
     return digest.hexdigest()
@@ -752,6 +718,8 @@ def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, 
         for lo, hi in spans:
             yield span(lo, hi)
         return
+    from concurrent.futures import ThreadPoolExecutor  # imported only by runs on more than one thread
+
     ahead = 2 * n_threads
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         pending = deque(pool.submit(span, *edges) for edges in spans[:ahead])
@@ -837,7 +805,7 @@ class BellReport:
     sigma_threshold: float
 
 
-def estimate_correlators(records) -> dict[str, CorrelatorEstimate]:
+def estimate_correlators(records: "RecordBatch | RecordSummary") -> dict[str, CorrelatorEstimate]:
     """Per-context sample means and standard errors of the outcome product.
 
     Every context of the records' geometry must hold at least two trials.
@@ -845,12 +813,9 @@ def estimate_correlators(records) -> dict[str, CorrelatorEstimate]:
     values is exact in float64, so the mean (n_same - n_diff) / n is the
     sample mean of s1*s2 to the last bit.
     """
-    batch = records
-    if not isinstance(records, (RecordBatch, RecordSummary)):
-        batch = RecordBatch.from_records(records)
-    counts = batch.outcome_counts().tolist()
+    counts = records.outcome_counts().tolist()
     out: dict[str, CorrelatorEstimate] = {}
-    for tag, (both_neg, neg_pos, pos_neg, both_pos) in zip(batch.tags, counts):
+    for tag, (both_neg, neg_pos, pos_neg, both_pos) in zip(records.tags, counts):
         n = both_neg + neg_pos + pos_neg + both_pos
         if n < 2:
             raise InsufficientDataError(f"context {tag}: {n} record(s) (need >= 2)")

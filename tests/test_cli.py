@@ -267,7 +267,7 @@ class TestCertify:
             steps.append(bits_of(s1, s2))
             return steps[-1]
 
-        monkeypatch.setattr(protocol, "_CHUNK", 1000)
+        monkeypatch.setattr(protocol, "_STEP", 1000)
         monkeypatch.setattr(randomness, "_bits_of", logged)
         assert main(["certify", "--records", str(out / "records.csv"),
                      "--report", str(out / "report.json"), "--out-dir", str(out)]) == 0
@@ -467,8 +467,9 @@ class TestStreaming:
     @pytest.mark.parametrize("mode,directions", [("qm_sequential", max_violation_triple()),
                                                   ("qm_singlet", tsirelson_quadruple())])
     def test_outputs_equal_the_library_rendering(self, tmp_path, monkeypatch, threads, mode, directions):
-        # 257-trial steps give 514 bits each, so bits.txt carries part of a line across steps
+        # 257-trial spans and steps; a step gives 514 bits, so bits.txt carries part of a line across steps
         monkeypatch.setattr(protocol, "_CHUNK", 257)
+        monkeypatch.setattr(protocol, "_STEP", 257)
         cfg = write_config(tmp_path / "cfg.json", mode=mode, n_trials=3000,
                            directions=[[d.x, d.y, d.z] for d in directions])
         out = tmp_path / "out"
@@ -487,8 +488,9 @@ class TestStreaming:
                                             *(pytest.param(stage, True, id=f"{stage}-crlf")
                                               for stage in STAGES[1:])])
     def test_stage_memory_does_not_grow_with_the_trials(self, tmp_path, monkeypatch, capsys, stage, crlf):
-        # with crlf, analyze and certify read a CRLF copy of the records
+        # with crlf, analyze and certify read a CRLF copy of the records; run holds a span, the others a step
         monkeypatch.setattr(protocol, "_CHUNK", 1024)
+        monkeypatch.setattr(protocol, "_STEP", 1024)
 
         def peak(n_trials):
             cfg = write_config(tmp_path / f"cfg-{n_trials}.json", n_trials=n_trials)

@@ -8,7 +8,10 @@ imports are the package's exports.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +89,11 @@ def test_no_dead_private_name():
     tests_text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
                            if path.name != Path(__file__).name)  # not the names of the example above
     assert dead_private_names(sources, tests_text) == []
+
+
+def test_the_cli_imports_no_thread_pool():
+    # only a run on more than one thread uses it, and each stage pays for every import it makes
+    code = "import sys, bellsim.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

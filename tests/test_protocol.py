@@ -28,7 +28,6 @@ from bellsim.protocol import (
     CorrelatorEstimate,
     ExperimentConfig,
     RecordBatch,
-    TrialRecord,
     _run_reference,
     analyze_records,
     bell_quantity,
@@ -211,15 +210,13 @@ class TestRunExperiment:
         assert len(records) == 200
         assert np.all(records.s1 == 1) and np.all(records.s2 == 1)
 
-    def test_records_are_sequenced_trial_records(self):
+    def test_records_are_sequenced_columns(self):
         records = run_experiment(temporal_config(n_trials=5))
         assert len(records) == 5
-        first = records[0]
-        assert isinstance(first, TrialRecord)
-        assert first.index == 0
-        assert [r.index for r in records] == [0, 1, 2, 3, 4]
-        assert all(r.s1 in (-1, 1) and r.s2 in (-1, 1) for r in records)
-        assert all(r.context in ("AB", "AC", "BC") for r in records)
+        assert records.kind == "temporal" and records.tags == ("AB", "AC", "BC")
+        assert records.trial.tolist() == [0, 1, 2, 3, 4]
+        assert set(records.s1.tolist()) <= {-1, 1} and set(records.s2.tolist()) <= {-1, 1}
+        assert set(records.codes.tolist()) <= {0, 1, 2}
 
     @pytest.mark.parametrize("cfg_kwargs,model", BACKEND_CASES)
     def test_vectorized_run_matches_per_trial_reference(self, cfg_kwargs, model):
@@ -360,9 +357,10 @@ class TestRunExperiment:
 
 
 def temporal_records(*rows):
-    """TrialRecords of (context, s1, s2) rows, in trial order, at the temporal slots."""
-    tags, slots = GEOMETRIES["temporal"]
-    return [TrialRecord(i, tag, *slots[tags.index(tag)], v1, v2) for i, (tag, v1, v2) in enumerate(rows)]
+    """The temporal RecordBatch of (context, s1, s2) rows, in trial order."""
+    tags = GEOMETRIES["temporal"][0]
+    codes, s1, s2 = zip(*((tags.index(tag), v1, v2) for tag, v1, v2 in rows))
+    return RecordBatch("temporal", np.array(codes), np.array(s1), np.array(s2))
 
 
 # two trials of each context but AB, with mixed outcomes
@@ -650,31 +648,24 @@ class TestRecordsCsv:
         with pytest.raises(ValidationError, match="below 3"):
             RecordBatch("temporal", np.array([0, 3]), np.array([1, 1]), np.array([1, 1]))
 
-    def test_from_records_list(self):
-        records = [TrialRecord(0, "AB", 1, 2, 1, -1), TrialRecord(1, "BC", 2, 3, -1, -1)]
-        batch = RecordBatch.from_records(records)
-        assert batch.kind == "temporal"
-        assert list(batch) == records
+    def test_batch_of_columns(self, tmp_path):
+        batch = RecordBatch("temporal", np.array([0, 2]), np.array([1, -1]), np.array([-1, -1]))
+        assert batch.kind == "temporal" and batch.trial.tolist() == [0, 1]
+        assert (batch.codes.dtype, batch.s1.dtype, batch.s2.dtype) == (np.uint8, np.int8, np.int8)
+        batch.write_csv(tmp_path / "records.csv")
+        assert (tmp_path / "records.csv").read_text() == f"{RECORDS_HEADER}\n0,AB,1,2,1,-1\n1,BC,2,3,-1,-1\n"
 
-    def test_from_records_rejects_unknown_context(self):
-        with pytest.raises(ValidationError):
-            RecordBatch.from_records([TrialRecord(0, "ZZ", 1, 2, 1, 1)])
+    def test_unknown_kind_is_rejected(self):
+        one = np.array([1])
+        with pytest.raises(ValidationError, match="^unknown record kind 'ZZ'$"):
+            RecordBatch("ZZ", np.array([0]), one, one)
 
-    @pytest.mark.parametrize("indices,bad", [([0, 0], 1), ([1, 0], 0), ([0, 2, 1], 1), ([0, 1, 3], 2), ([-1], 0)])
-    def test_from_records_rejects_indices_other_than_positions(self, indices, bad):
-        records = [TrialRecord(i, "AB", 1, 2, 1, -1) for i in indices]
-        with pytest.raises(ValidationError, match=f"record {bad} has index {indices[bad]}; indices run 0..n-1"):
-            RecordBatch.from_records(records)
-
-    def test_index_is_position(self):
-        records = run_experiment(temporal_config(n_trials=7))
-        assert records[-1].index == len(records) - 1 == 6
-        assert records[-7] == records[0] and records[0].index == 0
-        assert [r.index for r in records] == list(range(7))
-        with pytest.raises(IndexError):
-            records[7]
-        with pytest.raises(IndexError):
-            records[-8]
+    @pytest.mark.parametrize("short", [0, 1, 2])
+    def test_columns_of_unequal_length_are_rejected(self, short):
+        columns = [np.array([0, 1]), np.array([1, -1]), np.array([-1, 1])]
+        columns[short] = columns[short][:1]
+        with pytest.raises(ValidationError, match="^record columns must have equal length$"):
+            RecordBatch("temporal", *columns)
 
     def test_trial_is_a_read_only_view_of_the_positions(self):
         records = run_experiment(temporal_config(n_trials=7))
@@ -711,9 +702,7 @@ class TestAnalysisReport:
         assert report_from_jsonable(json.loads(text)).n_trials == 5000
 
     def test_infinite_sigma_excess_survives_round_trip(self):
-        records = [TrialRecord(3 * i + k, tag, sx, sy, 1, 1)
-                   for i in range(6) for k, (tag, sx, sy) in enumerate([("AB", 1, 2), ("AC", 1, 3), ("BC", 2, 3)])]
-        batch = RecordBatch.from_records(records)
+        batch = temporal_records(*[(tag, 1, 1) for _ in range(6) for tag in ("AB", "AC", "BC")])
         report = analyze_records(batch)
         assert report.bell.value == 1.0 and report.bell.verdict == "consistent"
         doc = report_to_jsonable(report)

@@ -9,7 +9,6 @@ from bellsim.hidden_variables import FiniteHVModel
 from bellsim.protocol import (
     ExperimentConfig,
     RecordBatch,
-    TrialRecord,
     analyze_records,
     run_experiment,
 )
@@ -38,15 +37,12 @@ def constant_run(n_trials=200):
 
 class TestExtractBits:
     def test_single_record_mapping(self):
-        batch = RecordBatch.from_records([TrialRecord(0, "AB", 1, 2, 1, -1)])
+        batch = RecordBatch("temporal", np.array([0]), np.array([1]), np.array([-1]))
         bits = extract_bits(batch)
         assert bits.tolist() == [1, 0]
 
     def test_interleaving_order(self):
-        batch = RecordBatch.from_records([
-            TrialRecord(0, "AB", 1, 2, -1, 1),
-            TrialRecord(1, "BC", 2, 3, 1, 1),
-        ])
+        batch = RecordBatch("temporal", np.array([0, 2]), np.array([-1, 1]), np.array([1, 1]))
         assert extract_bits(batch).tolist() == [0, 1, 1, 1]
 
     def test_length_is_two_per_trial(self):

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bellsim.protocol as protocol
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.errors import ValidationError
-from bellsim.protocol import RECORDS_HEADER, ExperimentConfig, RecordBatch, run_experiment
+from bellsim.protocol import RECORDS_HEADER, ExperimentConfig, RecordBatch, RecordSummary, run_experiment, write_run
 from bellsim.selector import GEOMETRIES
 
 N_CONTEXTS = {"temporal": 3, "chsh": 4}
@@ -60,7 +60,7 @@ CHUNKS = st.integers(1, 9)
 @given(batch=batches(), chunk=CHUNKS)
 def test_renderer_matches_reference(batch, chunk):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_CHUNK", chunk)
+        mp.setattr(protocol, "_STEP", chunk)
         assert batch.to_csv_bytes() == reference_csv(batch)
 
 
@@ -81,7 +81,7 @@ def test_render_rows_across_digit_widths(lo):
 @given(batch=batches(min_size=1), chunk=CHUNKS)  # a file without rows reads as temporal
 def test_round_trip_for_every_line_end(batch, chunk):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(protocol, "_CHUNK", chunk)
+        mp.setattr(protocol, "_STEP", chunk)
         path = Path(tmp) / "records.csv"
         batch.write_csv(path)
         canonical = path.read_bytes()
@@ -126,7 +126,7 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
         return render(*args)
 
     monkeypatch.setattr(protocol, "_render_rows", counting)
-    monkeypatch.setattr(protocol, "_CHUNK", 300)
+    monkeypatch.setattr(protocol, "_STEP", 300)
     config = ExperimentConfig(mode="qm_sequential", directions=max_violation_triple(),
                               n_trials=1000, selector_seed=1, outcome_seed=2)
     path = tmp_path / "records.csv"
@@ -147,7 +147,42 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
     assert len(calls) == 12
 
 
-# --- the streamed reader, with _CHUNK patched small ---------------------------------
+def record_path_outputs(config: ExperimentConfig, threads: int, tmp: Path) -> list:
+    """What the record path gives for a config: written bytes and hashes, and what reading them back gives."""
+    run_path, crlf_path = tmp / "run.csv", tmp / "crlf.csv"
+    run_hash = write_run(config, run_path, threads=threads)
+    batch = run_experiment(config, threads=threads)
+    batch.write_csv(tmp / "batch.csv")
+    crlf_path.write_bytes(run_path.read_bytes().replace(b"\n", b"\r\n"))
+    outputs = [run_path.read_bytes(), run_hash, (tmp / "batch.csv").read_bytes(), batch.sha256(),
+               RecordBatch(batch.kind, batch.codes, batch.s1, batch.s2).sha256()]  # rendered afresh
+    for path in (run_path, crlf_path):
+        loaded, summary = RecordBatch.from_csv(path), RecordSummary.from_csv(path)
+        outputs += [(loaded.kind, loaded.codes.tolist(), loaded.s1.tolist(), loaded.s2.tolist(),
+                     loaded.sha256(), loaded.outcome_counts().tolist()),
+                    (summary.kind, summary.n, summary.records_sha256, summary.counts.tolist())]
+    return outputs
+
+
+@settings(max_examples=25, deadline=None)
+@given(chunk=st.integers(1, 40), step=st.integers(1, 60), n_trials=st.integers(1, 200),
+       chsh=st.booleans(), threads=st.sampled_from([1, 3]))
+@example(chunk=12, step=5, n_trials=200, chsh=False, threads=1)  # a step that does not divide a span
+@example(chunk=5, step=12, n_trials=200, chsh=True, threads=3)  # a step larger than a span
+@example(chunk=7, step=1, n_trials=50, chsh=False, threads=1)  # one row a step
+def test_span_and_step_sizes_change_no_output(chunk, step, n_trials, chsh, threads):
+    extra = dict(mode="qm_singlet", directions=tsirelson_quadruple()) if chsh else {}
+    config = ExperimentConfig(**{**dict(mode="qm_sequential", directions=max_violation_triple(),
+                                        n_trials=n_trials, selector_seed=9, outcome_seed=10), **extra})
+    with tempfile.TemporaryDirectory() as tmp:
+        whole = record_path_outputs(config, threads, Path(tmp))  # one span and one step at these sizes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "_CHUNK", chunk)
+            mp.setattr(protocol, "_STEP", step)
+            assert record_path_outputs(config, threads, Path(tmp)) == whole
+
+
+# --- the streamed reader, with _STEP patched small ---------------------------------
 
 
 @pytest.fixture
@@ -178,7 +213,7 @@ def streamed(monkeypatch):
 
 
 def small_chunk_batch(monkeypatch, tmp_path, chunk=7, n_trials=500, **overrides):
-    monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    monkeypatch.setattr(protocol, "_STEP", chunk)
     config = dict(mode="qm_sequential", directions=max_violation_triple(), n_trials=n_trials,
                   selector_seed=3, outcome_seed=4)
     config.update(overrides)
@@ -248,6 +283,19 @@ def test_summary_before_any_step_is_a_validation_error():
         protocol.RecordReader(io.BytesIO(b"")).summary()
 
 
+def test_a_summary_keeps_the_counts_it_was_taken_with(monkeypatch, tmp_path):
+    _, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
+    with open(path, "rb") as f:
+        reader = protocol.RecordReader(f)
+        steps = iter(reader)
+        next(steps)
+        early = reader.summary()
+        for _ in steps:
+            pass
+    assert early.n == 7 and early.counts.sum() == 7
+    assert reader.summary().n == reader.summary().counts.sum() == 500
+
+
 def test_the_count_table_is_added_to_in_place(monkeypatch, tmp_path):
     # one table for the whole file: a new table per step would be one more allocation per step
     batch, path = small_chunk_batch(monkeypatch, tmp_path)
@@ -293,7 +341,7 @@ def test_bad_row_in_a_later_chunk_cites_its_line(monkeypatch, tmp_path):
 
 
 def test_long_line_falls_back_after_one_step(monkeypatch, tmp_path, reads):
-    monkeypatch.setattr(protocol, "_CHUNK", 4)
+    monkeypatch.setattr(protocol, "_STEP", 4)
     path = tmp_path / "records.csv"
     # a valid spelling of trial 0 (int() ignores the spaces), far longer than any canonical row
     path.write_bytes(f"{RECORDS_HEADER}\n{' ' * 2_000_000}0,AB,1,2,1,-1\n1,BC,2,3,-1,1\n".encode())

@@ -4,8 +4,11 @@
 
 Runs the README config through `bellsim run`, `analyze` and `certify` at
 both sizes, then `analyze` and `certify` again on a CRLF copy of the
-records (a file bellsim did not write), prints each stage's wall time and
-peak resident set size (``ru_maxrss`` of its own process), and exits 1 if
+records (a file bellsim did not write), prints each stage's wall time,
+peak resident set size (``ru_maxrss`` of its own process) and that peak
+less the import floor (the peak of a fresh ``bellsim --version``, which
+imports what every stage imports and does nothing else), so the memory a
+stage's work takes shows on its own, and exits 1 if
 any stage fails, if the CRLF copy's report, bits or certification differ
 from the LF file's, or if a 30 M-trial stage peaks above 1.1 times its
 3 M-trial peak or above 100 MB.  The work files (about 1.2 GB at 30 M
@@ -60,7 +63,7 @@ def crlf_copy(src: Path, dst: Path) -> None:
             copy.write(block.replace(b"\n", b"\r\n"))
 
 
-def pipeline(work: Path, n_trials: int, problems: list[str]) -> dict[str, tuple[int, float, float]]:
+def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> dict[str, tuple[int, float, float]]:
     out, crlf = work / str(n_trials), work / f"{n_trials}-crlf"
     config = work / f"config-{n_trials}.json"
     config.write_text(json.dumps(dict(README_CONFIG, n_trials=n_trials)), encoding="utf-8")
@@ -82,7 +85,8 @@ def pipeline(work: Path, n_trials: int, problems: list[str]) -> dict[str, tuple[
             (out / "records.csv").unlink()  # keeps the disk use near one records file
         results[name] = stage(argv)
         code, seconds, peak = results[name]
-        print(f"{n_trials:>11,} {name:12s} exit {code}  {seconds:7.2f} s  {peak:7.1f} MB", flush=True)
+        print(f"{n_trials:>11,} {name:12s} exit {code}  {seconds:7.2f} s  {peak:7.1f} MB  "
+              f"{peak - floor:+6.1f} MB over the floor", flush=True)
     for name in ("report.json", "bits.txt", "certification.json"):
         if not ((out / name).exists() and (crlf / name).exists() and filecmp.cmp(out / name, crlf / name,
                                                                                  shallow=False)):
@@ -93,8 +97,10 @@ def pipeline(work: Path, n_trials: int, problems: list[str]) -> dict[str, tuple[
 
 def main() -> int:
     problems = []
+    code, _, floor = stage(["--version"])
+    print(f"import floor (bellsim --version): exit {code}  {floor:7.1f} MB", flush=True)
     with tempfile.TemporaryDirectory(prefix="stage-rss-") as tmp:
-        small, large = (pipeline(Path(tmp), n, problems) for n in SIZES)
+        small, large = (pipeline(Path(tmp), n, floor, problems) for n in SIZES)
     for name, (code, _, peak) in large.items():
         base = small[name][2]
         if code != 0 or small[name][0] != 0:
