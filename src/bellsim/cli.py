@@ -34,11 +34,13 @@ from .protocol import (
     load_config,
     load_report,
     make_sampler,
+    parse_mode,
     resolve_threads,
     write_report,
     write_run,
 )
 from .randomness import certification_to_jsonable, certify_counts, stream_bits
+from .selector import GEOMETRIES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -135,6 +137,8 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     check_sigma_threshold(args.sigma_threshold, "--sigma-threshold")  # before the records are read
+    if args.mode not in (None, *GEOMETRIES):
+        parse_mode(args.mode, "--mode")
     records = RecordSummary.from_csv(args.records)
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
     out = _out_dir(args)
@@ -169,8 +173,8 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = load_config(args.config)
-    contexts = config.context_set()
-    sampler = make_sampler(config, contexts)
+    sampler = make_sampler(config)
+    contexts = sampler.contexts
     values = {tag: sampler.analytic_correlator(code) for code, tag in enumerate(contexts.tags)}
     # exact correlators carry no sampling error
     estimates = {tag: CorrelatorEstimate(tag, 0, v, 0.0) for tag, v in values.items()}

@@ -95,16 +95,16 @@ def _geometry(n_directions: int) -> str:
     return "temporal" if n_directions == 3 else "chsh"
 
 
-def parse_mode(mode: str) -> tuple[str, str | None]:
-    """Split a mode string into (kind, model argument)."""
+def parse_mode(mode: str, name: str = "config key 'mode'") -> tuple[str, str | None]:
+    """Split a mode string into (kind, model argument); else a ValidationError naming it."""
     if not isinstance(mode, str):
-        raise ValidationError(f"config key 'mode' must be a string, got {type(mode).__name__}")
+        raise ValidationError(f"{name} must be a string, got {type(mode).__name__}")
     kind, sep, arg = mode.partition(":")
     row = _MODES.get(kind)
     if row is not None and (arg if row.builtin else not sep):
         return kind, arg or None
     *first, last = (k if r.builtin is None else f"{k}:<model>" for k, r in _MODES.items())
-    raise ValidationError(f"config key 'mode' must be {', '.join(first)} or {last}, got {mode!r}")
+    raise ValidationError(f"{name} must be {', '.join(first)} or {last}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -301,18 +301,17 @@ class RecordReader:
     table are kept up to date; :meth:`summary` returns them after the last
     step.  Only one step's bytes are held.
 
-    A step first tries the canonical path: it reads until it holds as many
-    bytes as _STEP canonical rows can take, or the rest of the file (one
-    read, also for CRLF line ends, unless the file ends), maps line ends to
-    LF (a CR that ends a read waits for the next byte, which may make it a
-    CRLF), reads each row's outcomes and slots from its last bytes, counted
-    back from its newline within those bytes, takes its trial to be its
+    The header is checked and hashed once, out of the first read.  A step is
+    the next _STEP lines, or the rest of the file up to its last newline (a
+    last line without one is a step of its own), whichever path reads it.
+    Line ends are mapped to LF as they are read (a CR that ends a read waits
+    for the next byte), and a read asks for what _STEP canonical rows can
+    take, also with CRLF line ends.  The canonical path reads each row's
+    outcomes and slots back from its newline, takes its trial to be its
     index, and accepts the rows only if rendering them again gives back
-    exactly their bytes.  A step that differs (another valid spelling, a
-    line longer than any canonical row, or an error) goes through the
-    line-by-line parser instead, which cites the file's line of the first
-    error; its rows are hashed as rendered from their columns, and the next
-    step tries the canonical path again.
+    exactly their bytes.  A step that differs (another spelling, a longer
+    line, an error) goes through the line-by-line parser, which cites the
+    file's line of the first error; its rows are hashed as rendered.
     """
 
     def __init__(self, f):
@@ -342,21 +341,37 @@ class RecordReader:
             have += len(pieces[-1])
         self._buf = b"".join(pieces)
 
-    def _canonical_step(self, start: int, size: int):
-        """(kind, codes, s1, s2, counts, end) of the rows in buf[start:size], hashed, if canonical; else None.
+    def _step_size(self) -> int:
+        # the most bytes that the next _STEP canonical rows can take
+        return _STEP * (len(str(self.n + _STEP - 1)) + _TAIL_WIDTH)
 
-        ``size`` is the most bytes that the header and _STEP canonical rows can take; ``counts``
-        is the outcome-count table of the rows.
-        """
-        if not (self.n or self._buf.startswith(_HEADER_LINE)):
-            return None
-        usable = min(size, len(self._buf))
-        body = np.frombuffer(self._buf, np.uint8, count=usable - start, offset=start)
-        # int32 positions (a step's bytes are far fewer than 2**31) halve the index arrays below
-        ends = np.flatnonzero(body == ord("\n"))[:_STEP].astype(np.int32)
-        m = ends.size
-        if not m or (m < _STEP and not (self._eof and usable == len(self._buf))):
-            return None  # no row end, or a line longer than any canonical row
+    def _step_ends(self) -> np.ndarray:
+        # the positions of the step's row ends: the buffer's first _STEP newlines, or all of them once
+        # the file ends; it is read to one step's canonical bytes first, then doubled for a long line
+        size = self._step_size()
+        while True:
+            self._fill(size)
+            body = np.frombuffer(self._buf, np.uint8, count=min(size, len(self._buf)))
+            ends = np.flatnonzero(body == ord("\n"))[:_STEP]
+            if ends.size == _STEP or (self._eof and size >= len(self._buf)):
+                # int32 positions halve the canonical path's index arrays (only a line of a GB needs more)
+                return ends.astype(np.int32) if size < 1 << 31 else ends
+            size = 2 * len(self._buf) + 1
+
+    def _tally(self, kind: str, key: np.ndarray, rows) -> None:
+        # hash a step's canonical rows and add the counts of their _outcome_key values
+        self._digest.update(rows)
+        counts = _count_table(len(GEOMETRIES[kind][0]), key)
+        if self._counts is None:
+            self._counts = np.zeros_like(counts)
+        self._counts += counts
+
+    def _canonical_step(self, ends: np.ndarray):
+        """(kind, codes, s1, s2) of the step's rows, hashed and counted, if they are canonical; else None."""
+        if not ends.size:
+            return None  # a last line without a newline
+        end = int(ends[-1]) + 1
+        body = np.frombuffer(self._buf, np.uint8, count=end)
         kind = self.kind if self.n else _KIND_OF_ROW0.get(body[:ends[0] + 1].tobytes())
         if kind is None or np.diff(ends, prepend=-1).min() < _MIN_ROW:
             return None  # the reads below stay inside each row only from this length on
@@ -369,47 +384,35 @@ class RecordReader:
         if codes.max() == 255:
             return None
         s1, s2 = 1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8)
-        end = start + int(ends[-1]) + 1
-        step = memoryview(self._buf)[:end]
         key = _outcome_key(codes, s1, s2)
-        if _render_rows(kind, self.n, key) != step[start:]:
+        rows = memoryview(self._buf)[:end]
+        if _render_rows(kind, self.n, key) != rows:
             return None
-        self._digest.update(step)
-        return kind, codes, s1, s2, _count_table(len(GEOMETRIES[kind][0]), key), end
+        self._tally(kind, key, rows)
+        return kind, codes, s1, s2
 
-    def _parsed_step(self):
-        """(kind, codes, s1, s2, counts, end) of the next whole lines, at most _STEP rows, by the line parser.
-
-        The rows are hashed as rendered from their columns, and counted.
-        """
-        header = 0 if self.n else 1
-        while True:  # at least one row (after the header) or the end of the file
-            ends = np.flatnonzero(np.frombuffer(self._buf, np.uint8) == ord("\n"))[:_STEP + header]
-            if ends.size > header or self._eof:
-                break
-            self._fill(2 * len(self._buf) + 1)
-        if ends.size == _STEP + header or not self._eof:
-            end = int(ends[-1]) + 1
-        else:  # the rest of the file, also a last line without a newline
-            end = len(self._buf)
-        batch = _parse_lines(self._buf[:end], self.n + 2 - header, self.kind)
-        key = _outcome_key(batch.codes, batch.s1, batch.s2)
-        if header:
-            self._digest.update(_HEADER_LINE)
-        self._digest.update(_render_rows(batch.kind, self.n, key))
-        return batch.kind, batch.codes, batch.s1, batch.s2, _count_table(len(batch.tags), key), end
+    def _parsed_step(self, end: int):
+        """(kind, codes, s1, s2) of the step's rows by the line parser, hashed as rendered and counted."""
+        kind, codes, s1, s2 = _parse_lines(self._buf[:end], self.n + 2, self.kind)
+        key = _outcome_key(codes, s1, s2)
+        self._tally(kind, key, _render_rows(kind, self.n, key))
+        return kind, codes, s1, s2
 
     def __iter__(self):
+        self._fill(len(_HEADER_LINE) + self._step_size())  # the header and the first step in one read
+        # the header line, or the whole file if it is the header without a newline
+        if not self._buf.startswith(_HEADER_LINE) and self._buf != _HEADER_LINE[:-1]:
+            raise ValidationError(f"records line 1: expected header {RECORDS_HEADER!r}")
+        self._digest.update(_HEADER_LINE)
+        self._buf = self._buf[len(_HEADER_LINE):]
+        if not self._buf:
+            raise ValidationError("records line 2: no trial rows")
         while True:
-            start = 0 if self.n else len(_HEADER_LINE)  # the first step also holds the header
-            size = start + _STEP * (len(str(self.n + _STEP - 1)) + _TAIL_WIDTH)
-            self._fill(size)
-            if self.n and self._eof and not self._buf:
+            ends = self._step_ends()
+            if not self._buf:
                 return
-            self.kind, codes, s1, s2, counts, end = self._canonical_step(start, size) or self._parsed_step()
-            if self._counts is None:
-                self._counts = np.zeros_like(counts)
-            self._counts += counts
+            end = int(ends[-1]) + 1 if ends.size else len(self._buf)
+            self.kind, codes, s1, s2 = self._canonical_step(ends) or self._parsed_step(end)
             self._buf = self._buf[end:]
             lo, self.n = self.n, self.n + codes.size
             yield lo, codes, s1, s2
@@ -477,28 +480,21 @@ def _int_field(text: str) -> int:
         return int(_LEADING_ZEROS.sub("", text, count=1))
 
 
-def _parse_lines(data: bytes, line: int = 1, kind: str | None = None) -> "RecordBatch":
-    """Line-by-line parser of every spelling _int_field reads; cites the line of the first error.
+def _parse_lines(data: bytes, line: int, kind: str | None) -> tuple:
+    """(kind, codes, s1, s2) of the rows in data, by a line-by-line parser of every spelling _int_field reads.
 
-    ``data`` holds whole lines of a records file, the first of them its line
-    ``line``: the header if that is 1, else the row of trial ``line - 2``.
-    Every row must be of ``kind``, or of the first row's kind if it is None.
+    ``data`` holds whole rows of a records file, the first of them the row of
+    trial ``line - 2``; the parser cites the line of the first error.  Every
+    row must be of ``kind``, or of the first row's kind if it is None.
     """
-    if line == 1 and data[:len(_HEADER_LINE)] not in (_HEADER_LINE, _HEADER_LINE[:-1]):  # before decoding
-        raise ValidationError(f"records line 1: expected header {RECORDS_HEADER!r}")
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         lineno = line + data.count(b"\n", 0, exc.start)
         raise ValidationError(f"records line {lineno}: non-ASCII byte") from None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    rows = lines[1:] if line == 1 else lines
-    if not rows:
-        raise ValidationError("records line 2: no trial rows")
+    rows = text.removesuffix("\n").split("\n")  # whole rows, or a last line without a newline
     codes, s1, s2 = [], [], []
-    for lineno, row_text in enumerate(rows, start=max(line, 2)):
+    for lineno, row_text in enumerate(rows, start=line):
         parts = row_text.split(",")
         if len(parts) != 6:
             raise ValidationError(f"records line {lineno}: expected 6 fields, got {len(parts)}")
@@ -523,8 +519,7 @@ def _parse_lines(data: bytes, line: int = 1, kind: str | None = None) -> "Record
         codes.append(code)
         s1.append(v1)
         s2.append(v2)
-    return RecordBatch(kind, np.array(codes, dtype=np.uint8),
-                       np.array(s1, dtype=np.int8), np.array(s2, dtype=np.int8))
+    return kind, np.array(codes, dtype=np.uint8), np.array(s1, dtype=np.int8), np.array(s2, dtype=np.int8)
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -653,9 +648,9 @@ def _write_csv(path, kind: str, spans) -> str:
 # --- running experiments -------------------------------------------------------------
 
 
-def make_sampler(config: ExperimentConfig, contexts: ContextSet | None = None, model=None):
-    """Build the trial sampler for a config (optionally with an in-memory model)."""
-    contexts = contexts if contexts is not None else config.context_set()
+def make_sampler(config: ExperimentConfig, model=None):
+    """Build the trial sampler for a config (optionally with an in-memory model); it holds the config's contexts."""
+    contexts = config.context_set()
     kind, arg = parse_mode(config.mode)
     row = _MODES[kind]
     if model is None and arg != row.builtin:
@@ -696,9 +691,8 @@ def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, 
     where it is computed, and yields views of them and its outcome-count
     table as ``counts``; without, ``counts`` is None.
     """
-    contexts = config.context_set()
-    sampler = make_sampler(config, contexts, model=model)
-    n, k = config.n_trials, len(contexts)
+    sampler = make_sampler(config, model=model)
+    n, k = config.n_trials, len(sampler.contexts)
     n_threads = resolve_threads(threads)
 
     def span(lo: int, hi: int):
@@ -713,19 +707,19 @@ def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, 
         return lo, codes, s1, s2, _count_table(k, _outcome_key(codes, s1, s2))
 
     n_spans = min(max(-(-n // _CHUNK), n_threads), n)
-    spans = [(n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans)]
+    edges = ((n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans))
     if n_threads == 1:
-        for lo, hi in spans:
+        for lo, hi in edges:
             yield span(lo, hi)
         return
     from concurrent.futures import ThreadPoolExecutor  # imported only by runs on more than one thread
 
-    ahead = 2 * n_threads
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        pending = deque(pool.submit(span, *edges) for edges in spans[:ahead])
-        for edges in spans[ahead:]:
-            yield pending.popleft().result()
-            pending.append(pool.submit(span, *edges))
+        pending = deque()
+        for lo, hi in edges:
+            if len(pending) == 2 * n_threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(span, lo, hi))
         while pending:
             yield pending.popleft().result()
 
@@ -762,8 +756,8 @@ def write_run(config: ExperimentConfig, path, threads: int | None = None) -> str
 
 def _run_reference(config: ExperimentConfig, model=None) -> RecordBatch:
     # per-trial scalar path; the vectorized runner must match it bit-for-bit
-    contexts = config.context_set()
-    sampler = make_sampler(config, contexts, model=model)
+    sampler = make_sampler(config, model=model)
+    contexts = sampler.contexts
     sel = SelectorState.from_seed(config.selector_seed)
     n = config.n_trials
     codes = np.empty(n, dtype=np.uint8)
@@ -825,47 +819,34 @@ def estimate_correlators(records: "RecordBatch | RecordSummary") -> dict[str, Co
     return out
 
 
-def _estimates_of(kind: str, estimates) -> Mapping[str, CorrelatorEstimate]:
-    # the estimates by context (a mapping, or a sequence of them), which must cover every context of kind
-    est = estimates if isinstance(estimates, Mapping) else {e.context: e for e in estimates}
-    for tag in GEOMETRIES[kind][0]:
-        if tag not in est:
-            raise InsufficientDataError(f"missing correlator estimate for context {tag}")
-    return est
-
-
 _VERDICTS = ("violation", "consistent", "inconclusive")
 
 
-def _verdict(value: float, bound: float, stderr: float, k: float) -> tuple[float, str]:
-    if stderr > 0.0:
-        excess = (value - bound) / stderr
-    else:
-        excess = math.inf if value > bound else -math.inf
-    if excess >= k:
-        return excess, "violation"
-    if value <= bound:
-        return excess, "consistent"
-    return excess, "inconclusive"
+def _quantity(kind: str, name: str, bound: float, value_of, estimates, k: float) -> BellReport:
+    # value_of(correlators by context) against bound, judged at k standard errors; the estimates (a
+    # mapping by context, or a sequence of them) must cover every context of kind
+    est = estimates if isinstance(estimates, Mapping) else {e.context: e for e in estimates}
+    tags = GEOMETRIES[kind][0]
+    for tag in tags:
+        if tag not in est:
+            raise InsufficientDataError(f"missing correlator estimate for context {tag}")
+    value = value_of({tag: est[tag].mean for tag in tags})
+    stderr = math.sqrt(sum(est[tag].stderr ** 2 for tag in tags))
+    excess = (value - bound) / stderr if stderr > 0.0 else math.inf if value > bound else -math.inf
+    verdict = "violation" if excess >= k else "consistent" if value <= bound else "inconclusive"
+    return BellReport(name, value, bound, stderr, excess, verdict, k)
 
 
 def bell_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
     """|P(a,b) - P(a,c)| + P(b,c) against the determinism bound 1."""
-    est = _estimates_of("temporal", estimates)
-    ab, ac, bc = est["AB"], est["AC"], est["BC"]
-    value = abs(ab.mean - ac.mean) + bc.mean
-    stderr = math.sqrt(ab.stderr ** 2 + ac.stderr ** 2 + bc.stderr ** 2)
-    excess, verdict = _verdict(value, TEMPORAL_BOUND, stderr, sigma_threshold)
-    return BellReport("temporal_bell", value, TEMPORAL_BOUND, stderr, excess, verdict, sigma_threshold)
+    return _quantity("temporal", "temporal_bell", TEMPORAL_BOUND,
+                     lambda p: abs(p["AB"] - p["AC"]) + p["BC"], estimates, sigma_threshold)
 
 
 def chsh_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
     """|P(a,b) - P(a,b')| + |P(a',b') + P(a',b)| against the bound 2."""
-    est = _estimates_of("chsh", estimates)
-    value = abs(est["AB"].mean - est["ABp"].mean) + abs(est["ApBp"].mean + est["ApB"].mean)
-    stderr = math.sqrt(sum(est[t].stderr ** 2 for t in GEOMETRIES["chsh"][0]))
-    excess, verdict = _verdict(value, CHSH_BOUND, stderr, sigma_threshold)
-    return BellReport("chsh", value, CHSH_BOUND, stderr, excess, verdict, sigma_threshold)
+    return _quantity("chsh", "chsh", CHSH_BOUND,
+                     lambda p: abs(p["AB"] - p["ABp"]) + abs(p["ApBp"] + p["ApB"]), estimates, sigma_threshold)
 
 
 # the inequality that records of each geometry test
@@ -975,7 +956,7 @@ def report_from_jsonable(doc: Mapping) -> AnalysisReport:
         excess = _report_field(b, "sigma_excess", "number or null")  # null where it is infinite
         excess = (math.inf if b["verdict"] == "violation" else -math.inf) if excess is None else float(excess)
         k = check_sigma_threshold(doc["sigma_threshold"], "malformed analysis report: 'sigma_threshold'")
-        bell = BellReport(b["quantity"], value, bound, stderr, excess, b["verdict"], k)
+        bell = BellReport(_report_field(b, "quantity", "string"), value, bound, stderr, excess, b["verdict"], k)
         return AnalysisReport(_report_field(doc, "mode", "string"), _report_field(doc, "records_sha256", "string"),
                               _report_field(doc, "n_trials", "integer"), k, estimates, bell)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

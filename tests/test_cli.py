@@ -212,6 +212,19 @@ class TestAnalyze:
         assert main(["analyze", "--records", str(records), "--out-dir", str(tmp_path)]) == 1
         assert "line 2: no trial rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["bogus", "hv", "qm_sequential:x", "conspiracy:"])
+    def test_bad_mode_exits_before_the_records_are_read(self, tmp_path, capsys, monkeypatch, mode):
+        _, out = run_pipeline(tmp_path)
+
+        def read(path):
+            raise AssertionError("read the records")
+
+        monkeypatch.setattr(protocol.RecordSummary, "from_csv", read)
+        capsys.readouterr()
+        assert main(stage_argv("analyze", out, mode=mode)) == 1
+        assert capsys.readouterr().err.startswith("bellsim: validation error: --mode must be ")
+        assert not (out / "report.json").exists()
+
     def test_failed_write_leaves_no_new_report(self, tmp_path, capsys, monkeypatch):
         _, out = run_pipeline(tmp_path)
         report = out / "report.json"
@@ -394,6 +407,7 @@ class TestCertify:
         pytest.param(("bell", "sigma_excess"), str, "'sigma_excess' must be a JSON number or null",
                      id="sigma_excess-string"),
         pytest.param(("mode",), ["x"], "'mode' must be a JSON string", id="mode-list"),
+        pytest.param(("bell", "quantity"), 5, "'quantity' must be a JSON string", id="quantity-number"),
         pytest.param(("records_sha256",), lambda digest: int(digest, 16), "'records_sha256' must be a JSON string",
                      id="records_sha256-number"),
     ])

@@ -352,23 +352,41 @@ def test_long_line_falls_back_after_one_step(monkeypatch, tmp_path, reads):
     assert len(reads) < 40  # ... and the long line in reads that double in size
 
 
-@pytest.mark.parametrize("row", [499, 250, 0])
-def test_only_the_step_that_differs_is_parsed_line_by_line(monkeypatch, tmp_path, row):
-    batch, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
-    lines = path.read_bytes().split(b"\n")
-    lines[row + 1] = b"0" + lines[row + 1]  # a leading zero: valid, not canonical
-    path.write_bytes(b"\n".join(lines))
+@pytest.fixture
+def parser_calls(monkeypatch):
+    """The file line that each call of the line-by-line parser starts at."""
     calls = []
     parse = protocol._parse_lines
 
-    def logged(data, line=1, kind=None):
+    def logged(data, line, kind):
         calls.append(line)
         return parse(data, line, kind)
 
     monkeypatch.setattr(protocol, "_parse_lines", logged)
+    return calls
+
+
+@pytest.mark.parametrize("row", [499, 250, 0])
+def test_only_the_step_that_differs_is_parsed_line_by_line(monkeypatch, tmp_path, parser_calls, row):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
+    lines = path.read_bytes().split(b"\n")
+    lines[row + 1] = b"0" + lines[row + 1]  # a leading zero: valid, not canonical
+    path.write_bytes(b"\n".join(lines))
     assert_loads_as(path, batch)
     first = row - row % 7
-    assert calls == [first + 2 if first else 1]  # the file's line of the step's first row (or header)
+    assert parser_calls == [first + 2]  # the file's line of the step's first row; the header never reaches it
+
+
+def test_steps_are_the_next_step_lines_whichever_path_reads_them(monkeypatch, tmp_path, parser_calls):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, n_trials=60)  # steps of 7
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = b" " * 100 + lines[3]  # trial 2, in a valid spelling longer than a step of canonical rows
+    path.write_bytes(b"\n".join(lines))
+    with open(path, "rb") as f:
+        sizes = [codes.size for _, codes, _, _ in protocol.RecordReader(f)]
+    assert sizes == [7] * 8 + [4]  # so every later step starts at a multiple of 7 as in the canonical file
+    assert parser_calls == [2]  # the first step, through the parser once, from the file's line 2
+    assert_loads_as(path, batch)
 
 
 def test_canonical_file_is_never_read_whole(monkeypatch, tmp_path, reads, streamed):
