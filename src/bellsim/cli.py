@@ -179,16 +179,13 @@ def cmd_oracle(args) -> int:
     # exact correlators carry no sampling error
     estimates = {tag: CorrelatorEstimate(tag, 0, v, 0.0) for tag, v in values.items()}
     report = QUANTITIES[contexts.kind](estimates, config.sigma_threshold)
+    # judged as printed: a float error below the 12th digit must not lift a value at its bound above it
+    value, bound = _json_float(report.value), _json_float(report.bound)
     doc = {
         "mode": config.mode,
         "geometry": contexts.kind,
         "correlators": {tag: _json_float(v) for tag, v in values.items()},
-        "quantity": {
-            "name": report.quantity,
-            "value": _json_float(report.value),
-            "bound": _json_float(report.bound),
-            "exceeds_bound": report.value > report.bound,
-        },
+        "quantity": {"name": report.quantity, "value": value, "bound": bound, "exceeds_bound": value > bound},
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK

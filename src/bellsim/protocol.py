@@ -54,7 +54,10 @@ TEMPORAL_BOUND = 1.0
 CHSH_BOUND = 2.0
 SELECTOR_ALGORITHM = "splitmix64"
 
-_CHUNK = 1 << 16  # trials per simulation span
+# trials per simulation span of a run into columns or on more than one thread; a streamed run on one
+# thread simulates spans of _STEP trials instead, so it holds one step, not a span, at a time (longer
+# spans keep a thread pool's queue short and cost a columns run less per trial)
+_CHUNK = 1 << 16
 # rows per record step, rendered or read and checked at once: the buffers of a step (about 1.9 MB)
 # stay near the size of a core's L2 cache, where those of a whole span would not
 _STEP = 1 << 14
@@ -229,7 +232,10 @@ _CODE_OF_SLOTS = {kind: _slot_table(slots) for kind, (_, slots) in GEOMETRIES.it
 
 def _outcome_key(codes: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     # code * 4 + (s1 > 0) * 2 + (s2 > 0): a trial's row in the tail and count tables
-    return codes * np.uint8(4) + (s1 > 0) * np.uint8(2) + (s2 > 0)
+    key = codes << 2
+    key |= (s1 > 0).view(np.uint8) << 1
+    key |= (s2 > 0).view(np.uint8)
+    return key
 
 
 def _count_table(n_contexts: int, key: np.ndarray) -> np.ndarray:
@@ -347,7 +353,9 @@ class RecordReader:
 
     def _step_ends(self) -> np.ndarray:
         # the positions of the step's row ends: the buffer's first _STEP newlines, or all of them once
-        # the file ends; it is read to one step's canonical bytes first, then doubled for a long line
+        # the file ends; it is read to one step's canonical bytes first, then a short read grows by what
+        # its whole rows predict for the missing rows, or by twice its unfinished line if that is more:
+        # rows longer than canonical ones hold about one step, and a long line takes doubling reads
         size = self._step_size()
         while True:
             self._fill(size)
@@ -356,7 +364,9 @@ class RecordReader:
             if ends.size == _STEP or (self._eof and size >= len(self._buf)):
                 # int32 positions halve the canonical path's index arrays (only a line of a GB needs more)
                 return ends.astype(np.int32) if size < 1 << 31 else ends
-            size = 2 * len(self._buf) + 1
+            rows = int(ends[-1]) + 1 if ends.size else 0  # the bytes of the whole rows found
+            predicted = -(-rows * (_STEP - ends.size) // max(ends.size, 1))
+            size = rows + max(predicted, 2 * (size - rows))
 
     def _tally(self, kind: str, key: np.ndarray, rows) -> None:
         # hash a step's canonical rows and add the counts of their _outcome_key values
@@ -681,15 +691,17 @@ def resolve_threads(threads: int | None = None) -> int:
 def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, columns=None):
     """Yield every span of a run as (lo, codes, s1, s2, counts), in trial order.
 
-    The trials are split into balanced spans, at most _CHUNK trials each and
-    at least one per thread.  A span draws its contexts from the selector
-    state its first trial starts at, and its uniforms from the trial indices,
-    so neither the split nor the thread pool over the spans can change the
-    records.  With more than one thread, at most 2 x threads spans are
-    submitted ahead of the consumer.  Given ``columns``, three arrays (codes,
-    s1, s2) of n_trials each, every span is written into them and counted
-    where it is computed, and yields views of them and its outcome-count
-    table as ``counts``; without, ``counts`` is None.
+    The trials are split into balanced spans, at least one per thread and at
+    most _CHUNK trials each, or at most _STEP trials each for a run without
+    ``columns`` on one thread, which then holds one step's arrays, not a
+    span's.  A span draws its contexts from the selector state its first
+    trial starts at, and its uniforms from the trial indices, so neither the
+    split nor the thread pool over the spans can change the records.  With
+    more than one thread, at most 2 x threads spans are submitted ahead of
+    the consumer.  Given ``columns``, three arrays (codes, s1, s2) of
+    n_trials each, every span is written into them and counted where it is
+    computed, and yields views of them and its outcome-count table as
+    ``counts``; without, ``counts`` is None.
     """
     sampler = make_sampler(config, model=model)
     n, k = config.n_trials, len(sampler.contexts)
@@ -706,7 +718,8 @@ def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, 
         codes, s1, s2 = (column[lo:hi] for column in columns)
         return lo, codes, s1, s2, _count_table(k, _outcome_key(codes, s1, s2))
 
-    n_spans = min(max(-(-n // _CHUNK), n_threads), n)
+    size = _STEP if columns is None and n_threads == 1 else _CHUNK
+    n_spans = min(max(-(-n // size), n_threads), n)
     edges = ((n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans))
     if n_threads == 1:
         for lo, hi in edges:

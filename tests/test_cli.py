@@ -9,7 +9,7 @@ import pytest
 import bellsim.protocol as protocol
 import bellsim.randomness as randomness
 from bellsim.cli import main
-from bellsim.directions import max_violation_triple, tsirelson_quadruple
+from bellsim.directions import Direction3, max_violation_triple, tsirelson_quadruple
 from bellsim.hidden_variables import random_finite_model, write_model
 from bellsim.errors import IntegrityError
 from bellsim.protocol import (ExperimentConfig, RecordBatch, analyze_records, report_from_jsonable,
@@ -502,7 +502,7 @@ class TestStreaming:
                                             *(pytest.param(stage, True, id=f"{stage}-crlf")
                                               for stage in STAGES[1:])])
     def test_stage_memory_does_not_grow_with_the_trials(self, tmp_path, monkeypatch, capsys, stage, crlf):
-        # with crlf, analyze and certify read a CRLF copy of the records; run holds a span, the others a step
+        # with crlf, analyze and certify read a CRLF copy of the records; every stage holds a step
         monkeypatch.setattr(protocol, "_CHUNK", 1024)
         monkeypatch.setattr(protocol, "_STEP", 1024)
 
@@ -568,6 +568,13 @@ class TestOracle:
     def test_sign_model_oracle_saturates(self, tmp_path, capsys):
         doc = self.oracle(tmp_path, capsys, mode="hv:sign-model")
         assert abs(doc["quantity"]["value"] - 1.0) < 1e-11
+        assert doc["quantity"]["exceeds_bound"] is False
+
+    def test_sign_model_at_its_bound_by_float_error(self, tmp_path, capsys):
+        # the angle sums put the unrounded value a float error above 1; the printed value is 1.0
+        directions = [[d.x, d.y, d.z] for d in map(Direction3.from_polar, (-math.pi / 32, 0.0, math.pi / 16))]
+        doc = self.oracle(tmp_path, capsys, mode="hv:sign-model", directions=directions)
+        assert doc["quantity"]["value"] == doc["quantity"]["bound"] == 1.0
         assert doc["quantity"]["exceeds_bound"] is False
 
     def test_contextual_file_oracle(self, tmp_path, capsys):

@@ -235,7 +235,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_spans_run_at_most_two_per_thread_ahead(self, monkeypatch, threads):
-        monkeypatch.setattr(protocol, "_CHUNK", 100)
+        # a streamed run on one thread simulates spans of _STEP trials, on more of _CHUNK
+        monkeypatch.setattr(protocol, "_STEP" if threads == 1 else "_CHUNK", 100)
         started = []
         context_codes = protocol.context_codes
 
@@ -253,6 +254,14 @@ class TestRunExperiment:
         whole = np.concatenate([span[1] for span in protocol.run_spans(temporal_config(n_trials=5000),
                                                                        threads=threads)])
         assert np.array_equal(whole, run_experiment(temporal_config(n_trials=5000)).codes)
+
+    def test_only_a_serial_streamed_run_takes_step_sized_spans(self):
+        cfg = temporal_config(n_trials=40_000)
+        columns = (np.empty(40_000, np.uint8), np.empty(40_000, np.int8), np.empty(40_000, np.int8))
+        sizes = {name: [span[1].size for span in protocol.run_spans(cfg, threads=threads, columns=cols)]
+                 for name, threads, cols in [("serial", 1, None), ("pooled", 2, None), ("columns", 1, columns)]}
+        assert sum(sizes["serial"]) == 40_000 and max(sizes["serial"]) <= protocol._STEP
+        assert min(sizes["pooled"]) > protocol._STEP and min(sizes["columns"]) > protocol._STEP
 
     @pytest.mark.parametrize("rejected_trial", [300, 1234, 1999])
     def test_rejected_draw_in_a_later_span(self, monkeypatch, rejected_trial):

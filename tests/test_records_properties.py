@@ -167,7 +167,7 @@ def record_path_outputs(config: ExperimentConfig, threads: int, tmp: Path) -> li
 @settings(max_examples=25, deadline=None)
 @given(chunk=st.integers(1, 40), step=st.integers(1, 60), n_trials=st.integers(1, 200),
        chsh=st.booleans(), threads=st.sampled_from([1, 3]))
-@example(chunk=12, step=5, n_trials=200, chsh=False, threads=1)  # a step that does not divide a span
+@example(chunk=12, step=5, n_trials=200, chsh=False, threads=3)  # a step that does not divide a span
 @example(chunk=5, step=12, n_trials=200, chsh=True, threads=3)  # a step larger than a span
 @example(chunk=7, step=1, n_trials=50, chsh=False, threads=1)  # one row a step
 def test_span_and_step_sizes_change_no_output(chunk, step, n_trials, chsh, threads):
@@ -350,6 +350,21 @@ def test_long_line_falls_back_after_one_step(monkeypatch, tmp_path, reads):
     assert len(reads[0][1]) < 200  # one step's worth first
     assert all(size != -1 for size, _ in reads)  # the file is never read whole ...
     assert len(reads) < 40  # ... and the long line in reads that double in size
+
+
+def test_rows_longer_than_canonical_hold_about_one_step(monkeypatch, tmp_path, reads):
+    # with every slot and outcome signed ("+1", "+3") each row is longer than any canonical row, so
+    # the first read of each step comes short and must grow by what the rows found predict
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, mode="qm_singlet", directions=tsirelson_quadruple())
+    header, rows = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + re.sub(rb",([0-9])", rb",+\1", rows))
+    ends = np.cumsum([len(line) for line in path.read_bytes().splitlines(keepends=True)])  # of line 1, 2, ...
+    with protocol.open(path, "rb") as f:  # the logged open of the reads fixture
+        reader = protocol.RecordReader(f)
+        for lo, codes, *_ in reader:
+            held = sum(len(data) for _, data in reads) - ends[lo]  # read, less the rows of earlier steps
+            assert held <= 1.25 * (ends[lo + codes.size] - ends[lo])
+    assert reader.summary().records_sha256 == batch.sha256()
 
 
 @pytest.fixture

@@ -2,17 +2,19 @@
 
     PYTHONPATH=src python tools/stage_rss.py
 
-Runs the README config through `bellsim run`, `analyze` and `certify` at
-both sizes, then `analyze` and `certify` again on a CRLF copy of the
-records (a file bellsim did not write), prints each stage's wall time,
-peak resident set size (``ru_maxrss`` of its own process) and that peak
-less the import floor (the peak of a fresh ``bellsim --version``, which
-imports what every stage imports and does nothing else), so the memory a
-stage's work takes shows on its own, and exits 1 if
-any stage fails, if the CRLF copy's report, bits or certification differ
-from the LF file's, or if a 30 M-trial stage peaks above 1.1 times its
-3 M-trial peak or above 100 MB.  The work files (about 1.2 GB at 30 M
-trials) go to a temporary directory.
+Runs the README config through `bellsim run`, `bellsim run --threads 2`
+(the pooled path, which simulates longer spans than a run on one thread),
+`analyze` and `certify` at both sizes, then `analyze` and `certify` again
+on a CRLF copy of the records (a file bellsim did not write), prints each
+stage's wall time, peak resident set size (``ru_maxrss`` of its own
+process) and that peak less the import floor (the peak of a fresh
+``bellsim --version``, which imports what every stage imports and does
+nothing else), so the memory a stage's work takes shows on its own, and
+exits 1 if any stage fails, if the two runs' records or the CRLF copy's
+report, bits or certification differ from the LF file's, or if a
+30 M-trial stage peaks above 1.1 times its 3 M-trial peak or above
+100 MB.  The work files (about 1.2 GB at 30 M trials) go to a temporary
+directory.
 
 On Linux a child's ru_maxrss starts at the high-water mark of the process
 that exec'd it, so this script imports nothing large (not numpy) and
@@ -24,6 +26,7 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -64,7 +67,7 @@ def crlf_copy(src: Path, dst: Path) -> None:
 
 
 def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> dict[str, tuple[int, float, float]]:
-    out, crlf = work / str(n_trials), work / f"{n_trials}-crlf"
+    out, crlf, pooled = work / str(n_trials), work / f"{n_trials}-crlf", work / f"{n_trials}-pooled"
     config = work / f"config-{n_trials}.json"
     config.write_text(json.dumps(dict(README_CONFIG, n_trials=n_trials)), encoding="utf-8")
 
@@ -75,7 +78,9 @@ def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> di
             "certify": ["certify", "--records", records, "--report", report, "--out-dir", str(d)],
         }
 
-    stages = {"run": ["run", "--config", str(config), "--out-dir", str(out)], **analyze_certify(out)}
+    stages = {"run": ["run", "--config", str(config), "--out-dir", str(out)],
+              "run-2-threads": ["run", "--config", str(config), "--out-dir", str(pooled), "--threads", "2"],
+              **analyze_certify(out)}
     stages.update((f"{name}-crlf", argv) for name, argv in analyze_certify(crlf).items())
     results = {}
     for name, argv in stages.items():
@@ -85,8 +90,14 @@ def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> di
             (out / "records.csv").unlink()  # keeps the disk use near one records file
         results[name] = stage(argv)
         code, seconds, peak = results[name]
-        print(f"{n_trials:>11,} {name:12s} exit {code}  {seconds:7.2f} s  {peak:7.1f} MB  "
+        print(f"{n_trials:>11,} {name:13s} exit {code}  {seconds:7.2f} s  {peak:7.1f} MB  "
               f"{peak - floor:+6.1f} MB over the floor", flush=True)
+        if name == "run-2-threads":
+            if not ((out / "records.csv").exists() and (pooled / "records.csv").exists()
+                    and filecmp.cmp(out / "records.csv", pooled / "records.csv", shallow=False)):
+                problems.append(f"records.csv of run --threads 2 is missing or differs from run's "
+                                f"at {n_trials:,} trials")
+            shutil.rmtree(pooled, ignore_errors=True)  # keeps the disk use near one records file
     for name in ("report.json", "bits.txt", "certification.json"):
         if not ((out / name).exists() and (crlf / name).exists() and filecmp.cmp(out / name, crlf / name,
                                                                                  shallow=False)):
