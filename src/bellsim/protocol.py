@@ -54,9 +54,8 @@ TEMPORAL_BOUND = 1.0
 CHSH_BOUND = 2.0
 SELECTOR_ALGORITHM = "splitmix64"
 
-# trials per simulation span of a run into columns or on more than one thread; a streamed run on one
-# thread simulates spans of _STEP trials instead, so it holds one step, not a span, at a time (longer
-# spans keep a thread pool's queue short and cost a columns run less per trial)
+# trials per simulation span of a run on more than one thread, where longer spans keep the pool's
+# queue short; a run on one thread simulates spans of _STEP trials, so a streamed one holds one step
 _CHUNK = 1 << 16
 # rows per record step, rendered or read and checked at once: the buffers of a step (about 1.9 MB)
 # stay near the size of a core's L2 cache, where those of a whole span would not
@@ -354,8 +353,9 @@ class RecordReader:
     def _step_ends(self) -> np.ndarray:
         # the positions of the step's row ends: the buffer's first _STEP newlines, or all of them once
         # the file ends; it is read to one step's canonical bytes first, then a short read grows by what
-        # its whole rows predict for the missing rows, or by twice its unfinished line if that is more:
-        # rows longer than canonical ones hold about one step, and a long line takes doubling reads
+        # its whole rows predict for the missing rows, or by twice its unfinished line if that is more,
+        # but at most to twice its size: rows longer than canonical ones hold about one step, a long
+        # line takes doubling reads, and one long row among short ones cannot predict the whole file
         size = self._step_size()
         while True:
             self._fill(size)
@@ -366,7 +366,7 @@ class RecordReader:
                 return ends.astype(np.int32) if size < 1 << 31 else ends
             rows = int(ends[-1]) + 1 if ends.size else 0  # the bytes of the whole rows found
             predicted = -(-rows * (_STEP - ends.size) // max(ends.size, 1))
-            size = rows + max(predicted, 2 * (size - rows))
+            size = min(rows + max(predicted, 2 * (size - rows)), 2 * size)
 
     def _tally(self, kind: str, key: np.ndarray, rows) -> None:
         # hash a step's canonical rows and add the counts of their _outcome_key values
@@ -692,9 +692,9 @@ def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, 
     """Yield every span of a run as (lo, codes, s1, s2, counts), in trial order.
 
     The trials are split into balanced spans, at least one per thread and at
-    most _CHUNK trials each, or at most _STEP trials each for a run without
-    ``columns`` on one thread, which then holds one step's arrays, not a
-    span's.  A span draws its contexts from the selector state its first
+    most _CHUNK trials each, or at most _STEP trials each on one thread, so
+    a run without ``columns`` then holds one step's arrays, not a span's.
+    A span draws its contexts from the selector state its first
     trial starts at, and its uniforms from the trial indices, so neither the
     split nor the thread pool over the spans can change the records.  With
     more than one thread, at most 2 x threads spans are submitted ahead of
@@ -718,7 +718,7 @@ def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, 
         codes, s1, s2 = (column[lo:hi] for column in columns)
         return lo, codes, s1, s2, _count_table(k, _outcome_key(codes, s1, s2))
 
-    size = _STEP if columns is None and n_threads == 1 else _CHUNK
+    size = _STEP if n_threads == 1 else _CHUNK
     n_spans = min(max(-(-n // size), n_threads), n)
     edges = ((n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans))
     if n_threads == 1:

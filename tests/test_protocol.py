@@ -226,8 +226,9 @@ class TestRunExperiment:
     def test_chunking_and_threads_do_not_change_records(self, monkeypatch):
         cfg = temporal_config(n_trials=3000, selector_seed=5, outcome_seed=6)
         whole = run_experiment(cfg)
-        monkeypatch.setattr(protocol, "_CHUNK", 257)
+        monkeypatch.setattr(protocol, "_STEP", 257)  # the span of a run on one thread
         chunked = run_experiment(cfg)
+        monkeypatch.setattr(protocol, "_CHUNK", 257)
         threaded = run_experiment(cfg, threads=4)
         assert chunked == whole
         assert threaded == whole
@@ -235,7 +236,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_spans_run_at_most_two_per_thread_ahead(self, monkeypatch, threads):
-        # a streamed run on one thread simulates spans of _STEP trials, on more of _CHUNK
+        # a run on one thread simulates spans of _STEP trials, on more of _CHUNK
         monkeypatch.setattr(protocol, "_STEP" if threads == 1 else "_CHUNK", 100)
         started = []
         context_codes = protocol.context_codes
@@ -255,13 +256,14 @@ class TestRunExperiment:
                                                                        threads=threads)])
         assert np.array_equal(whole, run_experiment(temporal_config(n_trials=5000)).codes)
 
-    def test_only_a_serial_streamed_run_takes_step_sized_spans(self):
+    def test_only_a_serial_run_takes_step_sized_spans(self):
         cfg = temporal_config(n_trials=40_000)
         columns = (np.empty(40_000, np.uint8), np.empty(40_000, np.int8), np.empty(40_000, np.int8))
         sizes = {name: [span[1].size for span in protocol.run_spans(cfg, threads=threads, columns=cols)]
-                 for name, threads, cols in [("serial", 1, None), ("pooled", 2, None), ("columns", 1, columns)]}
-        assert sum(sizes["serial"]) == 40_000 and max(sizes["serial"]) <= protocol._STEP
-        assert min(sizes["pooled"]) > protocol._STEP and min(sizes["columns"]) > protocol._STEP
+                 for name, threads, cols in [("serial", 1, None), ("columns", 1, columns), ("pooled", 2, None)]}
+        for serial in (sizes["serial"], sizes["columns"]):
+            assert sum(serial) == 40_000 and max(serial) <= protocol._STEP
+        assert min(sizes["pooled"]) > protocol._STEP
 
     @pytest.mark.parametrize("rejected_trial", [300, 1234, 1999])
     def test_rejected_draw_in_a_later_span(self, monkeypatch, rejected_trial):
@@ -272,6 +274,7 @@ class TestRunExperiment:
         cfg = temporal_config(n_trials=2000, selector_seed=seed, outcome_seed=3)
         reference = _run_reference(cfg)
         monkeypatch.setattr(protocol, "_CHUNK", 257)
+        monkeypatch.setattr(protocol, "_STEP", 257)  # the span of a run on one thread
         for threads in (1, 2, 4):
             assert run_experiment(cfg, threads=threads) == reference
 
@@ -406,6 +409,7 @@ class TestEstimators:
     @pytest.mark.parametrize("cfg_kwargs", [{}, dict(mode="qm_singlet", directions=QUAD)])
     def test_run_fills_the_outcome_counts(self, tmp_path, monkeypatch, cfg_kwargs):
         monkeypatch.setattr(protocol, "_CHUNK", 257)
+        monkeypatch.setattr(protocol, "_STEP", 257)  # the span of a run on one thread
         cfg = temporal_config(n_trials=3000, **cfg_kwargs)
         for threads in (1, 2, 4):
             batch = run_experiment(cfg, threads=threads)

@@ -367,6 +367,22 @@ def test_rows_longer_than_canonical_hold_about_one_step(monkeypatch, tmp_path, r
     assert reader.summary().records_sha256 == batch.sha256()
 
 
+def test_one_long_row_among_short_ones_holds_at_most_twice_its_step(monkeypatch, tmp_path, reads):
+    # trial 0 padded (int() ignores the spaces) so that its newline falls just inside the first read:
+    # the rows found then predict far more bytes than the step's short rows take, so growth is capped
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, chunk=300, n_trials=5000)
+    header, rows = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + b" " * (protocol.RecordReader(None)._step_size() - 20) + rows)
+    ends = np.cumsum([len(line) for line in path.read_bytes().splitlines(keepends=True)])  # of line 1, 2, ...
+    with protocol.open(path, "rb") as f:  # the logged open of the reads fixture
+        reader = protocol.RecordReader(f)
+        for lo, codes, *_ in reader:
+            held = sum(len(data) for _, data in reads) - ends[lo]  # read, less the rows of earlier steps
+            assert held <= 2 * (ends[lo + codes.size] - ends[lo])
+    assert ends[1] <= len(reads[0][1])  # row 1 ended inside the first read
+    assert reader.summary().records_sha256 == batch.sha256()
+
+
 @pytest.fixture
 def parser_calls(monkeypatch):
     """The file line that each call of the line-by-line parser starts at."""

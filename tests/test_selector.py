@@ -133,7 +133,7 @@ class TestRejectedDraw:
 
     @pytest.mark.parametrize("j", [200, 201])  # the last draw of the first span, the first of the second
     def test_span_edge_in_a_run(self, monkeypatch, j):
-        monkeypatch.setattr(protocol, "_CHUNK", 257)  # 600 trials: spans 0..199, 200..399, 400..599
+        monkeypatch.setattr(protocol, "_STEP", 257)  # on one thread, 600 trials: spans 0..199, 200..399, 400..599
         config = protocol.ExperimentConfig("qm_sequential", (X_AXIS, Y_AXIS, Z_AXIS), 600, rejecting_at(j), 7)
         tags, _ = emit(config.selector_seed, 600)
         assert [TEMPORAL.tags[c] for c in protocol.run_experiment(config).codes] == tags
