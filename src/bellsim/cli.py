@@ -31,11 +31,11 @@ from .protocol import (
     _json_float,
     analyze_records,
     check_sigma_threshold,
+    check_threads,
     load_config,
     load_report,
     make_sampler,
     parse_mode,
-    resolve_threads,
     write_report,
     write_run,
 )
@@ -98,8 +98,8 @@ def cmd_run(args) -> int:
 
     import numpy
 
+    threads = check_threads(args.threads, "--threads")  # before the config is read
     config = load_config(args.config)
-    threads = resolve_threads(args.threads)
     out = _out_dir(args)
     records_path = out / "records.csv"
     manifest_path = out / "manifest.json"
@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment and write records + manifest")
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out-dir", default=".", help="output directory (default: .)")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (BELLSIM_THREADS overrides; output is identical)")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker threads, a positive integer (default 1; output is identical)")
     p_run.set_defaults(func=cmd_run)
 
     p_an = sub.add_parser("analyze", help="estimate correlators and evaluate the inequality")

@@ -179,6 +179,8 @@ def _is_real(x) -> bool:
 
 
 def _finite_from_jsonable(doc, where: str) -> FiniteHVModel:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(doc).__name__}")
     entries = doc.get("lambdas")
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{where}: 'lambdas' must be a non-empty list")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import re
 from collections import deque
 from dataclasses import MISSING, dataclass, fields
@@ -167,13 +166,12 @@ class ExperimentConfig:
             raise ValidationError("config key 'directions' must be a list of 3-vectors")
         directions = []
         for i, v in enumerate(raw_dirs):
-            if not isinstance(v, (list, tuple)) or len(v) != 3:
-                raise ValidationError(f"config key 'directions'[{i}] must be a list of 3 reals")
+            # float() would read "0.5" and true
+            if not isinstance(v, (list, tuple)) or len(v) != 3 or not all(map(_is_real, v)):
+                raise ValidationError(f"config key 'directions'[{i}] must be a list of 3 numbers, got {v!r}")
             try:
-                directions.append(Direction3(float(v[0]), float(v[1]), float(v[2])))
-            except (TypeError, ValueError):
-                raise ValidationError(f"config key 'directions'[{i}] has non-numeric components") from None
-            except ValidationError as exc:
+                directions.append(Direction3(*map(float, v)))
+            except (OverflowError, ValidationError) as exc:  # an integer beyond float range
                 raise ValidationError(f"config key 'directions'[{i}]: {exc}") from None
         return cls(**{**doc, "directions": tuple(directions)})
 
@@ -187,6 +185,13 @@ def check_sigma_threshold(k, name: str = "sigma_threshold") -> float:
     if not isinstance(k, (int, float)) or isinstance(k, bool) or not math.isfinite(k) or k <= 0:
         raise ValidationError(f"{name} must be a positive finite number, got {k!r}")
     return float(k)
+
+
+def check_threads(threads, name: str = "thread count") -> int:
+    """threads if it is a positive int; else a ValidationError naming it."""
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {threads!r}")
+    return threads
 
 
 def load_config(path) -> ExperimentConfig:
@@ -673,22 +678,7 @@ def make_sampler(config: ExperimentConfig, model=None):
     return row.model_sampler(model, contexts)
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Thread count: BELLSIM_THREADS overrides the argument; default 1."""
-    env = os.environ.get("BELLSIM_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValidationError(f"BELLSIM_THREADS must be an integer, got {env!r}") from None
-    if threads is None:
-        threads = 1
-    if threads < 1:
-        raise ValidationError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
-def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, columns=None):
+def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=None):
     """Yield every span of a run as (lo, codes, s1, s2, counts), in trial order.
 
     The trials are split into balanced spans, at least one per thread and at
@@ -703,9 +693,9 @@ def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, 
     computed, and yields views of them and its outcome-count table as
     ``counts``; without, ``counts`` is None.
     """
+    n_threads = check_threads(threads)
     sampler = make_sampler(config, model=model)
     n, k = config.n_trials, len(sampler.contexts)
-    n_threads = resolve_threads(threads)
 
     def span(lo: int, hi: int):
         codes = context_codes(state_after(config.selector_seed, lo, k), hi - lo, k)
@@ -737,7 +727,7 @@ def run_spans(config: ExperimentConfig, model=None, threads: int | None = None, 
             yield pending.popleft().result()
 
 
-def run_experiment(config: ExperimentConfig, model=None, threads: int | None = None) -> RecordBatch:
+def run_experiment(config: ExperimentConfig, model=None, threads: int = 1) -> RecordBatch:
     """Run all trials of an experiment; bit-identical for identical seeds.
 
     The spans of :func:`run_spans` are written into the batch's columns by
@@ -757,7 +747,7 @@ def run_experiment(config: ExperimentConfig, model=None, threads: int | None = N
     return batch
 
 
-def write_run(config: ExperimentConfig, path, threads: int | None = None) -> str:
+def write_run(config: ExperimentConfig, path, threads: int = 1) -> str:
     """Run an experiment straight into a records CSV, one span at a time; returns its SHA-256.
 
     The file holds exactly the bytes ``run_experiment(config).write_csv(path)``

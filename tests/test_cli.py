@@ -118,16 +118,26 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out-dir", str(out2), "--threads", "4"]) == 0
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
 
-    def test_env_var_overrides_threads(self, tmp_path, monkeypatch):
+    def test_environment_does_not_set_the_thread_count(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json")
         monkeypatch.setenv("BELLSIM_THREADS", "2")
         out = tmp_path / "env_out"
         assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--threads", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == manifest["environment"]["threads"] == 1
         run1 = (out / "records.csv").read_bytes()
         monkeypatch.delenv("BELLSIM_THREADS")
         out2 = tmp_path / "plain_out"
         assert main(["run", "--config", str(cfg), "--out-dir", str(out2)]) == 0
         assert run1 == (out2 / "records.csv").read_bytes()
+
+    def test_thread_count_is_checked_before_the_out_dir_is_made(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--threads", "0"]) == 1
+        assert "--threads must be a positive integer, got 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.partial"))
 
     def test_missing_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -144,6 +154,19 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         assert "'directions'[0]" in capsys.readouterr().err
         assert not (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize("vector,named", [
+        pytest.param(["0.7071067811865475", 0.7071067811865475, 0.0], "[1] must be a list of 3 numbers", id="string"),
+        pytest.param([True, 0.0, 0.0], "[1] must be a list of 3 numbers", id="bool"),
+        pytest.param([0.0, 0.0, 10**400], "[1]: int too large to convert to float", id="beyond-float-range"),
+    ])
+    def test_direction_component_that_is_no_float_is_named(self, tmp_path, capsys, vector, named):
+        a, _, c = max_violation_triple()
+        cfg = write_config(tmp_path / "cfg.json", directions=[[a.x, a.y, a.z], vector, [c.x, c.y, c.z]])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"config key 'directions'{named}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_model_weight_is_named(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -164,6 +187,17 @@ class TestRun:
         assert not (tmp_path / "out" / "records.csv").exists()
         assert not (tmp_path / "out" / "manifest.json").exists()
         assert no_partial_files(tmp_path / "out")
+
+    def test_context_block_that_is_no_object_is_named(self, tmp_path, capsys):
+        block = {"lambdas": [{"weight": 1.0, "responses": [1, 1, 1]}]}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"ab": 5, "ac": block, "bc": block}))
+        cfg = write_config(tmp_path / "cfg.json", mode=f"conspiracy:{model}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "context 'ab' must be a JSON object, got int" in capsys.readouterr().err
+        assert not (out / "records.csv").exists() and not (out / "manifest.json").exists()
+        assert no_partial_files(out)
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 2
@@ -224,6 +258,14 @@ class TestAnalyze:
         assert main(stage_argv("analyze", out, mode=mode)) == 1
         assert capsys.readouterr().err.startswith("bellsim: validation error: --mode must be ")
         assert not (out / "report.json").exists()
+
+    def test_mode_of_the_other_geometry_exits_validation(self, tmp_path, capsys):
+        _, out = run_pipeline(tmp_path)
+        capsys.readouterr()
+        assert main(stage_argv("analyze", out, mode="chsh")) == 1
+        assert "mode 'chsh' implies chsh records, got temporal" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert no_partial_files(out)
 
     def test_failed_write_leaves_no_new_report(self, tmp_path, capsys, monkeypatch):
         _, out = run_pipeline(tmp_path)
@@ -382,6 +424,19 @@ class TestCertify:
         capsys.readouterr()
         assert main(stage_argv("certify", out)) == 1
         assert "malformed analysis report" in capsys.readouterr().err
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+        assert no_partial_files(out)
+
+    @pytest.mark.parametrize("key", ["bell", "estimates"])
+    def test_report_without_a_section_exits_validation(self, tmp_path, capsys, key):
+        out = self.run_analyze(tmp_path, n_trials=6000)
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        del doc[key]
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 1
+        assert f"malformed analysis report: KeyError('{key}')" in capsys.readouterr().err
         assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
         assert no_partial_files(out)
 

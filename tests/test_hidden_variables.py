@@ -315,6 +315,7 @@ class TestModelFiles:
             {"lambdas": [{"weight": 1.0}]},
             {"lambdas": [{"weight": 0.5, "responses": [1, 1, 1]}, {"weight": 0.5, "responses": [1, 1]}]},
             {"ab": {"lambdas": [{"weight": 1.0, "responses": [1, 1, 1]}]}},
+            {"ab": 5, **{key: {"lambdas": [{"weight": 1.0, "responses": [1, 1, 1]}]} for key in ("ac", "bc")}},
             {"lambdas": [{"weight": "half", "responses": [1, 1, 1]}, {"weight": 0.5, "responses": [1, 1, 1]}]},
             {"lambdas": [{"weight": True, "responses": [1, 1, 1]}]},
             {"lambdas": [{"weight": 1.0, "responses": [1, 1.5, 1]}]},

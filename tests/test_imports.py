@@ -1,5 +1,6 @@
 """Every module-level import in a bellsim module is named by that module,
-and every module-level private name is named somewhere else.
+every module-level private name is named somewhere else, and no module
+reads the environment.
 
 No lint tool runs on the package, and deleting code tends to leave its
 imports and private helpers behind; these tests parse each module with
@@ -89,6 +90,32 @@ def test_no_dead_private_name():
     tests_text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
                            if path.name != Path(__file__).name)  # not the names of the example above
     assert dead_private_names(sources, tests_text) == []
+
+
+# the names through which os reads the environment
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """The environment readers of ``os`` that the module names, as attributes or imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [alias.name for alias in node.names if alias.name in ENVIRONMENT_READERS]
+    return found
+
+
+def test_the_check_finds_an_environment_read():
+    source = "import os\nfrom os import getenv\nn = os.environ.get('N') or getenv('N')\nos.cpu_count()\n"
+    assert environment_reads(source) == ["getenv", "environ"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_environment_read(module):
+    # a run's config and arguments fix it; a variable of the environment would change it unseen
+    assert environment_reads((SRC / module).read_text(encoding="utf-8")) == []
 
 
 def test_the_cli_imports_no_thread_pool():

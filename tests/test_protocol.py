@@ -155,6 +155,20 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=r"'directions'\[0\]: .* non-finite"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("vector", [["0.7071067811865475", 0.7071067811865475, 0.0], [True, 0.0, 0.0]])
+    def test_direction_component_that_is_no_json_number_rejected(self, vector):
+        # float() reads both as a unit vector, and the manifest would write them back as numbers
+        doc = config_doc()
+        doc["directions"][1] = vector
+        with pytest.raises(ValidationError, match=r"'directions'\[1\] must be a list of 3 numbers"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_direction_component_beyond_float_range_rejected(self):
+        doc = config_doc()
+        doc["directions"][2] = [0.0, 0.0, 10**400]
+        with pytest.raises(ValidationError, match=r"'directions'\[2\]: .*too large"):
+            ExperimentConfig.from_dict(doc)
+
     def test_wrong_arity_for_mode(self):
         with pytest.raises(ValidationError, match="directions"):
             ExperimentConfig.from_dict(config_doc(mode="qm_singlet"))
@@ -167,6 +181,8 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(config_doc(mode="quantum"))
         with pytest.raises(ValidationError, match="mode"):
             ExperimentConfig.from_dict(config_doc(mode="hv:"))
+        with pytest.raises(ValidationError, match="config key 'mode' must be a string, got int"):
+            protocol.parse_mode(5)
 
     def test_hex_seed_strings(self):
         cfg = ExperimentConfig.from_dict(config_doc(selector_seed="0xAB", outcome_seed="17"))
@@ -316,14 +332,25 @@ class TestRunExperiment:
             if copy is not None:
                 assert np.array_equal(value, copy), path
 
-    def test_thread_env_override(self, monkeypatch):
+    def test_thread_environment_is_ignored(self, monkeypatch):
+        # the thread count is the caller's argument alone: no variable of the environment changes it
+        monkeypatch.setattr(protocol, "_STEP", 100)  # the span of a run on one thread
         cfg = temporal_config(n_trials=500)
-        base = run_experiment(cfg)
+        serial = run_experiment(cfg)
         monkeypatch.setenv("BELLSIM_THREADS", "3")
-        assert run_experiment(cfg, threads=1) == base
-        monkeypatch.setenv("BELLSIM_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            run_experiment(cfg)
+        assert run_experiment(cfg, threads=1) == serial
+        assert [span[1].size for span in protocol.run_spans(cfg, threads=1)] == [100] * 5
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
+    def test_thread_count_must_be_a_positive_int(self, tmp_path, threads):
+        cfg = temporal_config(n_trials=500)
+        with pytest.raises(ValidationError, match=rf"thread count must be a positive integer, got {threads!r}"):
+            protocol.check_threads(threads)
+        for run in (lambda: run_experiment(cfg, threads=threads),
+                    lambda: list(protocol.run_spans(cfg, threads=threads)),
+                    lambda: protocol.write_run(cfg, tmp_path / "records.csv", threads=threads)):
+            with pytest.raises(ValidationError, match="thread count"):
+                run()
 
     def test_context_sequence_independent_of_backend_and_outcome_seed(self):
         cfg_a = temporal_config(mode="qm_sequential", n_trials=400, outcome_seed=1)

@@ -69,9 +69,10 @@ class TestMonobit:
     def test_all_ones_fails_hard(self):
         assert monobit_test(np.ones(1000, dtype=np.uint8)) < 1e-10
 
-    def test_short_input_rejected(self):
-        with pytest.raises(ValidationError):
-            monobit_test(np.zeros(99, dtype=np.uint8))
+    @pytest.mark.parametrize("bits", [np.zeros(99, dtype=np.uint8), []])
+    def test_short_input_rejected(self, bits):
+        with pytest.raises(ValidationError, match=f"got {len(bits)}"):
+            monobit_test(bits)
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):
@@ -96,8 +97,10 @@ class TestRunsTest:
         assert not result.applicable
         assert result.p_value is None
 
-    def test_short_input_is_not_applicable(self):
-        assert not runs_test(np.array([0, 1, 0], dtype=np.uint8)).applicable
+    @pytest.mark.parametrize("bits", [np.array([0, 1, 0], dtype=np.uint8), []])
+    def test_short_input_is_not_applicable(self, bits):
+        result = runs_test(bits)
+        assert not result.applicable and result.reason == f"needs at least 100 bits, got {len(bits)}"
 
     def test_random_bits_pass(self, rng):
         bits = rng.integers(0, 2, size=20_000).astype(np.uint8)

@@ -54,6 +54,10 @@ class TestSelectorStream:
         codes = context_codes(0, 6, 4)
         assert codes.tolist() == [3, 0, 3, 0, 3, 2]
 
+    def test_negative_context_count_rejected(self):
+        with pytest.raises(ValidationError, match="context count must be >= 0, got -1"):
+            context_codes(0, -1, 3)
+
     def test_deterministic(self):
         assert emit(12345, 50) == emit(12345, 50)
 
