@@ -37,7 +37,6 @@ from .protocol import (
 )
 from .quantum import (
     QubitState,
-    TwoQubitState,
     analytic_sequential_correlator,
     brute_force_sequential_correlator,
     brute_force_singlet_correlator,

@@ -59,28 +59,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 @contextlib.contextmanager
-def _committed(*paths: Path):
-    """Yield a sibling ``*.partial`` path for each output path.
+def _committed(out: Path, *paths: Path):
+    """Yield a sibling ``*.partial`` path for each output path in ``out``, making ``out`` if needed.
 
     Each is moved onto its output only if the block ends without an
     exception; otherwise, or if a move fails, the partial files are removed,
-    so a failed stage leaves no new output.
+    and so is every directory this call made (never one that was there), so
+    a failed stage leaves nothing new.
     """
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)
     partials = [path.with_name(path.name + ".partial") for path in paths]
     try:
         yield partials
         for partial, path in zip(partials, paths):
             os.replace(partial, path)
-    finally:
+    except BaseException:
         for partial in partials:
             partial.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):  # one that something else wrote to stays
+                directory.rmdir()
+        raise
 
 
 def _peak_rss_mb() -> float | None:
@@ -100,10 +101,10 @@ def cmd_run(args) -> int:
 
     threads = check_threads(args.threads, "--threads")  # before the config is read
     config = load_config(args.config)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     records_path = out / "records.csv"
     manifest_path = out / "manifest.json"
-    with _committed(records_path, manifest_path) as (records_tmp, manifest_tmp):
+    with _committed(out, records_path, manifest_path) as (records_tmp, manifest_tmp):
         started = time.perf_counter()
         records_sha256 = write_run(config, records_tmp, threads=threads)
         run_s = time.perf_counter() - started
@@ -141,9 +142,9 @@ def cmd_analyze(args) -> int:
         parse_mode(args.mode, "--mode")
     records = RecordSummary.from_csv(args.records)
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     report_path = out / "report.json"
-    with _committed(report_path) as (report_tmp,):
+    with _committed(out, report_path) as (report_tmp,):
         write_report(report, report_tmp)
     b = report.bell
     print(
@@ -156,10 +157,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify(args) -> int:
     report = load_report(args.report)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     bits_path = out / "bits.txt"
     cert_path = out / "certification.json"
-    with _committed(bits_path, cert_path) as (bits_tmp, cert_tmp):
+    with _committed(out, bits_path, cert_path) as (bits_tmp, cert_tmp):
         with open(args.records, "rb") as f, open(bits_tmp, "wb") as bits_file:
             reader = RecordReader(f)
             counts = stream_bits(reader, bits_file)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 UNIT_TOL = 1e-12
@@ -44,9 +42,6 @@ class Direction3:
         st = math.sin(theta)
         return cls(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     def dot(self, other: "Direction3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
@@ -74,13 +69,6 @@ def max_violation_triple() -> tuple[Direction3, Direction3, Direction3]:
     return a, b, c
 
 
-def coplanar_quadruple(
-    deg_a: float, deg_a_prime: float, deg_b: float, deg_b_prime: float
-) -> tuple[Direction3, Direction3, Direction3, Direction3]:
-    """Four directions in the x-z plane at the given polar angles (degrees)."""
-    return tuple(Direction3.from_polar(math.radians(d)) for d in (deg_a, deg_a_prime, deg_b, deg_b_prime))
-
-
 def tsirelson_quadruple() -> tuple[Direction3, Direction3, Direction3, Direction3]:
-    """The coplanar 0/90/45/135-degree settings giving CHSH = 2*sqrt(2) on a singlet."""
-    return coplanar_quadruple(0.0, 90.0, 45.0, 135.0)
+    """The x-z plane directions at polar angles 0, 90, 45 and 135 degrees, giving CHSH = 2*sqrt(2) on a singlet."""
+    return tuple(Direction3.from_polar(math.radians(d)) for d in (0.0, 90.0, 45.0, 135.0))

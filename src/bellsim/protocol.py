@@ -679,8 +679,10 @@ def make_sampler(config: ExperimentConfig, model=None):
 
 
 def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=None):
-    """Yield every span of a run as (lo, codes, s1, s2, counts), in trial order.
+    """A generator of every span of a run as (lo, codes, s1, s2, counts), in trial order.
 
+    ``threads`` is checked and the sampler built when this is called, so a
+    bad thread count, config or model fails before the first span is asked for.
     The trials are split into balanced spans, at least one per thread and at
     most _CHUNK trials each, or at most _STEP trials each on one thread, so
     a run without ``columns`` then holds one step's arrays, not a span's.
@@ -712,9 +714,13 @@ def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=No
     n_spans = min(max(-(-n // size), n_threads), n)
     edges = ((n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans))
     if n_threads == 1:
-        for lo, hi in edges:
-            yield span(lo, hi)
-        return
+        return (span(lo, hi) for lo, hi in edges)
+    return _pooled(span, edges, n_threads)
+
+
+def _pooled(span, edges, n_threads: int):
+    # yield span(lo, hi) for each (lo, hi) of edges in order, computed on n_threads threads at most
+    # 2 x n_threads spans ahead of the consumer
     from concurrent.futures import ThreadPoolExecutor  # imported only by runs on more than one thread
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -915,17 +921,21 @@ def report_to_jsonable(report: AnalysisReport) -> dict:
 
 
 def check_report(report: AnalysisReport, records: "RecordBatch | RecordSummary") -> None:
-    """Raise IntegrityError unless the records give the report's n_trials, estimates and bell block.
+    """Raise IntegrityError unless the records give every field of the report but its mode.
 
-    The records are analysed again at the report's own sigma_threshold, and
-    both reports are compared as :func:`report_to_jsonable` writes them.
+    The records hash is compared first, so records of another run fail on it
+    before they are analysed.  Then the records are analysed again at the
+    report's own sigma_threshold, and every other field is compared, in
+    document order, as :func:`report_to_jsonable` writes it.
     """
+    if records.sha256() != report.records_sha256:
+        raise IntegrityError(f"records hash {records.sha256()[:12]}... does not match the report's "
+                             f"{report.records_sha256[:12]}...")
     saved = report_to_jsonable(report)
     again = report_to_jsonable(analyze_records(records, sigma_threshold=report.sigma_threshold))
-    for key in ("n_trials", "estimates", "bell"):
-        if saved[key] != again[key]:
-            raise IntegrityError(f"report {key} {saved[key]!r} does not match its records, "
-                                 f"which give {again[key]!r}")
+    for key, value in saved.items():
+        if key != "mode" and value != again[key]:
+            raise IntegrityError(f"report {key} {value!r} does not match its records, which give {again[key]!r}")
 
 
 # the JSON type a report field must have, as the test its value must pass

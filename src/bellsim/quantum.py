@@ -47,39 +47,8 @@ class QubitState:
     def up(cls) -> "QubitState":
         return cls(1.0 + 0.0j, 0.0j)
 
-    @classmethod
-    def down(cls) -> "QubitState":
-        return cls(0.0j, 1.0 + 0.0j)
-
     def vector(self) -> np.ndarray:
         return np.array([self.amp_up, self.amp_down], dtype=complex)
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Normalized two-spin state in the z(x)z product basis |uu>,|ud>,|du>,|dd>."""
-
-    amp_uu: complex
-    amp_ud: complex
-    amp_du: complex
-    amp_dd: complex
-
-    def __post_init__(self):
-        n2 = sum(abs(a) ** 2 for a in self._amps())
-        if abs(n2 - 1.0) > NORM_TOL:
-            raise ValidationError(f"two-qubit state not normalized: |amp|^2 = {n2!r}")
-
-    def _amps(self) -> tuple[complex, complex, complex, complex]:
-        return (self.amp_uu, self.amp_ud, self.amp_du, self.amp_dd)
-
-    @classmethod
-    def singlet(cls) -> "TwoQubitState":
-        """The antisymmetric pair state (0, 1/sqrt(2), -1/sqrt(2), 0)."""
-        s = 1.0 / math.sqrt(2.0)
-        return cls(0.0j, s + 0.0j, -s + 0.0j, 0.0j)
-
-    def vector(self) -> np.ndarray:
-        return np.array(self._amps(), dtype=complex)
 
 
 def pauli_dot(n: Direction3) -> np.ndarray:
@@ -106,23 +75,34 @@ def _eigenstate(n: Direction3, outcome: int) -> QubitState:
     return QubitState(math.sqrt((1.0 - n.z) / 2.0), -math.sqrt((1.0 + n.z) / 2.0) * phase)
 
 
+def _born(psi: np.ndarray, projector: np.ndarray) -> float:
+    """<psi|P|psi>, the Born-rule probability of the projector's outcome, clipped to [0, 1]."""
+    p = float(np.real(np.vdot(psi, projector @ psi)))
+    return min(1.0, max(0.0, p))
+
+
+def _project(psi: np.ndarray, projector: np.ndarray) -> np.ndarray | None:
+    """P psi renormalized (the collapsed state), or None for a branch of zero weight."""
+    v = projector @ psi
+    n2 = float(np.real(np.vdot(v, v)))
+    if n2 < _DEGENERATE_TOL:
+        return None
+    s = math.sqrt(n2)
+    # Python's complex / float per amplitude: numpy's v / s can round differently in the last bit
+    return np.array([complex(a) / s for a in v])
+
+
 def prob_plus(state: QubitState, n: Direction3) -> float:
     """Probability of outcome +1 when measuring n.sigma, clipped to [0, 1]."""
-    psi = state.vector()
-    p = float(np.real(np.vdot(psi, _projector(n, +1) @ psi)))
-    return min(1.0, max(0.0, p))
+    return _born(state.vector(), _projector(n, +1))
 
 
 def collapse(state: QubitState, n: Direction3, outcome: int) -> QubitState:
     """Post-measurement state for the given outcome of n.sigma."""
     if outcome not in (-1, 1):
         raise ValidationError(f"outcome must be +1 or -1, got {outcome!r}")
-    v = _projector(n, outcome) @ state.vector()
-    n2 = float(np.real(np.vdot(v, v)))
-    if n2 < _DEGENERATE_TOL:
-        return _eigenstate(n, outcome)
-    s = math.sqrt(n2)
-    return QubitState(complex(v[0]) / s, complex(v[1]) / s)
+    psi = _project(state.vector(), _projector(n, outcome))
+    return _eigenstate(n, outcome) if psi is None else QubitState(*psi.tolist())
 
 
 def measure_spin(state: QubitState, n: Direction3, u: float) -> tuple[int, QubitState]:
@@ -176,29 +156,24 @@ def brute_force_sequential_correlator(
 
 # --- entangled pair -----------------------------------------------------------
 
+# the singlet (|ud> - |du>)/sqrt(2), amplitudes on the z(x)z product basis |uu>, |ud>, |du>, |dd>
+_SINGLET = np.array([0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0], dtype=complex)
+_SINGLET.flags.writeable = False
+
 
 def _pair_projector(n: Direction3, outcome: int, particle: int) -> np.ndarray:
     p = _projector(n, outcome)
     return np.kron(p, IDENT2) if particle == 0 else np.kron(IDENT2, p)
 
 
-def prob_plus_pair(state: TwoQubitState, n: Direction3, particle: int) -> float:
-    """Probability that measuring particle 0 or 1 of the pair along n gives +1."""
-    psi = state.vector()
-    p = float(np.real(np.vdot(psi, _pair_projector(n, +1, particle) @ psi)))
-    return min(1.0, max(0.0, p))
+def _prob_plus_pair(psi: np.ndarray, n: Direction3, particle: int) -> float:
+    # probability that measuring particle 0 or 1 of the pair state psi along n gives +1
+    return _born(psi, _pair_projector(n, +1, particle))
 
 
-def collapse_pair(state: TwoQubitState, n: Direction3, outcome: int, particle: int) -> TwoQubitState:
-    """Post-measurement pair state after one particle is measured along n."""
-    if outcome not in (-1, 1):
-        raise ValidationError(f"outcome must be +1 or -1, got {outcome!r}")
-    v = _pair_projector(n, outcome, particle) @ state.vector()
-    n2 = float(np.real(np.vdot(v, v)))
-    if n2 < _DEGENERATE_TOL:
-        raise ValidationError("cannot collapse onto a zero-probability branch of the pair")
-    s = math.sqrt(n2)
-    return TwoQubitState(*(complex(a) / s for a in v))
+def _collapse_pair(psi: np.ndarray, n: Direction3, outcome: int, particle: int) -> np.ndarray:
+    # the pair state after one particle is measured along n; on the singlet every branch has weight 1/2
+    return _project(psi, _pair_projector(n, outcome, particle))
 
 
 def singlet_joint_trial(
@@ -212,11 +187,9 @@ def singlet_joint_trial(
     """
     _check_u(u1)
     _check_u(u2)
-    state = TwoQubitState.singlet()
-    pA = prob_plus_pair(state, dA, 0)
+    pA = _prob_plus_pair(_SINGLET, dA, 0)
     sA = 1 if u1 < pA else -1
-    collapsed = collapse_pair(state, dA, sA, 0)
-    pB = prob_plus_pair(collapsed, dB, 1)
+    pB = _prob_plus_pair(_collapse_pair(_SINGLET, dA, sA, 0), dB, 1)
     sB = 1 if u2 < pB else -1
     return sA, sB
 
@@ -228,9 +201,8 @@ def singlet_analytic_correlator(dA: Direction3, dB: Direction3) -> float:
 
 def brute_force_singlet_correlator(dA: Direction3, dB: Direction3) -> float:
     """<singlet| (dA.sigma)(x)(dB.sigma) |singlet> by explicit 4x4 arithmetic."""
-    psi = TwoQubitState.singlet().vector()
     op = np.kron(pauli_dot(dA), pauli_dot(dB))
-    return float(np.real(np.vdot(psi, op @ psi)))
+    return float(np.real(np.vdot(_SINGLET, op @ _SINGLET)))
 
 
 # --- per-context samplers used by the experiment runner -----------------------
@@ -326,10 +298,9 @@ class SingletSampler:
 
     def __init__(self, contexts: ContextSet):
         self.contexts = contexts
-        pair = TwoQubitState.singlet()
         self._pA, self._pB = _two_step_tables(
-            contexts, lambda ctx: prob_plus_pair(pair, ctx.dir_x, 0),
-            lambda ctx, sA: prob_plus_pair(collapse_pair(pair, ctx.dir_x, sA, 0), ctx.dir_y, 1))
+            contexts, lambda ctx: _prob_plus_pair(_SINGLET, ctx.dir_x, 0),
+            lambda ctx, sA: _prob_plus_pair(_collapse_pair(_SINGLET, ctx.dir_x, sA, 0), ctx.dir_y, 1))
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         ctx = self.contexts[code]

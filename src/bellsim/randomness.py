@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrityError, ValidationError
+from .errors import ValidationError
 from .protocol import AnalysisReport, RecordBatch, RecordSummary, _json_float, check_report
 
 EXTRACTION_RULE = "s1s2-interleaved-v1"
@@ -147,24 +147,17 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
                    report: AnalysisReport) -> CertificationReport:
     """Certify a bit string from its counts, keyed to the inequality verdict of its run's report.
 
-    ``records`` (a batch or its summary) are those the bits came from.  Their
-    hash must be the report's; after the frequency and runs tests,
-    :func:`~bellsim.protocol.check_report` raises IntegrityError unless they
-    give the report's n_trials, estimates and bell block.  Certified means:
-    verdict is a violation and both statistical tests reach p >= 0.01.
-    Conspiracy-mode runs keep a caveat flag set: the violation is then
-    produced by a contextual model and certification rests entirely on the
-    no-conspiracy assumption.
+    ``records`` (a batch or its summary) are those the bits came from;
+    first :func:`~bellsim.protocol.check_report` raises IntegrityError unless
+    they give every field of the report but its mode, the hash first.
+    Certified means: verdict is a violation and both statistical tests
+    reach p >= 0.01.  Conspiracy-mode runs keep a caveat flag set: the
+    violation is then produced by a contextual model and certification
+    rests entirely on the no-conspiracy assumption.
     """
-    records_sha256 = records.sha256()
-    if records_sha256 != report.records_sha256:
-        raise IntegrityError(
-            f"records hash {records_sha256[:12]}... does not match the report's "
-            f"{report.records_sha256[:12]}..."
-        )
+    check_report(report, records)
     p_mono = monobit_test(counts)
     runs = runs_test(counts)
-    check_report(report, records)
     certified = (
         report.bell.verdict == "violation"
         and p_mono >= SIGNIFICANCE_FLOOR
@@ -178,7 +171,7 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
         monobit_p=p_mono,
         runs=runs,
         n_bits=counts.n,
-        records_sha256=records_sha256,
+        records_sha256=report.records_sha256,
         extraction_rule=EXTRACTION_RULE,
         conspiracy_caveat=report.mode.startswith("conspiracy"),
     )

@@ -62,6 +62,14 @@ def edited(doc, path, value):
     return doc
 
 
+def unloadable_model(tmp_path):
+    """A contextual model file whose 'ab' block is no JSON object: it fails only when the sampler is built."""
+    table = {"lambdas": [{"weight": 1.0, "responses": [1, 1, 1]}]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"ab": 5, "ac": table, "bc": table}))
+    return path
+
+
 STAGES = ["run", "analyze", "certify"]
 
 # hand edits of a 6 000-trial qm_sequential report that its records do not give
@@ -138,6 +146,23 @@ class TestRun:
         assert "--threads must be a positive integer, got 0" in capsys.readouterr().err
         assert not out.exists()
         assert not list(tmp_path.rglob("*.partial"))
+
+    @pytest.mark.parametrize("out_dir", ["newdir", "new/nested/dir"])
+    def test_a_model_that_fails_to_load_leaves_no_out_dir(self, tmp_path, capsys, out_dir):
+        cfg = write_config(tmp_path / "cfg.json", mode=f"conspiracy:{unloadable_model(tmp_path)}", n_trials=100)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / out_dir)]) == 1
+        assert "context 'ab' must be a JSON object" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "model.json"]
+
+    @pytest.mark.parametrize("held", [[], ["notes.txt"]])
+    def test_a_failed_run_keeps_an_out_dir_that_was_there(self, tmp_path, held):
+        cfg = write_config(tmp_path / "cfg.json", mode=f"conspiracy:{unloadable_model(tmp_path)}", n_trials=100)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in held:
+            (out / name).write_text("kept")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert out.is_dir() and sorted(path.name for path in out.iterdir()) == held
 
     def test_missing_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -350,6 +375,29 @@ class TestCertify:
         assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
         assert no_partial_files(out)
 
+    def test_records_holding_an_outcome_2_leave_no_out_dir(self, tmp_path, capsys):
+        out = self.run_analyze(tmp_path, n_trials=6000)
+        records = out / "records.csv"
+        lines = records.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",2"
+        records.write_text("\n".join(lines) + "\n")
+        new = tmp_path / "newdir"
+        assert main(["certify", "--records", str(records), "--report", str(out / "report.json"),
+                     "--out-dir", str(new)]) == 1
+        assert "outcomes must be +1 or -1" in capsys.readouterr().err
+        assert not new.exists()
+
+    def test_wrong_hash_of_a_file_too_small_for_the_frequency_test_exits_integrity(self, tmp_path, capsys):
+        out = self.run_analyze(tmp_path, n_trials=40)  # 80 bits, below the frequency test's 100
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        doc["records_sha256"] = "0" * 64
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 3
+        assert "does not match the report's 000000000000..." in capsys.readouterr().err
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+
     def test_hand_set_violation_fails_the_recheck(self, tmp_path, capsys):
         # the sign model saturates the bound: B = 1.00307 here, inconclusive
         out = self.run_analyze(tmp_path, mode="hv:sign-model", n_trials=200_000,
@@ -529,6 +577,18 @@ def test_invalid_json_names_the_file_kind(tmp_path, capsys, what):
         assert main(argv) == 1
         assert f"{what} file {bad}: invalid JSON" in capsys.readouterr().err
         assert not any((out / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("what", ["config", "model"])
+def test_a_json_list_is_no_document(tmp_path, capsys, what):
+    listed = tmp_path / f"{what}.json"
+    listed.write_text("[1, 2, 3]")
+    cfg = listed if what == "config" else write_config(tmp_path / "cfg.json", mode=f"hv:{listed}")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    expected = "config must be a JSON object" if what == "config" else "model document must be a JSON object"
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestStreaming:

@@ -65,6 +65,14 @@ class TestFiniteModelValidation:
         with pytest.raises(ValidationError):
             FiniteHVModel([1.0], [[1, 1, 1, 1, 1]])
 
+    def test_empty_model_rejected(self):
+        with pytest.raises(ValidationError, match="weights must be a non-empty 1-d sequence"):
+            FiniteHVModel([], [])
+
+    def test_contextual_model_without_tables_rejected(self):
+        with pytest.raises(ValidationError, match="needs at least one context table"):
+            ContextualFiniteModel({})
+
     @pytest.mark.parametrize("weights,responses", [
         (["half", 0.5], [[1, 1, 1], [1, 1, 1]]),
         ([True], [[1, 1, 1]]),
@@ -152,6 +160,10 @@ class TestRandomFiniteModel:
         with pytest.raises(ValidationError):
             random_finite_model(0, 0)
 
+    def test_five_slots_rejected(self):
+        with pytest.raises(ValidationError, match="n_slots must be 3 or 4, got 5"):
+            random_finite_model(0, 2, n_slots=5)
+
 
 class TestFiniteTrial:
     # the scalar reference of FiniteModelSampler, one trial at a time
@@ -192,8 +204,8 @@ class TestSignModel:
         v = rng.normal(size=(n, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         for d1, d2 in [(Z_AXIS, X_AXIS), (max_violation_triple()[0], Z_AXIS)]:
-            s1 = np.sign(v @ d1.as_array())
-            s2 = np.sign(v @ d2.as_array())
+            s1 = np.sign(v @ (d1.x, d1.y, d1.z))
+            s2 = np.sign(v @ (d2.x, d2.y, d2.z))
             mc = float(np.mean(s1 * s2))
             assert abs(mc - sign_model_correlator(d1, d2)) <= 4 / math.sqrt(n)
 
@@ -324,11 +336,17 @@ class TestModelFiles:
             {"lambdas": [{"weight": 1.0, "responses": [1, [1], 1]}]},
             {"lambdas": [{"weight": 1.0, "responses": [1, True, 1]}]},
             {"lambdas": [{"weight": 1.0, "responses": "111"}]},
+            [{"weight": 1.0, "responses": [1, 1, 1]}],
+            {key: {"lambdas": [{"weight": 1.0, "responses": [1, 1, 1, 1]}]} for key in ("ab", "ac", "bc")},
         ],
     )
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(ValidationError):
             model_from_jsonable(doc)
+
+    def test_unknown_model_type_not_serialized(self):
+        with pytest.raises(ValidationError, match="cannot serialize models of type object"):
+            model_to_jsonable(object())
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,6 +1,6 @@
 """Every module-level import in a bellsim module is named by that module,
-every module-level private name is named somewhere else, and no module
-reads the environment.
+every module-level private name is named somewhere else, every method of
+a bellsim class is named somewhere, and no module reads the environment.
 
 No lint tool runs on the package, and deleting code tends to leave its
 imports and private helpers behind; these tests parse each module with
@@ -90,6 +90,51 @@ def test_no_dead_private_name():
     tests_text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
                            if path.name != Path(__file__).name)  # not the names of the example above
     assert dead_private_names(sources, tests_text) == []
+
+
+def dead_methods(sources: list[str], tests_text: str = "") -> list[str]:
+    """The methods (also properties and classmethods) of the classes in ``sources``, as ``Class.name``,
+    that no source reads and ``tests_text`` never names.
+
+    Dunders are left out, and so are the classes with a base from outside
+    ``sources``: that base may call their methods as hooks, as argparse calls
+    ``ArgumentParser.error``.
+    """
+    trees = [ast.parse(source) for source in sources]
+    classes = [node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)]
+    ours = {cls.name for cls in classes}
+    read = set().union(*map(named, trees))
+    return [f"{cls.name}.{node.name}" for cls in classes
+            if all(isinstance(base, ast.Name) and base.id in ours for base in cls.bases)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not re.fullmatch(r"__\w+__", node.name)
+            and node.name not in read and not re.search(rf"\b{node.name}\b", tests_text)]
+
+
+def test_the_check_finds_a_dead_method():
+    module = (
+        "import argparse\n"
+        "class State:\n"
+        "    def __post_init__(self):\n        pass\n"
+        "    @classmethod\n    def up(cls):\n        return cls()\n"
+        "    @classmethod\n    def down(cls):\n        return cls()\n"
+        "    @property\n    def norm(self):\n        return 1\n"
+        "    def vector(self):\n        return self.norm\n"
+        "class Pair(State):\n"
+        "    def swap(self):\n        return self.vector()\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        pass\n"
+    )
+    caller = "from .module import State\nx = State.up()\n"
+    assert dead_methods([module, caller]) == ["State.down", "Pair.swap"]
+    assert dead_methods([module, caller], "assert Pair().swap()") == ["State.down"]
+
+
+def test_no_dead_method():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    tests_text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
+                           if path.name != Path(__file__).name)  # not the names of the example above
+    assert dead_methods(sources, tests_text) == []
 
 
 # the names through which os reads the environment

@@ -169,6 +169,15 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=r"'directions'\[2\]: .*too large"):
             ExperimentConfig.from_dict(doc)
 
+    def test_direction_that_is_no_direction3_rejected(self):
+        with pytest.raises(ValidationError, match=r"'directions'\[2\] must be a unit 3-vector"):
+            temporal_config(directions=(*TRIPLE[:2], (0.0, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("directions", ["abc", {"a": [0.0, 0.0, 1.0]}, 3])
+    def test_directions_that_are_no_list_rejected(self, directions):
+        with pytest.raises(ValidationError, match="config key 'directions' must be a list of 3-vectors"):
+            ExperimentConfig.from_dict(config_doc(directions=directions))
+
     def test_wrong_arity_for_mode(self):
         with pytest.raises(ValidationError, match="directions"):
             ExperimentConfig.from_dict(config_doc(mode="qm_singlet"))
@@ -351,6 +360,19 @@ class TestRunExperiment:
                     lambda: protocol.write_run(cfg, tmp_path / "records.csv", threads=threads)):
             with pytest.raises(ValidationError, match="thread count"):
                 run()
+
+    def test_a_model_that_fails_to_load_fails_before_the_records_are_opened(self, tmp_path):
+        model = tmp_path / "model.json"
+        table = {"lambdas": [{"weight": 1.0, "responses": [1, 1, 1]}]}
+        model.write_text(json.dumps({"ab": 5, "ac": table, "bc": table}))
+        cfg = temporal_config(mode=f"conspiracy:{model}", n_trials=100)
+        with pytest.raises(ValidationError, match="context 'ab' must be a JSON object"):
+            protocol.run_spans(cfg)  # when called, before a span is asked for
+        with pytest.raises(ValidationError, match="thread count"):
+            protocol.run_spans(temporal_config(), threads=0)
+        with pytest.raises(ValidationError, match="context 'ab' must be a JSON object"):
+            protocol.write_run(cfg, tmp_path / "records.csv")
+        assert not (tmp_path / "records.csv").exists()
 
     def test_context_sequence_independent_of_backend_and_outcome_seed(self):
         cfg_a = temporal_config(mode="qm_sequential", n_trials=400, outcome_seed=1)

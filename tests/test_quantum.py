@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from bellsim.directions import Direction3, X_AXIS, Y_AXIS, Z_AXIS, max_violation_triple, tsirelson_quadruple
+from bellsim import quantum
 from bellsim.errors import ValidationError
 from bellsim.quantum import (
     QubitState,
     SequentialSampler,
     SingletSampler,
-    TwoQubitState,
     analytic_sequential_correlator,
     balanced_preparation,
     brute_force_sequential_correlator,
@@ -17,7 +17,6 @@ from bellsim.quantum import (
     collapse,
     measure_spin,
     prob_plus,
-    prob_plus_pair,
     sequential_trial,
     singlet_analytic_correlator,
     singlet_joint_trial,
@@ -53,14 +52,14 @@ class TestStateTypes:
         with pytest.raises(ValidationError):
             QubitState(1.0, 1.0)
 
-    def test_pair_must_be_normalized(self):
-        with pytest.raises(ValidationError):
-            TwoQubitState(1.0, 1.0, 0.0, 0.0)
+    def test_zero_vector_has_no_direction(self):
+        with pytest.raises(ValidationError, match="zero vector"):
+            Direction3.normalized(0.0, 0.0, 0.0)
 
     def test_singlet_amplitudes(self):
-        s = TwoQubitState.singlet()
         r = 1.0 / math.sqrt(2.0)
-        assert (s.amp_uu, s.amp_ud, s.amp_du, s.amp_dd) == (0.0j, r + 0.0j, -r + 0.0j, 0.0j)
+        assert quantum._SINGLET.tolist() == [0.0j, r + 0.0j, -r + 0.0j, 0.0j]
+        assert not quantum._SINGLET.flags.writeable
 
 
 class TestMeasureSpin:
@@ -116,6 +115,11 @@ class TestMeasureSpin:
         post = collapse(QubitState.up(), Z_AXIS, -1)
         assert post.amp_up == 0.0 and abs(post.amp_down) == 1.0
 
+    @pytest.mark.parametrize("outcome", [0, 2, 1.5])
+    def test_collapse_onto_no_outcome_rejected(self, outcome):
+        with pytest.raises(ValidationError, match="outcome must be"):
+            collapse(QubitState.up(), Z_AXIS, outcome)
+
 
 class TestSequentialTrial:
     def test_same_direction_repeats(self, rng):
@@ -136,6 +140,11 @@ class TestSequentialTrial:
     def test_perpendicular_directions_uncorrelated(self):
         # exact enumeration: E[s1*s2] = 0 when d1.d2 = 0
         assert abs(brute_force_sequential_correlator(QubitState.up(), X_AXIS, Y_AXIS)) < TOL
+
+    def test_eigenstate_of_the_first_direction_skips_its_empty_branch(self):
+        # |up> gives s1 = +1 along z for certain; the s1 = -1 branch has weight 0
+        d2 = Direction3.from_polar(1.0)
+        assert abs(brute_force_sequential_correlator(QubitState.up(), Z_AXIS, d2) - math.cos(1.0)) < TOL
 
 
 class TestSequentialCorrelator:
@@ -214,11 +223,10 @@ class TestSinglet:
             assert sB == -sA
 
     def test_marginal_is_even(self, rng):
-        state = TwoQubitState.singlet()
         for _ in range(50):
             d = random_direction(rng)
-            assert abs(prob_plus_pair(state, d, 0) - 0.5) < TOL
-            assert abs(prob_plus_pair(state, d, 1) - 0.5) < TOL
+            assert abs(quantum._prob_plus_pair(quantum._SINGLET, d, 0) - 0.5) < TOL
+            assert abs(quantum._prob_plus_pair(quantum._SINGLET, d, 1) - 0.5) < TOL
 
     def test_perpendicular_uncorrelated_by_matrix_oracle(self):
         assert abs(brute_force_singlet_correlator(X_AXIS, Y_AXIS)) < TOL
@@ -252,3 +260,68 @@ class TestSinglet:
         target = sampler.analytic_correlator(0)
         assert abs(float(np.mean(sA * sB)) - target) <= 4 / math.sqrt(n)
         assert abs(float(np.mean(sA))) <= 4 / math.sqrt(n)
+
+
+# --- the samplers' tables, against the projector arithmetic written out --------------
+
+
+SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]], dtype=complex),
+         np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def written_projector(n, outcome, particle=None):
+    # (I + outcome n.sigma) / 2, on one qubit or on particle 0 or 1 of a pair
+    p = (np.eye(2, dtype=complex) + outcome * (n.x * SIGMA[0] + n.y * SIGMA[1] + n.z * SIGMA[2])) / 2.0
+    if particle is None:
+        return p
+    return np.kron(p, np.eye(2, dtype=complex)) if particle == 0 else np.kron(np.eye(2, dtype=complex), p)
+
+
+def written_prob(psi, projector):
+    p = float(np.real(np.vdot(psi, projector @ psi)))
+    return min(1.0, max(0.0, p))
+
+
+def written_collapse(psi, n, outcome, particle=None):
+    v = written_projector(n, outcome, particle) @ psi
+    n2 = float(np.real(np.vdot(v, v)))
+    if n2 < 1e-24:  # a one-qubit branch of zero weight: the eigenstate of n.sigma, in closed form
+        rxy = math.hypot(n.x, n.y)
+        phase = complex(n.x / rxy, n.y / rxy) if rxy > 1e-15 else 1.0 + 0.0j
+        up, down = math.sqrt((1.0 + n.z) / 2.0), math.sqrt((1.0 - n.z) / 2.0)
+        return np.array([up, down * phase] if outcome == 1 else [down, -up * phase], dtype=complex)
+    s = math.sqrt(n2)
+    return np.array([complex(a) / s for a in v])  # Python's division, amplitude by amplitude
+
+
+def written_tables(contexts, psi, particles=(None, None)):
+    first, second = particles
+    p1 = [written_prob(psi, written_projector(ctx.dir_x, +1, first)) for ctx in contexts.contexts]
+    p2 = [[written_prob(written_collapse(psi, ctx.dir_x, s1, first), written_projector(ctx.dir_y, +1, second))
+           for s1 in (-1, 1)] for ctx in contexts.contexts]
+    return np.array(p1), np.array(p2)
+
+
+def table_geometries(seed, count):
+    rng = np.random.default_rng(seed)
+    yield ContextSet("temporal", max_violation_triple())
+    yield ContextSet("chsh", tsirelson_quadruple())
+    yield ContextSet("temporal", (Z_AXIS, Z_AXIS, X_AXIS))
+    for _ in range(count):
+        yield ContextSet("temporal", tuple(random_direction(rng) for _ in range(3)))
+        yield ContextSet("chsh", tuple(random_direction(rng) for _ in range(4)))
+
+
+@pytest.mark.parametrize("contexts", table_geometries(20261018, 40), ids=lambda c: c.kind)
+def test_sampler_tables_equal_the_written_arithmetic(contexts):
+    # == to the last bit: the golden hash sees a table only through the outcomes it decides
+    sequential = SequentialSampler(contexts)
+    p1, p2 = written_tables(contexts, sequential.state0.vector())
+    assert np.array_equal(sequential._p1, p1) and np.array_equal(sequential._p2, p2)
+    up = SequentialSampler(contexts, QubitState.up())  # collapses an eigenstate where a direction is +-z
+    p1, p2 = written_tables(contexts, up.state0.vector())
+    assert np.array_equal(up._p1, p1) and np.array_equal(up._p2, p2)
+    singlet_psi = np.array([0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0], dtype=complex)
+    pA, pB = written_tables(contexts, singlet_psi, particles=(0, 1))
+    singlet = SingletSampler(contexts)
+    assert np.array_equal(singlet._pA, pA) and np.array_equal(singlet._pB, pB)

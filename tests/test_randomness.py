@@ -78,6 +78,10 @@ class TestMonobit:
         with pytest.raises(ValidationError):
             monobit_test(np.full(200, 2, dtype=np.uint8))
 
+    def test_two_dimensional_bits_rejected(self):
+        with pytest.raises(ValidationError, match="bits must be a 1-d sequence"):
+            monobit_test(np.zeros((2, 100), dtype=np.uint8))
+
     def test_p_value_range_and_determinism(self, rng):
         bits = rng.integers(0, 2, size=5000).astype(np.uint8)
         p = monobit_test(bits)

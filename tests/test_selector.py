@@ -58,6 +58,15 @@ class TestSelectorStream:
         with pytest.raises(ValidationError, match="context count must be >= 0, got -1"):
             context_codes(0, -1, 3)
 
+    def test_unknown_context_set_kind_rejected(self):
+        with pytest.raises(ValidationError, match="unknown context-set kind 'spatial'"):
+            ContextSet("spatial", (X_AXIS, Y_AXIS, Z_AXIS))
+
+    @pytest.mark.parametrize("kind,directions", [("temporal", (X_AXIS, Y_AXIS)), ("chsh", (X_AXIS, Y_AXIS, Z_AXIS))])
+    def test_wrong_direction_count_rejected(self, kind, directions):
+        with pytest.raises(ValidationError, match=f"{kind} geometry needs exactly {len(directions) + 1} directions"):
+            ContextSet(kind, directions)
+
     def test_deterministic(self):
         assert emit(12345, 50) == emit(12345, 50)
 
