@@ -47,10 +47,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTEGRITY = 3
 
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
 
 class _Parser(argparse.ArgumentParser):
     # keep usage errors on the documented validation exit code
@@ -136,11 +132,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _noted(records: RecordSummary) -> RecordSummary:
+    """records, once stderr says how many steps took the line parser, if any (it is about 20 times as slow)."""
+    if records.parsed_steps:
+        steps = records.canonical_steps + records.parsed_steps
+        print(f"bellsim: {records.parsed_steps} of {steps} record steps took the line parser", file=sys.stderr)
+    return records
+
+
 def cmd_analyze(args) -> int:
     check_sigma_threshold(args.sigma_threshold, "--sigma-threshold")  # before the records are read
     if args.mode not in (None, *GEOMETRIES):
         parse_mode(args.mode, "--mode")
-    records = RecordSummary.from_csv(args.records)
+    records = _noted(RecordSummary.from_csv(args.records))
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
     out = Path(args.out_dir)
     report_path = out / "report.json"
@@ -164,7 +168,7 @@ def cmd_certify(args) -> int:
         with open(args.records, "rb") as f, open(bits_tmp, "wb") as bits_file:
             reader = RecordReader(f)
             counts = stream_bits(reader, bits_file)
-        cert = certify_counts(counts, reader.summary(), report)
+        cert = certify_counts(counts, _noted(reader.summary()), report)
         write_json(certification_to_jsonable(cert), cert_tmp)
     status = "certified" if cert.certified else "NOT certified"
     caveat = " (conspiracy caveat applies)" if cert.conspiracy_caveat else ""
@@ -226,35 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reuse_step_memory() -> None:
-    """Let the C allocator keep, for the next step, the memory a stage frees after each step.
-
-    A step allocates about 2 MB of temporaries (its bytes, the newline mask,
-    the rendered rows) and frees them before the next step.  glibc serves
-    blocks above a moving threshold by mmap and returns the top of the heap
-    once twice that threshold is free, so by default every step faults its
-    memory in again: about 26 000 minor faults and 0.08 s per 3 M-trial
-    `analyze`.  Serving blocks up to 32 MB from the heap and
-    keeping up to 64 MB free at its top lets the steps reuse their memory;
-    a stage still holds one step at a time, so its peak is unchanged.  C
-    libraries without ``mallopt`` are left as they are.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _reuse_step_memory()
     try:
         return args.func(args)
     except (ValidationError, InsufficientDataError) as exc:

@@ -59,8 +59,9 @@ def angle_between(d1: Direction3, d2: Direction3) -> float:
 def max_violation_triple() -> tuple[Direction3, Direction3, Direction3]:
     """The (a, b, c) triple with b.c = 0 and a = (b - c)/sqrt(2).
 
-    This geometry maximizes |a.b - a.c| + b.c at sqrt(2), the largest value
-    the sequential-measurement correlators can reach.
+    Sequential measurements give |a.b - a.c| + b.c = sqrt(2) here, not the
+    maximum: the coplanar triple at polar angles 0, 60 and 120 degrees
+    reaches 3/2 (Leggett & Garg, PRL 54, 857 (1985)).
     """
     b = Z_AXIS
     c = X_AXIS

@@ -8,7 +8,7 @@ Two model families:
   provably satisfy the temporal bound |P(a,b)-P(a,c)| + P(b,c) <= 1 and the
   CHSH bound of 2; the continuous sign model (uniform axis on the sphere,
   response = sign of the projection) is sampled instead and saturates the
-  temporal bound at the optimal geometry.
+  temporal bound at every coplanar triple with b between a and c.
 
 * contextual ("conspiracy") models attach a separate distribution to each
   measurement context.  The built-in qm-mimic model draws outcome pairs with
@@ -35,6 +35,9 @@ from .selector import GEOMETRIES, ContextSet, MeasurementContext
 
 WEIGHT_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
+
+# cells of the finite samplers' bucket grid; a power of two, so that scaling a uniform by it is exact
+_GRID = 1 << 12
 
 SIGN_MODEL_NAME = "sign-model"
 QM_MIMIC_NAME = "qm-mimic"
@@ -272,13 +275,21 @@ class _FiniteSampler:
     The sorted union of all contexts' cumulative weights cuts [0, 1) into
     buckets; no threshold lies inside a bucket, so a bucket's lower edge
     selects the same initial condition as every u in it, in every context.
+
+    A trial's bucket, the number of thresholds at or below u1, is the count
+    at or below the lower edge of u1's cell in a grid of _GRID equal cells
+    (u1 * _GRID is exact), plus one compare per threshold inside the cell.
+    So a trial costs T compare passes, T the most thresholds in one cell: at
+    most one per context if every weight is at least 1/_GRID, at worst all.
     """
+
+    draws = 1  # uniforms per trial that run reads
 
     def __init__(self, subs: list[FiniteHVModel], contexts: ContextSet):
         self.contexts = contexts
         self._subs = subs
-        self._union = np.unique(np.concatenate([m._cum for m in subs]))
-        lower = np.concatenate(([-np.inf], self._union))  # bucket b holds union[b-1] <= u < union[b]
+        union = np.unique(np.concatenate([m._cum for m in subs]))
+        lower = np.concatenate(([-np.inf], union))  # bucket b holds union[b-1] <= u < union[b]
         self._n_buckets = lower.size
         s1, s2 = [], []
         for m, (sx, sy) in zip(subs, contexts.slots):
@@ -287,10 +298,26 @@ class _FiniteSampler:
             s2.append(m.responses[idx, sy - 1])
         self._s1 = np.concatenate(s1)
         self._s2 = np.concatenate(s2)
-        _freeze(self._union, self._s1, self._s2)
+        # _base[cell]: thresholds at or below the cell's lower edge; _inner[j, cell]: its j-th inside, or inf
+        self._base = np.searchsorted(union, np.arange(_GRID) / _GRID, side="right")
+        cells = (union * _GRID).astype(np.intp)
+        inside = (union > 0.0) & (union < 1.0) & (cells != union * _GRID)
+        cells, thresholds = cells[inside], union[inside]
+        rank = np.arange(cells.size) - np.searchsorted(cells, cells)  # the threshold's place in its cell
+        self._inner = np.full((rank.max() + 1 if rank.size else 0, _GRID), np.inf)
+        self._inner[rank, cells] = thresholds
+        _freeze(self._s1, self._s2, self._base, self._inner)
+
+    def _bucket(self, u1: np.ndarray) -> np.ndarray:
+        """The bucket of each u1 in [0, 1): np.searchsorted(union, u1, side="right"), in T + 1 lookups."""
+        cell = (u1 * _GRID).astype(np.intp)
+        key = self._base.take(cell)
+        for row in self._inner:
+            key += u1 >= row.take(cell)
+        return key
 
     def _sample(self, codes: np.ndarray, u1: np.ndarray):
-        key = np.searchsorted(self._union, u1, side="right")
+        key = self._bucket(u1)
         key += codes * np.intp(self._n_buckets)
         return self._s1.take(key), self._s2.take(key)
 
@@ -315,7 +342,7 @@ class FiniteModelSampler(_FiniteSampler):
             )
         super().__init__([model] * len(contexts), contexts)
 
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
+    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray | None = None):
         return self._sample(codes, u1)
 
 
@@ -327,7 +354,7 @@ class ContextualModelSampler(_FiniteSampler):
             raise ValidationError("contextual models are defined for the temporal contexts only")
         super().__init__([model.for_tag(tag) for tag in contexts.tags], contexts)
 
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
+    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray | None = None):
         return self._sample(codes, u1)
 
 
@@ -343,14 +370,16 @@ class SignModelSampler:
     +-0, and adding +-0 cannot change the ``>= 0`` test.
     """
 
+    draws = 2  # uniforms per trial that run reads
+
     def __init__(self, contexts: ContextSet):
         self.contexts = contexts
         n_slots = len(contexts.directions)
         key = np.arange(len(contexts) << n_slots)
         code, bits = key >> n_slots, key & ((1 << n_slots) - 1)
         sx, sy = (np.array(col)[code] for col in zip(*contexts.slots))
-        self._s1 = _signs((bits >> (sx - 1)) & 1)
-        self._s2 = _signs((bits >> (sy - 1)) & 1)
+        self._s1 = _signs(((bits >> (sx - 1)) & 1).astype(bool))
+        self._s2 = _signs(((bits >> (sy - 1)) & 1).astype(bool))
         _freeze(self._s1, self._s2)
         # per slot direction: (axis component, direction component) of its non-zero terms
         self._terms = tuple(tuple((i, c) for i, c in enumerate((d.x, d.y, d.z)) if c != 0.0)
@@ -383,6 +412,8 @@ class QmMimicSampler:
     """Trials of the built-in contextual qm-mimic model: outcome pairs with joint
     probability (1 + s1*s2*x.y)/4, the quantum correlator x.y in every context."""
 
+    draws = 2  # uniforms per trial that run reads
+
     def __init__(self, contexts: ContextSet):
         self.contexts = contexts
         self._p_same = np.array([_mimic_p_same(ctx) for ctx in contexts.contexts])
@@ -394,7 +425,7 @@ class QmMimicSampler:
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         s1 = _signs(u1 < 0.5)
-        return s1, np.where(u2 < self._p_same.take(codes), s1, -s1)
+        return s1, _signs(u2 < self._p_same.take(codes)) * s1
 
     def analytic_correlator(self, code: int) -> float:
         ctx = self.contexts[code]

@@ -10,6 +10,7 @@ chunkings and thread counts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -198,6 +199,29 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(read_json(path, "config"))
 
 
+@functools.cache
+def _reuse_step_memory() -> None:
+    """Let the C allocator keep, for the next record step or simulation span, the memory each frees.
+
+    Each allocates about 2 MB of temporaries, none above 1 MB, and frees them
+    before the next.  By default glibc returns such memory and faults it in
+    again: about 26 000 minor faults and 0.08 s per 3 M-trial `analyze`.
+    Blocks up to 4 MB now come from the heap, which keeps up to 64 MB free at
+    its top; larger ones, such as a caller's own arrays, are still returned.
+    Process-wide and made once; a C library without ``mallopt`` is left as it is.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD (malloc.h)
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 # --- trial records ----------------------------------------------------------------
 
 
@@ -325,6 +349,7 @@ class RecordReader:
     """
 
     def __init__(self, f):
+        _reuse_step_memory()
         self._f = f
         self._buf, self._eof = b"", False  # LF-mapped bytes not yet in a step
         self._held = False  # the last read ended in a CR, which _to_lf dropped
@@ -332,6 +357,7 @@ class RecordReader:
         self._counts: np.ndarray | None = None  # allocated at the first step, then added to in place
         self.kind: str | None = None
         self.n = 0
+        self.canonical_steps = self.parsed_steps = 0  # steps read by each path
 
     def _fill(self, size: int) -> None:
         # read until the buffer holds `size` bytes or the file ends; a read asks for the missing
@@ -404,6 +430,7 @@ class RecordReader:
         if _render_rows(kind, self.n, key) != rows:
             return None
         self._tally(kind, key, rows)
+        self.canonical_steps += 1
         return kind, codes, s1, s2
 
     def _parsed_step(self, end: int):
@@ -411,6 +438,7 @@ class RecordReader:
         kind, codes, s1, s2 = _parse_lines(self._buf[:end], self.n + 2, self.kind)
         key = _outcome_key(codes, s1, s2)
         self._tally(kind, key, _render_rows(kind, self.n, key))
+        self.parsed_steps += 1
         return kind, codes, s1, s2
 
     def __iter__(self):
@@ -433,14 +461,15 @@ class RecordReader:
             yield lo, codes, s1, s2
 
     def summary(self) -> "RecordSummary":
-        """Kind, size, canonical hash and count table of the rows read so far (at least one step).
+        """Kind, size, canonical hash, count table and step counts of the rows read so far (one step or more).
 
         The table is a copy, so later steps leave the summary as it was taken.
         """
         if self._counts is None:
             raise ValidationError("records: no step read yet")
         counts = _read_only(self._counts.copy(), np.int64)
-        return RecordSummary(self.kind, self.n, self._digest.hexdigest(), counts)
+        return RecordSummary(self.kind, self.n, self._digest.hexdigest(), counts,
+                             self.canonical_steps, self.parsed_steps)
 
 
 @dataclass(frozen=True)
@@ -456,6 +485,8 @@ class RecordSummary:
     n: int
     records_sha256: str
     counts: np.ndarray
+    canonical_steps: int = 0  # the steps a RecordReader read on its canonical path
+    parsed_steps: int = 0  # and by its line parser
 
     @property
     def tags(self) -> tuple[str, ...]:
@@ -643,6 +674,7 @@ def _csv_chunks(kind: str, spans):
 
     The rows are rendered _STEP at a time, so a span of any length adds only one step's buffers.
     """
+    _reuse_step_memory()
     yield _HEADER_LINE
     for lo, codes, s1, s2 in spans:
         for i in range(0, codes.size, _STEP):
@@ -697,12 +729,12 @@ def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=No
     """
     n_threads = check_threads(threads)
     sampler = make_sampler(config, model=model)
+    _reuse_step_memory()
     n, k = config.n_trials, len(sampler.contexts)
 
     def span(lo: int, hi: int):
         codes = context_codes(state_after(config.selector_seed, lo, k), hi - lo, k)
-        u = trial_uniforms(config.outcome_seed, lo, hi, n_draws=2)
-        s1, s2 = sampler.run(codes, u[0], u[1])
+        s1, s2 = sampler.run(codes, *trial_uniforms(config.outcome_seed, lo, hi, n_draws=sampler.draws))
         if columns is None:
             return lo, codes, s1, s2, None
         for column, values in zip(columns, (codes, s1, s2)):

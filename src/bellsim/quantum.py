@@ -233,8 +233,8 @@ def balanced_preparation(contexts: ContextSet) -> QubitState:
 
 
 def _signs(positive: np.ndarray) -> np.ndarray:
-    """+1 where positive, else -1, as int8 outcomes."""
-    return np.where(positive, np.int8(1), np.int8(-1))
+    """+1 where the bool array is True, else -1, as int8 outcomes: 2 * positive - 1."""
+    return (positive.view(np.int8) << 1) - 1
 
 
 def _freeze(*tables: np.ndarray) -> None:
@@ -274,6 +274,8 @@ class SequentialSampler:
     property the bit-extraction pipeline relies on).
     """
 
+    draws = 2  # uniforms per trial that run reads
+
     def __init__(self, contexts: ContextSet, state0: QubitState | None = None):
         self.contexts = contexts
         self.state0 = state0 if state0 is not None else balanced_preparation(contexts)
@@ -295,6 +297,8 @@ class SequentialSampler:
 
 class SingletSampler:
     """Trial sampler for joint measurements on a singlet pair, one pair per trial."""
+
+    draws = 2  # uniforms per trial that run reads
 
     def __init__(self, contexts: ContextSet):
         self.contexts = contexts

@@ -6,6 +6,10 @@ quantum backends and the conspiracy that mimics them follow the oracle within
 5 standard errors, and the oracle prints the closed form of the quantum curve;
 hidden-variable backends stay at or below the bound: exactly in the oracle and
 within 5 standard errors when sampled.
+
+Over a grid of coplanar triples the quantum value never exceeds 3/2 and
+reaches it at 0, 60 and 120 degrees, while the sign model and finite models
+stay at or below 1.
 """
 
 import json
@@ -16,7 +20,7 @@ import pytest
 from bellsim.cli import main
 from bellsim.directions import Direction3
 from bellsim.hidden_variables import random_finite_model, write_model
-from bellsim.protocol import ExperimentConfig, analyze_records, run_experiment
+from bellsim.protocol import ExperimentConfig, analyze_records, make_sampler, run_experiment
 
 N_TRIALS = 200_000
 K = 5.0
@@ -66,3 +70,25 @@ def test_b_theta_curve(tmp_path, capsys):
                 if bell.value > exact["bound"] + K * bell.stderr:
                     off.append(f"{where}: sampled {bell.value} above the bound {exact['bound']} + {K} sigma")
     assert off == []
+
+
+def oracle_value(mode, directions, model=None) -> float:
+    # |P(a,b) - P(a,c)| + P(b,c) from the backend's exact correlators, as `bellsim oracle` computes it
+    sampler = make_sampler(ExperimentConfig(mode, directions, 1, 0, 0), model=model)
+    ab, ac, bc = (sampler.analytic_correlator(code) for code in range(3))
+    return abs(ab - ac) + bc
+
+
+def test_the_temporal_maximum_is_three_halves(tmp_path, capsys):
+    # coplanar triples (0, beta, gamma) on a 10-degree grid; rotating all three changes no correlator
+    grid = [polar(0.0, math.radians(beta), math.radians(gamma)) for beta in range(0, 360, 10)
+            for gamma in range(0, 360, 10)]
+    qm = [oracle_value("qm_sequential", triple) for triple in grid]
+    assert max(qm) <= 1.5 + 1e-12
+    best = polar(*(math.radians(d) for d in (0, 60, 120)))
+    assert oracle_value("qm_sequential", best) == pytest.approx(1.5, abs=1e-12)
+    assert oracle(tmp_path / "cfg.json", capsys, "qm_sequential", best)["value"] == 1.5
+    assert max(oracle_value("hv:sign-model", triple) for triple in grid) <= 1.0 + 1e-12
+    for seed in range(20):
+        model = random_finite_model(seed, 1 + seed % 7)
+        assert max(oracle_value("hv:model.json", triple, model) for triple in grid[::37]) <= 1.0 + 1e-12

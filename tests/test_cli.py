@@ -107,11 +107,19 @@ class TestRun:
     def test_runs_where_the_c_library_has_no_mallopt(self, tmp_path, monkeypatch):
         import ctypes
 
+        looked_up = []
+
         def no_c_library(name):
+            looked_up.append(name)
             raise OSError("no C library")
 
         monkeypatch.setattr(ctypes, "CDLL", no_c_library)
-        _, out = run_pipeline(tmp_path)
+        protocol._reuse_step_memory.cache_clear()  # the setting is made once per process: make it again
+        try:
+            _, out = run_pipeline(tmp_path)
+        finally:
+            protocol._reuse_step_memory.cache_clear()
+        assert looked_up == [None]
         assert (out / "records.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -639,6 +647,22 @@ class TestStreaming:
         peak(8192)  # first calls allocate what later calls reuse
         small, large = peak(8192), peak(65536)
         assert large <= 1.25 * small, (small, large)
+
+    def test_a_stage_that_took_the_line_parser_says_so(self, tmp_path, capsys):
+        # 40 000 rows are 3 steps; spelling s1 = +1 as "+1" sends every one through the parser
+        _, out = run_pipeline(tmp_path, n_trials=40_000)
+        spelled = tmp_path / "spelled"
+        spelled.mkdir()
+        data = (out / "records.csv").read_bytes()
+        (spelled / "records.csv").write_bytes(data.replace(b",1,-1\n", b",+1,-1\n").replace(b",1,1\n", b",+1,1\n"))
+        for stage in STAGES[1:]:
+            capsys.readouterr()
+            assert main(stage_argv(stage, out)) == 0
+            assert "line parser" not in capsys.readouterr().err
+            assert main(stage_argv(stage, spelled)) == 0
+            assert capsys.readouterr().err == "bellsim: 3 of 3 record steps took the line parser\n"
+        for name in ("report.json", "certification.json", "bits.txt"):
+            assert (spelled / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestOracle:

@@ -9,6 +9,7 @@ from bellsim.directions import X_AXIS, Y_AXIS, Z_AXIS, max_violation_triple
 from bellsim.errors import ValidationError
 from bellsim.hidden_variables import (
     ContextualFiniteModel,
+    _GRID,
     ContextualModelSampler,
     FiniteHVModel,
     FiniteModelSampler,
@@ -404,3 +405,42 @@ class TestSamplerBinding:
         per = {tag: constant_model() for tag in ("AB", "AC", "BC")}
         with pytest.raises(ValidationError):
             ContextualModelSampler(ContextualFiniteModel(per), contexts)
+
+
+def clustered_model(start=0.3, tiny=(1e-5, 2e-5, 3e-5)):
+    # by default thresholds 0.3, 0.30001 and 0.30003 share one cell of 1/4096, and 0.30006 starts the next
+    weights = [start, *tiny, 0.25]
+    responses = [[1, 1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, 1], [1, 1, -1], [-1, 1, 1]]
+    return FiniteHVModel([*weights, 1.0 - sum(weights)], responses)
+
+
+# name: (sampler factory, T: the most thresholds strictly inside one cell)
+BUCKET_MODELS = {
+    "tiny weights in one cell": (lambda: FiniteModelSampler(clustered_model(), TRIPLE), 3),
+    "tiny weights at 0": (lambda: FiniteModelSampler(clustered_model(1e-9, (1e-9, 2e-9, 5e-10)), TRIPLE), 4),
+    # 0.25, 0.75 and 1 are cell edges
+    "thresholds on cell edges": (lambda: FiniteModelSampler(
+        FiniteHVModel([0.25, 0.5, 0.25], [[1, 1, 1], [-1, 1, -1], [1, -1, 1]]), TRIPLE), 0),
+    "contexts that share a cell": (lambda: ContextualModelSampler(ContextualFiniteModel({
+        "AB": clustered_model(), "AC": clustered_model(0.30002, (1e-6, 2e-6, 4e-6)),
+        "BC": FiniteHVModel([0.300015, 0.699985], [[1, 1, 1], [-1, -1, -1]])}), TRIPLE), 8),
+}
+
+
+class TestBucketLookup:
+    """The finite samplers' grid lookup gives np.searchsorted's bucket, exactly."""
+
+    @pytest.mark.parametrize("name", list(BUCKET_MODELS))
+    def test_bucket_is_the_binary_search(self, name, rng):
+        make, passes = BUCKET_MODELS[name]
+        sampler = make()
+        assert sampler._inner.shape[0] == passes
+        union = np.unique(np.concatenate([m._cum for m in sampler._subs]))
+        edges = np.arange(_GRID + 1) / _GRID
+        u = np.concatenate([union, np.nextafter(union, 0.0), edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, 1.0), [0.0], rng.random(10_000)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(sampler._bucket(u), np.searchsorted(union, u, side="right"))
+        for code in range(3):
+            s1, s2 = sampler.run(np.full(u.size, code, dtype=np.uint8), u)
+            assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, x, 0.0) for x in u.tolist()]
