@@ -14,12 +14,9 @@ from .errors import BellsimError, InsufficientDataError, IntegrityError, Validat
 from .hidden_variables import (
     ContextualFiniteModel,
     FiniteHVModel,
-    exact_chsh_correlators,
     exact_correlator,
-    exact_temporal_correlators,
     load_model,
     random_finite_model,
-    sign_model_correlator,
     write_model,
 )
 from .protocol import (
@@ -37,13 +34,10 @@ from .protocol import (
 )
 from .quantum import (
     QubitState,
-    analytic_sequential_correlator,
     brute_force_sequential_correlator,
     brute_force_singlet_correlator,
     measure_spin,
-    sequential_trial,
     singlet_analytic_correlator,
-    singlet_joint_trial,
 )
 from .randomness import (
     CertificationReport,

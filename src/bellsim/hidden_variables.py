@@ -28,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .directions import Direction3, angle_between
+from .directions import angle_between
 from .errors import ValidationError
 from .quantum import _freeze, _signs
-from .selector import GEOMETRIES, ContextSet, MeasurementContext
+from .selector import ContextSet
 
 WEIGHT_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -89,14 +89,6 @@ class FiniteHVModel:
     def n_slots(self) -> int:
         return self.responses.shape[1]
 
-    def sample_index(self, u: float) -> int:
-        """Index of the initial condition selected by one uniform draw."""
-        idx = int(np.searchsorted(self._cum, u, side="right"))
-        return min(idx, self.n_lambda - 1)
-
-    def response(self, index: int, slot: int) -> int:
-        return int(self.responses[index, slot - 1])
-
 
 class ContextualFiniteModel:
     """Finite model with a separate weight/response table per context."""
@@ -113,23 +105,6 @@ class ContextualFiniteModel:
             raise ValidationError(f"contextual model has no table for context {tag!r}") from None
 
 
-# --- the built-in models, shared by their scalar and vectorized paths ------------
-
-
-def _sphere_axis(u1: np.ndarray, u2: np.ndarray, with_y: bool = True):
-    """Uniform point on the unit sphere from two uniforms (z = 2u-1, azimuth);
-    the y component is None when not asked for."""
-    c = 2.0 * u1 - 1.0
-    r = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    phi = TWO_PI * u2
-    return r * np.cos(phi), r * np.sin(phi) if with_y else None, c
-
-
-def _mimic_p_same(context: MeasurementContext) -> float:
-    v = context.dir_x.dot(context.dir_y)
-    return min(1.0, max(0.0, (1.0 + v) / 2.0))
-
-
 # --- exact evaluation (finite models only) --------------------------------------
 
 
@@ -141,21 +116,6 @@ def exact_correlator(model: FiniteHVModel, slot_x: int, slot_y: int) -> float:
         raise ValidationError(f"model has {model.n_slots} slots, context uses slot {max(slot_x, slot_y)}")
     prod = model.responses[:, slot_x - 1].astype(np.float64) * model.responses[:, slot_y - 1]
     return float(model.weights @ prod)
-
-
-def exact_temporal_correlators(model: FiniteHVModel) -> tuple[float, float, float]:
-    """The three consecutive-measurement correlators P(a,b), P(a,c), P(b,c)."""
-    return tuple(exact_correlator(model, sx, sy) for sx, sy in GEOMETRIES["temporal"][1])
-
-
-def exact_chsh_correlators(model: FiniteHVModel) -> tuple[float, float, float, float]:
-    """P(a,b), P(a,b'), P(a',b), P(a',b') for a 4-slot finite model."""
-    return tuple(exact_correlator(model, sx, sy) for sx, sy in GEOMETRIES["chsh"][1])
-
-
-def sign_model_correlator(dir_x: Direction3, dir_y: Direction3) -> float:
-    """Closed-form sign-model correlator: 1 - 2*theta/pi for angle theta."""
-    return 1.0 - 2.0 * angle_between(dir_x, dir_y) / math.pi
 
 
 # --- generators and file format --------------------------------------------------
@@ -264,9 +224,11 @@ def write_model(model, path) -> None:
 
 # --- per-context samplers used by the experiment runner ---------------------------
 #
-# A sampler's tables are built in __init__ and only read by run, which the
-# runner calls from several threads at once.  Its trial method is the
-# per-trial scalar reference that run matches bit for bit.
+# A sampler is a backend.  Its tables are built in __init__ and only read by
+# run, which the runner calls from several threads at once.  Its trial method
+# is the per-trial scalar reference that run matches bit for bit, and its
+# analytic_correlator the exact correlator.  run and trial take uniforms in
+# [0, 1), as selector.trial_uniforms gives them.
 
 
 class _FiniteSampler:
@@ -322,9 +284,10 @@ class _FiniteSampler:
         return self._s1.take(key), self._s2.take(key)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
+        # the initial condition selected by u1, then its responses at the context's two slots
         sub, (sx, sy) = self._subs[code], self.contexts.slots[code]
-        idx = sub.sample_index(u1)
-        return sub.response(idx, sx), sub.response(idx, sy)
+        idx = min(int(np.searchsorted(sub._cum, u1, side="right")), sub.n_lambda - 1)
+        return int(sub.responses[idx, sx - 1]), int(sub.responses[idx, sy - 1])
 
     def analytic_correlator(self, code: int) -> float:
         sx, sy = self.contexts.slots[code]
@@ -356,6 +319,15 @@ class ContextualModelSampler(_FiniteSampler):
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray | None = None):
         return self._sample(codes, u1)
+
+
+def _sphere_axis(u1: np.ndarray, u2: np.ndarray, with_y: bool = True):
+    """Uniform point on the unit sphere from two uniforms (z = 2u-1, azimuth);
+    the y component is None when not asked for."""
+    c = 2.0 * u1 - 1.0
+    r = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    phi = TWO_PI * u2
+    return r * np.cos(phi), r * np.sin(phi) if with_y else None, c
 
 
 class SignModelSampler:
@@ -404,8 +376,9 @@ class SignModelSampler:
         return self._s1.take(key), self._s2.take(key)
 
     def analytic_correlator(self, code: int) -> float:
+        """1 - 2*theta/pi for the angle theta between the context's directions."""
         ctx = self.contexts[code]
-        return sign_model_correlator(ctx.dir_x, ctx.dir_y)
+        return 1.0 - 2.0 * angle_between(ctx.dir_x, ctx.dir_y) / math.pi
 
 
 class QmMimicSampler:
@@ -416,12 +389,14 @@ class QmMimicSampler:
 
     def __init__(self, contexts: ContextSet):
         self.contexts = contexts
-        self._p_same = np.array([_mimic_p_same(ctx) for ctx in contexts.contexts])
+        # P(s2 = s1) = (1 + x.y)/2 per context
+        self._p_same = np.array([min(1.0, max(0.0, (1.0 + ctx.dir_x.dot(ctx.dir_y)) / 2.0))
+                                 for ctx in contexts.contexts])
         _freeze(self._p_same)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         s1 = 1 if u1 < 0.5 else -1
-        return s1, s1 if u2 < _mimic_p_same(self.contexts[code]) else -s1
+        return s1, s1 if u2 < self._p_same[code] else -s1
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         s1 = _signs(u1 < 0.5)

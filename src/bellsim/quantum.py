@@ -118,20 +118,6 @@ def measure_spin(state: QubitState, n: Direction3, u: float) -> tuple[int, Qubit
     return outcome, collapse(state, n, outcome)
 
 
-def sequential_trial(
-    state0: QubitState, d1: Direction3, d2: Direction3, u1: float, u2: float
-) -> tuple[int, int]:
-    """Two consecutive measurements on one particle: along d1, then d2."""
-    s1, after = measure_spin(state0, d1, u1)
-    s2, _ = measure_spin(after, d2, u2)
-    return s1, s2
-
-
-def analytic_sequential_correlator(d1: Direction3, d2: Direction3) -> float:
-    """E[s1*s2] for two consecutive measurements: d1.d2, for any initial state."""
-    return d1.dot(d2)
-
-
 def brute_force_sequential_correlator(
     state0: QubitState, d1: Direction3, d2: Direction3
 ) -> float:
@@ -176,24 +162,6 @@ def _collapse_pair(psi: np.ndarray, n: Direction3, outcome: int, particle: int) 
     return _project(psi, _pair_projector(n, outcome, particle))
 
 
-def singlet_joint_trial(
-    dA: Direction3, dB: Direction3, u1: float, u2: float
-) -> tuple[int, int]:
-    """Joint measurement of a singlet pair: particle A along dA, B along dB.
-
-    A's outcome is sampled from its marginal (1/2 each) with u1, B's from
-    the conditional distribution of the collapsed pair state with u2, so
-    E[sA*sB] = -dA.dB.
-    """
-    _check_u(u1)
-    _check_u(u2)
-    pA = _prob_plus_pair(_SINGLET, dA, 0)
-    sA = 1 if u1 < pA else -1
-    pB = _prob_plus_pair(_collapse_pair(_SINGLET, dA, sA, 0), dB, 1)
-    sB = 1 if u2 < pB else -1
-    return sA, sB
-
-
 def singlet_analytic_correlator(dA: Direction3, dB: Direction3) -> float:
     """E[sA*sB] for the singlet: -dA.dB."""
     return -dA.dot(dB)
@@ -206,6 +174,8 @@ def brute_force_singlet_correlator(dA: Direction3, dB: Direction3) -> float:
 
 
 # --- per-context samplers used by the experiment runner -----------------------
+# A sampler is a backend: tables, a vectorized run, the scalar trial it matches bit for bit
+# and the exact correlator.  run and trial take uniforms in [0, 1), as trial_uniforms gives them.
 
 
 def balanced_preparation(contexts: ContextSet) -> QubitState:
@@ -266,8 +236,8 @@ class SequentialSampler:
 
     Because the initial state is fixed, the first-step probability and both
     conditional second-step probabilities are precomputed per context with
-    the same projector arithmetic :func:`sequential_trial` uses, which makes
-    the vectorized run bit-identical to per-trial calls.
+    the same projector arithmetic as trial's two :func:`measure_spin` calls,
+    which makes the vectorized run bit-identical to per-trial calls.
 
     The default preparation is :func:`balanced_preparation`, which leaves
     every correlator unchanged but keeps outcome marginals unbiased (the
@@ -284,15 +254,19 @@ class SequentialSampler:
             lambda ctx, s1: prob_plus(collapse(self.state0, ctx.dir_x, s1), ctx.dir_y))
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
+        """Two consecutive measurements on one particle: along the context's dir_x, then dir_y."""
         ctx = self.contexts[code]
-        return sequential_trial(self.state0, ctx.dir_x, ctx.dir_y, u1, u2)
+        s1, after = measure_spin(self.state0, ctx.dir_x, u1)
+        s2, _ = measure_spin(after, ctx.dir_y, u2)
+        return s1, s2
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         return _sample_two_step(self._p1, self._p2, codes, u1, u2)
 
     def analytic_correlator(self, code: int) -> float:
+        """E[s1*s2] = dir_x.dir_y, for any initial state."""
         ctx = self.contexts[code]
-        return analytic_sequential_correlator(ctx.dir_x, ctx.dir_y)
+        return ctx.dir_x.dot(ctx.dir_y)
 
 
 class SingletSampler:
@@ -307,8 +281,14 @@ class SingletSampler:
             lambda ctx, sA: _prob_plus_pair(_collapse_pair(_SINGLET, ctx.dir_x, sA, 0), ctx.dir_y, 1))
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
+        """Particle A along the context's dir_x, B along dir_y: A's outcome from its
+        marginal (1/2 each) with u1, B's from the collapsed pair state with u2."""
         ctx = self.contexts[code]
-        return singlet_joint_trial(ctx.dir_x, ctx.dir_y, u1, u2)
+        _check_u(u1)
+        _check_u(u2)
+        sA = 1 if u1 < _prob_plus_pair(_SINGLET, ctx.dir_x, 0) else -1
+        pB = _prob_plus_pair(_collapse_pair(_SINGLET, ctx.dir_x, sA, 0), ctx.dir_y, 1)
+        return sA, 1 if u2 < pB else -1
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         return _sample_two_step(self._pA, self._pB, codes, u1, u2)

@@ -151,9 +151,9 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
     first :func:`~bellsim.protocol.check_report` raises IntegrityError unless
     they give every field of the report but its mode, the hash first.
     Certified means: verdict is a violation and both statistical tests
-    reach p >= 0.01.  Conspiracy-mode runs keep a caveat flag set: the
-    violation is then produced by a contextual model and certification
-    rests entirely on the no-conspiracy assumption.
+    reach p >= 0.01.  The caveat flag is set unless the report's mode kind
+    names a non-contextual backend (qm_sequential, qm_singlet or hv): else
+    certification rests entirely on the no-conspiracy assumption.
     """
     check_report(report, records)
     p_mono = monobit_test(counts)
@@ -173,7 +173,7 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
         n_bits=counts.n,
         records_sha256=report.records_sha256,
         extraction_rule=EXTRACTION_RULE,
-        conspiracy_caveat=report.mode.startswith("conspiracy"),
+        conspiracy_caveat=report.mode.partition(":")[0] not in ("qm_sequential", "qm_singlet", "hv"),
     )
 
 

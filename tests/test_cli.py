@@ -10,7 +10,7 @@ import bellsim.protocol as protocol
 import bellsim.randomness as randomness
 from bellsim.cli import main
 from bellsim.directions import Direction3, max_violation_triple, tsirelson_quadruple
-from bellsim.hidden_variables import random_finite_model, write_model
+from bellsim.hidden_variables import ContextualFiniteModel, random_finite_model, write_model
 from bellsim.errors import IntegrityError
 from bellsim.protocol import (ExperimentConfig, RecordBatch, analyze_records, report_from_jsonable,
                               report_to_jsonable, run_experiment)
@@ -370,6 +370,17 @@ class TestCertify:
         assert cert["certified"] is True
         assert cert["conspiracy_caveat"] is True
 
+    def test_caveat_without_a_mode_label(self, tmp_path):
+        # analyze without --mode labels the report with the geometry, which names no backend
+        cfg, out = run_pipeline(tmp_path, mode="conspiracy:qm-mimic", n_trials=60_000)
+        assert main(["analyze", "--records", str(out / "records.csv"), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["mode"] == "temporal"
+        assert main(["certify", "--records", str(out / "records.csv"),
+                     "--report", str(out / "report.json"), "--out-dir", str(out)]) == 0
+        cert = json.loads((out / "certification.json").read_text())
+        assert cert["n_bits"] == 120_000 and cert["certified"] is True
+        assert cert["conspiracy_caveat"] is True
+
     def test_tampered_records_fail_integrity(self, tmp_path, capsys):
         out = self.run_analyze(tmp_path, n_trials=6000)
         records = out / "records.csv"
@@ -665,6 +676,26 @@ class TestStreaming:
             assert (spelled / name).read_bytes() == (out / name).read_bytes()
 
 
+# what `oracle` prints for each backend of the benchmark's sweep, as computed before the closed-form
+# helpers moved into the samplers: (mode, directions, correlators, quantity name and value, exceeds_bound)
+ORACLE_GOLDENS = [
+    pytest.param("qm_sequential", "triple", {"AB": 0.707106781187, "AC": -0.707106781187, "BC": 0.0},
+                 ("temporal_bell", 1.41421356237, True), id="qm_sequential"),
+    pytest.param("qm_singlet", "quadruple",
+                 {"AB": -0.707106781187, "ABp": 0.707106781187, "ApB": -0.707106781187, "ApBp": -0.707106781187},
+                 ("chsh", 2.82842712475, True), id="qm_singlet"),
+    pytest.param("hv:sign-model", "triple", {"AB": 0.5, "AC": -0.5, "BC": 0.0},
+                 ("temporal_bell", 1.0, False), id="sign-model"),
+    pytest.param("hv:finite", "quadruple",
+                 {"AB": 0.00772344116701, "ABp": 0.237894733976, "ApB": -0.290993786809, "ApBp": 0.364437322467},
+                 ("chsh", 0.303614828468, False), id="finite"),
+    pytest.param("conspiracy:qm-mimic", "triple", {"AB": 0.707106781187, "AC": -0.707106781187, "BC": 0.0},
+                 ("temporal_bell", 1.41421356237, True), id="qm-mimic"),
+    pytest.param("conspiracy:contextual", "triple", {"AB": 0.51500638296, "AC": 0.848767377839, "BC": -0.162388555363},
+                 ("temporal_bell", 0.171372439516, False), id="contextual"),
+]
+
+
 class TestOracle:
     def oracle(self, tmp_path, capsys, **overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -731,3 +762,19 @@ class TestOracle:
         # a contextual model may break the bound outright: |1-(-1)| + 1 = 3
         assert doc["quantity"]["value"] == 3.0
         assert doc["quantity"]["exceeds_bound"] is True
+
+    @pytest.mark.parametrize("mode,geometry,correlators,quantity", ORACLE_GOLDENS)
+    def test_printed_values_are_pinned(self, tmp_path, capsys, mode, geometry, correlators, quantity):
+        if mode == "hv:finite":
+            write_model(random_finite_model(7, 5, 4), tmp_path / "finite.json")
+            mode = f"hv:{tmp_path / 'finite.json'}"
+        elif mode == "conspiracy:contextual":
+            tables = {tag: random_finite_model(seed, 5) for tag, seed in (("AB", 31), ("AC", 32), ("BC", 33))}
+            write_model(ContextualFiniteModel(tables), tmp_path / "contextual.json")
+            mode = f"conspiracy:{tmp_path / 'contextual.json'}"
+        directions = max_violation_triple() if geometry == "triple" else tsirelson_quadruple()
+        doc = self.oracle(tmp_path, capsys, mode=mode, directions=[[d.x, d.y, d.z] for d in directions])
+        name, value, exceeds = quantity
+        bound = 1.0 if name == "temporal_bell" else 2.0
+        assert doc["correlators"] == correlators
+        assert doc["quantity"] == {"name": name, "value": value, "bound": bound, "exceeds_bound": exceeds}

@@ -15,18 +15,15 @@ from bellsim.hidden_variables import (
     FiniteModelSampler,
     QmMimicSampler,
     SignModelSampler,
-    exact_chsh_correlators,
     exact_correlator,
-    exact_temporal_correlators,
     load_model,
     model_from_jsonable,
     model_to_jsonable,
     random_finite_model,
-    sign_model_correlator,
     write_model,
 )
 from bellsim.protocol import ExperimentConfig, make_sampler
-from bellsim.selector import ContextSet
+from bellsim.selector import GAMMA, GEOMETRIES, MASK64, ContextSet, trial_uniforms, unmix64
 
 TRIPLE = ContextSet("temporal", max_violation_triple())
 AB, AC, BC = range(3)  # context codes of TRIPLE
@@ -38,6 +35,16 @@ def constant_model(n_slots=3):
 
 def constant_contextual_model():
     return ContextualFiniteModel({"AB": constant_model(), "AC": constant_model(), "BC": constant_model()})
+
+
+def exact_correlators(model, kind="temporal"):
+    """exact_correlator at the slot pairs of the geometry's contexts, in context order."""
+    return tuple(exact_correlator(model, sx, sy) for sx, sy in GEOMETRIES[kind][1])
+
+
+def sign_closed_form(d1, d2):
+    """The sign model's correlator 1 - 2*theta/pi, theta the angle between d1 and d2."""
+    return 1.0 - 2.0 * math.acos(max(-1.0, min(1.0, d1.dot(d2)))) / math.pi
 
 
 class TestFiniteModelValidation:
@@ -93,15 +100,15 @@ class TestFiniteModelValidation:
 
 class TestExactCorrelators:
     def test_constant_model(self):
-        assert exact_temporal_correlators(constant_model()) == (1.0, 1.0, 1.0)
+        assert exact_correlators(constant_model()) == (1.0, 1.0, 1.0)
 
     def test_anti_aligned_model(self):
         model = FiniteHVModel([1.0], [[1, -1, -1]])
-        assert exact_temporal_correlators(model) == (-1.0, -1.0, 1.0)
+        assert exact_correlators(model) == (-1.0, -1.0, 1.0)
 
     def test_two_lambda_hand_enumeration(self):
         model = FiniteHVModel([0.5, 0.5], [[1, 1, 1], [1, -1, -1]])
-        assert exact_temporal_correlators(model) == (0.0, 0.0, 1.0)
+        assert exact_correlators(model) == (0.0, 0.0, 1.0)
 
     def test_non_finite_model_rejected(self):
         with pytest.raises(ValidationError, match="finite model"):
@@ -109,12 +116,12 @@ class TestExactCorrelators:
 
     def test_slot_out_of_range(self):
         with pytest.raises(ValidationError):
-            exact_chsh_correlators(constant_model(3))
+            exact_correlators(constant_model(3), "chsh")
 
     def test_temporal_bound_holds_for_random_models(self):
         for seed in range(2000):
             model = random_finite_model(seed, 1 + seed % 8)
-            p_ab, p_ac, p_bc = exact_temporal_correlators(model)
+            p_ab, p_ac, p_bc = exact_correlators(model)
             assert abs(p_ab - p_ac) + p_bc <= 1.0 + 1e-12
 
     def test_temporal_bound_holds_under_role_permutations(self):
@@ -129,7 +136,7 @@ class TestExactCorrelators:
     def test_chsh_bound_holds_for_random_models(self):
         for seed in range(2000):
             model = random_finite_model(seed, 1 + seed % 8, n_slots=4)
-            p_ab, p_abp, p_apb, p_apbp = exact_chsh_correlators(model)
+            p_ab, p_abp, p_apb, p_apbp = exact_correlators(model, "chsh")
             assert abs(p_ab - p_abp) + abs(p_apbp + p_apb) <= 2.0 + 1e-12
 
     def test_bounds_hold_in_exact_rational_arithmetic(self):
@@ -154,7 +161,7 @@ class TestRandomFiniteModel:
 
     def test_single_lambda_is_deterministic(self):
         model = random_finite_model(3, 1)
-        for value in exact_temporal_correlators(model):
+        for value in exact_correlators(model):
             assert value in (-1.0, 1.0)
 
     def test_zero_lambda_rejected(self):
@@ -208,13 +215,15 @@ class TestSignModel:
             s1 = np.sign(v @ (d1.x, d1.y, d1.z))
             s2 = np.sign(v @ (d2.x, d2.y, d2.z))
             mc = float(np.mean(s1 * s2))
-            assert abs(mc - sign_model_correlator(d1, d2)) <= 4 / math.sqrt(n)
+            assert abs(mc - sign_closed_form(d1, d2)) <= 4 / math.sqrt(n)
+            sampler = SignModelSampler(ContextSet("temporal", (d1, d2, Y_AXIS)))
+            assert abs(sampler.analytic_correlator(AB) - sign_closed_form(d1, d2)) < 1e-12
 
     def test_saturates_at_max_violation_geometry(self):
-        a, b, c = max_violation_triple()
-        p_ab = sign_model_correlator(a, b)
-        p_ac = sign_model_correlator(a, c)
-        p_bc = sign_model_correlator(b, c)
+        sampler = SignModelSampler(TRIPLE)
+        for code, ctx in enumerate(TRIPLE.contexts):
+            assert abs(sampler.analytic_correlator(code) - sign_closed_form(ctx.dir_x, ctx.dir_y)) < 1e-12
+        p_ab, p_ac, p_bc = map(sampler.analytic_correlator, (AB, AC, BC))
         assert abs(p_ab - 0.5) < 1e-12
         assert abs(p_ac + 0.5) < 1e-12
         assert abs(p_bc) < 1e-12
@@ -301,7 +310,7 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         model = load_model(path)
         assert isinstance(model, ContextualFiniteModel)
-        assert model.for_tag("AB").response(0, 2) == -1
+        assert model.for_tag("AB").responses[0, 1] == -1
         round_tripped = model_from_jsonable(model_to_jsonable(model))
         assert np.array_equal(round_tripped.for_tag("BC").weights, model.for_tag("BC").weights)
 
@@ -383,10 +392,21 @@ class TestSamplerBinding:
         else:
             sampler = FiniteModelSampler(edged, TRIPLE)
         u1 = np.concatenate([cum, [0.0, 0.3, (cum[-1] + 1.0) / 2, np.nextafter(1.0, 0.0)]])
-        assert [edged.sample_index(u) for u in u1] == [2, 2, 3, 3, 0, 2, 3, 3]
+        chosen = np.minimum(np.searchsorted(edged._cum, u1, side="right"), edged.n_lambda - 1)
+        assert chosen.tolist() == [2, 2, 3, 3, 0, 2, 3, 3]
         for code in range(3):
             s1, s2 = sampler.run(np.full(u1.size, code, dtype=np.uint8), u1, np.zeros(u1.size))
             assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, u, 0.0) for u in u1]
+
+    def test_largest_draw_is_below_1_and_run_matches_trial_on_it(self):
+        # trial 0's first draw is mix64(mix64(seed) + GAMMA) >> 11, times 2^-53: this seed makes it all ones
+        seed = unmix64((unmix64(MASK64) - GAMMA) & MASK64)
+        u1 = trial_uniforms(seed, 0, 1, 1)[0]
+        assert u1.tolist() == [1.0 - 2.0 ** -53]
+        sampler = FiniteModelSampler(random_finite_model(7, 5), TRIPLE)
+        for code in range(3):
+            s1, s2 = sampler.run(np.full(1, code, dtype=np.uint8), u1)
+            assert (s1[0], s2[0]) == sampler.trial(code, u1[0], 0.0)
 
     def test_three_slot_model_rejected_for_chsh(self):
         contexts = ContextSet("chsh", (X_AXIS, Y_AXIS, Z_AXIS, X_AXIS))

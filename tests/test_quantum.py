@@ -10,16 +10,13 @@ from bellsim.quantum import (
     QubitState,
     SequentialSampler,
     SingletSampler,
-    analytic_sequential_correlator,
     balanced_preparation,
     brute_force_sequential_correlator,
     brute_force_singlet_correlator,
     collapse,
     measure_spin,
     prob_plus,
-    sequential_trial,
     singlet_analytic_correlator,
-    singlet_joint_trial,
 )
 from bellsim.selector import ContextSet
 
@@ -121,6 +118,11 @@ class TestMeasureSpin:
             collapse(QubitState.up(), Z_AXIS, outcome)
 
 
+def sequential_trial(state, d1, d2, u1, u2):
+    """SequentialSampler.trial on the context of slots 1 and 2: a measurement along d1, then along d2."""
+    return SequentialSampler(ContextSet("temporal", (d1, d2, Z_AXIS)), state).trial(0, u1, u2)
+
+
 class TestSequentialTrial:
     def test_same_direction_repeats(self, rng):
         for _ in range(100):
@@ -128,6 +130,14 @@ class TestSequentialTrial:
             d = random_direction(rng)
             s1, s2 = sequential_trial(state, d, d, rng.random(), rng.random())
             assert s1 * s2 == 1
+
+    def test_trial_is_two_spin_measurements(self, rng):
+        for _ in range(100):
+            state = random_qubit_state(rng)
+            d1, d2 = random_direction(rng), random_direction(rng)
+            u1, u2 = rng.random(2)
+            s1, after = measure_spin(state, d1, u1)
+            assert sequential_trial(state, d1, d2, u1, u2) == (s1, measure_spin(after, d2, u2)[0])
 
     def test_opposite_direction_flips(self, rng):
         for _ in range(100):
@@ -149,14 +159,24 @@ class TestSequentialTrial:
 
 class TestSequentialCorrelator:
     def test_analytic_trivials(self):
-        assert analytic_sequential_correlator(Z_AXIS, Z_AXIS) == 1.0
-        assert analytic_sequential_correlator(Z_AXIS, X_AXIS) == 0.0
+        sampler = SequentialSampler(ContextSet("temporal", (Z_AXIS, Z_AXIS, X_AXIS)))
+        assert sampler.analytic_correlator(0) == 1.0  # AB: z.z
+        assert sampler.analytic_correlator(1) == 0.0  # AC: z.x
+
+    def test_analytic_is_the_dot_product(self, rng):
+        # the closed form d1.d2, written out, in every context of random triples
+        for _ in range(100):
+            contexts = ContextSet("temporal", tuple(random_direction(rng) for _ in range(3)))
+            sampler = SequentialSampler(contexts)
+            for code, ctx in enumerate(contexts.contexts):
+                d1, d2 = ctx.dir_x, ctx.dir_y
+                assert sampler.analytic_correlator(code) == d1.x * d2.x + d1.y * d2.y + d1.z * d2.z
+                assert abs(sampler.analytic_correlator(code)
+                           - brute_force_sequential_correlator(sampler.state0, d1, d2)) < TOL
 
     def test_analytic_at_max_violation_geometry(self):
-        a, b, c = max_violation_triple()
-        p_ab = analytic_sequential_correlator(a, b)
-        p_ac = analytic_sequential_correlator(a, c)
-        p_bc = analytic_sequential_correlator(b, c)
+        sampler = SequentialSampler(ContextSet("temporal", max_violation_triple()))
+        p_ab, p_ac, p_bc = map(sampler.analytic_correlator, range(3))
         r = 1.0 / math.sqrt(2.0)
         assert abs(p_ab - r) < TOL
         assert abs(p_ac + r) < TOL
@@ -219,8 +239,16 @@ class TestSinglet:
     def test_same_direction_anticorrelates(self, rng):
         for _ in range(100):
             d = random_direction(rng)
-            sA, sB = singlet_joint_trial(d, d, rng.random(), rng.random())
+            sampler = SingletSampler(ContextSet("chsh", (d, d, d, d)))
+            sA, sB = sampler.trial(0, rng.random(), rng.random())
             assert sB == -sA
+
+    @pytest.mark.parametrize("u", [-0.1, 1.0, math.nan])
+    def test_trial_rejects_a_uniform_outside_the_unit_interval(self, u):
+        sampler = SingletSampler(ContextSet("chsh", tsirelson_quadruple()))
+        for u1, u2 in ((u, 0.5), (0.5, u)):
+            with pytest.raises(ValidationError, match="uniform variate"):
+                sampler.trial(0, u1, u2)
 
     def test_marginal_is_even(self, rng):
         for _ in range(50):
