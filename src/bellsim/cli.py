@@ -24,23 +24,21 @@ from . import __version__
 from .errors import InsufficientDataError, IntegrityError, ValidationError
 from .hidden_variables import write_json
 from .protocol import (
-    QUANTITIES,
-    CorrelatorEstimate,
+    INEQUALITIES,
     RecordReader,
     RecordSummary,
     _json_float,
     analyze_records,
     check_sigma_threshold,
     check_threads,
+    label_geometries,
     load_config,
     load_report,
     make_sampler,
-    parse_mode,
     write_report,
     write_run,
 )
 from .randomness import certification_to_jsonable, certify_counts, stream_bits
-from .selector import GEOMETRIES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -142,8 +140,8 @@ def _noted(records: RecordSummary) -> RecordSummary:
 
 def cmd_analyze(args) -> int:
     check_sigma_threshold(args.sigma_threshold, "--sigma-threshold")  # before the records are read
-    if args.mode not in (None, *GEOMETRIES):
-        parse_mode(args.mode, "--mode")
+    if args.mode is not None:
+        label_geometries(args.mode, "--mode")
     records = _noted(RecordSummary.from_csv(args.records))
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
     out = Path(args.out_dir)
@@ -181,16 +179,14 @@ def cmd_oracle(args) -> int:
     sampler = make_sampler(config)
     contexts = sampler.contexts
     values = {tag: sampler.analytic_correlator(code) for code, tag in enumerate(contexts.tags)}
-    # exact correlators carry no sampling error
-    estimates = {tag: CorrelatorEstimate(tag, 0, v, 0.0) for tag, v in values.items()}
-    report = QUANTITIES[contexts.kind](estimates, config.sigma_threshold)
+    name, bound, value_of = INEQUALITIES[contexts.kind]
     # judged as printed: a float error below the 12th digit must not lift a value at its bound above it
-    value, bound = _json_float(report.value), _json_float(report.bound)
+    value, bound = _json_float(value_of(values)), _json_float(bound)
     doc = {
         "mode": config.mode,
         "geometry": contexts.kind,
         "correlators": {tag: _json_float(v) for tag, v in values.items()},
-        "quantity": {"name": report.quantity, "value": value, "bound": bound, "exceeds_bound": value > bound},
+        "quantity": {"name": name, "value": value, "bound": bound, "exceeds_bound": value > bound},
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK

@@ -31,7 +31,7 @@ import numpy as np
 from .directions import angle_between
 from .errors import ValidationError
 from .quantum import _freeze, _signs
-from .selector import ContextSet
+from .selector import GEOMETRIES, GEOMETRY_OF_COUNT, SLOT_COUNT, ContextSet
 
 WEIGHT_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -48,7 +48,7 @@ class FiniteHVModel:
 
     weights[i] is the probability of initial condition i; responses[i, k]
     is its predetermined outcome (+1/-1) at measurement slot k+1.  Tables
-    carry 3 slots for temporal runs or 4 for CHSH runs.
+    carry the slot count of a geometry (``selector.SLOT_COUNT``).
     """
 
     def __init__(self, weights, responses):
@@ -72,8 +72,9 @@ class FiniteHVModel:
             raise ValidationError(f"weights must sum to 1 (got {total!r})")
         if r.ndim != 2 or r.shape[0] != w.size:
             raise ValidationError("responses must be one row of slot outcomes per weight")
-        if r.shape[1] not in (3, 4):
-            raise ValidationError("response tables must cover 3 (temporal) or 4 (chsh) slots")
+        if r.shape[1] not in GEOMETRY_OF_COUNT:
+            counts = " or ".join(f"{n} ({kind})" for n, kind in GEOMETRY_OF_COUNT.items())
+            raise ValidationError(f"response tables must cover {counts} slots")
         if not np.all(np.abs(r) == 1):
             raise ValidationError("responses must be exactly +1 or -1")
         self.weights = w
@@ -121,12 +122,12 @@ def exact_correlator(model: FiniteHVModel, slot_x: int, slot_y: int) -> float:
 # --- generators and file format --------------------------------------------------
 
 
-def random_finite_model(seed: int, n_lambda: int, n_slots: int = 3) -> FiniteHVModel:
+def random_finite_model(seed: int, n_lambda: int, n_slots: int = SLOT_COUNT["temporal"]) -> FiniteHVModel:
     """Random normalized weights and random +-1 response tables, reproducible."""
     if n_lambda < 1:
         raise ValidationError(f"n_lambda must be >= 1, got {n_lambda}")
-    if n_slots not in (3, 4):
-        raise ValidationError(f"n_slots must be 3 or 4, got {n_slots}")
+    if n_slots not in GEOMETRY_OF_COUNT:
+        raise ValidationError(f"n_slots must be {' or '.join(map(str, GEOMETRY_OF_COUNT))}, got {n_slots}")
     rng = np.random.default_rng(seed)
     raw = rng.random(n_lambda) + 1e-9
     weights = raw / raw.sum()
@@ -134,7 +135,7 @@ def random_finite_model(seed: int, n_lambda: int, n_slots: int = 3) -> FiniteHVM
     return FiniteHVModel(weights, responses)
 
 
-_CONTEXT_FILE_KEYS = {"ab": "AB", "ac": "AC", "bc": "BC"}
+_CONTEXT_FILE_KEYS = {tag.lower(): tag for tag in GEOMETRIES["temporal"][0]}
 
 
 def _is_real(x) -> bool:
@@ -178,10 +179,11 @@ def model_from_jsonable(doc):
             tag: _finite_from_jsonable(doc[key], f"context {key!r}")
             for key, tag in _CONTEXT_FILE_KEYS.items()
         }
-        if {m.n_slots for m in per_context.values()} != {3}:
-            raise ValidationError("contextual tables must cover the 3 temporal slots")
+        if {m.n_slots for m in per_context.values()} != {SLOT_COUNT["temporal"]}:
+            raise ValidationError(f"contextual tables must cover the {SLOT_COUNT['temporal']} temporal slots")
         return ContextualFiniteModel(per_context)
-    raise ValidationError("model document needs either 'lambdas' or context blocks 'ab'/'ac'/'bc'")
+    blocks = "/".join(map(repr, _CONTEXT_FILE_KEYS))
+    raise ValidationError(f"model document needs either 'lambdas' or context blocks {blocks}")
 
 
 def model_to_jsonable(model) -> dict:

@@ -39,6 +39,8 @@ from .hidden_variables import (
 from .quantum import SequentialSampler, SingletSampler
 from .selector import (
     GEOMETRIES,
+    GEOMETRY_OF_COUNT,
+    SLOT_COUNT,
     ContextSet,
     SelectorState,
     context_codes,
@@ -50,8 +52,6 @@ from .selector import (
 )
 
 RECORDS_HEADER = "trial,context,slot_x,slot_y,s1,s2"
-TEMPORAL_BOUND = 1.0
-CHSH_BOUND = 2.0
 SELECTOR_ALGORITHM = "splitmix64"
 
 # trials per simulation span of a run on more than one thread, where longer spans keep the pool's
@@ -77,7 +77,8 @@ def _json_float(x):
 
 
 class _Mode(NamedTuple):
-    counts: tuple[int, ...]  # the direction counts the mode accepts
+    geometries: tuple[str, ...]  # the geometries the mode runs
+    contextual: bool  # its outcomes may depend on the context, so a certificate rests on no-conspiracy alone
     sampler: type  # its sampler when no model is given
     builtin: str | None = None  # the model name that selects that sampler; None: the mode takes no model
     model_type: type | None = None  # the model a model file must hold
@@ -86,15 +87,12 @@ class _Mode(NamedTuple):
 
 # a mode is written as its kind, or as kind:<model> where the row names a built-in model
 _MODES = {
-    "qm_sequential": _Mode((3,), SequentialSampler),
-    "qm_singlet": _Mode((4,), SingletSampler),
-    "hv": _Mode((3, 4), SignModelSampler, SIGN_MODEL_NAME, FiniteHVModel, FiniteModelSampler),
-    "conspiracy": _Mode((3,), QmMimicSampler, QM_MIMIC_NAME, ContextualFiniteModel, ContextualModelSampler),
+    "qm_sequential": _Mode(("temporal",), False, SequentialSampler),
+    "qm_singlet": _Mode(("chsh",), False, SingletSampler),
+    "hv": _Mode(("temporal", "chsh"), False, SignModelSampler, SIGN_MODEL_NAME, FiniteHVModel, FiniteModelSampler),
+    "conspiracy": _Mode(("temporal",), True, QmMimicSampler, QM_MIMIC_NAME, ContextualFiniteModel,
+                        ContextualModelSampler),
 }
-
-
-def _geometry(n_directions: int) -> str:
-    return "temporal" if n_directions == 3 else "chsh"
 
 
 def parse_mode(mode: str, name: str = "config key 'mode'") -> tuple[str, str | None]:
@@ -107,6 +105,11 @@ def parse_mode(mode: str, name: str = "config key 'mode'") -> tuple[str, str | N
         return kind, arg or None
     *first, last = (k if r.builtin is None else f"{k}:<model>" for k, r in _MODES.items())
     raise ValidationError(f"{name} must be {', '.join(first)} or {last}, got {mode!r}")
+
+
+def label_geometries(label: str, name: str = "config key 'mode'") -> tuple[str, ...]:
+    """The record geometries a report's mode label allows: a geometry itself, a mode its row's geometries."""
+    return (label,) if label in GEOMETRIES else _MODES[parse_mode(label, name)[0]].geometries
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,10 @@ class ExperimentConfig:
         for i, d in enumerate(self.directions):
             if not isinstance(d, Direction3):
                 raise ValidationError(f"config key 'directions'[{i}] must be a unit 3-vector")
-        counts = _MODES[kind].counts
-        if len(self.directions) not in counts:
-            raise ValidationError(f"config key 'directions': {kind} mode needs "
-                                  f"{' or '.join(map(str, counts))} directions, got {len(self.directions)}")
+        geometries, n = _MODES[kind].geometries, len(self.directions)
+        if GEOMETRY_OF_COUNT.get(n) not in geometries:
+            counts = " or ".join(str(SLOT_COUNT[g]) for g in geometries)
+            raise ValidationError(f"config key 'directions': {kind} mode needs {counts} directions, got {n}")
         if not isinstance(self.n_trials, int) or isinstance(self.n_trials, bool):
             raise ValidationError("config key 'n_trials' must be an integer")
         if self.n_trials < 1:
@@ -145,8 +148,8 @@ class ExperimentConfig:
 
     @property
     def geometry(self) -> str:
-        """'temporal' (three settings, consecutive) or 'chsh' (four settings, pair)."""
-        return _geometry(len(self.directions))
+        """The geometry of the direction count: 'temporal' (settings in turn) or 'chsh' (settings in pairs)."""
+        return GEOMETRY_OF_COUNT[len(self.directions)]
 
     def context_set(self) -> ContextSet:
         return ContextSet(self.geometry, self.directions)
@@ -863,9 +866,17 @@ def estimate_correlators(records: "RecordBatch | RecordSummary") -> dict[str, Co
 _VERDICTS = ("violation", "consistent", "inconclusive")
 
 
-def _quantity(kind: str, name: str, bound: float, value_of, estimates, k: float) -> BellReport:
-    # value_of(correlators by context) against bound, judged at k standard errors; the estimates (a
-    # mapping by context, or a sequence of them) must cover every context of kind
+# geometry -> (quantity name, bound, its value from the correlators by context): the inequality its records test
+INEQUALITIES = {
+    "temporal": ("temporal_bell", 1.0, lambda p: abs(p["AB"] - p["AC"]) + p["BC"]),
+    "chsh": ("chsh", 2.0, lambda p: abs(p["AB"] - p["ABp"]) + abs(p["ApBp"] + p["ApB"])),
+}
+
+
+def _quantity(kind: str, estimates, k: float) -> BellReport:
+    # kind's inequality judged at k standard errors; the estimates (a mapping by context, or a
+    # sequence of them) must cover every context of kind
+    name, bound, value_of = INEQUALITIES[kind]
     est = estimates if isinstance(estimates, Mapping) else {e.context: e for e in estimates}
     tags = GEOMETRIES[kind][0]
     for tag in tags:
@@ -880,18 +891,12 @@ def _quantity(kind: str, name: str, bound: float, value_of, estimates, k: float)
 
 def bell_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
     """|P(a,b) - P(a,c)| + P(b,c) against the determinism bound 1."""
-    return _quantity("temporal", "temporal_bell", TEMPORAL_BOUND,
-                     lambda p: abs(p["AB"] - p["AC"]) + p["BC"], estimates, sigma_threshold)
+    return _quantity("temporal", estimates, sigma_threshold)
 
 
 def chsh_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
     """|P(a,b) - P(a,b')| + |P(a',b') + P(a',b)| against the bound 2."""
-    return _quantity("chsh", "chsh", CHSH_BOUND,
-                     lambda p: abs(p["AB"] - p["ABp"]) + abs(p["ApBp"] + p["ApB"]), estimates, sigma_threshold)
-
-
-# the inequality that records of each geometry test
-QUANTITIES = {"temporal": bell_quantity, "chsh": chsh_quantity}
+    return _quantity("chsh", estimates, sigma_threshold)
 
 
 # --- analysis report document -------------------------------------------------------------
@@ -915,20 +920,11 @@ def analyze_records(records: "RecordBatch | RecordSummary", mode: str | None = N
     check_sigma_threshold(sigma_threshold)
     if mode is None:
         mode = records.kind
-    else:
-        _check_mode_matches(mode, records.kind)
+    elif records.kind not in (expected := label_geometries(mode)):
+        raise ValidationError(f"mode {mode!r} implies {' or '.join(expected)} records, got {records.kind}")
     estimates = estimate_correlators(records)
-    report = QUANTITIES[records.kind](estimates, sigma_threshold)
+    report = _quantity(records.kind, estimates, sigma_threshold)
     return AnalysisReport(mode, records.sha256(), len(records), sigma_threshold, estimates, report)
-
-
-def _check_mode_matches(mode: str, kind: str) -> None:
-    if mode in GEOMETRIES:
-        expected = [mode]
-    else:  # hv accepts either count: the records decide
-        expected = [_geometry(n) for n in _MODES[parse_mode(mode)[0]].counts]
-    if kind not in expected:
-        raise ValidationError(f"mode {mode!r} implies {' or '.join(expected)} records, got {kind}")
 
 
 def report_to_jsonable(report: AnalysisReport) -> dict:
@@ -988,6 +984,8 @@ def _report_field(doc: Mapping, key: str, kind: str):
 
 
 def report_from_jsonable(doc: Mapping) -> AnalysisReport:
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"malformed analysis report: it must be a JSON object, got {type(doc).__name__}")
     try:
         estimates = {}
         for tag, e in _report_field(doc, "estimates", "object").items():
@@ -1002,10 +1000,16 @@ def report_from_jsonable(doc: Mapping) -> AnalysisReport:
         excess = (math.inf if b["verdict"] == "violation" else -math.inf) if excess is None else float(excess)
         k = check_sigma_threshold(doc["sigma_threshold"], "malformed analysis report: 'sigma_threshold'")
         bell = BellReport(_report_field(b, "quantity", "string"), value, bound, stderr, excess, b["verdict"], k)
-        return AnalysisReport(_report_field(doc, "mode", "string"), _report_field(doc, "records_sha256", "string"),
-                              _report_field(doc, "n_trials", "integer"), k, estimates, bell)
+        mode, digest = (_report_field(doc, key, "string") for key in ("mode", "records_sha256"))
+        report = AnalysisReport(mode, digest, _report_field(doc, "n_trials", "integer"), k, estimates, bell)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed analysis report: {exc!r}") from None
+    written = report_to_jsonable(report)  # a key that it does not write, in any block, is refused
+    blocks = zip([doc, b, *doc["estimates"].values()], [written, written["bell"], *written["estimates"].values()])
+    for block, known in blocks:
+        if unknown := sorted(block.keys() - known.keys()):
+            raise ValidationError(f"malformed analysis report: unknown key {unknown[0]!r}")
+    return report
 
 
 def write_report(report: AnalysisReport, path) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .protocol import AnalysisReport, RecordBatch, RecordSummary, _json_float, check_report
+from .protocol import _MODES, AnalysisReport, RecordBatch, RecordSummary, _json_float, check_report
 
 EXTRACTION_RULE = "s1s2-interleaved-v1"
 SIGNIFICANCE_FLOOR = 0.01
@@ -152,10 +152,11 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
     they give every field of the report but its mode, the hash first.
     Certified means: verdict is a violation and both statistical tests
     reach p >= 0.01.  The caveat flag is set unless the report's mode kind
-    names a non-contextual backend (qm_sequential, qm_singlet or hv): else
-    certification rests entirely on the no-conspiracy assumption.
+    names a mode whose ``_MODES`` row is not contextual (a geometry label
+    names none): else certification rests entirely on no-conspiracy.
     """
     check_report(report, records)
+    row = _MODES.get(report.mode.partition(":")[0])
     p_mono = monobit_test(counts)
     runs = runs_test(counts)
     certified = (
@@ -173,7 +174,7 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
         n_bits=counts.n,
         records_sha256=report.records_sha256,
         extraction_rule=EXTRACTION_RULE,
-        conspiracy_caveat=report.mode.partition(":")[0] not in ("qm_sequential", "qm_singlet", "hv"),
+        conspiracy_caveat=row is None or row.contextual,
     )
 
 

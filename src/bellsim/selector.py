@@ -101,6 +101,9 @@ GEOMETRIES = {
     "temporal": (("AB", "AC", "BC"), ((1, 2), (1, 3), (2, 3))),
     "chsh": (("AB", "ABp", "ApB", "ApBp"), ((1, 3), (1, 4), (2, 3), (2, 4))),
 }
+# geometry -> its slot count, the number of directions it takes; and the geometry of each count
+SLOT_COUNT = {kind: max(max(pair) for pair in slots) for kind, (_, slots) in GEOMETRIES.items()}
+GEOMETRY_OF_COUNT = {n: kind for kind, n in SLOT_COUNT.items()}
 
 
 @dataclass(frozen=True)
@@ -115,26 +118,20 @@ class MeasurementContext:
 
 
 class ContextSet:
-    """The fixed slot -> direction correspondence of one experiment.
+    """The fixed slot -> direction correspondence of one experiment, immutable throughout.
 
-    Temporal runs use three contexts AB, AC, BC over slots (1,2), (1,3),
-    (2,3) with slots 1..3 mapped to directions (a, b, c).  CHSH runs use
-    four contexts over slots (1,3), (1,4), (2,3), (2,4) with slots 1..4
-    mapped to (a, a', b, b').  The correspondence is immutable for the
-    whole experiment.
+    The contexts are those of ``GEOMETRIES[kind]``, slot k read as the k-th
+    direction: (a, b, c) in temporal runs, (a, a', b, b') in CHSH runs.
     """
 
     def __init__(self, kind: str, directions: tuple[Direction3, ...]):
         if kind not in GEOMETRIES:
             raise ValidationError(f"unknown context-set kind {kind!r}")
         tags, slots = GEOMETRIES[kind]
-        n_slots = max(max(pair) for pair in slots)
-        if len(directions) != n_slots:
-            raise ValidationError(f"{kind} geometry needs exactly {n_slots} directions")
-        self.kind = kind
-        self.directions = tuple(directions)
-        self.tags = tags
-        self.slots = slots
+        if len(directions) != SLOT_COUNT[kind]:
+            raise ValidationError(f"{kind} geometry needs exactly {SLOT_COUNT[kind]} directions")
+        self.kind, self.directions = kind, tuple(directions)
+        self.tags, self.slots = tags, slots
         self.contexts = tuple(
             MeasurementContext(tag, sx, sy, directions[sx - 1], directions[sy - 1])
             for tag, (sx, sy) in zip(tags, slots)

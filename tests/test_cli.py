@@ -11,7 +11,7 @@ import bellsim.randomness as randomness
 from bellsim.cli import main
 from bellsim.directions import Direction3, max_violation_triple, tsirelson_quadruple
 from bellsim.hidden_variables import ContextualFiniteModel, random_finite_model, write_model
-from bellsim.errors import IntegrityError
+from bellsim.errors import IntegrityError, ValidationError
 from bellsim.protocol import (ExperimentConfig, RecordBatch, analyze_records, report_from_jsonable,
                               report_to_jsonable, run_experiment)
 from bellsim.randomness import certification_to_jsonable, certify, extract_bits, write_bits
@@ -544,6 +544,62 @@ class TestCertify:
         assert named in capsys.readouterr().err
         assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
         assert no_partial_files(out)
+
+    @pytest.mark.parametrize("block", [(), ("bell",), ("estimates", "AB"), ("estimates", "BC")])
+    def test_report_key_the_layout_lacks_exits_validation(self, tmp_path, capsys, block):
+        out = self.run_analyze(tmp_path, n_trials=2000)
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        target = doc
+        for key in block:
+            target = target[key]
+        target["extra"] = 1
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 1
+        assert capsys.readouterr().err == "bellsim: validation error: malformed analysis report: unknown key 'extra'\n"
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+        assert no_partial_files(out)
+
+    def test_extra_key_first_in_the_report_exits_validation(self, tmp_path, capsys):
+        out = self.run_analyze(tmp_path, n_trials=2000)
+        report = out / "report.json"
+        report.write_text(json.dumps({"extra": 1, **json.loads(report.read_text())}))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 1
+        assert "malformed analysis report: unknown key 'extra'" in capsys.readouterr().err
+        assert not (out / "certification.json").exists()
+
+    @pytest.mark.parametrize("doc,kind", [([1, 2], "list"), ("report", "str"), (5, "int"), (None, "NoneType")])
+    def test_report_that_is_no_json_object_exits_validation(self, tmp_path, capsys, doc, kind):
+        out = self.run_analyze(tmp_path, n_trials=2000)
+        (out / "report.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 1
+        assert capsys.readouterr().err == ("bellsim: validation error: malformed analysis report: "
+                                           f"it must be a JSON object, got {kind}\n")
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+
+    def test_unknown_context_under_estimates_exits_integrity(self, tmp_path, capsys):
+        out = self.run_analyze(tmp_path, n_trials=2000)
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        doc["estimates"]["AD"] = dict(doc["estimates"]["AB"])
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 3
+        assert "integrity error: report estimates" in capsys.readouterr().err
+        assert not (out / "certification.json").exists()
+
+    def test_library_refuses_a_key_the_layout_lacks(self):
+        records = run_experiment(ExperimentConfig("qm_sequential", max_violation_triple(), 2000, 11, 22))
+        doc = report_to_jsonable(analyze_records(records, mode="qm_sequential"))
+        assert report_to_jsonable(report_from_jsonable(doc)) == doc
+        doc["bell"]["note"] = "edited"
+        with pytest.raises(ValidationError, match="^malformed analysis report: unknown key 'note'$"):
+            report_from_jsonable(doc)
+        with pytest.raises(ValidationError, match="must be a JSON object, got list"):
+            report_from_jsonable([1, 2])
 
 
 SIGNIFICANCE_PROBE = dict(mode="hv:sign-model", n_trials=200_000, selector_seed=1, outcome_seed=2)
