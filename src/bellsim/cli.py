@@ -31,10 +31,10 @@ from .protocol import (
     analyze_records,
     check_sigma_threshold,
     check_threads,
-    label_geometries,
     load_config,
     load_report,
     make_sampler,
+    read_label,
     write_report,
     write_run,
 )
@@ -141,7 +141,7 @@ def _noted(records: RecordSummary) -> RecordSummary:
 def cmd_analyze(args) -> int:
     check_sigma_threshold(args.sigma_threshold, "--sigma-threshold")  # before the records are read
     if args.mode is not None:
-        label_geometries(args.mode, "--mode")
+        read_label(args.mode, "--mode")
     records = _noted(RecordSummary.from_csv(args.records))
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
     out = Path(args.out_dir)

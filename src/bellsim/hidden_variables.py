@@ -207,7 +207,7 @@ def read_json(path, what: str):
     data = Path(path).read_bytes()
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer of over 4300 digits, too deep
         raise ValidationError(f"{what} file {path}: invalid JSON ({exc})") from None
 
 

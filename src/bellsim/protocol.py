@@ -14,7 +14,8 @@ import functools
 import hashlib
 import math
 import re
-from collections import deque
+import sys
+from collections import deque, namedtuple
 from dataclasses import MISSING, dataclass, fields
 from typing import Mapping, NamedTuple
 
@@ -73,6 +74,18 @@ def _json_float(x):
     return round12(float(x))
 
 
+# a JSON type: what a value must be, as a refusal names it, and the test it must pass (int(), float() and str()
+# would read 6000.9, "0.5" and true); a number is read with float(), null staying None, and written by _json_float
+_JSONType = namedtuple("_JSONType", "must_be test number", defaults=[False])
+
+_STRING = _JSONType("a JSON string", lambda x: isinstance(x, str))
+_INTEGER = _JSONType("a JSON integer", lambda x: _is_real(x) and isinstance(x, int))
+_NUMBER = _JSONType("a JSON number", _is_real, True)
+_OBJECT = _JSONType("a JSON object", lambda x: isinstance(x, Mapping))
+# compared with the largest float: math.isfinite raises OverflowError on an integer beyond float range
+_POSITIVE = _JSONType("a positive finite number", lambda x: _is_real(x) and 0 < x <= sys.float_info.max, True)
+
+
 # --- configuration --------------------------------------------------------------
 
 
@@ -107,9 +120,13 @@ def parse_mode(mode: str, name: str = "config key 'mode'") -> tuple[str, str | N
     raise ValidationError(f"{name} must be {', '.join(first)} or {last}, got {mode!r}")
 
 
-def label_geometries(label: str, name: str = "config key 'mode'") -> tuple[str, ...]:
-    """The record geometries a report's mode label allows: a geometry itself, a mode its row's geometries."""
-    return (label,) if label in GEOMETRIES else _MODES[parse_mode(label, name)[0]].geometries
+def read_label(label: str, name: str = "config key 'mode'") -> tuple[tuple[str, ...], bool]:
+    """A report's mode label as the record geometries it allows and whether its certificate rests on no-conspiracy
+    alone: a mode's row gives both; a geometry allows itself and names no backend, so it does."""
+    if isinstance(label, str) and label in GEOMETRIES:
+        return (label,), True
+    row = _MODES[parse_mode(label, name)[0]]
+    return row.geometries, row.contextual
 
 
 @dataclass(frozen=True)
@@ -186,8 +203,8 @@ class ExperimentConfig:
 
 def check_sigma_threshold(k, name: str = "sigma_threshold") -> float:
     """k as a float if it is a positive finite number; else a ValidationError naming it."""
-    if not isinstance(k, (int, float)) or isinstance(k, bool) or not math.isfinite(k) or k <= 0:
-        raise ValidationError(f"{name} must be a positive finite number, got {k!r}")
+    if not _POSITIVE.test(k):
+        raise ValidationError(f"{name} must be {_POSITIVE.must_be}, got {k!r}")
     return float(k)
 
 
@@ -920,96 +937,79 @@ def analyze_records(records: "RecordBatch | RecordSummary", mode: str | None = N
     check_sigma_threshold(sigma_threshold)
     if mode is None:
         mode = records.kind
-    elif records.kind not in (expected := label_geometries(mode)):
+    elif records.kind not in (expected := read_label(mode)[0]):
         raise ValidationError(f"mode {mode!r} implies {' or '.join(expected)} records, got {records.kind}")
     estimates = estimate_correlators(records)
     report = _quantity(records.kind, estimates, sigma_threshold)
     return AnalysisReport(mode, records.sha256(), len(records), sigma_threshold, estimates, report)
 
 
+# report.json's layout, one table per block: each key in print order with its type, named as the report's
+# field; writing, type checks and the refusal of any other key all read these tables
+_REPORT_LAYOUT = {"mode": _STRING, "records_sha256": _STRING, "n_trials": _INTEGER, "sigma_threshold": _POSITIVE,
+                  "estimates": _OBJECT, "bell": _OBJECT}
+_ESTIMATE_LAYOUT = {"n": _INTEGER, "mean": _NUMBER, "stderr": _NUMBER}
+_BELL_LAYOUT = {"quantity": _STRING, "value": _NUMBER, "bound": _NUMBER, "stderr": _NUMBER,
+                "sigma_excess": _JSONType("a JSON number or null", lambda x: x is None or _is_real(x), True),
+                "verdict": _JSONType(f"one of {', '.join(_VERDICTS)}", lambda x: x in _VERDICTS)}
+
+
+def _written(block, layout: dict) -> dict:
+    return {key: _json_float(getattr(block, key)) if kind.number else getattr(block, key)
+            for key, kind in layout.items()}
+
+
+def _read(doc: Mapping, layout: dict) -> dict:
+    # the values of one report block, each checked against its type; a missing key raises KeyError
+    for key, kind in layout.items():
+        if not kind.test(doc[key]):
+            raise ValidationError(f"malformed analysis report: {key!r} must be {kind.must_be}, got {doc[key]!r}")
+    if unknown := sorted(doc.keys() - layout.keys()):
+        raise ValidationError(f"malformed analysis report: unknown key {unknown[0]!r}")
+    return {key: float(doc[key]) if kind.number and doc[key] is not None else doc[key]
+            for key, kind in layout.items()}
+
+
 def report_to_jsonable(report: AnalysisReport) -> dict:
-    return {
-        "mode": report.mode,
-        "records_sha256": report.records_sha256,
-        "n_trials": report.n_trials,
-        "sigma_threshold": _json_float(report.sigma_threshold),
-        "estimates": {
-            tag: {"n": e.n, "mean": _json_float(e.mean), "stderr": _json_float(e.stderr)}
-            for tag, e in report.estimates.items()
-        },
-        "bell": {
-            "quantity": report.bell.quantity,
-            "value": _json_float(report.bell.value),
-            "bound": _json_float(report.bell.bound),
-            "stderr": _json_float(report.bell.stderr),
-            "sigma_excess": _json_float(report.bell.sigma_excess),
-            "verdict": report.bell.verdict,
-        },
-    }
+    estimates = {tag: _written(e, _ESTIMATE_LAYOUT) for tag, e in report.estimates.items()}
+    return {**_written(report, _REPORT_LAYOUT), "estimates": estimates, "bell": _written(report.bell, _BELL_LAYOUT)}
 
 
 def check_report(report: AnalysisReport, records: "RecordBatch | RecordSummary") -> None:
-    """Raise IntegrityError unless the records give every field of the report but its mode.
+    """Raise IntegrityError unless the records give every field of the report but the backend its mode names.
 
-    The records hash is compared first, so records of another run fail on it
-    before they are analysed.  Then the records are analysed again at the
-    report's own sigma_threshold, and every other field is compared, in
-    document order, as :func:`report_to_jsonable` writes it.
+    The records hash is compared first, so records of another run fail on it before they are analysed;
+    then the mode label (a ValidationError if it is no mode and no geometry) must allow the records'
+    geometry.  Then the records are analysed again at the report's own sigma_threshold, and every
+    field is compared, in document order.
     """
     if records.sha256() != report.records_sha256:
         raise IntegrityError(f"records hash {records.sha256()[:12]}... does not match the report's "
                              f"{report.records_sha256[:12]}...")
+    if records.kind not in (geometries := read_label(report.mode, "malformed analysis report: 'mode'")[0]):
+        raise IntegrityError(f"report mode {report.mode!r} implies {' or '.join(geometries)} records, "
+                             f"got {records.kind}")
     saved = report_to_jsonable(report)
-    again = report_to_jsonable(analyze_records(records, sigma_threshold=report.sigma_threshold))
+    again = report_to_jsonable(analyze_records(records, report.mode, report.sigma_threshold))
     for key, value in saved.items():
-        if key != "mode" and value != again[key]:
+        if value != again[key]:
             raise IntegrityError(f"report {key} {value!r} does not match its records, which give {again[key]!r}")
-
-
-# the JSON type a report field must have, as the test its value must pass
-_JSON_TYPES = {
-    "integer": lambda x: _is_real(x) and isinstance(x, int),  # int() would truncate 6000.9, read "6000"
-    "number": _is_real,  # float() would read "0.5" and true
-    "number or null": lambda x: x is None or _is_real(x),
-    "string": lambda x: isinstance(x, str),  # str() would read any value
-    "object": lambda x: isinstance(x, Mapping),
-}
-
-
-def _report_field(doc: Mapping, key: str, kind: str):
-    value = doc[key]
-    if not _JSON_TYPES[kind](value):
-        raise ValidationError(f"malformed analysis report: {key!r} must be a JSON {kind}, got {value!r}")
-    return value
 
 
 def report_from_jsonable(doc: Mapping) -> AnalysisReport:
     if not isinstance(doc, Mapping):
         raise ValidationError(f"malformed analysis report: it must be a JSON object, got {type(doc).__name__}")
     try:
-        estimates = {}
-        for tag, e in _report_field(doc, "estimates", "object").items():
-            mean, stderr = (float(_report_field(e, key, "number")) for key in ("mean", "stderr"))
-            estimates[tag] = CorrelatorEstimate(tag, _report_field(e, "n", "integer"), mean, stderr)
-        b = _report_field(doc, "bell", "object")
-        if b["verdict"] not in _VERDICTS:
-            raise ValidationError(f"malformed analysis report: 'verdict' must be one of "
-                                  f"{', '.join(_VERDICTS)}, got {b['verdict']!r}")
-        value, bound, stderr = (float(_report_field(b, key, "number")) for key in ("value", "bound", "stderr"))
-        excess = _report_field(b, "sigma_excess", "number or null")  # null where it is infinite
-        excess = (math.inf if b["verdict"] == "violation" else -math.inf) if excess is None else float(excess)
-        k = check_sigma_threshold(doc["sigma_threshold"], "malformed analysis report: 'sigma_threshold'")
-        bell = BellReport(_report_field(b, "quantity", "string"), value, bound, stderr, excess, b["verdict"], k)
-        mode, digest = (_report_field(doc, key, "string") for key in ("mode", "records_sha256"))
-        report = AnalysisReport(mode, digest, _report_field(doc, "n_trials", "integer"), k, estimates, bell)
+        top = _read(doc, _REPORT_LAYOUT)
+        estimates = {tag: CorrelatorEstimate(tag, **_read(e, _ESTIMATE_LAYOUT))
+                     for tag, e in top["estimates"].items()}
+        bell = _read(top["bell"], _BELL_LAYOUT)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed analysis report: {exc!r}") from None
-    written = report_to_jsonable(report)  # a key that it does not write, in any block, is refused
-    blocks = zip([doc, b, *doc["estimates"].values()], [written, written["bell"], *written["estimates"].values()])
-    for block, known in blocks:
-        if unknown := sorted(block.keys() - known.keys()):
-            raise ValidationError(f"malformed analysis report: unknown key {unknown[0]!r}")
-    return report
+    if bell["sigma_excess"] is None:  # null where it is infinite
+        bell["sigma_excess"] = math.inf if bell["verdict"] == "violation" else -math.inf
+    bell = BellReport(**bell, sigma_threshold=top["sigma_threshold"])
+    return AnalysisReport(**{**top, "estimates": estimates, "bell": bell})
 
 
 def write_report(report: AnalysisReport, path) -> None:

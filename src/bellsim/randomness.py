@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .protocol import _MODES, AnalysisReport, RecordBatch, RecordSummary, _json_float, check_report
+from .protocol import AnalysisReport, RecordBatch, RecordSummary, _json_float, check_report, read_label
 
 EXTRACTION_RULE = "s1s2-interleaved-v1"
 SIGNIFICANCE_FLOOR = 0.01
@@ -149,14 +149,13 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
 
     ``records`` (a batch or its summary) are those the bits came from;
     first :func:`~bellsim.protocol.check_report` raises IntegrityError unless
-    they give every field of the report but its mode, the hash first.
-    Certified means: verdict is a violation and both statistical tests
-    reach p >= 0.01.  The caveat flag is set unless the report's mode kind
-    names a mode whose ``_MODES`` row is not contextual (a geometry label
-    names none): else certification rests entirely on no-conspiracy.
+    they give every field of the report and a geometry its mode label
+    allows, the hash first.  Certified means: verdict is a violation and
+    both statistical tests reach p >= 0.01.  The caveat flag is set unless
+    :func:`~bellsim.protocol.read_label` reads the label as a mode that is
+    not contextual: else certification rests entirely on no-conspiracy.
     """
     check_report(report, records)
-    row = _MODES.get(report.mode.partition(":")[0])
     p_mono = monobit_test(counts)
     runs = runs_test(counts)
     certified = (
@@ -174,7 +173,7 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
         n_bits=counts.n,
         records_sha256=report.records_sha256,
         extraction_rule=EXTRACTION_RULE,
-        conspiracy_caveat=row is None or row.contextual,
+        conspiracy_caveat=read_label(report.mode)[1],
     )
 
 

@@ -633,6 +633,28 @@ class TestSigmaThreshold:
         assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
         assert no_partial_files(out)
 
+    def test_config_threshold_beyond_float_range_exits_validation(self, tmp_path, capsys):
+        # a 401-digit JSON integer: math.isfinite would end the run in an OverflowError traceback
+        cfg = write_config(tmp_path / "cfg.json", sigma_threshold=10**400)
+        assert len(str(json.loads(cfg.read_text())["sigma_threshold"])) == 401
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellsim: validation error: config key 'sigma_threshold' must be a positive finite "
+                              "number, got 1000")
+        assert not out.exists()
+
+    def test_report_threshold_beyond_float_range_exits_validation(self, tmp_path, capsys):
+        _, out = run_pipeline(tmp_path)
+        assert main(stage_argv("analyze", out)) == 0
+        report = out / "report.json"
+        report.write_text(json.dumps(edited(json.loads(report.read_text()), ("sigma_threshold",), 10**400)))
+        capsys.readouterr()
+        assert main(stage_argv("certify", out)) == 1
+        assert ("bellsim: validation error: malformed analysis report: 'sigma_threshold' must be a positive finite "
+                "number, got 1000") in capsys.readouterr().err
+        assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
+
 
 @pytest.mark.parametrize("what", ["config", "report", "model"])
 def test_invalid_json_names_the_file_kind(tmp_path, capsys, what):

@@ -2,8 +2,10 @@
 
 The slot counts, a mode's geometries and its conspiracy flag are each
 defined once (``selector.GEOMETRIES`` and ``protocol._MODES``) and read
-everywhere else.  The values below were taken from the code before those
-facts were gathered, so a fact read from the wrong place changes one of them.
+everywhere else, a report's mode label through ``protocol.read_label``.  The
+values below were taken from the code before those facts were gathered, so a
+fact read from the wrong place changes one of them; the refusals of report
+labels that the records refute came with the check that makes them.
 """
 
 import contextlib
@@ -15,9 +17,9 @@ import pytest
 
 from bellsim.cli import main
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
-from bellsim.errors import ValidationError
+from bellsim.errors import IntegrityError, ValidationError
 from bellsim.hidden_variables import FiniteHVModel, model_from_jsonable, random_finite_model
-from bellsim.protocol import ExperimentConfig, analyze_records, run_experiment
+from bellsim.protocol import ExperimentConfig, analyze_records, read_label, run_experiment
 from bellsim.randomness import BitCounts, certify_counts, extract_bits
 
 TRIPLE, QUADRUPLE = max_violation_triple(), tsirelson_quadruple()
@@ -123,12 +125,70 @@ def test_contextual_model_file_without_its_blocks():
 
 
 @pytest.mark.parametrize("label,caveat", [
-    ("temporal", True), ("chsh", True), ("qm_sequential", False), ("qm_singlet", False), ("hv", False),
-    ("hv:sign-model", False), ("hv:/models/finite.json", False), ("conspiracy:qm-mimic", True),
-    ("conspiracy:/models/contextual.json", True), ("bogus", True),
+    ("temporal", True), ("qm_sequential", False), ("hv:sign-model", False), ("hv:/models/finite.json", False),
+    ("conspiracy:qm-mimic", True), ("conspiracy:/models/contextual.json", True),
 ])
 def test_conspiracy_caveat_of_each_report_label(label, caveat):
     records = run_experiment(ExperimentConfig("qm_sequential", TRIPLE, 200, 1, 2))
     report = replace(analyze_records(records), mode=label)
     cert = certify_counts(BitCounts.of(extract_bits(records)), records, report)
     assert cert.conspiracy_caveat is caveat
+
+
+@pytest.mark.parametrize("label,error,message", [
+    ("chsh", IntegrityError, "report mode 'chsh' implies chsh records, got temporal"),
+    ("qm_singlet", IntegrityError, "report mode 'qm_singlet' implies chsh records, got temporal"),
+    ("hv", ValidationError, f"malformed analysis report: 'mode' must be {MODES}, got 'hv'"),
+    ("bogus", ValidationError, f"malformed analysis report: 'mode' must be {MODES}, got 'bogus'"),
+], ids=["chsh", "qm_singlet", "hv", "bogus"])
+def test_report_label_refused_on_temporal_records(label, error, message):
+    # a label of the other geometry, or one that is no mode and no geometry, gives no caveat to read
+    records = run_experiment(ExperimentConfig("qm_sequential", TRIPLE, 200, 1, 2))
+    report = replace(analyze_records(records), mode=label)
+    with pytest.raises(error) as exc:
+        certify_counts(BitCounts.of(extract_bits(records)), records, report)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("label", [["x"], {"kind": "hv"}, 3])
+def test_label_that_is_no_string(label):
+    records = run_experiment(ExperimentConfig("qm_sequential", TRIPLE, 200, 1, 2))
+    named = f"config key 'mode' must be a string, got {type(label).__name__}"
+    with pytest.raises(ValidationError, match=f"^{named}$"):
+        analyze_records(records, mode=label)
+    with pytest.raises(ValidationError, match=f"^{named}$"):
+        read_label(label)
+
+
+def test_relabelled_conspiracy_report(tmp_path):
+    # a conspiracy:qm-mimic run whose report's mode is edited to each label: the records refute the other
+    # geometry (exit 3), a label that is no mode is malformed (exit 1); the backend itself cannot be read from
+    # the records, so qm_sequential certifies with no caveat, as the README says
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "conspiracy:qm-mimic", "directions": [[d.x, d.y, d.z] for d in TRIPLE],
+                               "n_trials": 60_000, "selector_seed": 11, "outcome_seed": 22}))
+    run = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(cfg), "--out-dir", str(run)]) == 0
+        assert main(["analyze", "--records", str(run / "records.csv"), "--mode", "conspiracy:qm-mimic",
+                     "--out-dir", str(run)]) == 0
+    doc = json.loads((run / "report.json").read_text())
+    outcomes = {}
+    for label in ["qm_singlet", "chsh", "hv", "qm_sequential:junk", "nonsense", "temporal", "conspiracy:qm-mimic",
+                  "qm_sequential"]:
+        report, out = tmp_path / f"{label}.json", tmp_path / f"certified-{label}"
+        report.write_text(json.dumps({**doc, "mode": label}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["certify", "--records", str(run / "records.csv"), "--report", str(report),
+                         "--out-dir", str(out)])
+        cert = json.loads((out / "certification.json").read_text()) if code == 0 else None
+        assert out.exists() is (code == 0)
+        assert ("Traceback" not in stderr.getvalue()) and (stdout.getvalue() == "") is (code != 0)
+        outcomes[label] = (code, cert and (cert["n_bits"], cert["certified"], cert["conspiracy_caveat"]))
+    assert outcomes == {
+        "qm_singlet": (3, None), "chsh": (3, None),
+        "hv": (1, None), "qm_sequential:junk": (1, None), "nonsense": (1, None),
+        "temporal": (0, (120_000, True, True)), "conspiracy:qm-mimic": (0, (120_000, True, True)),
+        "qm_sequential": (0, (120_000, True, False)),
+    }

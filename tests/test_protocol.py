@@ -31,6 +31,7 @@ from bellsim.protocol import (
     _run_reference,
     analyze_records,
     bell_quantity,
+    check_sigma_threshold,
     chsh_quantity,
     estimate_correlators,
     load_config,
@@ -207,6 +208,15 @@ class TestConfigValidation:
     def test_sigma_threshold_must_be_positive(self):
         with pytest.raises(ValidationError, match="sigma_threshold"):
             ExperimentConfig.from_dict(config_doc(sigma_threshold=0.0))
+
+    @pytest.mark.parametrize("k", [10**400, -(10**400), 2**1024], ids=["10**400", "-10**400", "2**1024"])
+    def test_sigma_threshold_beyond_float_range(self, k):
+        # math.isfinite would raise OverflowError on these
+        with pytest.raises(ValidationError, match="^sigma_threshold must be a positive finite number, got "):
+            check_sigma_threshold(k)
+        with pytest.raises(ValidationError, match="^config key 'sigma_threshold' must be a positive finite number"):
+            ExperimentConfig.from_dict(config_doc(sigma_threshold=k))
+        assert check_sigma_threshold(sys.float_info.max) == sys.float_info.max
 
     def test_selector_algorithm_choice_point(self):
         cfg = ExperimentConfig.from_dict(config_doc(selector_algorithm="splitmix64"))
