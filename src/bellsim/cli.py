@@ -4,7 +4,7 @@ The pipeline is file-mediated so every stage's input is an auditable
 artifact: `run` writes the trial records CSV and a manifest, `analyze`
 turns records into a report JSON, `certify` turns records + report into a
 bit file and a certification JSON, and `oracle` prints the exact
-correlators and inequality value a given configuration targets.
+correlators, marginals and inequality value a given configuration targets.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 integrity
 failure (records/report mismatch).
@@ -178,7 +178,8 @@ def cmd_oracle(args) -> int:
     config = load_config(args.config)
     sampler = make_sampler(config)
     contexts = sampler.contexts
-    values = {tag: sampler.analytic_correlator(code) for code, tag in enumerate(contexts.tags)}
+    moments = {tag: sampler.exact_moments(code) for code, tag in enumerate(contexts.tags)}
+    values = {tag: e for tag, (_, _, e) in moments.items()}
     name, bound, value_of = INEQUALITIES[contexts.kind]
     # judged as printed: a float error below the 12th digit must not lift a value at its bound above it
     value, bound = _json_float(value_of(values)), _json_float(bound)
@@ -186,6 +187,7 @@ def cmd_oracle(args) -> int:
         "mode": config.mode,
         "geometry": contexts.kind,
         "correlators": {tag: _json_float(v) for tag, v in values.items()},
+        "marginals": {tag: [_json_float(m1), _json_float(m2)] for tag, (m1, m2, _) in moments.items()},
         "quantity": {"name": name, "value": value, "bound": bound, "exceeds_bound": value > bound},
     }
     print(json.dumps(doc, indent=2))
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p_ce.set_defaults(func=cmd_certify)
 
-    p_or = sub.add_parser("oracle", help="print exact correlators and inequality value for a config")
+    p_or = sub.add_parser("oracle", help="print exact correlators, marginals and inequality value for a config")
     p_or.add_argument("--config", required=True, help="experiment config JSON")
     p_or.set_defaults(func=cmd_oracle)
     return parser

@@ -204,7 +204,10 @@ def model_to_jsonable(model) -> dict:
 
 def read_json(path, what: str):
     """The JSON document in a UTF-8 file; anything else is a ValidationError naming the file as ``what``."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except ValueError as exc:  # a name with a NUL byte, which no file can have; other failures are OSErrors
+        raise ValidationError(f"{what} file {str(path)!r}: {exc}") from None
     try:
         return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer of over 4300 digits, too deep
@@ -229,8 +232,8 @@ def write_model(model, path) -> None:
 # A sampler is a backend.  Its tables are built in __init__ and only read by
 # run, which the runner calls from several threads at once.  Its trial method
 # is the per-trial scalar reference that run matches bit for bit, and its
-# analytic_correlator the exact correlator.  run and trial take uniforms in
-# [0, 1), as selector.trial_uniforms gives them.
+# exact_moments(code) the context's exact (E[s1], E[s2], E[s1*s2]) as floats.
+# run and trial take uniforms in [0, 1), as selector.trial_uniforms gives them.
 
 
 class _FiniteSampler:
@@ -291,9 +294,9 @@ class _FiniteSampler:
         idx = min(int(np.searchsorted(sub._cum, u1, side="right")), sub.n_lambda - 1)
         return int(sub.responses[idx, sx - 1]), int(sub.responses[idx, sy - 1])
 
-    def analytic_correlator(self, code: int) -> float:
-        sx, sy = self.contexts.slots[code]
-        return exact_correlator(self._subs[code], sx, sy)
+    def exact_moments(self, code: int) -> tuple[float, float, float]:
+        sub, (sx, sy) = self._subs[code], self.contexts.slots[code]
+        return *(float(sub.weights @ sub.responses[:, slot - 1]) for slot in (sx, sy)), exact_correlator(sub, sx, sy)
 
 
 class FiniteModelSampler(_FiniteSampler):
@@ -377,10 +380,10 @@ class SignModelSampler:
             key |= (dots >= 0.0).view(np.uint8) << np.uint8(k)
         return self._s1.take(key), self._s2.take(key)
 
-    def analytic_correlator(self, code: int) -> float:
-        """1 - 2*theta/pi for the angle theta between the context's directions."""
+    def exact_moments(self, code: int) -> tuple[float, float, float]:
+        """Unbiased marginals, and 1 - 2*theta/pi for the angle theta between the context's directions."""
         ctx = self.contexts[code]
-        return 1.0 - 2.0 * angle_between(ctx.dir_x, ctx.dir_y) / math.pi
+        return 0.0, 0.0, 1.0 - 2.0 * angle_between(ctx.dir_x, ctx.dir_y) / math.pi
 
 
 class QmMimicSampler:
@@ -391,9 +394,9 @@ class QmMimicSampler:
 
     def __init__(self, contexts: ContextSet):
         self.contexts = contexts
-        # P(s2 = s1) = (1 + x.y)/2 per context
-        self._p_same = np.array([min(1.0, max(0.0, (1.0 + ctx.dir_x.dot(ctx.dir_y)) / 2.0))
-                                 for ctx in contexts.contexts])
+        # P(s2 = s1) = (1 + E)/2 per context
+        self._p_same = np.array([min(1.0, max(0.0, (1.0 + self.exact_moments(code)[2]) / 2.0))
+                                 for code in range(len(contexts))])
         _freeze(self._p_same)
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
@@ -404,6 +407,6 @@ class QmMimicSampler:
         s1 = _signs(u1 < 0.5)
         return s1, _signs(u2 < self._p_same.take(codes)) * s1
 
-    def analytic_correlator(self, code: int) -> float:
+    def exact_moments(self, code: int) -> tuple[float, float, float]:
         ctx = self.contexts[code]
-        return ctx.dir_x.dot(ctx.dir_y)
+        return 0.0, 0.0, ctx.dir_x.dot(ctx.dir_y)

@@ -959,8 +959,10 @@ def _written(block, layout: dict) -> dict:
             for key, kind in layout.items()}
 
 
-def _read(doc: Mapping, layout: dict) -> dict:
-    # the values of one report block, each checked against its type; a missing key raises KeyError
+def _read(doc: Mapping, layout: dict, block: str) -> dict:
+    # the values of one report block, named by block, each checked against its type; a missing key raises KeyError
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"malformed analysis report: {block} must be a JSON object, got {type(doc).__name__}")
     for key, kind in layout.items():
         if not kind.test(doc[key]):
             raise ValidationError(f"malformed analysis report: {key!r} must be {kind.must_be}, got {doc[key]!r}")
@@ -997,13 +999,11 @@ def check_report(report: AnalysisReport, records: "RecordBatch | RecordSummary")
 
 
 def report_from_jsonable(doc: Mapping) -> AnalysisReport:
-    if not isinstance(doc, Mapping):
-        raise ValidationError(f"malformed analysis report: it must be a JSON object, got {type(doc).__name__}")
     try:
-        top = _read(doc, _REPORT_LAYOUT)
-        estimates = {tag: CorrelatorEstimate(tag, **_read(e, _ESTIMATE_LAYOUT))
+        top = _read(doc, _REPORT_LAYOUT, "it")
+        estimates = {tag: CorrelatorEstimate(tag, **_read(e, _ESTIMATE_LAYOUT, f"estimate {tag!r}"))
                      for tag, e in top["estimates"].items()}
-        bell = _read(top["bell"], _BELL_LAYOUT)
+        bell = _read(top["bell"], _BELL_LAYOUT, "'bell'")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed analysis report: {exc!r}") from None
     if bell["sigma_excess"] is None:  # null where it is infinite

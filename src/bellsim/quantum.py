@@ -175,7 +175,7 @@ def brute_force_singlet_correlator(dA: Direction3, dB: Direction3) -> float:
 
 # --- per-context samplers used by the experiment runner -----------------------
 # A sampler is a backend: tables, a vectorized run, the scalar trial it matches bit for bit
-# and the exact correlator.  run and trial take uniforms in [0, 1), as trial_uniforms gives them.
+# and exact_moments; the section header in hidden_variables states the contract in full.
 
 
 def balanced_preparation(contexts: ContextSet) -> QubitState:
@@ -223,6 +223,11 @@ def _two_step_tables(contexts: ContextSet, first, second):
     return p1, p2
 
 
+def _two_step_marginals(p1, p2, code: int) -> tuple[float, float]:
+    # E[s1] and E[s2] at the context code of the outcomes _sample_two_step draws from the tables
+    return float(2.0 * p1[code] - 1.0), float(2.0 * np.dot((1.0 - p1[code], p1[code]), p2[code]) - 1.0)
+
+
 def _sample_two_step(p1, p2, codes, u1, u2):
     # p1: (nctx,) first-step +1 probability; p2: (nctx, 2) second-step +1
     # probability indexed by [code, (s1+1)/2], read flat at code * 2 + (s1 > 0)
@@ -263,10 +268,10 @@ class SequentialSampler:
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         return _sample_two_step(self._p1, self._p2, codes, u1, u2)
 
-    def analytic_correlator(self, code: int) -> float:
-        """E[s1*s2] = dir_x.dir_y, for any initial state."""
+    def exact_moments(self, code: int) -> tuple[float, float, float]:
+        """The marginals of the preparation's tables, and E[s1*s2] = dir_x.dir_y for any initial state."""
         ctx = self.contexts[code]
-        return ctx.dir_x.dot(ctx.dir_y)
+        return *_two_step_marginals(self._p1, self._p2, code), ctx.dir_x.dot(ctx.dir_y)
 
 
 class SingletSampler:
@@ -293,6 +298,6 @@ class SingletSampler:
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         return _sample_two_step(self._pA, self._pB, codes, u1, u2)
 
-    def analytic_correlator(self, code: int) -> float:
+    def exact_moments(self, code: int) -> tuple[float, float, float]:
         ctx = self.contexts[code]
-        return singlet_analytic_correlator(ctx.dir_x, ctx.dir_y)
+        return *_two_step_marginals(self._pA, self._pB, code), singlet_analytic_correlator(ctx.dir_x, ctx.dir_y)

@@ -75,7 +75,7 @@ def test_b_theta_curve(tmp_path, capsys):
 def oracle_value(mode, directions, model=None) -> float:
     # |P(a,b) - P(a,c)| + P(b,c) from the backend's exact correlators, as `bellsim oracle` computes it
     sampler = make_sampler(ExperimentConfig(mode, directions, 1, 0, 0), model=model)
-    ab, ac, bc = (sampler.analytic_correlator(code) for code in range(3))
+    ab, ac, bc = (sampler.exact_moments(code)[2] for code in range(3))
     return abs(ab - ac) + bc
 
 

@@ -570,14 +570,21 @@ class TestCertify:
         assert "malformed analysis report: unknown key 'extra'" in capsys.readouterr().err
         assert not (out / "certification.json").exists()
 
-    @pytest.mark.parametrize("doc,kind", [([1, 2], "list"), ("report", "str"), (5, "int"), (None, "NoneType")])
-    def test_report_that_is_no_json_object_exits_validation(self, tmp_path, capsys, doc, kind):
+    @pytest.mark.parametrize("path,doc,named", [
+        pytest.param((), [1, 2], "it must be a JSON object, got list", id="doc0-list"),
+        pytest.param((), "report", "it must be a JSON object, got str", id="report-str"),
+        pytest.param((), 5, "it must be a JSON object, got int", id="5-int"),
+        pytest.param((), None, "it must be a JSON object, got NoneType", id="None-NoneType"),
+        pytest.param(("estimates", "AB"), 5, "estimate 'AB' must be a JSON object, got int", id="estimate-int"),
+    ])
+    def test_report_that_is_no_json_object_exits_validation(self, tmp_path, capsys, path, doc, named):
+        # the whole document, or the block at path in it
         out = self.run_analyze(tmp_path, n_trials=2000)
-        (out / "report.json").write_text(json.dumps(doc))
+        report = out / "report.json"
+        report.write_text(json.dumps(edited(json.loads(report.read_text()), path, doc) if path else doc))
         capsys.readouterr()
         assert main(stage_argv("certify", out)) == 1
-        assert capsys.readouterr().err == ("bellsim: validation error: malformed analysis report: "
-                                           f"it must be a JSON object, got {kind}\n")
+        assert capsys.readouterr().err == f"bellsim: validation error: malformed analysis report: {named}\n"
         assert not (out / "bits.txt").exists() and not (out / "certification.json").exists()
 
     def test_unknown_context_under_estimates_exits_integrity(self, tmp_path, capsys):
@@ -688,6 +695,22 @@ def test_a_json_list_is_no_document(tmp_path, capsys, what):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["run", "oracle"])
+@pytest.mark.parametrize("model,code,err", [
+    # no file name holds a NUL byte: opening one raises ValueError, not OSError
+    pytest.param("a\x00b", 1, "validation error: model file 'a\\x00b': embedded null byte", id="nul-byte"),
+    pytest.param("missing.json", 2, "i/o error: [Errno 2] No such file or directory: 'missing.json'", id="missing"),
+])
+def test_a_model_file_that_cannot_be_opened(tmp_path, capsys, monkeypatch, stage, model, code, err):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", mode=f"hv:{model}")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), "--out-dir", str(out)] if stage == "run" else ["oracle", "--config", str(cfg)]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"bellsim: {err}\n")
+    assert not out.exists()
+
+
 class TestStreaming:
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     @pytest.mark.parametrize("mode,directions", [("qm_sequential", max_violation_triple()),
@@ -754,22 +777,33 @@ class TestStreaming:
             assert (spelled / name).read_bytes() == (out / name).read_bytes()
 
 
-# what `oracle` prints for each backend of the benchmark's sweep, as computed before the closed-form
-# helpers moved into the samplers: (mode, directions, correlators, quantity name and value, exceeds_bound)
+# what `oracle` prints for each backend of the benchmark's sweep, the correlators and quantity as computed
+# before the closed-form helpers moved into the samplers: (mode, directions, correlators, marginals, quantity
+# name and value, exceeds_bound).  The marginals [E[s1], E[s2]] of the quantum backends are read off the
+# tables they sample, so their float errors of order 1e-16 are printed as they are
 ORACLE_GOLDENS = [
     pytest.param("qm_sequential", "triple", {"AB": 0.707106781187, "AC": -0.707106781187, "BC": 0.0},
+                 {"AB": [0.0, -2.22044604925e-16], "AC": [0.0, -2.22044604925e-16], "BC": [2.22044604925e-16, 0.0]},
                  ("temporal_bell", 1.41421356237, True), id="qm_sequential"),
     pytest.param("qm_singlet", "quadruple",
                  {"AB": -0.707106781187, "ABp": 0.707106781187, "ApB": -0.707106781187, "ApBp": -0.707106781187},
+                 {"AB": [-2.22044604925e-16, 2.22044604925e-16], "ABp": [-2.22044604925e-16, -1.11022302463e-16],
+                  "ApB": [-3.33066907388e-16, 2.22044604925e-16], "ApBp": [-3.33066907388e-16, 2.22044604925e-16]},
                  ("chsh", 2.82842712475, True), id="qm_singlet"),
     pytest.param("hv:sign-model", "triple", {"AB": 0.5, "AC": -0.5, "BC": 0.0},
+                 {"AB": [0.0, 0.0], "AC": [0.0, 0.0], "BC": [0.0, 0.0]},
                  ("temporal_bell", 1.0, False), id="sign-model"),
     pytest.param("hv:finite", "quadruple",
                  {"AB": 0.00772344116701, "ABp": 0.237894733976, "ApB": -0.290993786809, "ApBp": 0.364437322467},
+                 {"AB": [-0.151807414234, 0.840469144599], "ABp": [-0.151807414234, 0.185038035323],
+                  "ApB": [-0.45052464221, 0.840469144599], "ApBp": [-0.45052464221, 0.185038035323]},
                  ("chsh", 0.303614828468, False), id="finite"),
     pytest.param("conspiracy:qm-mimic", "triple", {"AB": 0.707106781187, "AC": -0.707106781187, "BC": 0.0},
+                 {"AB": [0.0, 0.0], "AC": [0.0, 0.0], "BC": [0.0, 0.0]},
                  ("temporal_bell", 1.41421356237, True), id="qm-mimic"),
     pytest.param("conspiracy:contextual", "triple", {"AB": 0.51500638296, "AC": 0.848767377839, "BC": -0.162388555363},
+                 {"AB": [-0.466553209336, -0.951546826375], "AC": [0.459946092522, 0.308713470361],
+                  "BC": [-0.162388555363, 1.0]},
                  ("temporal_bell", 0.171372439516, False), id="contextual"),
 ]
 
@@ -837,12 +871,14 @@ class TestOracle:
         doc = self.oracle(tmp_path, capsys, mode=f"conspiracy:{model_path}")
         # slot products per context table: ab 1*1, ac 1*(-1), bc (+1 in both rows)
         assert doc["correlators"] == {"AB": 1.0, "AC": -1.0, "BC": 1.0}
+        # the slot means: ab's slots 1, 2 and ac's slots 1, 3 in their one row; bc's slots 2, 3 cancel
+        assert doc["marginals"] == {"AB": [1.0, 1.0], "AC": [1.0, -1.0], "BC": [0.0, 0.0]}
         # a contextual model may break the bound outright: |1-(-1)| + 1 = 3
         assert doc["quantity"]["value"] == 3.0
         assert doc["quantity"]["exceeds_bound"] is True
 
-    @pytest.mark.parametrize("mode,geometry,correlators,quantity", ORACLE_GOLDENS)
-    def test_printed_values_are_pinned(self, tmp_path, capsys, mode, geometry, correlators, quantity):
+    @pytest.mark.parametrize("mode,geometry,correlators,marginals,quantity", ORACLE_GOLDENS)
+    def test_printed_values_are_pinned(self, tmp_path, capsys, mode, geometry, correlators, marginals, quantity):
         if mode == "hv:finite":
             write_model(random_finite_model(7, 5, 4), tmp_path / "finite.json")
             mode = f"hv:{tmp_path / 'finite.json'}"
@@ -855,4 +891,5 @@ class TestOracle:
         name, value, exceeds = quantity
         bound = 1.0 if name == "temporal_bell" else 2.0
         assert doc["correlators"] == correlators
+        assert doc["marginals"] == marginals
         assert doc["quantity"] == {"name": name, "value": value, "bound": bound, "exceeds_bound": exceeds}

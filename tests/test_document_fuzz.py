@@ -4,14 +4,16 @@ Hypothesis edits valid config, model and report documents: it drops a key
 or a list item, adds a key, swaps a value for another JSON value, or sets
 ``mode`` to any text, up to three times at any depth.  Each edited document
 then goes where the CLI sends it: a config through ``load_config``'s checks
-and a short run of its backend, a model through the model loader and a
-short run of its sampler, a report through ``certify``'s load and re-check
-against the records it was made from.  Any exception but the two documented
+and a short run of its backend (a model file that it names is loaded, not
+run, and one that cannot be opened is an OSError, exit 2), a model through
+the model loader and a short run of its sampler, a report through
+``certify``'s load and re-check against the records it was made from.  Any exception but the two documented
 ones fails the test; the CLI's exit code alone could not show it, since an
 uncaught exception also exits 1.  The ``@example`` seeds are the hand edits
 that ``tests/test_cli.py`` and ``tests/test_mode_facts.py`` check one by one.
 """
 
+import contextlib
 import copy
 import json
 import math
@@ -26,8 +28,8 @@ from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.errors import IntegrityError, ValidationError
 from bellsim.hidden_variables import (QM_MIMIC_NAME, SIGN_MODEL_NAME, ContextualFiniteModel, model_from_jsonable,
                                       model_to_jsonable, random_finite_model)
-from bellsim.protocol import (ExperimentConfig, analyze_records, parse_mode, report_from_jsonable, report_to_jsonable,
-                              run_experiment)
+from bellsim.protocol import (ExperimentConfig, analyze_records, make_sampler, parse_mode, report_from_jsonable,
+                              report_to_jsonable, run_experiment)
 from bellsim.randomness import BitCounts, certify_counts, extract_bits
 
 DOCUMENTED = (ValidationError, IntegrityError)
@@ -131,10 +133,14 @@ def refused_or_accepted(check, doc):
 
 
 def run_config(doc):
-    # load_config's checks, then what `run` builds and runs, on a few trials; a model file is the model test's part
+    # load_config's checks, then what `run` builds and runs, on a few trials; running a model file's model is the
+    # model test's part, so a file the mode names is only loaded
     config = ExperimentConfig.from_dict(doc)
     if parse_mode(config.mode)[1] in (None, SIGN_MODEL_NAME, QM_MIMIC_NAME):
         run_experiment(replace(config, n_trials=min(config.n_trials, 64)))
+    else:
+        with contextlib.suppress(OSError):
+            make_sampler(config)
 
 
 def run_model(doc):
@@ -157,7 +163,7 @@ def certify_report(doc):
 @seeded(*(with_edit(CONFIGS[0], path, value) for path, value in [
     (("n_trials",), DROP), (("directions", 0, 0), math.nan), (("directions", 1, 0), "0.7071067811865475"),
     (("directions", 1, 0), True), (("directions", 1, 2), 10**400), (("sigma_threshold",), 10**400),
-    (("sigma_threshold",), 0), (("mode",), "bogus"), (("mode",), ["x"]), (("extra",), 1),
+    (("sigma_threshold",), 0), (("mode",), "bogus"), (("mode",), ["x"]), (("extra",), 1), (("mode",), "hv:a\x00b"),
 ]), [1, 2, 3], with_edit(CONFIGS[1], ("directions",), lambda d: d[:3]), with_edit(CONFIGS[3], ("mode",), "hv"))
 def test_an_edited_config_fails_only_as_documented(doc):
     refused_or_accepted(run_config, doc)
@@ -180,7 +186,8 @@ def test_an_edited_model_fails_only_as_documented(doc):
     (("estimates",), []), (("bell",), "violation"), (("bell", "verdict"), 5), (("bell", "verdict"), "VIOLATION"),
     (("bell", "verdict"), "inconclusive"), (("estimates", "AB", "mean"), str), (("estimates", "AB", "stderr"), True),
     (("estimates", "AC", "mean"), lambda mean: mean + 0.001), (("estimates", "AB", "n"), 10**400),
-    (("estimates", "BC", "n"), float), (("estimates", "AB"), 5), (("estimates", "AD"), {"n": 1}),
+    (("estimates", "BC", "n"), float), (("estimates", "AB"), 5), (("estimates", "BC"), []),
+    (("estimates", "AD"), {"n": 1}),
     (("bell", "value"), str), (("bell", "bound"), "1"), (("bell", "stderr"), False), (("bell", "sigma_excess"), str),
     (("bell", "sigma_excess"), None), (("bell", "extra"), 1), (("mode",), ["x"]), (("bell", "quantity"), 5),
     (("records_sha256",), lambda digest: int(digest, 16)), (("records_sha256",), "0" * 64),

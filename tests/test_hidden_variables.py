@@ -217,13 +217,13 @@ class TestSignModel:
             mc = float(np.mean(s1 * s2))
             assert abs(mc - sign_closed_form(d1, d2)) <= 4 / math.sqrt(n)
             sampler = SignModelSampler(ContextSet("temporal", (d1, d2, Y_AXIS)))
-            assert abs(sampler.analytic_correlator(AB) - sign_closed_form(d1, d2)) < 1e-12
+            assert abs(sampler.exact_moments(AB)[2] - sign_closed_form(d1, d2)) < 1e-12
 
     def test_saturates_at_max_violation_geometry(self):
         sampler = SignModelSampler(TRIPLE)
         for code, ctx in enumerate(TRIPLE.contexts):
-            assert abs(sampler.analytic_correlator(code) - sign_closed_form(ctx.dir_x, ctx.dir_y)) < 1e-12
-        p_ab, p_ac, p_bc = map(sampler.analytic_correlator, (AB, AC, BC))
+            assert abs(sampler.exact_moments(code)[2] - sign_closed_form(ctx.dir_x, ctx.dir_y)) < 1e-12
+        p_ab, p_ac, p_bc = (sampler.exact_moments(c)[2] for c in (AB, AC, BC))
         assert abs(p_ab - 0.5) < 1e-12
         assert abs(p_ac + 0.5) < 1e-12
         assert abs(p_bc) < 1e-12
@@ -246,7 +246,7 @@ class TestSignModel:
         u = rng.random((2, n))
         for code in range(3):
             s1, s2 = sampler.run(np.full(n, code, dtype=np.uint8), u[0], u[1])
-            assert abs(float(np.mean(s1 * s2)) - sampler.analytic_correlator(code)) <= 4 / math.sqrt(n)
+            assert abs(float(np.mean(s1 * s2)) - sampler.exact_moments(code)[2]) <= 4 / math.sqrt(n)
             assert abs(float(np.mean(s1))) <= 4 / math.sqrt(n)
 
 
@@ -281,12 +281,12 @@ class TestQmMimic:
         u = rng.random((2, n))
         for code in range(3):
             s1, s2 = sampler.run(np.full(n, code, dtype=np.uint8), u[0], u[1])
-            target = sampler.analytic_correlator(code)
+            target = sampler.exact_moments(code)[2]
             assert abs(float(np.mean(s1 * s2)) - target) <= 4 / math.sqrt(n)
 
     def test_violates_temporal_bound_like_quantum(self):
         sampler = QmMimicSampler(TRIPLE)
-        values = [sampler.analytic_correlator(code) for code in range(3)]
+        values = [sampler.exact_moments(code)[2] for code in range(3)]
         bell = abs(values[0] - values[1]) + values[2]
         assert abs(bell - math.sqrt(2.0)) < 1e-12
         assert bell > 1.0
@@ -376,7 +376,7 @@ class TestSamplerBinding:
         prod = s1.astype(np.int32) * s2
         for code in range(3):
             mask = codes == code
-            exact = sampler.analytic_correlator(code)
+            exact = sampler.exact_moments(code)[2]
             assert abs(float(prod[mask].mean()) - exact) <= 4 / math.sqrt(mask.sum())
 
     @pytest.mark.parametrize("contextual", [False, True])

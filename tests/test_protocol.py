@@ -402,7 +402,7 @@ class TestRunExperiment:
 
         s1 = make_sampler(cfg1)
         s2 = make_sampler(cfg2)
-        assert [s1.analytic_correlator(c) for c in range(3)] == [s2.analytic_correlator(c) for c in range(3)]
+        assert [s1.exact_moments(c) for c in range(3)] == [s2.exact_moments(c) for c in range(3)]
 
     def test_initial_state_override_keeps_correlators(self):
         # the sampler's preparation moves the marginals, not the correlators
@@ -489,36 +489,39 @@ class TestEstimators:
             estimate_correlators(records)
 
     def test_estimator_consistency_across_seeds(self):
-        # every backend with an analytic target: mean within 5 stderr in at
-        # least 99 of 100 independent-seed runs
+        # every backend of the benchmark's sweep, and qm_sequential prepared in |up> (whose marginals are not 0),
+        # at three direction sets, the README's, the 0/60/120-degree one and a non-coplanar one (each a triple, or
+        # for a CHSH backend a quadruple): the sampled E[s1], E[s2] and E[s1*s2] of every context within 5 stderr
+        # of exact_moments in at least 99 of 100 independent-seed runs
         from bellsim.protocol import make_sampler
-        from bellsim.selector import trial_uniforms
 
-        n = 100_000
-        setups = [
-            temporal_config(mode="qm_sequential", n_trials=n),
-            temporal_config(mode="qm_singlet", directions=QUAD, n_trials=n),
-            temporal_config(mode="hv:sign-model", n_trials=n),
-            temporal_config(mode="conspiracy:qm-mimic", n_trials=n),
-        ]
-        for cfg in setups:
-            sampler = make_sampler(cfg)
-            ncodes = len(cfg.context_set())
-            passes = 0
-            for seed in range(100):
-                u = trial_uniforms(seed, 0, n // 10, n_draws=2)
-                codes = np.arange(n // 10, dtype=np.uint8) % ncodes
-                s1, s2 = sampler.run(codes, u[0], u[1])
-                ok = True
-                prod = s1.astype(np.int32) * s2
-                for code in range(ncodes):
-                    mask = codes == code
-                    mean = float(prod[mask].mean())
-                    stderr = math.sqrt(max(0.0, 1 - mean * mean) / mask.sum())
-                    if abs(mean - sampler.analytic_correlator(code)) > 5 * max(stderr, 1e-12):
-                        ok = False
-                passes += ok
-            assert passes >= 99, cfg.mode
+        n = 10_000
+        polar = tuple(Direction3.from_polar(math.radians(d)) for d in (0, 60, 120, 180))
+        skew = tuple(Direction3.normalized(*v) for v in [(1, 1, 1), (1, -1, 0.5), (-0.5, 1, 2), (0, -1, 1)])
+        direction_sets = [(TRIPLE, QUAD), (polar[:3], polar), (skew[:3], skew)]
+        finite = random_finite_model(7, 5, 4)
+        contextual = ContextualFiniteModel({tag: random_finite_model(seed, 5)
+                                            for tag, seed in (("AB", 31), ("AC", 32), ("BC", 33))})
+        backends = [("qm_sequential", None, 0), ("qm_singlet", None, 1), ("hv:sign-model", None, 0),
+                    ("hv:finite.json", finite, 1), ("conspiracy:qm-mimic", None, 0),
+                    ("conspiracy:contextual.json", contextual, 0)]
+        for directions in direction_sets:
+            samplers = [make_sampler(temporal_config(mode=mode, directions=directions[geometry]), model)
+                        for mode, model, geometry in backends]
+            samplers.append(SequentialSampler(temporal_config(directions=directions[0]).context_set(), QubitState.up()))
+            for sampler in samplers:
+                ncodes = len(sampler.contexts)
+                exact = np.array([sampler.exact_moments(code) for code in range(ncodes)])
+                codes = np.arange(n, dtype=np.uint8) % ncodes
+                counts = np.bincount(codes)[:, None]
+                passes = 0
+                for seed in range(100):
+                    u = trial_uniforms(seed, 0, n, n_draws=2)
+                    s1, s2 = sampler.run(codes, u[0], u[1])
+                    moments = np.stack([np.bincount(codes, weights=s) for s in (s1, s2, s1 * s2)], axis=1) / counts
+                    stderr = np.sqrt(np.maximum(0.0, 1 - moments * moments) / counts)
+                    passes += bool(np.all(np.abs(moments - exact) <= 5 * np.maximum(stderr, 1e-12)))
+                assert passes >= 99, (type(sampler).__name__, directions[0])
 
 
 class TestQuantities:

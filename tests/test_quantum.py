@@ -160,8 +160,8 @@ class TestSequentialTrial:
 class TestSequentialCorrelator:
     def test_analytic_trivials(self):
         sampler = SequentialSampler(ContextSet("temporal", (Z_AXIS, Z_AXIS, X_AXIS)))
-        assert sampler.analytic_correlator(0) == 1.0  # AB: z.z
-        assert sampler.analytic_correlator(1) == 0.0  # AC: z.x
+        assert sampler.exact_moments(0)[2] == 1.0  # AB: z.z
+        assert sampler.exact_moments(1)[2] == 0.0  # AC: z.x
 
     def test_analytic_is_the_dot_product(self, rng):
         # the closed form d1.d2, written out, in every context of random triples
@@ -170,13 +170,13 @@ class TestSequentialCorrelator:
             sampler = SequentialSampler(contexts)
             for code, ctx in enumerate(contexts.contexts):
                 d1, d2 = ctx.dir_x, ctx.dir_y
-                assert sampler.analytic_correlator(code) == d1.x * d2.x + d1.y * d2.y + d1.z * d2.z
-                assert abs(sampler.analytic_correlator(code)
+                assert sampler.exact_moments(code)[2] == d1.x * d2.x + d1.y * d2.y + d1.z * d2.z
+                assert abs(sampler.exact_moments(code)[2]
                            - brute_force_sequential_correlator(sampler.state0, d1, d2)) < TOL
 
     def test_analytic_at_max_violation_geometry(self):
         sampler = SequentialSampler(ContextSet("temporal", max_violation_triple()))
-        p_ab, p_ac, p_bc = map(sampler.analytic_correlator, range(3))
+        p_ab, p_ac, p_bc = (sampler.exact_moments(c)[2] for c in range(3))
         r = 1.0 / math.sqrt(2.0)
         assert abs(p_ab - r) < TOL
         assert abs(p_ac + r) < TOL
@@ -285,7 +285,7 @@ class TestSinglet:
         u = rng.random((2, n))
         codes = np.zeros(n, dtype=np.uint8)
         sA, sB = sampler.run(codes, u[0], u[1])
-        target = sampler.analytic_correlator(0)
+        target = sampler.exact_moments(0)[2]
         assert abs(float(np.mean(sA * sB)) - target) <= 4 / math.sqrt(n)
         assert abs(float(np.mean(sA))) <= 4 / math.sqrt(n)
 
