@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InsufficientDataError, IntegrityError, ValidationError
-from .hidden_variables import write_json
 from .protocol import (
     INEQUALITIES,
     RecordReader,
@@ -35,10 +34,10 @@ from .protocol import (
     load_report,
     make_sampler,
     read_label,
+    write_json,
     write_report,
     write_run,
 )
-from .randomness import certification_to_jsonable, certify_counts, stream_bits
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -158,6 +157,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .randomness import certification_to_jsonable, certify_counts, stream_bits
+
     report = load_report(args.report)
     out = Path(args.out_dir)
     bits_path = out / "bits.txt"

@@ -22,14 +22,13 @@ correspondence.
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .directions import angle_between
 from .errors import ValidationError
+from .protocol import _is_real, read_json, write_json
 from .quantum import _freeze, _signs
 from .selector import GEOMETRIES, GEOMETRY_OF_COUNT, SLOT_COUNT, ContextSet
 
@@ -38,9 +37,6 @@ TWO_PI = 2.0 * math.pi
 
 # cells of the finite samplers' bucket grid; a power of two, so that scaling a uniform by it is exact
 _GRID = 1 << 12
-
-SIGN_MODEL_NAME = "sign-model"
-QM_MIMIC_NAME = "qm-mimic"
 
 
 class FiniteHVModel:
@@ -138,10 +134,6 @@ def random_finite_model(seed: int, n_lambda: int, n_slots: int = SLOT_COUNT["tem
 _CONTEXT_FILE_KEYS = {tag.lower(): tag for tag in GEOMETRIES["temporal"][0]}
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _finite_from_jsonable(doc, where: str) -> FiniteHVModel:
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} must be a JSON object, got {type(doc).__name__}")
@@ -200,23 +192,6 @@ def model_to_jsonable(model) -> dict:
             for key, tag in _CONTEXT_FILE_KEYS.items()
         }
     raise ValidationError(f"cannot serialize models of type {type(model).__name__}")
-
-
-def read_json(path, what: str):
-    """The JSON document in a UTF-8 file; anything else is a ValidationError naming the file as ``what``."""
-    try:
-        data = Path(path).read_bytes()
-    except ValueError as exc:  # a name with a NUL byte, which no file can have; other failures are OSErrors
-        raise ValidationError(f"{what} file {str(path)!r}: {exc}") from None
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer of over 4300 digits, too deep
-        raise ValidationError(f"{what} file {path}: invalid JSON ({exc})") from None
-
-
-def write_json(doc, path) -> None:
-    """Write a JSON document as bellsim writes every JSON file: 2-space indent, final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_model(path):

@@ -12,32 +12,20 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
+import json
 import math
 import re
 import sys
 from collections import deque, namedtuple
 from dataclasses import MISSING, dataclass, fields
+from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .directions import Direction3
 from .errors import InsufficientDataError, IntegrityError, ValidationError
-from .hidden_variables import (
-    QM_MIMIC_NAME,
-    SIGN_MODEL_NAME,
-    ContextualFiniteModel,
-    ContextualModelSampler,
-    FiniteHVModel,
-    FiniteModelSampler,
-    QmMimicSampler,
-    SignModelSampler,
-    _is_real,
-    load_model,
-    read_json,
-    write_json,
-)
-from .quantum import SequentialSampler, SingletSampler
 from .selector import (
     GEOMETRIES,
     GEOMETRY_OF_COUNT,
@@ -74,13 +62,43 @@ def _json_float(x):
     return round12(float(x))
 
 
+SIGN_MODEL_NAME = "sign-model"  # the built-in models a mode can name, as hv:sign-model and conspiracy:qm-mimic
+QM_MIMIC_NAME = "qm-mimic"
+
+
+def read_json(path, what: str):
+    """The JSON document in a UTF-8 file; anything else is a ValidationError naming the file as ``what``."""
+    try:
+        data = Path(path).read_bytes()
+    except ValueError as exc:  # a name with a NUL byte, which no file can have; other failures are OSErrors
+        raise ValidationError(f"{what} file {str(path)!r}: {exc}") from None
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer of over 4300 digits, too deep
+        raise ValidationError(f"{what} file {path}: invalid JSON ({exc})") from None
+
+
+def write_json(doc, path) -> None:
+    """Write a JSON document as bellsim writes every JSON file: 2-space indent, final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    # a float, or an integer within float range: float() and math.isfinite raise OverflowError beyond it
+    return _is_real(x) and (isinstance(x, float) or abs(x) <= sys.float_info.max)
+
+
 # a JSON type: what a value must be, as a refusal names it, and the test it must pass (int(), float() and str()
 # would read 6000.9, "0.5" and true); a number is read with float(), null staying None, and written by _json_float
 _JSONType = namedtuple("_JSONType", "must_be test number", defaults=[False])
 
 _STRING = _JSONType("a JSON string", lambda x: isinstance(x, str))
 _INTEGER = _JSONType("a JSON integer", lambda x: _is_real(x) and isinstance(x, int))
-_NUMBER = _JSONType("a JSON number", _is_real, True)
+_NUMBER = _JSONType("a JSON number", _is_number, True)
 _OBJECT = _JSONType("a JSON object", lambda x: isinstance(x, Mapping))
 # compared with the largest float: math.isfinite raises OverflowError on an integer beyond float range
 _POSITIVE = _JSONType("a positive finite number", lambda x: _is_real(x) and 0 < x <= sys.float_info.max, True)
@@ -90,22 +108,30 @@ _POSITIVE = _JSONType("a positive finite number", lambda x: _is_real(x) and 0 < 
 
 
 class _Mode(NamedTuple):
+    # classes are named as "module.Class" and imported by make_sampler, so reading records loads no backend
     geometries: tuple[str, ...]  # the geometries the mode runs
     contextual: bool  # its outcomes may depend on the context, so a certificate rests on no-conspiracy alone
-    sampler: type  # its sampler when no model is given
+    sampler: str  # its sampler when no model is given
     builtin: str | None = None  # the model name that selects that sampler; None: the mode takes no model
-    model_type: type | None = None  # the model a model file must hold
-    model_sampler: type | None = None  # that model's sampler
+    model_type: str | None = None  # the model a model file must hold
+    model_sampler: str | None = None  # that model's sampler
 
 
 # a mode is written as its kind, or as kind:<model> where the row names a built-in model
 _MODES = {
-    "qm_sequential": _Mode(("temporal",), False, SequentialSampler),
-    "qm_singlet": _Mode(("chsh",), False, SingletSampler),
-    "hv": _Mode(("temporal", "chsh"), False, SignModelSampler, SIGN_MODEL_NAME, FiniteHVModel, FiniteModelSampler),
-    "conspiracy": _Mode(("temporal",), True, QmMimicSampler, QM_MIMIC_NAME, ContextualFiniteModel,
-                        ContextualModelSampler),
+    "qm_sequential": _Mode(("temporal",), False, "quantum.SequentialSampler"),
+    "qm_singlet": _Mode(("chsh",), False, "quantum.SingletSampler"),
+    "hv": _Mode(("temporal", "chsh"), False, "hidden_variables.SignModelSampler", SIGN_MODEL_NAME,
+                "hidden_variables.FiniteHVModel", "hidden_variables.FiniteModelSampler"),
+    "conspiracy": _Mode(("temporal",), True, "hidden_variables.QmMimicSampler", QM_MIMIC_NAME,
+                        "hidden_variables.ContextualFiniteModel", "hidden_variables.ContextualModelSampler"),
 }
+
+
+def _backend_class(name: str) -> type:
+    # a _MODES row's "module.Class", its module imported now
+    module, _, cls = name.partition(".")
+    return getattr(importlib.import_module(f".{module}", __package__), cls)
 
 
 def parse_mode(mode: str, name: str = "config key 'mode'") -> tuple[str, str | None]:
@@ -721,13 +747,15 @@ def make_sampler(config: ExperimentConfig, model=None):
     kind, arg = parse_mode(config.mode)
     row = _MODES[kind]
     if model is None and arg != row.builtin:
+        from .hidden_variables import load_model
+
         model = load_model(arg)
     if model is None or row.model_type is None:
-        return row.sampler(contexts)
-    if not isinstance(model, row.model_type):
-        raise ValidationError(f"{kind} mode needs a {row.model_type.__name__} model, "
-                              f"got {type(model).__name__}")
-    return row.model_sampler(model, contexts)
+        return _backend_class(row.sampler)(contexts)
+    model_type = _backend_class(row.model_type)
+    if not isinstance(model, model_type):
+        raise ValidationError(f"{kind} mode needs a {model_type.__name__} model, got {type(model).__name__}")
+    return _backend_class(row.model_sampler)(model, contexts)
 
 
 def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=None):
@@ -950,7 +978,7 @@ _REPORT_LAYOUT = {"mode": _STRING, "records_sha256": _STRING, "n_trials": _INTEG
                   "estimates": _OBJECT, "bell": _OBJECT}
 _ESTIMATE_LAYOUT = {"n": _INTEGER, "mean": _NUMBER, "stderr": _NUMBER}
 _BELL_LAYOUT = {"quantity": _STRING, "value": _NUMBER, "bound": _NUMBER, "stderr": _NUMBER,
-                "sigma_excess": _JSONType("a JSON number or null", lambda x: x is None or _is_real(x), True),
+                "sigma_excess": _JSONType("a JSON number or null", lambda x: x is None or _is_number(x), True),
                 "verdict": _JSONType(f"one of {', '.join(_VERDICTS)}", lambda x: x in _VERDICTS)}
 
 

@@ -1,0 +1,95 @@
+"""tools/ab.py's statistics and verdicts, fed made-up samples; no stage runs here."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+PARENT = [36.0, 36.1, 36.2, 36.1, 36.0, 36.2, 36.1, 36.0, 36.1, 36.2]  # quartiles 36.025, 36.1, 36.175 (IQR 0.15)
+
+
+@pytest.fixture
+def ab(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))  # ab.py imports stage_rss from beside it
+    spec = importlib.util.spec_from_file_location("ab", TOOLS / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quartiles_are_the_inclusive_ones(ab):
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert ab.quartiles([1.0, 2.0]) == {"median": 1.5, "q1": 1.25, "q3": 1.75}
+
+
+def test_nine_wins_beyond_the_parents_spread_are_a_gain(ab):
+    change = [p - 1.0 for p in PARENT]
+    change[3] = PARENT[3] + 0.5  # one lost pair
+    c = ab.compare(PARENT, change)
+    assert (c["wins"], c["rounds"], c["verdict"]) == (9, 10, "gain")
+    assert c["ratio"] == pytest.approx(35.1 / 36.1)
+    assert c["parent"]["samples"] == PARENT and c["change"]["samples"] == change
+    assert c["parent"]["median"] == pytest.approx(36.1)
+
+
+def test_eight_wins_are_no_gain(ab):
+    change = [p - 1.0 for p in PARENT]
+    change[3] = change[4] = 40.0
+    c = ab.compare(PARENT, change)
+    assert (c["wins"], c["verdict"]) == (8, "none")
+
+
+def test_a_drop_within_the_parents_spread_is_no_gain(ab):
+    change = [p - 0.1 for p in PARENT]  # wins every pair, by less than the IQR of 0.15
+    c = ab.compare(PARENT, change)
+    assert (c["wins"], c["verdict"]) == (10, "none")
+
+
+def test_identical_sides_are_no_gain_and_a_ratio_of_one(ab):
+    c = ab.compare(PARENT, list(PARENT))
+    assert (c["wins"], c["ratio"], c["verdict"]) == (0, 1.0, "none")
+
+
+def test_the_rule_the_other_way_is_a_loss(ab):
+    c = ab.compare(PARENT, [p + 1.0 for p in PARENT])
+    assert (c["wins"], c["verdict"]) == (0, "loss")
+
+
+def test_fewer_than_ten_rounds_give_no_verdict(ab):
+    c = ab.compare(PARENT[:9], [p - 1.0 for p in PARENT[:9]])
+    assert (c["wins"], c["rounds"], c["verdict"]) == (9, 9, "none")
+
+
+def test_a_zero_parent_median_gives_no_ratio(ab):
+    assert math.isnan(ab.compare([0.0, 0.0], [1.0, 1.0])["ratio"])
+
+
+def test_summary_and_table_cover_every_stage_and_metric(ab):
+    samples = {stage: {metric: {"parent": PARENT, "change": [p - 1.0 for p in PARENT]} for metric in ab.METRICS}
+               for stage in ab.STAGES}
+    summary = ab.summarize(samples)
+    assert list(summary) == list(ab.STAGES) and all(list(m) == list(ab.METRICS) for m in summary.values())
+    lines = ab.table(summary).splitlines()
+    assert len(lines) == 1 + len(ab.STAGES) * len(ab.METRICS)
+    assert all(line.endswith("gain") and "10/10" in line for line in lines[1:])
+
+
+def test_crlf_stages_read_and_write_the_crlf_copy(ab, tmp_path):
+    config = tmp_path / "config.json"
+    assert ab.stage_argv("run", tmp_path, config) == ["run", "--config", str(config), "--out-dir", str(tmp_path)]
+    crlf = tmp_path / "crlf"
+    assert ab.stage_argv("certify-crlf", tmp_path, config) == [
+        "certify", "--records", str(crlf / "records.csv"), "--report", str(crlf / "report.json"),
+        "--out-dir", str(crlf)]
+    assert ab.stage_argv("analyze", tmp_path, config)[:3] == ["analyze", "--records", str(tmp_path / "records.csv")]
+
+
+@pytest.mark.parametrize("argv", [["--parent", "HEAD", "--rounds", "1"], ["--parent", "HEAD", "--trials", "0"],
+                                  ["--rounds", "10"]])
+def test_bad_arguments_exit_before_anything_runs(ab, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab.main(argv)
+    assert exc.value.code == 2

@@ -95,3 +95,14 @@ def test_bytecode_is_cached_unless_every_process_compiles(bench_record, tmp_path
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_record.bytecode(tmp_path / "elsewhere") == {"PYTHONDONTWRITEBYTECODE": None, "pycache_files": 0,
                                                               "cached": True}
+
+
+def test_an_ab_file_is_stored_as_the_ab_block(bench_record, tmp_path, capsys):
+    write_results(tmp_path / "results", [result(name, **FIXTURES[name]) for name in WORKLOADS])
+    ab = {"parent": "abc123", "rounds": 10, "stages": {"analyze": {"peak_rss_mb": {"wins": 10, "verdict": "gain"}}}}
+    (tmp_path / "ab.json").write_text(json.dumps(ab), encoding="utf-8")
+    out = tmp_path / "BENCH_123.json"
+    assert bench_record.main(["--pr", "123", "--results", str(tmp_path / "results"), "--out", str(out),
+                              "--ab", str(tmp_path / "ab.json")]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["ab"] == ab and list(record["workloads"]) == WORKLOADS

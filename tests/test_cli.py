@@ -576,6 +576,13 @@ class TestCertify:
         pytest.param((), 5, "it must be a JSON object, got int", id="5-int"),
         pytest.param((), None, "it must be a JSON object, got NoneType", id="None-NoneType"),
         pytest.param(("estimates", "AB"), 5, "estimate 'AB' must be a JSON object, got int", id="estimate-int"),
+        # a JSON integer beyond float range, which float() cannot read, is refused under its key
+        pytest.param(("bell", "value"), 10**400, f"'value' must be a JSON number, got {10**400}",
+                     id="value-beyond-float-range"),
+        pytest.param(("estimates", "AB", "mean"), -(10**400), f"'mean' must be a JSON number, got {-(10**400)}",
+                     id="mean-beyond-float-range"),
+        pytest.param(("bell", "sigma_excess"), 10**400, f"'sigma_excess' must be a JSON number or null, got {10**400}",
+                     id="sigma_excess-beyond-float-range"),
     ])
     def test_report_that_is_no_json_object_exits_validation(self, tmp_path, capsys, path, doc, named):
         # the whole document, or the block at path in it

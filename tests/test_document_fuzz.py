@@ -26,10 +26,9 @@ from hypothesis import strategies as st
 from bellsim.cli import main
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.errors import IntegrityError, ValidationError
-from bellsim.hidden_variables import (QM_MIMIC_NAME, SIGN_MODEL_NAME, ContextualFiniteModel, model_from_jsonable,
-                                      model_to_jsonable, random_finite_model)
-from bellsim.protocol import (ExperimentConfig, analyze_records, make_sampler, parse_mode, report_from_jsonable,
-                              report_to_jsonable, run_experiment)
+from bellsim.hidden_variables import ContextualFiniteModel, model_from_jsonable, model_to_jsonable, random_finite_model
+from bellsim.protocol import (QM_MIMIC_NAME, SIGN_MODEL_NAME, ExperimentConfig, analyze_records, make_sampler,
+                              parse_mode, report_from_jsonable, report_to_jsonable, run_experiment)
 from bellsim.randomness import BitCounts, certify_counts, extract_bits
 
 DOCUMENTED = (ValidationError, IntegrityError)
@@ -189,7 +188,8 @@ def test_an_edited_model_fails_only_as_documented(doc):
     (("estimates", "BC", "n"), float), (("estimates", "AB"), 5), (("estimates", "BC"), []),
     (("estimates", "AD"), {"n": 1}),
     (("bell", "value"), str), (("bell", "bound"), "1"), (("bell", "stderr"), False), (("bell", "sigma_excess"), str),
-    (("bell", "sigma_excess"), None), (("bell", "extra"), 1), (("mode",), ["x"]), (("bell", "quantity"), 5),
+    (("bell", "sigma_excess"), None), (("bell", "value"), 10**400), (("estimates", "AB", "mean"), -(10**400)),
+    (("bell", "sigma_excess"), 10**400), (("bell", "extra"), 1), (("mode",), ["x"]), (("bell", "quantity"), 5),
     (("records_sha256",), lambda digest: int(digest, 16)), (("records_sha256",), "0" * 64),
     (("n_trials",), 6000.9), (("n_trials",), True), (("n_trials",), "6000"), (("n_trials",), 5000),
     (("sigma_threshold",), 0), (("sigma_threshold",), math.nan), (("sigma_threshold",), math.inf),

@@ -10,7 +10,12 @@ from pathlib import Path
 
 import pytest
 
-import bellsim.cli  # noqa: F401  (the tracer wraps a name in every bellsim module that holds it)
+# the tracer wraps a name in every loaded bellsim module that holds it; the CLI loads the backends and the
+# randomness module only in the stages that call them, so they are loaded here
+import bellsim.cli  # noqa: F401
+import bellsim.hidden_variables  # noqa: F401
+import bellsim.quantum  # noqa: F401
+import bellsim.randomness  # noqa: F401
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.protocol import ExperimentConfig, run_experiment
 

@@ -1,6 +1,6 @@
 """Write the benchmark's results as one BENCH_<N>.json record, to be committed beside the code it measured.
 
-    python tools/bench_record.py --pr N
+    python tools/bench_record.py --pr N [--ab AB.json]
     python tools/bench_record.py --results .perfbench_out/results --out /tmp/BENCH.json
 
 Run from the root of a checkout.  Without ``--results`` it first runs
@@ -19,6 +19,9 @@ sources under ``src/`` differed from that commit when the record was
 written, and whether the bellsim modules' bytecode was cached: a process
 compiles them unless ``src/bellsim/__pycache__`` holds files or
 ``PYTHONDONTWRITEBYTECODE`` is unset (then the first process writes them).
+With ``--ab FILE`` the JSON that ``tools/ab.py --out FILE`` wrote is stored
+as the record's ``ab`` block, the A/B of the CLI stages that a claimed gain
+rests on.
 
 Exits 1, after writing the record, if a declared workload has no result or
 a result that is not ``correct``; there is no timing gate.
@@ -108,6 +111,7 @@ def main(argv=None) -> int:
     parser.add_argument("--results", type=Path, default=None,
                         help="read the seed-0 trace-0 results in this directory instead of running the benchmark")
     parser.add_argument("--out", type=Path, default=None, help="output path (default: BENCH_<N>.json)")
+    parser.add_argument("--ab", type=Path, default=None, help="a tools/ab.py JSON file to store as the 'ab' block")
     args = parser.parse_args(argv)
     if args.pr is None and args.out is None:
         parser.error("give --pr, --out or both")
@@ -120,6 +124,8 @@ def main(argv=None) -> int:
             return 1
         results = root / ".perfbench_out" / "results"
     record, problems = build_record(args.pr, results, root)
+    if args.ab is not None:
+        record["ab"] = json.loads(args.ab.read_text(encoding="utf-8"))
     out = args.out or root / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record, indent=2))

@@ -48,15 +48,26 @@ README_CONFIG = {
 }
 
 
-def stage(argv: list[str]) -> tuple[int, float, float]:
-    """Exit code, wall seconds and peak RSS in MB of one `bellsim` stage in a fresh process."""
+def launch(argv: list[str], env: dict | None = None):
+    """Exit code, wall seconds and resource usage (``os.wait4``'s, the child's own) of one `bellsim` stage
+    in a fresh process, with ``env`` as its environment if given."""
     started = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "bellsim.cli", *argv], stdin=subprocess.DEVNULL,
-                            stdout=subprocess.DEVNULL)
+                            stdout=subprocess.DEVNULL, env=env)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    peak_kib = usage.ru_maxrss * (1 / 1024 if sys.platform == "darwin" else 1)  # bytes on macOS
-    return proc.returncode, time.perf_counter() - started, peak_kib / 1024
+    return proc.returncode, time.perf_counter() - started, usage
+
+
+def peak_mb(usage) -> float:
+    """A process's peak RSS in MB from its resource usage."""
+    return usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS, KiB elsewhere
+
+
+def stage(argv: list[str]) -> tuple[int, float, float]:
+    """Exit code, wall seconds and peak RSS in MB of one `bellsim` stage in a fresh process."""
+    code, seconds, usage = launch(argv)
+    return code, seconds, peak_mb(usage)
 
 
 def crlf_copy(src: Path, dst: Path) -> None:
