@@ -179,9 +179,13 @@ def main(argv=None) -> int:
     if args.rounds < 2 or args.trials < 1:
         parser.error("--rounds must be at least 2 and --trials at least 1")
     root = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
+    try:
+        parent = git(root, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    except subprocess.CalledProcessError:
+        parser.error(f"--parent {args.parent!r} names no commit")
     problems = []
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        sides = prepare(root, args.parent, Path(tmp), args.bytecode)
+        sides = prepare(root, parent, Path(tmp), args.bytecode)
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(dict(README_CONFIG, n_trials=args.trials)), encoding="utf-8")
         samples = run_rounds(sides, config, args.rounds, problems)
@@ -190,7 +194,7 @@ def main(argv=None) -> int:
     summary = summarize(samples)
     print(table(summary))
     doc = {
-        "parent": git(root, "rev-parse", args.parent),
+        "parent": parent,
         "change": git(root, "rev-parse", "HEAD"),
         "change_src_uncommitted": bool(git(root, "status", "--porcelain", "--", "src")),
         "n_trials": args.trials, "rounds": args.rounds, "bytecode": args.bytecode,
