@@ -28,8 +28,7 @@ import numpy as np
 
 from .directions import angle_between
 from .errors import ValidationError
-from .protocol import _is_real, read_json, write_json
-from .quantum import _freeze, _signs
+from .protocol import _is_real, _read_only, _signs, read_json, write_json
 from .selector import GEOMETRIES, GEOMETRY_OF_COUNT, SLOT_COUNT, ContextSet
 
 WEIGHT_TOL = 1e-12
@@ -37,6 +36,9 @@ TWO_PI = 2.0 * math.pi
 
 # cells of the finite samplers' bucket grid; a power of two, so that scaling a uniform by it is exact
 _GRID = 1 << 12
+# the most thresholds in one cell that the grid takes: 64 compare passes cost about one np.searchsorted over
+# 100 000 thresholds (8 ms against 7-11 ms per 65 536 trials on one Xeon core) and hold 2 MiB of table
+_MAX_ROWS = 64
 
 
 class FiniteHVModel:
@@ -73,10 +75,9 @@ class FiniteHVModel:
             raise ValidationError(f"response tables must cover {counts} slots")
         if not np.all(np.abs(r) == 1):
             raise ValidationError("responses must be exactly +1 or -1")
-        self.weights = w
-        self.responses = r.astype(np.int8)
-        self._cum = np.cumsum(w)
-        _freeze(self.weights, self.responses, self._cum)
+        self.weights = _read_only(w)
+        self.responses = _read_only(r.astype(np.int8))
+        self._cum = _read_only(np.cumsum(w))
 
     @property
     def n_lambda(self) -> int:
@@ -222,7 +223,8 @@ class _FiniteSampler:
     at or below the lower edge of u1's cell in a grid of _GRID equal cells
     (u1 * _GRID is exact), plus one compare per threshold inside the cell.
     So a trial costs T compare passes, T the most thresholds in one cell: at
-    most one per context if every weight is at least 1/_GRID, at worst all.
+    most one per context if every weight is at least 1/_GRID, at worst all;
+    above _MAX_ROWS the sampler keeps no grid and binary-searches instead.
     """
 
     draws = 1  # uniforms per trial that run reads
@@ -238,20 +240,25 @@ class _FiniteSampler:
             idx = np.minimum(np.searchsorted(m._cum, lower, side="right"), m.n_lambda - 1)
             s1.append(m.responses[idx, sx - 1])
             s2.append(m.responses[idx, sy - 1])
-        self._s1 = np.concatenate(s1)
-        self._s2 = np.concatenate(s2)
+        self._s1 = _read_only(np.concatenate(s1))
+        self._s2 = _read_only(np.concatenate(s2))
         # _base[cell]: thresholds at or below the cell's lower edge; _inner[j, cell]: its j-th inside, or inf
-        self._base = np.searchsorted(union, np.arange(_GRID) / _GRID, side="right")
         cells = (union * _GRID).astype(np.intp)
         inside = (union > 0.0) & (union < 1.0) & (cells != union * _GRID)
         cells, thresholds = cells[inside], union[inside]
         rank = np.arange(cells.size) - np.searchsorted(cells, cells)  # the threshold's place in its cell
-        self._inner = np.full((rank.max() + 1 if rank.size else 0, _GRID), np.inf)
-        self._inner[rank, cells] = thresholds
-        _freeze(self._s1, self._s2, self._base, self._inner)
+        rows = int(rank.max()) + 1 if rank.size else 0
+        self._union, self._base, self._inner = _read_only(union), None, None
+        if rows <= _MAX_ROWS:
+            self._base = _read_only(np.searchsorted(union, np.arange(_GRID) / _GRID, side="right"))
+            inner = np.full((rows, _GRID), np.inf)
+            inner[rank, cells] = thresholds
+            self._inner = _read_only(inner)
 
     def _bucket(self, u1: np.ndarray) -> np.ndarray:
         """The bucket of each u1 in [0, 1): np.searchsorted(union, u1, side="right"), in T + 1 lookups."""
+        if self._inner is None:  # more than _MAX_ROWS thresholds in one cell
+            return np.searchsorted(self._union, u1, side="right")
         cell = (u1 * _GRID).astype(np.intp)
         key = self._base.take(cell)
         for row in self._inner:
@@ -330,9 +337,8 @@ class SignModelSampler:
         key = np.arange(len(contexts) << n_slots)
         code, bits = key >> n_slots, key & ((1 << n_slots) - 1)
         sx, sy = (np.array(col)[code] for col in zip(*contexts.slots))
-        self._s1 = _signs(((bits >> (sx - 1)) & 1).astype(bool))
-        self._s2 = _signs(((bits >> (sy - 1)) & 1).astype(bool))
-        _freeze(self._s1, self._s2)
+        self._s1 = _read_only(_signs(((bits >> (sx - 1)) & 1).astype(bool)))
+        self._s2 = _read_only(_signs(((bits >> (sy - 1)) & 1).astype(bool)))
         # per slot direction: (axis component, direction component) of its non-zero terms
         self._terms = tuple(tuple((i, c) for i, c in enumerate((d.x, d.y, d.z)) if c != 0.0)
                             for d in contexts.directions)
@@ -370,9 +376,8 @@ class QmMimicSampler:
     def __init__(self, contexts: ContextSet):
         self.contexts = contexts
         # P(s2 = s1) = (1 + E)/2 per context
-        self._p_same = np.array([min(1.0, max(0.0, (1.0 + self.exact_moments(code)[2]) / 2.0))
-                                 for code in range(len(contexts))])
-        _freeze(self._p_same)
+        self._p_same = _read_only([min(1.0, max(0.0, (1.0 + self.exact_moments(code)[2]) / 2.0))
+                                   for code in range(len(contexts))])
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         s1 = 1 if u1 < 0.5 else -1

@@ -292,13 +292,24 @@ _MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row 
 _TAIL_WIDTH = max(tails.shape[1] for tails in _TAILS.values())  # the longest tail of either kind
 
 
+def _read_only(values, dtype=None) -> np.ndarray:
+    # a read-only view of values as an array: tables are built once, then read by several threads at once
+    col = np.asarray(values, dtype=dtype).view()
+    col.flags.writeable = False
+    return col
+
+
+def _signs(positive: np.ndarray) -> np.ndarray:
+    """+1 where the bool array is True, else -1, as int8 outcomes: 2 * positive - 1."""
+    return (positive.view(np.int8) << 1) - 1
+
+
 def _slot_table(slots: tuple[tuple[int, int], ...]) -> np.ndarray:
     # context code by slot_x byte << 8 | slot_y byte; 255 where no context has those slots
     codes = np.full(1 << 16, 255, dtype=np.uint8)
     for code, (sx, sy) in enumerate(slots):
         codes[ord(str(sx)) << 8 | ord(str(sy))] = code
-    codes.flags.writeable = False
-    return codes
+    return _read_only(codes)
 
 
 _CODE_OF_SLOTS = {kind: _slot_table(slots) for kind, (_, slots) in GEOMETRIES.items()}
@@ -614,10 +625,14 @@ def _parse_lines(data: bytes, line: int, kind: str | None) -> tuple:
     return kind, np.array(codes, dtype=np.uint8), np.array(s1, dtype=np.int8), np.array(s2, dtype=np.int8)
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    col = np.asarray(values, dtype=dtype).view()
-    col.flags.writeable = False
-    return col
+def _column(values, name: str, dtype) -> np.ndarray:
+    # a read-only view of a record column as dtype, refused if the cast would change a value
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        col = raw.astype(dtype, copy=False) if raw.dtype.kind in "biuf" else None
+    if col is None or not (col is raw or np.array_equal(col, raw)):
+        raise ValidationError(f"record column {name} must hold {np.dtype(dtype)} values only")
+    return _read_only(col)
 
 
 class RecordBatch:
@@ -636,13 +651,15 @@ class RecordBatch:
             raise ValidationError(f"unknown record kind {kind!r}")
         self.kind = kind
         self.tags, self.slots = GEOMETRIES[kind]
-        self.codes = _read_only(codes, np.uint8)
-        self.s1 = _read_only(s1, np.int8)
-        self.s2 = _read_only(s2, np.int8)
+        self.codes, self.s1, self.s2 = (_column(col, name, dtype) for col, name, dtype in (
+            (codes, "codes", np.uint8), (s1, "s1", np.int8), (s2, "s2", np.int8)))
         if not (self.codes.size == self.s1.size == self.s2.size):
             raise ValidationError("record columns must have equal length")
         if self.codes.size and int(self.codes.max()) >= len(self.tags):
             raise ValidationError(f"context codes of {kind} records must be below {len(self.tags)}")
+        for name, col in (("s1", self.s1), ("s2", self.s2)):
+            if col.size and (col.min() < -1 or col.max() > 1 or np.count_nonzero(col) < col.size):
+                raise ValidationError(f"record column {name} must hold only the outcomes +1 and -1")
         self._sha256: str | None = None
         self._counts: np.ndarray | None = None
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .directions import Direction3
 from .errors import ValidationError
+from .protocol import _read_only, _signs
 from .selector import ContextSet
 
 NORM_TOL = 1e-12
@@ -143,8 +144,7 @@ def brute_force_sequential_correlator(
 # --- entangled pair -----------------------------------------------------------
 
 # the singlet (|ud> - |du>)/sqrt(2), amplitudes on the z(x)z product basis |uu>, |ud>, |du>, |dd>
-_SINGLET = np.array([0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0], dtype=complex)
-_SINGLET.flags.writeable = False
+_SINGLET = _read_only([0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0], complex)
 
 
 def _pair_projector(n: Direction3, outcome: int, particle: int) -> np.ndarray:
@@ -155,11 +155,6 @@ def _pair_projector(n: Direction3, outcome: int, particle: int) -> np.ndarray:
 def _prob_plus_pair(psi: np.ndarray, n: Direction3, particle: int) -> float:
     # probability that measuring particle 0 or 1 of the pair state psi along n gives +1
     return _born(psi, _pair_projector(n, +1, particle))
-
-
-def _collapse_pair(psi: np.ndarray, n: Direction3, outcome: int, particle: int) -> np.ndarray:
-    # the pair state after one particle is measured along n; on the singlet every branch has weight 1/2
-    return _project(psi, _pair_projector(n, outcome, particle))
 
 
 def singlet_analytic_correlator(dA: Direction3, dB: Direction3) -> float:
@@ -202,61 +197,59 @@ def balanced_preparation(contexts: ContextSet) -> QubitState:
             return _eigenstate(Direction3.normalized(cx, cy, cz), +1)
 
 
-def _signs(positive: np.ndarray) -> np.ndarray:
-    """+1 where the bool array is True, else -1, as int8 outcomes: 2 * positive - 1."""
-    return (positive.view(np.int8) << 1) - 1
-
-
-def _freeze(*tables: np.ndarray) -> None:
-    """Mark lookup tables read-only: they are built once, in __init__, and the
-    spans of a run only read them, from several threads at once."""
-    for table in tables:
-        table.flags.writeable = False
-
-
-def _two_step_tables(contexts: ContextSet, first, second):
-    # p1[code] = first(ctx), the first-step +1 probability; p2[code, (s1 + 1) >> 1] =
-    # second(ctx, s1), the second-step +1 probability after outcome s1
-    p1 = np.array([first(ctx) for ctx in contexts.contexts])
-    p2 = np.array([[second(ctx, s1) for s1 in (-1, 1)] for ctx in contexts.contexts])
-    _freeze(p1, p2)
-    return p1, p2
-
-
-def _two_step_marginals(p1, p2, code: int) -> tuple[float, float]:
-    # E[s1] and E[s2] at the context code of the outcomes _sample_two_step draws from the tables
-    return float(2.0 * p1[code] - 1.0), float(2.0 * np.dot((1.0 - p1[code], p1[code]), p2[code]) - 1.0)
-
-
-def _sample_two_step(p1, p2, codes, u1, u2):
-    # p1: (nctx,) first-step +1 probability; p2: (nctx, 2) second-step +1
-    # probability indexed by [code, (s1+1)/2], read flat at code * 2 + (s1 > 0)
-    up = u1 < p1.take(codes)
-    s2_up = u2 < p2.ravel().take(codes * np.uint8(2) + up)
-    return _signs(up), _signs(s2_up)
-
-
-class SequentialSampler:
-    """Trial sampler for consecutive measurements on one freshly prepared particle.
-
-    Because the initial state is fixed, the first-step probability and both
-    conditional second-step probabilities are precomputed per context with
-    the same projector arithmetic as trial's two :func:`measure_spin` calls,
-    which makes the vectorized run bit-identical to per-trial calls.
-
-    The default preparation is :func:`balanced_preparation`, which leaves
-    every correlator unchanged but keeps outcome marginals unbiased (the
-    property the bit-extraction pipeline relies on).
+class _TwoStepSampler:
+    """Two measurements per trial: the first outcome from its Born probability, the second from the
+    state it collapsed to.  A backend states its physics as _first(ctx), the first +1 probability,
+    _second(ctx, s1), the second's after outcome s1, and _correlator(ctx), the exact E[s1*s2]; run
+    draws from tables of those very floats, so it matches trial bit for bit.
     """
 
     draws = 2  # uniforms per trial that run reads
 
-    def __init__(self, contexts: ContextSet, state0: QubitState | None = None):
+    def __init__(self, contexts: ContextSet):
         self.contexts = contexts
+        # _p1[code]: the first +1 probability; _p2[code, (s1 + 1) >> 1]: the second's after outcome s1
+        self._p1 = _read_only([self._first(ctx) for ctx in contexts.contexts])
+        self._p2 = _read_only([[self._second(ctx, s1) for s1 in (-1, 1)] for ctx in contexts.contexts])
+
+    def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
+        ctx = self.contexts[code]
+        _check_u(u1)
+        _check_u(u2)
+        s1 = 1 if u1 < self._first(ctx) else -1
+        return s1, 1 if u2 < self._second(ctx, s1) else -1
+
+    def _sample(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
+        up = u1 < self._p1.take(codes)
+        s2_up = u2 < self._p2.ravel().take(codes * np.uint8(2) + up)  # _p2 flat, at code * 2 + (s1 > 0)
+        return _signs(up), _signs(s2_up)
+
+    def exact_moments(self, code: int) -> tuple[float, float, float]:
+        p1, p2 = self._p1[code], self._p2[code]
+        return (float(2.0 * p1 - 1.0), float(2.0 * np.dot((1.0 - p1, p1), p2) - 1.0),
+                self._correlator(self.contexts[code]))
+
+
+class SequentialSampler(_TwoStepSampler):
+    """Trial sampler for consecutive measurements on one freshly prepared particle.
+
+    Its trial is two :func:`measure_spin` calls, the projector arithmetic of _first and _second.
+    The default preparation, :func:`balanced_preparation`, leaves every correlator unchanged but
+    keeps outcome marginals unbiased (the property the bit-extraction pipeline relies on).
+    """
+
+    def __init__(self, contexts: ContextSet, state0: QubitState | None = None):
         self.state0 = state0 if state0 is not None else balanced_preparation(contexts)
-        self._p1, self._p2 = _two_step_tables(
-            contexts, lambda ctx: prob_plus(self.state0, ctx.dir_x),
-            lambda ctx, s1: prob_plus(collapse(self.state0, ctx.dir_x, s1), ctx.dir_y))
+        super().__init__(contexts)
+
+    def _first(self, ctx) -> float:
+        return prob_plus(self.state0, ctx.dir_x)
+
+    def _second(self, ctx, s1: int) -> float:
+        return prob_plus(collapse(self.state0, ctx.dir_x, s1), ctx.dir_y)
+
+    def _correlator(self, ctx) -> float:
+        return ctx.dir_x.dot(ctx.dir_y)  # for any initial state
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         """Two consecutive measurements on one particle: along the context's dir_x, then dir_y."""
@@ -266,38 +259,22 @@ class SequentialSampler:
         return s1, s2
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        return _sample_two_step(self._p1, self._p2, codes, u1, u2)
-
-    def exact_moments(self, code: int) -> tuple[float, float, float]:
-        """The marginals of the preparation's tables, and E[s1*s2] = dir_x.dir_y for any initial state."""
-        ctx = self.contexts[code]
-        return *_two_step_marginals(self._p1, self._p2, code), ctx.dir_x.dot(ctx.dir_y)
+        return self._sample(codes, u1, u2)
 
 
-class SingletSampler:
-    """Trial sampler for joint measurements on a singlet pair, one pair per trial."""
+class SingletSampler(_TwoStepSampler):
+    """Trial sampler for joint measurements on a singlet pair, one pair per trial: particle A
+    along the context's dir_x (1/2 each way), then B along dir_y in the collapsed pair state."""
 
-    draws = 2  # uniforms per trial that run reads
+    def _first(self, ctx) -> float:
+        return _prob_plus_pair(_SINGLET, ctx.dir_x, 0)
 
-    def __init__(self, contexts: ContextSet):
-        self.contexts = contexts
-        self._pA, self._pB = _two_step_tables(
-            contexts, lambda ctx: _prob_plus_pair(_SINGLET, ctx.dir_x, 0),
-            lambda ctx, sA: _prob_plus_pair(_collapse_pair(_SINGLET, ctx.dir_x, sA, 0), ctx.dir_y, 1))
+    def _second(self, ctx, sA: int) -> float:
+        # B in the pair state that A's outcome left; on the singlet each branch has weight 1/2
+        return _prob_plus_pair(_project(_SINGLET, _pair_projector(ctx.dir_x, sA, 0)), ctx.dir_y, 1)
 
-    def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
-        """Particle A along the context's dir_x, B along dir_y: A's outcome from its
-        marginal (1/2 each) with u1, B's from the collapsed pair state with u2."""
-        ctx = self.contexts[code]
-        _check_u(u1)
-        _check_u(u2)
-        sA = 1 if u1 < _prob_plus_pair(_SINGLET, ctx.dir_x, 0) else -1
-        pB = _prob_plus_pair(_collapse_pair(_SINGLET, ctx.dir_x, sA, 0), ctx.dir_y, 1)
-        return sA, 1 if u2 < pB else -1
+    def _correlator(self, ctx) -> float:
+        return singlet_analytic_correlator(ctx.dir_x, ctx.dir_y)
 
     def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        return _sample_two_step(self._pA, self._pB, codes, u1, u2)
-
-    def exact_moments(self, code: int) -> tuple[float, float, float]:
-        ctx = self.contexts[code]
-        return *_two_step_marginals(self._pA, self._pB, code), singlet_analytic_correlator(ctx.dir_x, ctx.dir_y)
+        return self._sample(codes, u1, u2)

@@ -10,6 +10,7 @@ from bellsim.errors import ValidationError
 from bellsim.hidden_variables import (
     ContextualFiniteModel,
     _GRID,
+    _MAX_ROWS,
     ContextualModelSampler,
     FiniteHVModel,
     FiniteModelSampler,
@@ -461,6 +462,23 @@ class TestBucketLookup:
                             np.nextafter(edges, 1.0), [0.0], rng.random(10_000)])
         u = u[(u >= 0.0) & (u < 1.0)]
         assert np.array_equal(sampler._bucket(u), np.searchsorted(union, u, side="right"))
+        for code in range(3):
+            s1, s2 = sampler.run(np.full(u.size, code, dtype=np.uint8), u)
+            assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, x, 0.0) for x in u.tolist()]
+
+    @pytest.mark.parametrize("crowd", [_MAX_ROWS, _MAX_ROWS + 1])
+    def test_a_crowded_cell_keeps_the_table_bounded(self, crowd, rng):
+        # crowd tiny weights inside cell 0 plus one large weight: the grid would need a row per tiny weight
+        weights = [1e-9] * crowd
+        model = FiniteHVModel([*weights, 1.0 - sum(weights)], rng.integers(0, 2, (crowd + 1, 3)) * 2 - 1)
+        sampler = FiniteModelSampler(model, TRIPLE)
+        if crowd <= _MAX_ROWS:
+            assert sampler._inner.shape == (crowd, _GRID)
+        else:
+            assert sampler._inner is None and sampler._base is None
+        u = np.concatenate([model._cum, np.nextafter(model._cum, 0.0), [0.0], rng.random(2000)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(sampler._bucket(u), np.searchsorted(model._cum, u, side="right"))
         for code in range(3):
             s1, s2 = sampler.run(np.full(u.size, code, dtype=np.uint8), u)
             assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, x, 0.0) for x in u.tolist()]

@@ -719,9 +719,24 @@ class TestRecordsCsv:
     def test_no_context_slot_row_belongs_to_both_kinds(self):
         assert len(protocol._ROWS) == sum(len(tags) for tags, _ in GEOMETRIES.values())
 
-    def test_context_code_outside_the_kind_is_rejected(self):
-        with pytest.raises(ValidationError, match="below 3"):
-            RecordBatch("temporal", np.array([0, 3]), np.array([1, 1]), np.array([1, 1]))
+    @pytest.mark.parametrize("codes,s1,s2,match", [
+        ([0, 3], [1, 1], [1, 1], "^context codes of temporal records must be below 3$"),
+        # a value the column's dtype cannot hold, which a cast would change without a word
+        ([0, 256], [1, 1], [1, 1], "^record column codes must hold uint8 values only$"),
+        ([0, 0.7], [1, 1], [1, 1], "^record column codes must hold uint8 values only$"),
+        ([0, -1], [1, 1], [1, 1], "^record column codes must hold uint8 values only$"),
+        ([0, 1], [1, 255], [1, 1], "^record column s1 must hold int8 values only$"),
+        ([0, 1], [1, 1], [1, -0.5], "^record column s2 must hold int8 values only$"),
+        ([0, 1], [1, np.nan], [1, 1], "^record column s1 must hold int8 values only$"),
+        ([0, 1], ["1", "1"], [1, 1], "^record column s1 must hold int8 values only$"),
+        # outcomes the records file, the hash and the bits would read by sign
+        ([0, 1], [0, 1], [1, 1], "^record column s1 must hold only the outcomes \\+1 and -1$"),
+        ([0, 1, 2], [1, 1, 5], [1, 1, 1], "^record column s1 must hold only the outcomes \\+1 and -1$"),
+        ([0, 1], [1, 1], [-2, 1], "^record column s2 must hold only the outcomes \\+1 and -1$"),
+    ])
+    def test_context_code_outside_the_kind_is_rejected(self, codes, s1, s2, match):
+        with pytest.raises(ValidationError, match=match):
+            RecordBatch("temporal", np.array(codes), np.array(s1), np.array(s2))
 
     def test_batch_of_columns(self, tmp_path):
         batch = RecordBatch("temporal", np.array([0, 2]), np.array([1, -1]), np.array([-1, -1]))

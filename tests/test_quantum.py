@@ -352,4 +352,4 @@ def test_sampler_tables_equal_the_written_arithmetic(contexts):
     singlet_psi = np.array([0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0], dtype=complex)
     pA, pB = written_tables(contexts, singlet_psi, particles=(0, 1))
     singlet = SingletSampler(contexts)
-    assert np.array_equal(singlet._pA, pA) and np.array_equal(singlet._pB, pB)
+    assert np.array_equal(singlet._p1, pA) and np.array_equal(singlet._p2, pB)

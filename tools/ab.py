@@ -9,9 +9,9 @@ it.  Each round runs, on both sides, the README config's `run`, `analyze`
 and `certify`, then `analyze` and `certify` of a CRLF copy of the records
 (made between the timed stages); each stage runs on one side and then on the
 other before the next stage, and the side that goes first alternates from
-round to round.  Every stage is launched by ``tools/stage_rss.py``'s
-launcher, which imports nothing large and reads the child's own resource
-usage from ``os.wait4``.
+round to round.  The config and each stage's command line are
+``tools/stage_rss.py``'s, and so is the launcher, which imports nothing
+large and reads the child's own resource usage from ``os.wait4``.
 
 With ``--bytecode uncached`` (the default, as the benchmark runs) no
 process writes bytecode, so every stage compiles bellsim's modules; with
@@ -47,7 +47,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-from stage_rss import README_CONFIG, crlf_copy, launch, peak_mb
+from stage_rss import README_CONFIG, crlf_copy, launch, peak_mb, stage_argv
 
 SIDES = ("parent", "change")
 STAGES = ("run", "analyze", "certify", "analyze-crlf", "certify-crlf")
@@ -124,16 +124,6 @@ def prepare(root: Path, parent: str, tmp: Path, bytecode: str) -> dict[str, dict
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
         sides[side] = {"env": env, "work": tmp / f"work-{side}"}
     return sides
-
-
-def stage_argv(stage: str, work: Path, config: Path) -> list[str]:
-    d = work / "crlf" if stage.endswith("-crlf") else work
-    records, report = str(d / "records.csv"), str(d / "report.json")
-    if stage == "run":
-        return ["run", "--config", str(config), "--out-dir", str(work)]
-    if stage.startswith("analyze"):
-        return ["analyze", "--records", records, "--mode", README_CONFIG["mode"], "--out-dir", str(d)]
-    return ["certify", "--records", records, "--report", report, "--out-dir", str(d)]
 
 
 def run_rounds(sides: dict, config: Path, rounds: int, problems: list[str]) -> dict:

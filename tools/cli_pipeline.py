@@ -12,35 +12,23 @@ exits 1 at the first check that fails.
 """
 
 import json
-import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from stage_rss import README_CONFIG, stage_argv
+
 N_TRIALS = 60_000
 ORACLE_KEYS = ("correlators", "marginals", "quantity")
-
-
-def readme_config() -> dict:
-    text = README.read_text(encoding="utf-8")
-    block = re.search(r"### Config\n\n```json\n(.*?)```", text, re.S).group(1)
-    return {**json.loads(block), "n_trials": N_TRIALS}
 
 
 def main(command: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "config.json", Path(tmp) / "out"
-        doc = readme_config()
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        records, report = str(out / "records.csv"), str(out / "report.json")
-        stages = [
-            ["run", "--config", str(config), "--out-dir", str(out)],
-            ["analyze", "--records", records, "--mode", doc["mode"], "--out-dir", str(out)],
-            ["certify", "--records", records, "--report", report, "--out-dir", str(out)],
-            ["oracle", "--config", str(config)],
-        ]
+        config.write_text(json.dumps(dict(README_CONFIG, n_trials=N_TRIALS)), encoding="utf-8")
+        stages = [*(stage_argv(name, out, config) for name in ("run", "analyze", "certify")),
+                  ["oracle", "--config", str(config)]]
         for stage in stages:
             done = subprocess.run([*command, *stage], capture_output=True, text=True)
             print(f"{stage[0]}: exit {done.returncode}\n{done.stdout}{done.stderr}", end="")

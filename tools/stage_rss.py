@@ -2,19 +2,19 @@
 
     PYTHONPATH=src python tools/stage_rss.py
 
-Runs the README config through `bellsim run`, `bellsim run --threads 2`
-(the pooled path, which simulates longer spans than a run on one thread),
-`analyze` and `certify` at both sizes, then `analyze` and `certify` again
-on a CRLF copy of the records (a file bellsim did not write), prints each
-stage's wall time, peak resident set size (``ru_maxrss`` of its own
-process) and that peak less the import floor (the peak of a fresh
-``bellsim --version``, which imports what every stage imports and does
-nothing else), so the memory a stage's work takes shows on its own, and
-exits 1 if any stage fails, if the two runs' records or the CRLF copy's
-report, bits or certification differ from the LF file's, or if a
-30 M-trial stage peaks above 1.1 times its 3 M-trial peak or above
-100 MB.  The work files (about 1.2 GB at 30 M trials) go to a temporary
-directory.
+Runs the README config (its "### Config" block) through `bellsim run`,
+`bellsim run --threads 2` (the pooled path, which simulates longer spans
+than a run on one thread), `analyze` and `certify` at both sizes, then
+`analyze` and `certify` again on a CRLF copy of the records (a file
+bellsim did not write), prints each stage's wall time, peak resident set
+size (``ru_maxrss`` of its own process) and that peak less the import
+floor (the peak of a fresh ``bellsim --version``, which imports what
+every stage imports and does nothing else), so the memory a stage's work
+takes shows on its own, and exits 1 if any stage fails, if the two runs'
+records or the CRLF copy's report, bits or certification differ from the
+LF file's, or if a 30 M-trial stage peaks above 1.1 times its 3 M-trial
+peak or above 100 MB. The work files (about 1.2 GB at 30 M trials) go to
+a temporary directory.
 
 On Linux a child's ru_maxrss starts at the high-water mark of the process
 that exec'd it, so this script imports nothing large (not numpy) and
@@ -26,6 +26,7 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -37,15 +38,22 @@ SIZES = (3_000_000, 30_000_000)
 GROWTH_LIMIT = 1.1  # a 30 M stage's peak over its 3 M peak, at most
 PEAK_LIMIT_MB = 100.0
 
-README_CONFIG = {
-    "mode": "qm_sequential",
-    "directions": [[-0.7071067811865475, 0.0, 0.7071067811865475],
-                   [0.0, 0.0, 1.0],
-                   [1.0, 0.0, 0.0]],
-    "selector_seed": "0xB0E1",
-    "outcome_seed": 12648430,
-    "sigma_threshold": 5.0,
-}
+# the README's "### Config" block: the config that this script, ab.py and cli_pipeline.py run, each at its
+# own n_trials
+README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README_CONFIG = json.loads(re.search(r"### Config\n\n```json\n(.*?)```", README_TEXT, re.S).group(1))
+
+
+def stage_argv(stage: str, work: Path, config: Path) -> list[str]:
+    """The `bellsim` arguments of one stage of README_CONFIG's pipeline in work: `run`, `analyze` or `certify`
+    of work's records, or with a "-crlf" suffix `analyze` or `certify` of the copy in work / "crlf"."""
+    d = work / "crlf" if stage.endswith("-crlf") else work
+    records, report = str(d / "records.csv"), str(d / "report.json")
+    if stage == "run":
+        return ["run", "--config", str(config), "--out-dir", str(work)]
+    if stage.startswith("analyze"):
+        return ["analyze", "--records", records, "--mode", README_CONFIG["mode"], "--out-dir", str(d)]
+    return ["certify", "--records", records, "--report", report, "--out-dir", str(d)]
 
 
 def launch(argv: list[str], env: dict | None = None):
@@ -78,21 +86,14 @@ def crlf_copy(src: Path, dst: Path) -> None:
 
 
 def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> dict[str, tuple[int, float, float]]:
-    out, crlf, pooled = work / str(n_trials), work / f"{n_trials}-crlf", work / f"{n_trials}-pooled"
+    out = work / str(n_trials)
+    crlf, pooled = out / "crlf", out / "pooled"
     config = work / f"config-{n_trials}.json"
     config.write_text(json.dumps(dict(README_CONFIG, n_trials=n_trials)), encoding="utf-8")
-
-    def analyze_certify(d: Path) -> dict[str, list[str]]:
-        records, report = str(d / "records.csv"), str(d / "report.json")
-        return {
-            "analyze": ["analyze", "--records", records, "--mode", README_CONFIG["mode"], "--out-dir", str(d)],
-            "certify": ["certify", "--records", records, "--report", report, "--out-dir", str(d)],
-        }
-
-    stages = {"run": ["run", "--config", str(config), "--out-dir", str(out)],
-              "run-2-threads": ["run", "--config", str(config), "--out-dir", str(pooled), "--threads", "2"],
-              **analyze_certify(out)}
-    stages.update((f"{name}-crlf", argv) for name, argv in analyze_certify(crlf).items())
+    stages = {"run": stage_argv("run", out, config),
+              "run-2-threads": [*stage_argv("run", pooled, config), "--threads", "2"],
+              **{name: stage_argv(name, out, config)
+                 for name in ("analyze", "certify", "analyze-crlf", "certify-crlf")}}
     results = {}
     for name, argv in stages.items():
         if name == "analyze-crlf" and (out / "records.csv").exists():  # made between the timed stages
