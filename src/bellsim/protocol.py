@@ -285,9 +285,10 @@ def _tail_table(tags: tuple[str, ...], slots: tuple[tuple[int, int], ...]) -> np
 
 
 _TAILS = {kind: _tail_table(*geometry) for kind, geometry in GEOMETRIES.items()}
+_TAIL_ROWS = {kind: [bytes(tail).rstrip(b"\0") for tail in tails] for kind, tails in _TAILS.items()}  # as bytes
 _HEADER_LINE = (RECORDS_HEADER + "\n").encode("ascii")
 # trial 0 plus a tail names the kind; within a kind the slot digits name the context
-_KIND_OF_ROW0 = {b"0" + bytes(tail).rstrip(b"\0"): kind for kind, tails in _TAILS.items() for tail in tails}
+_KIND_OF_ROW0 = {b"0" + tail: kind for kind, tails in _TAIL_ROWS.items() for tail in tails}
 _MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row of either kind
 _TAIL_WIDTH = max(tails.shape[1] for tails in _TAILS.values())  # the longest tail of either kind
 
@@ -354,6 +355,72 @@ def _render_rows(kind: str, lo: int, key: np.ndarray) -> bytearray:
     return buf.translate(None, b"\0")
 
 
+# by _outcome_key, each tail's bytes before its newline and its first and last 8 bytes as little-endian words:
+# tails are 12 to 16 bytes long, so the two words cover every byte of a tail
+_TAIL_WORDS = {kind: (np.array([len(t) - 1 for t in tails], np.int32),
+                      np.frombuffer(b"".join(t[:8] for t in tails), "<u8"),
+                      np.frombuffer(b"".join(t[-8:] for t in tails), "<u8")) for kind, tails in _TAIL_ROWS.items()}
+
+
+@functools.cache
+def _digits4() -> np.ndarray:
+    # "0000".."9999" as little-endian words, built by the first RecordReader (a run never needs them)
+    grid = np.zeros((10,) * 4 + (8,), np.uint8)
+    for k in range(4):  # the k-th digit varies along axis k
+        grid[..., k] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
+    return _read_only(grid.view("<u8").ravel())
+
+
+def _digit_words(x: np.ndarray) -> np.ndarray:
+    # the 8 ASCII digits of each x < 10^8, zero-padded, as little-endian words
+    hi = x // 10 ** 4
+    word = _digits4().take(x - hi * 10 ** 4)
+    word <<= 32
+    word += _digits4().take(hi)
+    return word
+
+
+def _differs(windows: np.ndarray, words: np.ndarray, shift=0) -> int:
+    # how many windows differ from their words in their low 64 - shift bits, counted in place: the difference is
+    # 0 in those bits exactly where they are equal, as a borrow only runs up
+    windows -= words
+    windows <<= shift
+    return np.count_nonzero(windows)
+
+
+def _rows_are_canonical(buf, kind: str, lo: int, ends: np.ndarray, key: np.ndarray) -> bool:
+    """Whether buf up to its newline at ends[-1] (one per _outcome_key value) equals _render_rows(kind, lo, key).
+
+    Each row must start one past the previous newline and be as long as its digits and tail; then 8-byte windows
+    must hold the tail's first and last 8 bytes and the trial's first 8 digits (fewer, masked) at the row's start,
+    and from 9 digits on its last 8 just before the tail.  Differences are counted (subtraction, count_nonzero):
+    numpy's comparison and reduction loops would add their code pages to a stage's peak RSS.
+    """
+    m = key.size
+    width = np.full(m, len(str(lo)), np.uint8)  # each trial's digit count
+    for d in range(len(str(lo)), len(str(lo + m - 1))):
+        width[10 ** d - lo:] += 1
+    before, first, last = _TAIL_WORDS[kind]
+    tail = ends - before.take(key)  # each tail's first byte
+    start = tail - width
+    if start[0] != 0 or np.count_nonzero(start[1:] - 1 - ends[:-1]):
+        return False
+    # every window now lies inside its own row: one overlapping view of the bytes, read without a copy
+    win = np.ndarray((int(ends[-1]) - 6,), "<u8", buf, strides=(1,))
+    if _differs(win[tail], first.take(key)) or _differs(win[ends - 7], last.take(key)):
+        return False
+    trial = np.arange(lo, lo + m, dtype=np.uint32 if lo + m <= 1 << 32 else np.uint64)
+    big = max(10 ** 8 - lo, 0)  # the rows from here on have 9 to 16 digits (no file has 10^16 rows)
+    if big < m and _differs(win[tail[big:] - 8], _digit_words(trial[big:] % 10 ** 8)):
+        return False
+    trial[big:] //= 10 ** (width[big:] - 8).astype(np.uint64)  # their first 8 digits
+    shift = 64 - 8 * width  # keeps a window's digits: it wraps past 8 digits, whose rows keep all 8 bytes
+    shift[big:] = 0
+    digits = _digit_words(trial)
+    digits >>= shift
+    return not _differs(win[start], digits, shift)
+
+
 _CRLF = int.from_bytes(b"\r\n", "little")
 _WORDS = 1 << 16  # byte pairs compared at a time, so the comparison masks stay small
 
@@ -399,14 +466,16 @@ class RecordReader:
     for the next byte), and a read asks for what _STEP canonical rows can
     take, also with CRLF line ends.  The canonical path reads each row's
     outcomes and slots back from its newline, takes its trial to be its
-    index, and accepts the rows only if rendering them again gives back
-    exactly their bytes.  A step that differs (another spelling, a longer
-    line, an error) goes through the line-by-line parser, which cites the
-    file's line of the first error; its rows are hashed as rendered.
+    index, and accepts the rows only if their bytes, checked byte for byte
+    where they lie, are the canonical form; it renders nothing.  A step that
+    differs (another spelling, a longer line, an error) goes through the
+    line-by-line parser, which cites the file's line of the first error; its
+    rows are hashed as rendered.
     """
 
     def __init__(self, f):
         _reuse_step_memory()
+        _digits4()  # built before a step's buffers, so that they do not fragment the heap around it
         self._f = f
         self._buf, self._eof = b"", False  # LF-mapped bytes not yet in a step
         self._held = False  # the last read ended in a CR, which _to_lf dropped
@@ -471,22 +540,23 @@ class RecordReader:
         end = int(ends[-1]) + 1
         body = np.frombuffer(self._buf, np.uint8, count=end)
         kind = self.kind if self.n else _KIND_OF_ROW0.get(body[:ends[0] + 1].tobytes())
-        if kind is None or np.diff(ends, prepend=-1).min() < _MIN_ROW:
-            return None  # the reads below stay inside each row only from this length on
-        s2_neg = body[ends - 2] == ord("-")
+        if kind is None:
+            return None
+        # take, as int32 positions slow fancy indexing down; in a short row a read may land in another row or
+        # clip to byte 0, which is safe: the check accepts only a key whose rendered rows are the step's bytes
+        s2_neg = body.take(ends - 2, mode="clip") == ord("-")
         comma2 = ends - 2 - s2_neg
-        s1_neg = body[comma2 - 2] == ord("-")
+        s1_neg = body.take(comma2 - 2, mode="clip") == ord("-")
         comma1 = comma2 - 2 - s1_neg
-        slots = body[comma1 - 3].astype(np.uint16) << 8 | body[comma1 - 1]
+        slots = body.take(comma1 - 3, mode="clip").astype(np.uint16) << 8 | body.take(comma1 - 1, mode="clip")
         codes = _CODE_OF_SLOTS[kind].take(slots)
         if codes.max() == 255:
             return None
         s1, s2 = 1 - 2 * s1_neg.view(np.int8), 1 - 2 * s2_neg.view(np.int8)
         key = _outcome_key(codes, s1, s2)
-        rows = memoryview(self._buf)[:end]
-        if _render_rows(kind, self.n, key) != rows:
+        if not _rows_are_canonical(self._buf, kind, self.n, ends, key):
             return None
-        self._tally(kind, key, rows)
+        self._tally(kind, key, memoryview(self._buf)[:end])
         self.canonical_steps += 1
         return kind, codes, s1, s2
 
@@ -529,7 +599,7 @@ class RecordReader:
                              self.canonical_steps, self.parsed_steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by value below, and so unhashable, as RecordBatch is
 class RecordSummary:
     """What analysis reads of a records set: its kind, size, canonical hash and count table.
 
@@ -551,6 +621,13 @@ class RecordSummary:
 
     def __len__(self) -> int:
         return self.n
+
+    def __eq__(self, other) -> bool:
+        # the records read, not the paths that read them
+        if not isinstance(other, RecordSummary):
+            return NotImplemented
+        return ((self.kind, self.n, self.records_sha256) == (other.kind, other.n, other.records_sha256)
+                and np.array_equal(self.counts, other.counts))
 
     def sha256(self) -> str:
         return self.records_sha256

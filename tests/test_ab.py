@@ -64,7 +64,31 @@ def test_fewer_than_ten_rounds_give_no_verdict(ab):
 
 
 def test_a_zero_parent_median_gives_no_ratio(ab):
-    assert math.isnan(ab.compare([0.0, 0.0], [1.0, 1.0])["ratio"])
+    c = ab.compare([0.0, 0.0], [1.0, 1.0])
+    assert math.isnan(c["ratio"]) and c["interval"] is None
+
+
+def test_ten_rounds_bound_the_median_ratio_by_the_second_and_ninth_smallest(ab):
+    ratios = [1.09, 0.91, 1.05, 0.97, 1.01, 0.95, 1.03, 0.99, 1.07, 0.93]
+    ci = ab.median_interval(ratios)
+    assert (ci["low"], ci["high"], ci["k"]) == (0.93, 1.07, 2)
+    assert ci["coverage"] == pytest.approx(1 - 2 * 11 / 1024)  # 97.85%
+
+
+def test_identical_sides_give_an_interval_around_one(ab):
+    ci = ab.compare(PARENT, list(PARENT))["interval"]
+    assert ci["low"] <= 1.0 <= ci["high"] and ci["coverage"] >= 0.978
+
+
+def test_a_side_five_percent_lower_in_every_pair_gives_an_interval_below_one(ab):
+    wobble = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.02, 0.98]  # the change's own spread, about 2%
+    ci = ab.compare(PARENT, [p * 0.95 * w for p, w in zip(PARENT, wobble)])["interval"]
+    assert ci["high"] < 1.0 and ci["low"] == pytest.approx(0.95 * 0.98)
+
+
+def test_too_few_rounds_for_95_percent_give_the_extremes_and_their_coverage(ab):
+    ci = ab.median_interval([1.1, 0.9])
+    assert (ci["low"], ci["high"], ci["k"], ci["coverage"]) == (0.9, 1.1, 1, 0.5)
 
 
 def test_summary_and_table_cover_every_stage_and_metric(ab):
@@ -74,7 +98,7 @@ def test_summary_and_table_cover_every_stage_and_metric(ab):
     assert list(summary) == list(ab.STAGES) and all(list(m) == list(ab.METRICS) for m in summary.values())
     lines = ab.table(summary).splitlines()
     assert len(lines) == 1 + len(ab.STAGES) * len(ab.METRICS)
-    assert all(line.endswith("gain") and "10/10" in line for line in lines[1:])
+    assert all(" gain " in line and "10/10" in line and line.endswith("(97.9%)") for line in lines[1:])
 
 
 def test_crlf_stages_read_and_write_the_crlf_copy(ab, tmp_path):

@@ -1,5 +1,6 @@
 """Property tests of the record path: rendering, parsing and the cached hash."""
 
+import dataclasses
 import io
 import re
 import tempfile
@@ -118,6 +119,7 @@ def test_one_changed_byte_is_rejected_or_changes_the_hash(batch, data):
 
 
 def test_hash_is_rendered_once(tmp_path, monkeypatch):
+    # writing renders each step once, reading a canonical file renders none, and a parsed step is rendered once
     calls = []
     render = protocol._render_rows
 
@@ -137,14 +139,96 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
     digest = written.sha256()
     assert len(calls) == 4
 
-    loaded = RecordBatch.from_csv(path)  # renders once more, to compare with the file
-    assert len(calls) == 8
+    loaded = RecordBatch.from_csv(path)  # checked where it lies, not rendered again
     assert loaded.sha256() == digest
-    assert len(calls) == 8
+    assert len(calls) == 4
+
+    path.write_bytes(path.read_bytes().replace(b"\n400,", b"\n+400,"))  # a step of trials 300..599 to parse
+    summary = RecordSummary.from_csv(path)
+    assert (summary.records_sha256, summary.canonical_steps, summary.parsed_steps) == (digest, 3, 1)
+    assert calls[4:] == [300]
 
     fresh = run_experiment(config)
     assert fresh.sha256() == fresh.sha256() == digest
-    assert len(calls) == 12
+    assert len(calls) == 9
+
+
+# steps start near these trials, so that their rows cross a digit width, 2**32 or the 9-digit windows
+LO_NEAR = (0, 9, 10 ** 4 - 3, 10 ** 8 - 3, 2 ** 32 - 2, 10 ** 12)
+EDITS = ("none", "substitute", "insert", "delete", "plus", "zero", "space", "swap", "trial", "cr")
+
+
+def edited_step(rows: list[bytes], lo: int, data) -> bytes:
+    """A step's rows after one edit drawn from EDITS: a byte or field spelled otherwise, rows moved, a CR left in."""
+    edit = data.draw(st.sampled_from(EDITS), label="edit")
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    if edit in ("substitute", "insert", "delete"):
+        pos = data.draw(st.integers(0, len(rows[i]) - 1), label="pos")
+        value = bytes([data.draw(st.integers(0, 255), label="value")])
+        new = {"substitute": value, "insert": value + rows[i][pos:pos + 1], "delete": b""}[edit]
+        rows[i] = rows[i][:pos] + new + rows[i][pos + 1:]
+    elif edit in ("plus", "zero", "space"):
+        fields = rows[i].split(b",")
+        f = data.draw(st.integers(0, len(fields) - 1), label="field")
+        fields[f] = {"plus": b"+", "zero": b"0", "space": b" "}[edit] + fields[f]
+        rows[i] = b",".join(fields)
+    elif edit == "swap":
+        j = data.draw(st.integers(0, len(rows) - 1), label="other row")
+        rows[i], rows[j] = rows[j], rows[i]
+    elif edit == "trial":
+        rows[i] = str(lo + i + data.draw(st.sampled_from([-1, 1]))).encode() + rows[i][rows[i].index(b","):]
+    elif edit == "cr":
+        rows[i] = rows[i][:-1] + b"\r\n"
+    return b"".join(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(N_CONTEXTS)), data=st.data())
+def test_in_place_check_accepts_exactly_what_rendering_gives(kind, data):
+    m = data.draw(st.integers(1, 300), label="rows")
+    lo = max(data.draw(st.sampled_from(LO_NEAR), label="near") + data.draw(st.integers(-m, 3), label="offset"), 0)
+    keys = data.draw(st.lists(st.integers(0, 4 * N_CONTEXTS[kind] - 1), min_size=m, max_size=m), label="keys")
+    key = np.array(keys, dtype=np.uint8)
+    step = edited_step(bytes(protocol._render_rows(kind, lo, key)).splitlines(keepends=True), lo, data)
+    ends = np.flatnonzero(np.frombuffer(step, np.uint8) == ord("\n")).astype(np.int32)
+    assume(ends.size)
+    step = step[:ends[-1] + 1]  # a step ends at its last newline
+    # the drawn keys, and those the line parser reads back when it accepts the rows
+    candidates = [np.resize(key, ends.size)]
+    try:
+        candidates.append(protocol._outcome_key(*protocol._parse_lines(step, lo + 2, kind)[1:]))
+    except ValidationError:
+        pass
+    for candidate in candidates:
+        rendered = protocol._render_rows(kind, lo, candidate)
+        assert protocol._rows_are_canonical(step, kind, lo, ends, candidate) == (rendered == step)
+
+
+@pytest.mark.parametrize("kind,lo", [("temporal", 10 ** 8 - 6), ("chsh", 95)])  # rows that cross a digit width
+def test_in_place_check_rejects_every_substituted_byte(kind, lo):
+    key = np.arange(12, dtype=np.uint8) % (4 * N_CONTEXTS[kind])
+    step = bytes(protocol._render_rows(kind, lo, key))
+    ends = np.flatnonzero(np.frombuffer(step, np.uint8) == ord("\n")).astype(np.int32)
+    assert protocol._rows_are_canonical(step, kind, lo, ends, key)
+    for pos in range(len(step)):
+        for value in {step[pos] ^ 1, ord("-"), ord("0"), ord(","), ord("\r")} - {step[pos], ord("\n")}:
+            edited = step[:pos] + bytes([value]) + step[pos + 1:]
+            assert not protocol._rows_are_canonical(edited, kind, lo, ends, key), (pos, value)
+
+
+def test_record_summaries_compare_by_value_and_are_unhashable(tmp_path):
+    config = ExperimentConfig(mode="qm_sequential", directions=max_violation_triple(),
+                              n_trials=500, selector_seed=1, outcome_seed=2)
+    path = tmp_path / "records.csv"
+    write_run(config, path)
+    a, b = RecordSummary.from_csv(path), RecordSummary.from_csv(path)
+    assert a == b and not a != b
+    assert a == dataclasses.replace(b, canonical_steps=0, parsed_steps=1)  # how it was read is left out
+    for field, value in (("kind", "chsh"), ("n", 499), ("records_sha256", "0" * 64), ("counts", b.counts + 1)):
+        assert a != dataclasses.replace(b, **{field: value})
+    assert a != run_experiment(config) and a != "a summary"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
 
 
 def record_path_outputs(config: ExperimentConfig, threads: int, tmp: Path) -> list:
@@ -338,6 +422,17 @@ def test_bad_row_in_a_later_chunk_cites_its_line(monkeypatch, tmp_path):
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ValidationError, match=r"^records line 301: outcomes must be \+1 or -1$"):
         RecordBatch.from_csv(path)
+
+
+@pytest.mark.parametrize("row", [b"", b"7", b"7,", b"7,AB", b"7,AB,1,2,-1"])
+def test_a_short_row_first_in_a_step_cites_its_line(monkeypatch, tmp_path, row):
+    # the canonical path's outcome and slot reads may leave such a row; the check refuses what they give
+    _, path = small_chunk_batch(monkeypatch, tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    lines[8] = row  # line 9, trial 7: the first row of the second step
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValidationError, match=r"^records line 9: expected 6 fields, got \d$"):
+        RecordSummary.from_csv(path)
 
 
 def test_long_line_falls_back_after_one_step(monkeypatch, tmp_path, reads):

@@ -24,8 +24,13 @@ which the change was lower (a pair win), and the ratio of the medians.  It
 says "gain" only when the change wins at least 9 of 10 pairs (90% of at
 least 10 rounds) and its median is below the parent's by more than the
 parent's interquartile range, and "loss" by the same rule the other way;
-anything else is "none".  ``--out`` writes all of it, with every sample, as
-JSON (``tools/bench_record.py --ab FILE`` stores that in a BENCH record).
+anything else is "none".  Beside the verdict it prints a distribution-free
+confidence interval for the median of the per-round change/parent ratios:
+the sign test's order statistics, the k-th smallest and k-th largest ratio
+with the largest k whose coverage is at least 95% (at 10 rounds the 2nd and
+9th smallest, 97.85%), or the smallest and largest with the coverage they
+have when no k reaches it.  ``--out`` writes all of it, with every sample,
+as JSON (``tools/bench_record.py --ab FILE`` stores that in a BENCH record).
 
 Exits 1 if a stage fails or if the two sides' records, report, bits or
 certification differ; there is no timing gate.  It uses no network and
@@ -57,12 +62,32 @@ WIN_SHARE = 0.9  # the share of pairs the better side must win: 9 of 10
 MIN_ROUNDS = 10  # fewer rounds than this give no verdict
 RULE = (f"gain: the change is lower in at least {WIN_SHARE:.0%} of at least {MIN_ROUNDS} pairs, and its median is "
         f"below the parent's by more than the parent's interquartile range; loss: the same the other way")
+COVERAGE = 0.95  # the least coverage of the ratio interval, where the rounds allow it
+INTERVAL_RULE = (f"interval: the sign test's k-th smallest and k-th largest change/parent ratio, k the largest "
+                 f"with coverage 1 - 2 P(Binomial(rounds, 1/2) < k) of at least {COVERAGE:.0%}, else k = 1")
 
 
 def quartiles(samples: list[float]) -> dict:
     """Median, first and third quartile (statistics.quantiles, inclusive method) of at least two samples."""
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def median_interval(ratios: list[float]) -> dict:
+    """A distribution-free confidence interval for the median of the ratios, from the sign test's order statistics.
+
+    The k-th smallest and k-th largest of n ratios enclose the median with
+    coverage 1 - 2 P(Binomial(n, 1/2) < k); k is the largest with at least
+    COVERAGE, or 1 if none has it.
+    """
+    n = len(ratios)
+
+    def coverage(k: int) -> float:
+        return 1 - 2 * sum(math.comb(n, i) for i in range(k)) / 2 ** n
+
+    k = max((k for k in range(1, (n + 1) // 2 + 1) if coverage(k) >= COVERAGE), default=1)
+    ordered = sorted(ratios)
+    return {"low": ordered[k - 1], "high": ordered[n - k], "k": k, "coverage": coverage(k)}
 
 
 def compare(parent: list[float], change: list[float]) -> dict:
@@ -78,8 +103,10 @@ def compare(parent: list[float], change: list[float]) -> dict:
         elif losses >= WIN_SHARE * rounds and b["median"] - a["median"] > spread:
             verdict = "loss"
     ratio = b["median"] / a["median"] if a["median"] else math.nan
+    # no interval when a parent sample is 0 and its ratio has no value
+    interval = median_interval([c / p for p, c in zip(parent, change)]) if all(parent) else None
     return {"parent": {**a, "samples": parent}, "change": {**b, "samples": change}, "rounds": rounds,
-            "wins": wins, "ratio": ratio, "verdict": verdict}
+            "wins": wins, "ratio": ratio, "verdict": verdict, "interval": interval}
 
 
 def summarize(samples: dict) -> dict:
@@ -90,13 +117,14 @@ def summarize(samples: dict) -> dict:
 
 def table(summary: dict) -> str:
     lines = [f"{'stage':13s} {'metric':12s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
-             f"{'wins':>6s} {'ratio':>7s}  verdict"]
+             f"{'wins':>6s} {'ratio':>7s}  verdict  ratio interval (coverage)"]
     for stage, metrics in summary.items():
         for metric, c in metrics.items():
-            a, b = c["parent"], c["change"]
+            a, b, ci = c["parent"], c["change"], c["interval"]
+            interval = f"[{ci['low']:.4f}, {ci['high']:.4f}] ({ci['coverage']:.1%})" if ci else "-"
             lines.append(f"{stage:13s} {metric:12s} {a['median']:12.4g} [{a['q1']:9.4g}, {a['q3']:9.4g}] "
                          f"{b['median']:12.4g} [{b['q1']:9.4g}, {b['q3']:9.4g}] {c['wins']:>2d}/{c['rounds']:<3d} "
-                         f"{c['ratio']:7.4f}  {c['verdict']}")
+                         f"{c['ratio']:7.4f}  {c['verdict']:7s}  {interval}")
     return "\n".join(lines)
 
 
@@ -188,7 +216,7 @@ def main(argv=None) -> int:
         "change": git(root, "rev-parse", "HEAD"),
         "change_src_uncommitted": bool(git(root, "status", "--porcelain", "--", "src")),
         "n_trials": args.trials, "rounds": args.rounds, "bytecode": args.bytecode,
-        "python": sys.version.split()[0], "nproc": os.cpu_count(), "rule": RULE,
+        "python": sys.version.split()[0], "nproc": os.cpu_count(), "rule": RULE, "interval_rule": INTERVAL_RULE,
         "identical_outputs": not differing, "stages": summary,
     }
     if args.out is not None:
