@@ -129,19 +129,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _noted(records: RecordSummary) -> RecordSummary:
-    """records, once stderr says how many steps took the line parser, if any (it is about 20 times as slow)."""
-    if records.parsed_steps:
-        steps = records.canonical_steps + records.parsed_steps
-        print(f"bellsim: {records.parsed_steps} of {steps} record steps took the line parser", file=sys.stderr)
-    return records
-
-
 def cmd_analyze(args) -> int:
     check_sigma_threshold(args.sigma_threshold, "--sigma-threshold")  # before the records are read
     if args.mode is not None:
         read_label(args.mode, "--mode")
-    records = _noted(RecordSummary.from_csv(args.records))
+    records = RecordSummary.from_csv(args.records)
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
     out = Path(args.out_dir)
     report_path = out / "report.json"
@@ -167,7 +159,7 @@ def cmd_certify(args) -> int:
         with open(args.records, "rb") as f, open(bits_tmp, "wb") as bits_file:
             reader = RecordReader(f)
             counts = stream_bits(reader, bits_file)
-        cert = certify_counts(counts, _noted(reader.summary()), report)
+        cert = certify_counts(counts, reader.summary(), report)
         write_json(certification_to_jsonable(cert), cert_tmp)
     status = "certified" if cert.certified else "NOT certified"
     caveat = " (conspiracy caveat applies)" if cert.conspiracy_caveat else ""

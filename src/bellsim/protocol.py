@@ -15,7 +15,6 @@ import hashlib
 import importlib
 import json
 import math
-import re
 import sys
 from collections import deque, namedtuple
 from dataclasses import MISSING, dataclass, fields
@@ -455,22 +454,20 @@ class RecordReader:
     """The rows of an open records file, checked and yielded one step at a time.
 
     Iterating yields each step as (lo, codes, s1, s2), the columns of trials
-    lo..lo+m-1, while the SHA-256 of the canonical form and the outcome-count
-    table are kept up to date; :meth:`summary` returns them after the last
-    step.  Only one step's bytes are held.
+    lo..lo+m-1, while the SHA-256 of the rows and the outcome-count table are
+    kept up to date; :meth:`summary` returns them after the last step.  Only
+    one step's bytes are held.
 
     The header is checked and hashed once, out of the first read.  A step is
-    the next _STEP lines, or the rest of the file up to its last newline (a
-    last line without one is a step of its own), whichever path reads it.
-    Line ends are mapped to LF as they are read (a CR that ends a read waits
-    for the next byte), and a read asks for what _STEP canonical rows can
-    take, also with CRLF line ends.  The canonical path reads each row's
-    outcomes and slots back from its newline, takes its trial to be its
-    index, and accepts the rows only if their bytes, checked byte for byte
-    where they lie, are the canonical form; it renders nothing.  A step that
-    differs (another spelling, a longer line, an error) goes through the
-    line-by-line parser, which cites the file's line of the first error; its
-    rows are hashed as rendered.
+    the next _STEP lines, or the rest of the file, read with one read of what
+    _STEP canonical rows of the file's kind can take (of either kind until
+    line 2 has named it), also with CRLF line ends; line ends are mapped to LF
+    as they are read (a CR that ends a read waits for the next byte).  Each
+    row's outcomes and slots are read back from its newline and its trial is
+    taken to be its index, and the step is accepted only if its bytes,
+    checked where they lie, are the canonical form; it renders nothing, and
+    hashes the bytes it accepts.  Any other step is refused: the line parser
+    cites the file's line of its first row that is not canonical.
     """
 
     def __init__(self, f):
@@ -483,7 +480,6 @@ class RecordReader:
         self._counts: np.ndarray | None = None  # allocated at the first step, then added to in place
         self.kind: str | None = None
         self.n = 0
-        self.canonical_steps = self.parsed_steps = 0  # steps read by each path
 
     def _fill(self, size: int) -> None:
         # read until the buffer holds `size` bytes or the file ends; a read asks for the missing
@@ -504,40 +500,24 @@ class RecordReader:
         self._buf = b"".join(pieces)
 
     def _step_size(self) -> int:
-        # the most bytes that the next _STEP canonical rows can take
-        return _STEP * (len(str(self.n + _STEP - 1)) + _TAIL_WIDTH)
+        # the most bytes that the next _STEP canonical rows can take: rows of the file's kind once line 2 has
+        # named it, else of either kind
+        width = _TAILS[self.kind].shape[1] if self.kind else _TAIL_WIDTH
+        return _STEP * (len(str(self.n + _STEP - 1)) + width)
 
     def _step_ends(self) -> np.ndarray:
-        # the positions of the step's row ends: the buffer's first _STEP newlines, or all of them once
-        # the file ends; it is read to one step's canonical bytes first, then a short read grows by what
-        # its whole rows predict for the missing rows, or by twice its unfinished line if that is more,
-        # but at most to twice its size: rows longer than canonical ones hold about one step, a long
-        # line takes doubling reads, and one long row among short ones cannot predict the whole file
+        # the positions of the newlines in the step's read, at most _STEP of them; int32 positions halve the
+        # index arrays of the check
         size = self._step_size()
-        while True:
-            self._fill(size)
-            body = np.frombuffer(self._buf, np.uint8, count=min(size, len(self._buf)))
-            ends = np.flatnonzero(body == ord("\n"))[:_STEP]
-            if ends.size == _STEP or (self._eof and size >= len(self._buf)):
-                # int32 positions halve the canonical path's index arrays (only a line of a GB needs more)
-                return ends.astype(np.int32) if size < 1 << 31 else ends
-            rows = int(ends[-1]) + 1 if ends.size else 0  # the bytes of the whole rows found
-            predicted = -(-rows * (_STEP - ends.size) // max(ends.size, 1))
-            size = min(rows + max(predicted, 2 * (size - rows)), 2 * size)
-
-    def _tally(self, kind: str, key: np.ndarray, rows) -> None:
-        # hash a step's canonical rows and add the counts of their _outcome_key values
-        self._digest.update(rows)
-        counts = _count_table(len(GEOMETRIES[kind][0]), key)
-        if self._counts is None:
-            self._counts = np.zeros_like(counts)
-        self._counts += counts
+        self._fill(size)
+        body = np.frombuffer(self._buf, np.uint8, count=min(size, len(self._buf)))
+        return np.flatnonzero(body == ord("\n"))[:_STEP].astype(np.int32)
 
     def _canonical_step(self, ends: np.ndarray):
         """(kind, codes, s1, s2) of the step's rows, hashed and counted, if they are canonical; else None."""
-        if not ends.size:
-            return None  # a last line without a newline
-        end = int(ends[-1]) + 1
+        end = int(ends[-1]) + 1 if ends.size else 0
+        if not end or (ends.size < _STEP and not (self._eof and end == len(self._buf))):
+            return None  # a row runs past the read, or the file ends in a line without a newline
         body = np.frombuffer(self._buf, np.uint8, count=end)
         kind = self.kind if self.n else _KIND_OF_ROW0.get(body[:ends[0] + 1].tobytes())
         if kind is None:
@@ -556,17 +536,24 @@ class RecordReader:
         key = _outcome_key(codes, s1, s2)
         if not _rows_are_canonical(self._buf, kind, self.n, ends, key):
             return None
-        self._tally(kind, key, memoryview(self._buf)[:end])
-        self.canonical_steps += 1
+        self._digest.update(memoryview(self._buf)[:end])
+        counts = _count_table(len(GEOMETRIES[kind][0]), key)
+        if self._counts is None:
+            self._counts = np.zeros_like(counts)
+        self._counts += counts
         return kind, codes, s1, s2
 
-    def _parsed_step(self, end: int):
-        """(kind, codes, s1, s2) of the step's rows by the line parser, hashed as rendered and counted."""
-        kind, codes, s1, s2 = _parse_lines(self._buf[:end], self.n + 2, self.kind)
-        key = _outcome_key(codes, s1, s2)
-        self._tally(kind, key, _render_rows(kind, self.n, key))
-        self.parsed_steps += 1
-        return kind, codes, s1, s2
+    def _refuse(self, ends: np.ndarray):
+        """Raise the ValidationError that cites the step's first row that is not canonical.
+
+        The whole rows of the step's read are explained first; if they are all canonical, the row after them
+        runs past the read or ends the file without a newline, and it is read on to its newline or the end.
+        """
+        end = int(ends[-1]) + 1 if ends.size else 0
+        kind = _parse_lines(self._buf[:end], self.n + 2, self.kind)
+        while (stop := self._buf.find(b"\n", end)) < 0 and not self._eof:
+            self._fill(2 * len(self._buf))
+        _parse_lines(self._buf[end:stop + 1 or None], self.n + 2 + ends.size, kind)
 
     def __iter__(self):
         self._fill(len(_HEADER_LINE) + self._step_size())  # the header and the first step in one read
@@ -581,22 +568,19 @@ class RecordReader:
             ends = self._step_ends()
             if not self._buf:
                 return
-            end = int(ends[-1]) + 1 if ends.size else len(self._buf)
-            self.kind, codes, s1, s2 = self._canonical_step(ends) or self._parsed_step(end)
-            self._buf = self._buf[end:]
+            self.kind, codes, s1, s2 = self._canonical_step(ends) or self._refuse(ends)
+            self._buf = self._buf[int(ends[-1]) + 1:]
             lo, self.n = self.n, self.n + codes.size
             yield lo, codes, s1, s2
 
     def summary(self) -> "RecordSummary":
-        """Kind, size, canonical hash, count table and step counts of the rows read so far (one step or more).
+        """Kind, size, hash and count table of the rows read so far (one step or more).
 
         The table is a copy, so later steps leave the summary as it was taken.
         """
         if self._counts is None:
             raise ValidationError("records: no step read yet")
-        counts = _read_only(self._counts.copy(), np.int64)
-        return RecordSummary(self.kind, self.n, self._digest.hexdigest(), counts,
-                             self.canonical_steps, self.parsed_steps)
+        return RecordSummary(self.kind, self.n, self._digest.hexdigest(), _read_only(self._counts.copy(), np.int64))
 
 
 @dataclass(frozen=True, eq=False)  # compared by value below, and so unhashable, as RecordBatch is
@@ -612,8 +596,6 @@ class RecordSummary:
     n: int
     records_sha256: str
     counts: np.ndarray
-    canonical_steps: int = 0  # the steps a RecordReader read on its canonical path
-    parsed_steps: int = 0  # and by its line parser
 
     @property
     def tags(self) -> tuple[str, ...]:
@@ -623,7 +605,7 @@ class RecordSummary:
         return self.n
 
     def __eq__(self, other) -> bool:
-        # the records read, not the paths that read them
+        # by value: == on the count tables would compare them element by element
         if not isinstance(other, RecordSummary):
             return NotImplemented
         return ((self.kind, self.n, self.records_sha256) == (other.kind, other.n, other.records_sha256)
@@ -645,41 +627,32 @@ class RecordSummary:
         return reader.summary()
 
 
-# zeros before a digit that no digit precedes: leading zeros, after any space and sign
-_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
+def _parse_lines(data: bytes, line: int, kind: str | None) -> str | None:
+    """The kind of the rows in data if every one is canonical; else a ValidationError citing the first that is not.
 
-
-def _int_field(text: str) -> int:
-    """ASCII digits, optionally signed and space-padded: int() also reads "_"
-    separators, and refuses more than 4300 digits even if most are leading zeros."""
-    if "_" in text:
-        raise ValueError(text)
-    try:
-        return int(text)
-    except ValueError:
-        return int(_LEADING_ZEROS.sub("", text, count=1))
-
-
-def _parse_lines(data: bytes, line: int, kind: str | None) -> tuple:
-    """(kind, codes, s1, s2) of the rows in data, by a line-by-line parser of every spelling _int_field reads.
-
-    ``data`` holds whole rows of a records file, the first of them the row of
-    trial ``line - 2``; the parser cites the line of the first error.  Every
-    row must be of ``kind``, or of the first row's kind if it is None.
+    ``data`` holds rows of a records file mapped to LF, the first of them the
+    row of trial ``line - 2``.  A row is checked in this order: its ASCII
+    bytes, 6 fields, integer fields, outcomes, context and slots, trial, and
+    kind, which must be ``kind``, or the first row's if it is None; a row
+    that passes them all but is not its canonical rendering (a sign, leading
+    zeros, spaces, or no newline at the end of the file) is cited as such.
     """
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         lineno = line + data.count(b"\n", 0, exc.start)
         raise ValidationError(f"records line {lineno}: non-ASCII byte") from None
-    rows = text.removesuffix("\n").split("\n")  # whole rows, or a last line without a newline
-    codes, s1, s2 = [], [], []
-    for lineno, row_text in enumerate(rows, start=line):
+    *rows, last = text.split("\n")  # whole rows, then a last line without a newline, or ""
+    pos = 0  # where the row starts in text
+    for lineno, row_text in enumerate(rows + [last] if last else rows, start=line):
         parts = row_text.split(",")
         if len(parts) != 6:
             raise ValidationError(f"records line {lineno}: expected 6 fields, got {len(parts)}")
+        numbers = (parts[0], *parts[2:])
         try:
-            trial, sx, sy, v1, v2 = map(_int_field, (parts[0], *parts[2:]))
+            if any("_" in field for field in numbers):  # int() reads "_" separators
+                raise ValueError
+            trial, sx, sy, v1, v2 = map(int, numbers)
         except ValueError:
             raise ValidationError(f"records line {lineno}: non-integer field") from None
         if v1 not in (-1, 1) or v2 not in (-1, 1):
@@ -690,16 +663,16 @@ def _parse_lines(data: bytes, line: int, kind: str | None) -> tuple:
         if trial != lineno - 2:
             raise ValidationError(f"records line {lineno}: trial {trial} out of order, expected {lineno - 2} "
                                   f"(trials run 0..n-1)")
-        row_kind, code = row
         if kind is None:
-            kind = row_kind
-        elif row_kind != kind:
+            kind = row[0]
+        elif row[0] != kind:
             raise ValidationError(f"records line {lineno}: context/slot combination of another record kind "
                                   f"than line 2")
-        codes.append(code)
-        s1.append(v1)
-        s2.append(v2)
-    return kind, np.array(codes, dtype=np.uint8), np.array(s1, dtype=np.int8), np.array(s2, dtype=np.int8)
+        canonical = f"{trial},{parts[1]},{sx},{sy},{v1},{v2}\n"
+        if not text.startswith(canonical, pos):
+            raise ValidationError(f"records line {lineno}: not in canonical form")
+        pos += len(canonical)
+    return kind
 
 
 def _column(values, name: str, dtype) -> np.ndarray:
@@ -796,9 +769,9 @@ class RecordBatch:
 
         Line ends may be LF, CRLF or CR, read as LF, so the hash of a CRLF
         copy is that of the canonical file.  The file is read, checked, hashed
-        and counted one step of _STEP rows at a time by :class:`RecordReader`
-        (canonical steps on a vectorized path, any other spelling such as "+1"
-        or "01" line by line), and the steps' columns are joined.
+        and counted one step of _STEP rows at a time by :class:`RecordReader`,
+        which refuses any row that is not in canonical form, and the steps'
+        columns are joined.
         """
         with open(path, "rb") as f:
             reader = RecordReader(f)

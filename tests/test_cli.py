@@ -767,21 +767,17 @@ class TestStreaming:
         small, large = peak(8192), peak(65536)
         assert large <= 1.25 * small, (small, large)
 
-    def test_a_stage_that_took_the_line_parser_says_so(self, tmp_path, capsys):
-        # 40 000 rows are 3 steps; spelling s1 = +1 as "+1" sends every one through the parser
+    def test_a_stage_refuses_records_spelled_otherwise(self, tmp_path, capsys, assert_refused):
+        # 40 000 rows are 3 steps; with every s1 = +1 spelled "+1" the first such row is cited, and nothing written
         _, out = run_pipeline(tmp_path, n_trials=40_000)
-        spelled = tmp_path / "spelled"
-        spelled.mkdir()
-        data = (out / "records.csv").read_bytes()
-        (spelled / "records.csv").write_bytes(data.replace(b",1,-1\n", b",+1,-1\n").replace(b",1,1\n", b",+1,1\n"))
         for stage in STAGES[1:]:
             capsys.readouterr()
             assert main(stage_argv(stage, out)) == 0
-            assert "line parser" not in capsys.readouterr().err
-            assert main(stage_argv(stage, spelled)) == 0
-            assert capsys.readouterr().err == "bellsim: 3 of 3 record steps took the line parser\n"
-        for name in ("report.json", "certification.json", "bits.txt"):
-            assert (spelled / name).read_bytes() == (out / name).read_bytes()
+            assert capsys.readouterr().err == ""
+        data = (out / "records.csv").read_bytes()
+        spelled = data.replace(b",1,-1\n", b",+1,-1\n").replace(b",1,1\n", b",+1,1\n")
+        lineno = next(i for i, row in enumerate(spelled.split(b"\n"), start=1) if b",+1," in row)
+        assert_refused(spelled, f"records line {lineno}: not in canonical form")
 
 
 # what `oracle` prints for each backend of the benchmark's sweep, the correlators and quantity as computed

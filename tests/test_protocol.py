@@ -612,6 +612,16 @@ class TestGoldenRun:
         assert records.sha256() == self.GOLDEN_SHA
 
 
+HEADER = RECORDS_HEADER + "\n"
+ROW0 = "0,AB,1,2,1,-1\n"
+OTHER_KIND = "context/slot combination of another record kind than line 2"
+MALFORMED_IDS = ["header", "header-5", "header-only", "header-no-newline", "fields-5", "fields-7", "empty-line",
+                 "fields-long-line", "one", "underscores", "underscore", "outcome-2", "outcome-0", "context-XY",
+                 "slots-9-9", "slots-of-BC", "chsh-after-temporal", "temporal-after-chsh", "chsh-in-line-4",
+                 "trial-1-first", "trial-5", "trial-20-digits", "non-ascii", "outcome-in-line-5", "non-ascii-ahead",
+                 "outcome-crlf"]
+
+
 class TestRecordsCsv:
     def test_exact_csv_layout(self):
         records = RecordBatch(
@@ -652,37 +662,58 @@ class TestRecordsCsv:
         with pytest.raises(ValidationError, match="records line 1: expected header"):
             RecordBatch.from_csv(path)
 
-    @pytest.mark.parametrize(
-        "row,lineno",
-        [
-            ("0,AB,1,2,1", 3),
-            ("0,AB,1,2,1,2", 3),
-            ("0,AB,1,2,one,-1", 3),
-            ("0,XY,1,2,1,-1", 3),
-            ("0,AB,9,9,1,-1", 3),
-            ("1,\u00e9B,1,2,1,-1", 3),
-            ("99999999999999999999,AB,1,2,1,-1", 3),
-            ("0_1,AB,1,2,0_1,-1", 3),  # int() alone reads this as trial 1 with s1 = +1
-            ("1,AB,1,2,0_1,-1", 3),
-        ],
-    )
-    def test_malformed_row_cites_line(self, tmp_path, row, lineno):
+    @pytest.mark.parametrize("step", [2, protocol._STEP])  # rows in later steps, or all in the first
+    @pytest.mark.parametrize("text,message", [
+        ("foo,bar\n", f"records line 1: expected header {RECORDS_HEADER!r}"),
+        ("trial,context,slot_x,slot_y,s1\n0,AB,1,2,1,-1\n", f"records line 1: expected header {RECORDS_HEADER!r}"),
+        (HEADER, "records line 2: no trial rows"),
+        (RECORDS_HEADER, "records line 2: no trial rows"),
+        (HEADER + ROW0 + "0,AB,1,2,1\n", "records line 3: expected 6 fields, got 5"),
+        (HEADER + ROW0 + "1,AB,1,2,1,-1,\n", "records line 3: expected 6 fields, got 7"),
+        (HEADER + ROW0 + "\n", "records line 3: expected 6 fields, got 1"),
+        # a line longer than one step's read of canonical rows
+        (HEADER + ROW0 + " " * 400_000 + "1,AB,1,2,1\n", "records line 3: expected 6 fields, got 5"),
+        (HEADER + ROW0 + "0,AB,1,2,one,-1\n", "records line 3: non-integer field"),
+        (HEADER + ROW0 + "0_1,AB,1,2,0_1,-1\n", "records line 3: non-integer field"),  # int() alone reads trial 1, +1
+        (HEADER + ROW0 + "1,AB,1,2,0_1,-1\n", "records line 3: non-integer field"),
+        (HEADER + ROW0 + "1,AB,1,2,1,2\n", "records line 3: outcomes must be +1 or -1"),
+        (HEADER + ROW0 + "1,AB,1,2,0,-1\n", "records line 3: outcomes must be +1 or -1"),
+        (HEADER + ROW0 + "0,XY,1,2,1,-1\n", "records line 3: unknown context/slot combination"),
+        (HEADER + ROW0 + "0,AB,9,9,1,-1\n", "records line 3: unknown context/slot combination"),
+        (HEADER + ROW0 + "1,AB,2,3,1,-1\n", "records line 3: unknown context/slot combination"),
+        (HEADER + ROW0 + "1,ABp,1,4,1,1\n", f"records line 3: {OTHER_KIND}"),
+        (HEADER + "0,ABp,1,4,1,1\n1,AB,1,2,1,-1\n", f"records line 3: {OTHER_KIND}"),
+        (HEADER + ROW0 + "1,BC,2,3,-1,1\n2,ABp,1,4,1,1\n", f"records line 4: {OTHER_KIND}"),
+        (HEADER + "1,AB,1,2,1,-1\n", "records line 2: trial 1 out of order, expected 0 (trials run 0..n-1)"),
+        (HEADER + ROW0 + "5,AB,1,2,1,-1\n", "records line 3: trial 5 out of order, expected 1 (trials run 0..n-1)"),
+        (HEADER + ROW0 + "99999999999999999999,AB,1,2,1,-1\n",
+         "records line 3: trial 99999999999999999999 out of order, expected 1 (trials run 0..n-1)"),
+        (HEADER + ROW0 + "1,\u00e9B,1,2,1,-1\n", "records line 3: non-ASCII byte"),
+        (HEADER + ROW0 + "1,BC,2,3,-1,1\n2,AC,1,3,1,1\n3,AB,1,2,1,2\n", "records line 5: outcomes must be +1 or -1"),
+        # a step's rows are checked for non-ASCII bytes first, so one is cited ahead of an earlier error
+        (HEADER + ROW0 + "1,BC,2,3,-1,1\n2,AC,1,3,1,2\n3,\u00e9B,1,2,1,-1\n", "records line 5: non-ASCII byte"),
+        ((HEADER + ROW0 + "1,AB,1,2,1,2\n").replace("\n", "\r\n"), "records line 3: outcomes must be +1 or -1"),
+    ], ids=MALFORMED_IDS)
+    def test_malformed_row_cites_line(self, tmp_path, monkeypatch, step, text, message):
+        monkeypatch.setattr(protocol, "_STEP", step)
         path = tmp_path / "r.csv"
-        path.write_text("trial,context,slot_x,slot_y,s1,s2\n0,AB,1,2,1,-1\n" + row + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=f"line {lineno}"):
-            RecordBatch.from_csv(path)
+        path.write_text(text, encoding="utf-8", newline="")
+        for read in (RecordBatch.from_csv, protocol.RecordSummary.from_csv):
+            with pytest.raises(ValidationError) as exc:
+                read(path)
+            assert str(exc.value) == message
 
-    def test_leading_zeros_past_the_int_digit_limit(self, tmp_path):
-        # int() refuses more than 4300 digits, even if all of them are zeros
-        records = RecordBatch("temporal", np.array([0, 2]), np.array([1, -1]), np.array([-1, 1]))
+    def test_leading_zeros_past_the_int_digit_limit(self, tmp_path, assert_refused):
+        # int() refuses more than 4300 digits, even if all of them are zeros, so such a field is no integer
         path = tmp_path / "r.csv"
-        path.write_text(f"{RECORDS_HEADER}\n{'0' * 5000},AB,1,2,1,-1\n-{'0' * 4999}1,BC,02,3,-1,{'0' * 5000}1\n")
-        with pytest.raises(ValidationError, match="line 3: trial -1 out of order"):
-            RecordBatch.from_csv(path)
-        path.write_text(f"{RECORDS_HEADER}\n{'0' * 5000},AB,1,2,1,-1\n+{'0' * 4999}1,BC,02,3,-1,{'0' * 5000}1\n")
-        loaded = RecordBatch.from_csv(path)
-        assert loaded == records
-        assert loaded.sha256() == records.sha256()
+        for text, message in ((f"{HEADER}{'0' * 5000},AB,1,2,1,-1\n", "records line 2: non-integer field"),
+                              (f"{HEADER}{ROW0}+{'0' * 4999}1,BC,2,3,-1,1\n", "records line 3: non-integer field"),
+                              (f"{HEADER}{ROW0}1,BC,2,3,-1,{'0' * 5000}1\n", "records line 3: non-integer field")):
+            path.write_text(text)
+            with pytest.raises(ValidationError) as exc:
+                RecordBatch.from_csv(path)
+            assert str(exc.value) == message
+            assert_refused(text.encode(), message)
 
     @pytest.mark.parametrize("trials,lineno", [([5, 5, -3], 2), ([0, 1, 1], 4), ([0, 2, 1], 3), ([1], 2)])
     def test_trial_column_must_run_from_zero(self, tmp_path, trials, lineno):
@@ -697,15 +728,27 @@ class TestRecordsCsv:
         with pytest.raises(ValidationError, match="line 4"):
             RecordBatch.from_csv(path)
 
-    def test_non_canonical_spellings_keep_the_canonical_hash(self, tmp_path):
+    @pytest.mark.parametrize("row", ["2,AC,1,3,+1,1", "2,AC,01,3,1,1", " 2,AC,1,3,1,1", "2,AC,1,3,1,1 ",
+                                     "2,AC,1,3,1, 1", "+2,AC,1,3,1,1", "2,AC,1,3,1,-0001"])
+    def test_non_canonical_spellings_are_refused(self, tmp_path, assert_refused, row):
+        # other spellings of valid values: records are read only in the canonical form that run writes
+        rows = [ROW0, "1,BC,2,3,-1,1\n", row + "\n", "3,AB,1,2,-1,-1\n"]
+        path = tmp_path / "r.csv"
+        path.write_text(HEADER + "".join(rows))
+        with pytest.raises(ValidationError) as exc:
+            RecordBatch.from_csv(path)
+        assert str(exc.value) == "records line 4: not in canonical form"
+        assert_refused(path.read_bytes(), "records line 4: not in canonical form")
+
+    def test_the_records_hash_is_that_of_the_bytes_read(self, tmp_path):
+        # the SHA-256 of the file after line-end mapping, which for a file bellsim wrote is its own
         records = run_experiment(temporal_config(n_trials=20))
         path = tmp_path / "records.csv"
         records.write_csv(path)
-        text = path.read_text().replace(",1,", ",+1,").replace("\n1,", "\n01,")
-        path.write_text(text)
-        loaded = RecordBatch.from_csv(path)
-        assert loaded == records
-        assert loaded.sha256() == records.sha256() == hashlib.sha256(records.to_csv_bytes()).hexdigest()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert RecordBatch.from_csv(path).sha256() == records.sha256() == digest
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert RecordBatch.from_csv(path).sha256() == digest
 
     @pytest.mark.parametrize("kind", ["temporal", "chsh"])
     def test_header_only_file_is_rejected(self, tmp_path, kind):

@@ -93,12 +93,6 @@ def test_round_trip_for_every_line_end(batch, chunk):
             assert loaded.sha256() == batch.sha256()
 
 
-def _respells_a_line_end(old: bytes, pos: int, value: int) -> bool:
-    # CR reads as LF, and int() ignores whitespace after the last field of a file
-    return (old[pos] == ord("\n") and value == ord("\r")) or (
-        pos == len(old) - 1 and bytes([value]).isspace())
-
-
 @settings(max_examples=150, deadline=None)
 @given(batch=batches(min_size=1), data=st.data())
 def test_one_changed_byte_is_rejected_or_changes_the_hash(batch, data):
@@ -108,7 +102,7 @@ def test_one_changed_byte_is_rejected_or_changes_the_hash(batch, data):
         old = path.read_bytes()
         pos = data.draw(st.integers(0, len(old) - 1), label="pos")
         value = data.draw(st.integers(0, 255).filter(lambda v: v != old[pos]), label="value")
-        assume(not _respells_a_line_end(old, pos, value))
+        assume(not (old[pos] == ord("\n") and value == ord("\r")))  # CR reads as LF
         path.write_bytes(old[:pos] + bytes([value]) + old[pos + 1:])
         try:
             loaded = RecordBatch.from_csv(path)
@@ -119,7 +113,7 @@ def test_one_changed_byte_is_rejected_or_changes_the_hash(batch, data):
 
 
 def test_hash_is_rendered_once(tmp_path, monkeypatch):
-    # writing renders each step once, reading a canonical file renders none, and a parsed step is rendered once
+    # writing renders each step once, and reading renders nothing, also where it refuses a step
     calls = []
     render = protocol._render_rows
 
@@ -143,14 +137,14 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
     assert loaded.sha256() == digest
     assert len(calls) == 4
 
-    path.write_bytes(path.read_bytes().replace(b"\n400,", b"\n+400,"))  # a step of trials 300..599 to parse
-    summary = RecordSummary.from_csv(path)
-    assert (summary.records_sha256, summary.canonical_steps, summary.parsed_steps) == (digest, 3, 1)
-    assert calls[4:] == [300]
+    path.write_bytes(path.read_bytes().replace(b"\n400,", b"\n+400,"))  # trial 400 in another spelling
+    with pytest.raises(ValidationError, match="^records line 402: not in canonical form$"):
+        RecordSummary.from_csv(path)
+    assert len(calls) == 4
 
     fresh = run_experiment(config)
     assert fresh.sha256() == fresh.sha256() == digest
-    assert len(calls) == 9
+    assert len(calls) == 8
 
 
 # steps start near these trials, so that their rows cross a digit width, 2**32 or the 9-digit windows
@@ -182,6 +176,13 @@ def edited_step(rows: list[bytes], lo: int, data) -> bytes:
     return b"".join(rows)
 
 
+def spelled_keys(step: bytes) -> np.ndarray:
+    # the _outcome_key values that the rows of a step spell, each row six valid fields
+    rows = [row.split(b",") for row in step[:-1].split(b"\n")]
+    return np.array([protocol._ROWS[(tag.decode(), int(sx), int(sy))][1] * 4 + (int(v1) > 0) * 2 + (int(v2) > 0)
+                     for _, tag, sx, sy, v1, v2 in rows], dtype=np.uint8)
+
+
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(sorted(N_CONTEXTS)), data=st.data())
 def test_in_place_check_accepts_exactly_what_rendering_gives(kind, data):
@@ -193,15 +194,19 @@ def test_in_place_check_accepts_exactly_what_rendering_gives(kind, data):
     ends = np.flatnonzero(np.frombuffer(step, np.uint8) == ord("\n")).astype(np.int32)
     assume(ends.size)
     step = step[:ends[-1] + 1]  # a step ends at its last newline
-    # the drawn keys, and those the line parser reads back when it accepts the rows
-    candidates = [np.resize(key, ends.size)]
     try:
-        candidates.append(protocol._outcome_key(*protocol._parse_lines(step, lo + 2, kind)[1:]))
+        protocol._parse_lines(step, lo + 2, kind)
+        accepted = True
     except ValidationError:
-        pass
+        accepted = False
+    # the drawn keys, and those the rows spell if the line parser accepts them
+    candidates = [np.resize(key, ends.size), *([spelled_keys(step)] if accepted else [])]
+    canonical = []
     for candidate in candidates:
         rendered = protocol._render_rows(kind, lo, candidate)
         assert protocol._rows_are_canonical(step, kind, lo, ends, candidate) == (rendered == step)
+        canonical.append(rendered == step)
+    assert accepted == any(canonical)  # the line parser accepts exactly the canonical rows
 
 
 @pytest.mark.parametrize("kind,lo", [("temporal", 10 ** 8 - 6), ("chsh", 95)])  # rows that cross a digit width
@@ -223,7 +228,6 @@ def test_record_summaries_compare_by_value_and_are_unhashable(tmp_path):
     write_run(config, path)
     a, b = RecordSummary.from_csv(path), RecordSummary.from_csv(path)
     assert a == b and not a != b
-    assert a == dataclasses.replace(b, canonical_steps=0, parsed_steps=1)  # how it was read is left out
     for field, value in (("kind", "chsh"), ("n", 499), ("records_sha256", "0" * 64), ("counts", b.counts + 1)):
         assert a != dataclasses.replace(b, **{field: value})
     assert a != run_experiment(config) and a != "a summary"
@@ -289,11 +293,11 @@ def reads(monkeypatch):
 
 @pytest.fixture
 def streamed(monkeypatch):
-    """Fail any load that leaves the streamed path for the line-by-line parser."""
-    def fell_back(*args):
-        raise AssertionError("fell back to the line-by-line parser")
+    """Fail any load that calls the line parser, which only explains a refused step."""
+    def refused(*args):
+        raise AssertionError("a step was refused")
 
-    monkeypatch.setattr(protocol, "_parse_lines", fell_back)
+    monkeypatch.setattr(protocol, "_parse_lines", refused)
 
 
 def small_chunk_batch(monkeypatch, tmp_path, chunk=7, n_trials=500, **overrides):
@@ -314,7 +318,7 @@ def assert_loads_as(path, batch):
     assert np.array_equal(loaded.outcome_counts(), batch.outcome_counts())
 
 
-@pytest.mark.parametrize("chunk,n_trials", [(4, 2000), (9, 2000), (64, 5000)])
+@pytest.mark.parametrize("chunk,n_trials", [(11, 2000), (9, 2000), (64, 5000)])
 def test_crlf_split_across_a_read_boundary(monkeypatch, tmp_path, reads, streamed, chunk, n_trials):
     batch, path = small_chunk_batch(monkeypatch, tmp_path, chunk=chunk, n_trials=n_trials)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
@@ -329,6 +333,21 @@ def test_crlf_file_takes_one_read_per_step(monkeypatch, tmp_path, reads, streame
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert_loads_as(path, batch)
     assert len(reads) <= 72 + 1  # and one more that finds the end
+
+
+@pytest.mark.parametrize("kind,width", [("temporal", 14), ("chsh", 16)])
+def test_steps_after_the_first_are_sized_by_the_files_kind(monkeypatch, tmp_path, streamed, kind, width):
+    # a step's read and newline search take what _STEP canonical rows can: of either kind until line 2 has
+    # named the file's kind (a CHSH tail is 16 bytes), then of that kind (a temporal tail is at most 14)
+    extra = {} if kind == "temporal" else dict(mode="qm_singlet", directions=tsirelson_quadruple())
+    batch, path = small_chunk_batch(monkeypatch, tmp_path, **extra)  # 500 rows in steps of 7
+    assert protocol._TAILS[kind].shape[1] == width
+    with open(path, "rb") as f:
+        reader = protocol.RecordReader(f)
+        assert reader._step_size() == 7 * (1 + 16)
+        for _ in reader:
+            assert reader._step_size() == 7 * (len(str(reader.n + 6)) + width)
+    assert reader.summary().records_sha256 == batch.sha256()
 
 
 def test_mixed_line_ends_load_on_the_streamed_path(monkeypatch, tmp_path, streamed):
@@ -400,19 +419,19 @@ def test_lone_cr_as_the_last_byte(monkeypatch, tmp_path, reads, streamed, kind):
     assert last.endswith(b"\r") and end == b""  # the CR waited for the read that found the end
 
 
-def test_file_without_a_final_newline(monkeypatch, tmp_path):
-    batch, path = small_chunk_batch(monkeypatch, tmp_path)
-    path.write_bytes(path.read_bytes()[:-1])
-    assert_loads_as(path, batch)
+def test_file_without_a_final_newline_is_refused(monkeypatch, tmp_path, assert_refused):
+    # the canonical form ends each row, the last one too, in a newline
+    _, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
+    assert_refused(path.read_bytes()[:-1], "records line 501: not in canonical form")
 
 
-def test_non_canonical_row_in_the_last_chunk(monkeypatch, tmp_path):
-    batch, path = small_chunk_batch(monkeypatch, tmp_path)
+def test_non_canonical_row_in_the_last_chunk(monkeypatch, tmp_path, assert_refused):
+    _, path = small_chunk_batch(monkeypatch, tmp_path)
     head, last = path.read_bytes()[:-1].rsplit(b"\n", 1)
     trial, rest = last.split(b",", 1)
-    path.write_bytes(head + b"\n" + trial + b"," + rest.replace(b",1", b",+1") + b"\n")
-    assert b"+1" in path.read_bytes()
-    assert_loads_as(path, batch)
+    records = head + b"\n" + trial + b"," + rest.replace(b",1", b",+1") + b"\n"
+    assert b"+1" in records
+    assert_refused(records, "records line 501: not in canonical form")
 
 
 def test_bad_row_in_a_later_chunk_cites_its_line(monkeypatch, tmp_path):
@@ -435,47 +454,28 @@ def test_a_short_row_first_in_a_step_cites_its_line(monkeypatch, tmp_path, row):
         RecordSummary.from_csv(path)
 
 
-def test_long_line_falls_back_after_one_step(monkeypatch, tmp_path, reads):
+def test_a_long_line_is_read_on_only_to_cite_it(monkeypatch, tmp_path, reads):
     monkeypatch.setattr(protocol, "_STEP", 4)
     path = tmp_path / "records.csv"
-    # a valid spelling of trial 0 (int() ignores the spaces), far longer than any canonical row
+    # trial 0 after 2 MB of spaces, far longer than any canonical row
     path.write_bytes(f"{RECORDS_HEADER}\n{' ' * 2_000_000}0,AB,1,2,1,-1\n1,BC,2,3,-1,1\n".encode())
-    loaded = RecordBatch.from_csv(path)
-    assert loaded.trial.tolist() == [0, 1] and loaded.s2.tolist() == [-1, 1]
+    with pytest.raises(ValidationError, match="^records line 2: not in canonical form$"):
+        RecordBatch.from_csv(path)
     assert len(reads[0][1]) < 200  # one step's worth first
     assert all(size != -1 for size, _ in reads)  # the file is never read whole ...
     assert len(reads) < 40  # ... and the long line in reads that double in size
 
 
-def test_rows_longer_than_canonical_hold_about_one_step(monkeypatch, tmp_path, reads):
-    # with every slot and outcome signed ("+1", "+3") each row is longer than any canonical row, so
-    # the first read of each step comes short and must grow by what the rows found predict
-    batch, path = small_chunk_batch(monkeypatch, tmp_path, mode="qm_singlet", directions=tsirelson_quadruple())
+def test_rows_longer_than_canonical_are_refused_out_of_one_read(monkeypatch, tmp_path, reads, assert_refused):
+    # with every slot and outcome signed ("+1", "+3") each row is longer than any canonical row, so the step's
+    # read holds fewer than a step of rows: the first of them is cited without reading on
+    _, path = small_chunk_batch(monkeypatch, tmp_path, mode="qm_singlet", directions=tsirelson_quadruple())
     header, rows = path.read_bytes().split(b"\n", 1)
     path.write_bytes(header + b"\n" + re.sub(rb",([0-9])", rb",+\1", rows))
-    ends = np.cumsum([len(line) for line in path.read_bytes().splitlines(keepends=True)])  # of line 1, 2, ...
-    with protocol.open(path, "rb") as f:  # the logged open of the reads fixture
-        reader = protocol.RecordReader(f)
-        for lo, codes, *_ in reader:
-            held = sum(len(data) for _, data in reads) - ends[lo]  # read, less the rows of earlier steps
-            assert held <= 1.25 * (ends[lo + codes.size] - ends[lo])
-    assert reader.summary().records_sha256 == batch.sha256()
-
-
-def test_one_long_row_among_short_ones_holds_at_most_twice_its_step(monkeypatch, tmp_path, reads):
-    # trial 0 padded (int() ignores the spaces) so that its newline falls just inside the first read:
-    # the rows found then predict far more bytes than the step's short rows take, so growth is capped
-    batch, path = small_chunk_batch(monkeypatch, tmp_path, chunk=300, n_trials=5000)
-    header, rows = path.read_bytes().split(b"\n", 1)
-    path.write_bytes(header + b"\n" + b" " * (protocol.RecordReader(None)._step_size() - 20) + rows)
-    ends = np.cumsum([len(line) for line in path.read_bytes().splitlines(keepends=True)])  # of line 1, 2, ...
-    with protocol.open(path, "rb") as f:  # the logged open of the reads fixture
-        reader = protocol.RecordReader(f)
-        for lo, codes, *_ in reader:
-            held = sum(len(data) for _, data in reads) - ends[lo]  # read, less the rows of earlier steps
-            assert held <= 2 * (ends[lo + codes.size] - ends[lo])
-    assert ends[1] <= len(reads[0][1])  # row 1 ended inside the first read
-    assert reader.summary().records_sha256 == batch.sha256()
+    with pytest.raises(ValidationError, match="^records line 2: not in canonical form$"):
+        RecordSummary.from_csv(path)
+    assert len(reads) == 1 and len(reads[0][1]) < 7 * 40
+    assert_refused(path.read_bytes(), "records line 2: not in canonical form")
 
 
 @pytest.fixture
@@ -493,26 +493,29 @@ def parser_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("row", [499, 250, 0])
-def test_only_the_step_that_differs_is_parsed_line_by_line(monkeypatch, tmp_path, parser_calls, row):
-    batch, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
+def test_only_the_step_that_differs_is_parsed_line_by_line(monkeypatch, tmp_path, parser_calls, assert_refused,
+                                                            row):
+    _, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
     lines = path.read_bytes().split(b"\n")
-    lines[row + 1] = b"0" + lines[row + 1]  # a leading zero: valid, not canonical
+    lines[row + 1] = b"0" + lines[row + 1]  # a leading zero: a valid value, not in canonical form
     path.write_bytes(b"\n".join(lines))
-    assert_loads_as(path, batch)
+    with pytest.raises(ValidationError, match=rf"^records line {row + 2}: not in canonical form$"):
+        RecordSummary.from_csv(path)
     first = row - row % 7
     assert parser_calls == [first + 2]  # the file's line of the step's first row; the header never reaches it
+    assert_refused(path.read_bytes(), f"records line {row + 2}: not in canonical form")
 
 
-def test_steps_are_the_next_step_lines_whichever_path_reads_them(monkeypatch, tmp_path, parser_calls):
-    batch, path = small_chunk_batch(monkeypatch, tmp_path, n_trials=60)  # steps of 7
+def test_a_row_past_the_read_is_explained_after_the_rows_before_it(monkeypatch, tmp_path, parser_calls,
+                                                                  assert_refused):
+    _, path = small_chunk_batch(monkeypatch, tmp_path, n_trials=60)  # steps of 7
     lines = path.read_bytes().split(b"\n")
-    lines[3] = b" " * 100 + lines[3]  # trial 2, in a valid spelling longer than a step of canonical rows
+    lines[3] = b" " * 100 + lines[3]  # trial 2, longer than a step of canonical rows
     path.write_bytes(b"\n".join(lines))
-    with open(path, "rb") as f:
-        sizes = [codes.size for _, codes, _, _ in protocol.RecordReader(f)]
-    assert sizes == [7] * 8 + [4]  # so every later step starts at a multiple of 7 as in the canonical file
-    assert parser_calls == [2]  # the first step, through the parser once, from the file's line 2
-    assert_loads_as(path, batch)
+    with pytest.raises(ValidationError, match="^records line 4: not in canonical form$"):
+        RecordSummary.from_csv(path)
+    assert parser_calls == [2, 4]  # the whole rows of the step's read, then the row after them, read on to its end
+    assert_refused(path.read_bytes(), "records line 4: not in canonical form")
 
 
 def test_canonical_file_is_never_read_whole(monkeypatch, tmp_path, reads, streamed):

@@ -7,7 +7,9 @@ Usage:
 The config is the README's "### Config" block with n_trials set to 60 000,
 and the stages write into a temporary directory.  Each stage must exit 0,
 and `oracle` must print a JSON object that holds `correlators`, `marginals`
-and `quantity`.  The script prints each stage's exit code and output, and
+and `quantity`.  Then `analyze` of a copy of the records with the first
+s1 = 1 spelled "+1" must exit 1, cite that row's line on stderr and write
+no report.  The script prints each command's exit code and output, and
 exits 1 at the first check that fails.
 """
 
@@ -23,6 +25,30 @@ N_TRIALS = 60_000
 ORACLE_KEYS = ("correlators", "marginals", "quantity")
 
 
+def bellsim(command: list[str], args: list[str]) -> subprocess.CompletedProcess:
+    done = subprocess.run([*command, *args], capture_output=True, text=True)
+    print(f"{args[0]}: exit {done.returncode}\n{done.stdout}{done.stderr}", end="")
+    return done
+
+
+def refuses_a_respelled_row(command: list[str], out: Path, config: Path) -> bool:
+    """Whether `analyze` of the records with one s1 = 1 spelled "+1" exits 1, cites its line and writes nothing."""
+    rows = (out / "records.csv").read_bytes().split(b"\n")
+    i = next(i for i, row in enumerate(rows) if row.split(b",")[4:5] == [b"1"])  # rows[0] is the header, line 1
+    fields = rows[i].split(b",")
+    fields[4] = b"+1"
+    rows[i] = b",".join(fields)
+    spelled = out / "spelled"
+    spelled.mkdir()
+    (spelled / "records.csv").write_bytes(b"\n".join(rows))
+    done = bellsim(command, stage_argv("analyze", spelled, config))
+    cited = f"records line {i + 1}: not in canonical form"
+    if done.returncode != 1 or cited not in done.stderr or (spelled / "report.json").exists():
+        print(f"analyze of a row spelled +1 did not exit 1 citing {cited!r} and writing no report")
+        return False
+    return True
+
+
 def main(command: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "config.json", Path(tmp) / "out"
@@ -30,15 +56,14 @@ def main(command: list[str]) -> int:
         stages = [*(stage_argv(name, out, config) for name in ("run", "analyze", "certify")),
                   ["oracle", "--config", str(config)]]
         for stage in stages:
-            done = subprocess.run([*command, *stage], capture_output=True, text=True)
-            print(f"{stage[0]}: exit {done.returncode}\n{done.stdout}{done.stderr}", end="")
+            done = bellsim(command, stage)
             if done.returncode != 0:
                 return 1
-    missing = [key for key in ORACLE_KEYS if key not in json.loads(done.stdout)]
-    if missing:
-        print(f"oracle printed no {', '.join(missing)}")
-        return 1
-    return 0
+        missing = [key for key in ORACLE_KEYS if key not in json.loads(done.stdout)]
+        if missing:
+            print(f"oracle printed no {', '.join(missing)}")
+            return 1
+        return 0 if refuses_a_respelled_row(command, out, config) else 1
 
 
 if __name__ == "__main__":
