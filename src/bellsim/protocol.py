@@ -275,21 +275,16 @@ _ROWS = {(tag, *slot): (kind, code)
          for kind, (tags, slots) in GEOMETRIES.items() for code, (tag, slot) in enumerate(zip(tags, slots))}
 
 
-def _tail_table(tags: tuple[str, ...], slots: tuple[tuple[int, int], ...]) -> np.ndarray:
-    # ",tag,x,y,s1,s2\n" by code * 4 + (s1 > 0) * 2 + (s2 > 0), NUL-padded to one width
-    tails = [f",{tag},{sx},{sy},{v1},{v2}\n".encode()
-             for tag, (sx, sy) in zip(tags, slots) for v1 in (-1, 1) for v2 in (-1, 1)]
-    width = max(len(t) for t in tails)
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tails), np.uint8).reshape(len(tails), width)
-
-
-_TAILS = {kind: _tail_table(*geometry) for kind, geometry in GEOMETRIES.items()}
-_TAIL_ROWS = {kind: [bytes(tail).rstrip(b"\0") for tail in tails] for kind, tails in _TAILS.items()}  # as bytes
+# by record kind and _outcome_key, the bytes of a row after its trial: the one place that spells a row out
+_TAIL_ROWS = {kind: [f",{tag},{sx},{sy},{v1},{v2}\n".encode()
+                     for tag, (sx, sy) in zip(tags, slots) for v1 in (-1, 1) for v2 in (-1, 1)]
+              for kind, (tags, slots) in GEOMETRIES.items()}
 _HEADER_LINE = (RECORDS_HEADER + "\n").encode("ascii")
 # trial 0 plus a tail names the kind; within a kind the slot digits name the context
 _KIND_OF_ROW0 = {b"0" + tail: kind for kind, tails in _TAIL_ROWS.items() for tail in tails}
 _MIN_ROW = min(len(row) for row in _KIND_OF_ROW0)  # the shortest canonical row of either kind
-_TAIL_WIDTH = max(tails.shape[1] for tails in _TAILS.values())  # the longest tail of either kind
+_TAIL_WIDTH = {kind: max(map(len, tails)) for kind, tails in _TAIL_ROWS.items()}  # the longest tail of each kind
+_TAIL_WIDTH[None] = max(_TAIL_WIDTH.values())  # of either kind
 
 
 def _read_only(values, dtype=None) -> np.ndarray:
@@ -328,34 +323,8 @@ def _count_table(n_contexts: int, key: np.ndarray) -> np.ndarray:
     return _read_only(np.bincount(key, minlength=4 * n_contexts).reshape(n_contexts, 4), np.int64)
 
 
-def _render_rows(kind: str, lo: int, key: np.ndarray) -> bytearray:
-    """Canonical CSV rows of trials lo..lo+m-1, given their m >= 1 _outcome_key values.
-
-    Every row is laid out in one fixed-width byte grid (right-aligned trial
-    digits, tail), with NUL where a row is shorter than the grid; dropping
-    the NULs leaves the rows back to back.  Each digit column and the tails
-    are written straight into the grid.
-    """
-    tails = _TAILS[kind]
-    m = key.size
-    top = lo + m - 1
-    width, shortest = len(str(top)), len(str(lo))
-    buf = bytearray(m * (width + tails.shape[1]))
-    grid = np.frombuffer(buf, np.uint8).reshape(m, -1)
-    q = np.arange(lo, top + 1, dtype=np.uint32 if top < 1 << 32 else np.uint64)
-    for d in range(1, width + 1):  # d-th digit from the right
-        above = q // 10
-        column = grid[:, width - d]
-        np.add(q - above * 10, ord("0"), out=column, casting="unsafe")
-        if d > shortest:  # a leading position in some rows: NUL where the number is shorter
-            column *= q > 0
-        q = above
-    grid[:, width:] = tails.take(key, axis=0)
-    return buf.translate(None, b"\0")
-
-
-# by _outcome_key, each tail's bytes before its newline and its first and last 8 bytes as little-endian words:
-# tails are 12 to 16 bytes long, so the two words cover every byte of a tail
+# by _outcome_key, each tail's bytes before its newline and the words _render_rows writes and _rows_are_canonical
+# compares, its first and last 8 bytes: tails are 12 to 16 bytes long, so the two cover every byte of a tail
 _TAIL_WORDS = {kind: (np.array([len(t) - 1 for t in tails], np.int32),
                       np.frombuffer(b"".join(t[:8] for t in tails), "<u8"),
                       np.frombuffer(b"".join(t[-8:] for t in tails), "<u8")) for kind, tails in _TAIL_ROWS.items()}
@@ -363,11 +332,11 @@ _TAIL_WORDS = {kind: (np.array([len(t) - 1 for t in tails], np.int32),
 
 @functools.cache
 def _digits4() -> np.ndarray:
-    # "0000".."9999" as little-endian words, built by the first RecordReader (a run never needs them)
-    grid = np.zeros((10,) * 4 + (8,), np.uint8)
+    # "0000".."9999" as little-endian words, built by the first step that needs them
+    table = np.zeros((10,) * 4 + (8,), np.uint8)
     for k in range(4):  # the k-th digit varies along axis k
-        grid[..., k] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
-    return _read_only(grid.view("<u8").ravel())
+        table[..., k] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
+    return _read_only(table.view("<u8").ravel())
 
 
 def _digit_words(x: np.ndarray) -> np.ndarray:
@@ -377,6 +346,39 @@ def _digit_words(x: np.ndarray) -> np.ndarray:
     word <<= 32
     word += _digits4().take(hi)
     return word
+
+
+def _digit_counts(lo: int, m: int) -> np.ndarray:
+    # the number of digits of each trial lo..lo+m-1
+    width = np.full(m, len(str(lo)), np.uint8)
+    for d in range(len(str(lo)), len(str(lo + m - 1))):
+        width[10 ** d - lo:] += 1
+    return width
+
+
+def _render_rows(kind: str, lo: int, key: np.ndarray) -> bytearray:
+    """Canonical CSV rows of trials lo..lo+m-1, given their m >= 1 _outcome_key values.
+
+    The mirror of _rows_are_canonical: rows end where their summed lengths put them, and the check's words are
+    written through its window view, digits first, so the tail words cover what a short trial's digit word adds.
+    """
+    width = _digit_counts(lo, key.size)
+    before, first, last = _TAIL_WORDS[kind]
+    to_newline = before.take(key)  # each tail's bytes before its newline
+    ends = np.cumsum(to_newline + width + 1, dtype=np.int32) - 1  # each row's newline
+    tail = ends - to_newline  # each tail's first byte
+    buf = bytearray(int(ends[-1]) + 1)
+    win = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    trial = np.arange(lo, lo + key.size, dtype=np.uint32 if lo + key.size <= 1 << 32 else np.uint64)
+    big = max(10 ** 8 - lo, 0)  # the rows from here on have 9 to 16 digits (no file has 10^16 rows)
+    if big < key.size:
+        win[tail[big:] - 8] = _digit_words(trial[big:] % 10 ** 8)
+        trial[big:] //= 10 ** (width[big:] - 8).astype(np.uint64)  # their first 8 digits
+    shift = 64 - 8 * np.minimum(width, 8)  # leaves a word's digits in its low bytes, NUL above them
+    win[tail - width] = _digit_words(trial) >> shift
+    win[tail] = first.take(key)
+    win[ends - 7] = last.take(key)
+    return buf
 
 
 def _differs(windows: np.ndarray, words: np.ndarray, shift=0) -> int:
@@ -391,14 +393,12 @@ def _rows_are_canonical(buf, kind: str, lo: int, ends: np.ndarray, key: np.ndarr
     """Whether buf up to its newline at ends[-1] (one per _outcome_key value) equals _render_rows(kind, lo, key).
 
     Each row must start one past the previous newline and be as long as its digits and tail; then 8-byte windows
-    must hold the tail's first and last 8 bytes and the trial's first 8 digits (fewer, masked) at the row's start,
-    and from 9 digits on its last 8 just before the tail.  Differences are counted (subtraction, count_nonzero):
-    numpy's comparison and reduction loops would add their code pages to a stage's peak RSS.
+    must hold _render_rows's words: the tail's first and last 8 bytes, the trial's first 8 digits (fewer, masked)
+    at the row's start, and from 9 digits on its last 8 just before the tail.  Differences are counted (subtraction,
+    count_nonzero): numpy's comparison and reduction loops would add their code pages to a stage's peak RSS.
     """
     m = key.size
-    width = np.full(m, len(str(lo)), np.uint8)  # each trial's digit count
-    for d in range(len(str(lo)), len(str(lo + m - 1))):
-        width[10 ** d - lo:] += 1
+    width = _digit_counts(lo, m)
     before, first, last = _TAIL_WORDS[kind]
     tail = ends - before.take(key)  # each tail's first byte
     start = tail - width
@@ -502,8 +502,7 @@ class RecordReader:
     def _step_size(self) -> int:
         # the most bytes that the next _STEP canonical rows can take: rows of the file's kind once line 2 has
         # named it, else of either kind
-        width = _TAILS[self.kind].shape[1] if self.kind else _TAIL_WIDTH
-        return _STEP * (len(str(self.n + _STEP - 1)) + width)
+        return _STEP * (len(str(self.n + _STEP - 1)) + _TAIL_WIDTH[self.kind])
 
     def _step_ends(self) -> np.ndarray:
         # the positions of the newlines in the step's read, at most _STEP of them; int32 positions halve the
@@ -668,8 +667,8 @@ def _parse_lines(data: bytes, line: int, kind: str | None) -> str | None:
         elif row[0] != kind:
             raise ValidationError(f"records line {lineno}: context/slot combination of another record kind "
                                   f"than line 2")
-        canonical = f"{trial},{parts[1]},{sx},{sy},{v1},{v2}\n"
-        if not text.startswith(canonical, pos):
+        canonical = str(trial).encode() + _TAIL_ROWS[kind][4 * row[1] + 2 * (v1 > 0) + (v2 > 0)]
+        if not data.startswith(canonical, pos):
             raise ValidationError(f"records line {lineno}: not in canonical form")
         pos += len(canonical)
     return kind

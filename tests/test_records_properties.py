@@ -65,15 +65,15 @@ def test_renderer_matches_reference(batch, chunk):
         assert batch.to_csv_bytes() == reference_csv(batch)
 
 
-@pytest.mark.parametrize("lo", [0, 7, 99_990, 2 ** 32 - 5, 10 ** 12 - 3])
-def test_render_rows_across_digit_widths(lo):
-    # trials lo..lo+9 cross a digit width (and, at 2**32, the 32-bit digit loop)
-    codes = np.arange(10, dtype=np.uint8) % 4
+@pytest.mark.parametrize("kind", sorted(N_CONTEXTS))
+@pytest.mark.parametrize("lo", [0, 7, 99_990, 10 ** 8 - 5, 2 ** 32 - 5, 10 ** 12 - 3, 10 ** 15 - 2])
+def test_render_rows_across_digit_widths(kind, lo):
+    # trials lo..lo+9 cross a digit width (at 10**8 from one digit word to two, at 2**32 to 64-bit trials)
+    codes = np.arange(10, dtype=np.uint8) % N_CONTEXTS[kind]
     s1 = np.where(np.arange(10) % 2, 1, -1).astype(np.int8)
     s2 = -s1
-    got = protocol._render_rows("chsh", lo, protocol._outcome_key(codes, s1, s2))
-    tags = RecordBatch("chsh", codes, s1, s2).tags
-    slots = GEOMETRIES["chsh"][1]
+    got = protocol._render_rows(kind, lo, protocol._outcome_key(codes, s1, s2))
+    tags, slots = GEOMETRIES[kind]
     assert got == "".join(f"{lo + i},{tags[c]},{slots[c][0]},{slots[c][1]},{a},{b}\n"
                           for i, (c, a, b) in enumerate(zip(codes, s1, s2))).encode()
 
@@ -341,7 +341,7 @@ def test_steps_after_the_first_are_sized_by_the_files_kind(monkeypatch, tmp_path
     # named the file's kind (a CHSH tail is 16 bytes), then of that kind (a temporal tail is at most 14)
     extra = {} if kind == "temporal" else dict(mode="qm_singlet", directions=tsirelson_quadruple())
     batch, path = small_chunk_batch(monkeypatch, tmp_path, **extra)  # 500 rows in steps of 7
-    assert protocol._TAILS[kind].shape[1] == width
+    assert protocol._TAIL_WIDTH[kind] == width
     with open(path, "rb") as f:
         reader = protocol.RecordReader(f)
         assert reader._step_size() == 7 * (1 + 16)
