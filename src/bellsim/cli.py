@@ -27,6 +27,7 @@ from .protocol import (
     RecordReader,
     RecordSummary,
     _json_float,
+    _usable_cpus,
     analyze_records,
     check_sigma_threshold,
     check_threads,
@@ -120,7 +121,7 @@ def cmd_run(args) -> int:
                 "python": platform.python_version(),
                 "numpy": numpy.__version__,
                 "platform": platform.platform(),
-                "nproc": os.cpu_count(),
+                "nproc": _usable_cpus(),
                 "threads": threads,
             },
         }

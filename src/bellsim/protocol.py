@@ -15,6 +15,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import sys
 from collections import deque, namedtuple
 from dataclasses import MISSING, dataclass, fields
@@ -99,8 +100,14 @@ _STRING = _JSONType("a JSON string", lambda x: isinstance(x, str))
 _INTEGER = _JSONType("a JSON integer", lambda x: _is_real(x) and isinstance(x, int))
 _NUMBER = _JSONType("a JSON number", _is_number, True)
 _OBJECT = _JSONType("a JSON object", lambda x: isinstance(x, Mapping))
+_BOOLEAN = _JSONType("a JSON boolean", lambda x: isinstance(x, bool))
 # compared with the largest float: math.isfinite raises OverflowError on an integer beyond float range
 _POSITIVE = _JSONType("a positive finite number", lambda x: _is_real(x) and 0 < x <= sys.float_info.max, True)
+
+
+def _nullable(kind: _JSONType) -> _JSONType:
+    # kind, or null
+    return _JSONType(f"{kind.must_be} or null", lambda x: x is None or kind.test(x), kind.number)
 
 
 # --- configuration --------------------------------------------------------------
@@ -238,6 +245,14 @@ def check_threads(threads, name: str = "thread count") -> int:
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ValidationError(f"{name} must be a positive integer, got {threads!r}")
     return threads
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call, as on macOS and Windows
+        return os.cpu_count() or 1
 
 
 def load_config(path) -> ExperimentConfig:
@@ -829,6 +844,7 @@ def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=No
 
     ``threads`` is checked and the sampler built when this is called, so a
     bad thread count, config or model fails before the first span is asked for.
+    The run uses no more threads than the CPUs this process may run on.
     The trials are split into balanced spans, at least one per thread and at
     most _CHUNK trials each, or at most _STEP trials each on one thread, so
     a run without ``columns`` then holds one step's arrays, not a span's.
@@ -841,7 +857,7 @@ def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=No
     computed, and yields views of them and its outcome-count table as
     ``counts``; without, ``counts`` is None.
     """
-    n_threads = check_threads(threads)
+    n_threads = min(check_threads(threads), _usable_cpus())
     sampler = make_sampler(config, model=model)
     _reuse_step_memory()
     n, k = config.n_trials, len(sampler.contexts)
@@ -931,27 +947,25 @@ def _run_reference(config: ExperimentConfig, model=None) -> RecordBatch:
 # --- estimation and inequality reports --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelatorEstimate:
-    """Sample mean of s1*s2 in one context, with its plug-in standard error."""
+_VERDICTS = ("violation", "consistent", "inconclusive")
 
-    context: str
-    n: int
-    mean: float
-    stderr: float
+# report.json's layout, one table per block: each key in print order with its type.  The record types below are
+# built from these tables, so each field is named once; writing, type checks and the refusal of any other key all
+# read them too
+_REPORT_LAYOUT = {"mode": _STRING, "records_sha256": _STRING, "n_trials": _INTEGER, "sigma_threshold": _POSITIVE,
+                  "estimates": _OBJECT, "bell": _OBJECT}
+_ESTIMATE_LAYOUT = {"n": _INTEGER, "mean": _NUMBER, "stderr": _NUMBER}
+_BELL_LAYOUT = {"quantity": _STRING, "value": _NUMBER, "bound": _NUMBER, "stderr": _NUMBER,
+                "sigma_excess": _nullable(_NUMBER),
+                "verdict": _JSONType(f"one of {', '.join(_VERDICTS)}", lambda x: x in _VERDICTS)}
 
-
-@dataclass(frozen=True)
-class BellReport:
-    """An inequality evaluation: the combined quantity against its bound."""
-
-    quantity: str
-    value: float
-    bound: float
-    stderr: float
-    sigma_excess: float
-    verdict: str
-    sigma_threshold: float
+# named tuples, so ``report._replace(...)`` gives an edited copy
+CorrelatorEstimate = namedtuple("CorrelatorEstimate", ("context", *_ESTIMATE_LAYOUT))
+CorrelatorEstimate.__doc__ = "Sample mean of s1*s2 in one context, with its plug-in standard error: an estimate's keys."
+BellReport = namedtuple("BellReport", (*_BELL_LAYOUT, "sigma_threshold"))
+BellReport.__doc__ = "An inequality evaluation, the combined quantity against its bound: the bell block's keys."
+AnalysisReport = namedtuple("AnalysisReport", _REPORT_LAYOUT)
+AnalysisReport.__doc__ = "Per-context estimates plus the inequality verdict for one records file: report.json's keys."
 
 
 def estimate_correlators(records: "RecordBatch | RecordSummary") -> dict[str, CorrelatorEstimate]:
@@ -972,9 +986,6 @@ def estimate_correlators(records: "RecordBatch | RecordSummary") -> dict[str, Co
         stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / n)
         out[tag] = CorrelatorEstimate(tag, n, mean, stderr)
     return out
-
-
-_VERDICTS = ("violation", "consistent", "inconclusive")
 
 
 # geometry -> (quantity name, bound, its value from the correlators by context): the inequality its records test
@@ -1013,18 +1024,6 @@ def chsh_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
 # --- analysis report document -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Per-context estimates plus the inequality verdict for one records file."""
-
-    mode: str
-    records_sha256: str
-    n_trials: int
-    sigma_threshold: float
-    estimates: dict[str, CorrelatorEstimate]
-    bell: BellReport
-
-
 def analyze_records(records: "RecordBatch | RecordSummary", mode: str | None = None,
                     sigma_threshold: float = 5.0) -> AnalysisReport:
     """Estimate all correlators of a record batch (or its summary) and evaluate its inequality."""
@@ -1036,16 +1035,6 @@ def analyze_records(records: "RecordBatch | RecordSummary", mode: str | None = N
     estimates = estimate_correlators(records)
     report = _quantity(records.kind, estimates, sigma_threshold)
     return AnalysisReport(mode, records.sha256(), len(records), sigma_threshold, estimates, report)
-
-
-# report.json's layout, one table per block: each key in print order with its type, named as the report's
-# field; writing, type checks and the refusal of any other key all read these tables
-_REPORT_LAYOUT = {"mode": _STRING, "records_sha256": _STRING, "n_trials": _INTEGER, "sigma_threshold": _POSITIVE,
-                  "estimates": _OBJECT, "bell": _OBJECT}
-_ESTIMATE_LAYOUT = {"n": _INTEGER, "mean": _NUMBER, "stderr": _NUMBER}
-_BELL_LAYOUT = {"quantity": _STRING, "value": _NUMBER, "bound": _NUMBER, "stderr": _NUMBER,
-                "sigma_excess": _JSONType("a JSON number or null", lambda x: x is None or _is_number(x), True),
-                "verdict": _JSONType(f"one of {', '.join(_VERDICTS)}", lambda x: x in _VERDICTS)}
 
 
 def _written(block, layout: dict) -> dict:

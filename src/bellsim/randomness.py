@@ -10,20 +10,22 @@ caveat flag.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .protocol import AnalysisReport, RecordBatch, RecordSummary, _json_float, check_report, read_label
+from .protocol import (_BELL_LAYOUT, _BOOLEAN, _INTEGER, _NUMBER, _POSITIVE, _STRING, AnalysisReport, RecordBatch,
+                       RecordSummary, _nullable, _written, check_report, read_label)
 
 EXTRACTION_RULE = "s1s2-interleaved-v1"
 SIGNIFICANCE_FLOOR = 0.01
 MIN_BITS = 100
 
 
-@dataclass(frozen=True)
-class RunsTestResult:
+class RunsTestResult(NamedTuple):
     """Runs-test outcome; not applicable when the frequency precondition fails."""
 
     applicable: bool
@@ -32,20 +34,14 @@ class RunsTestResult:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class CertificationReport:
-    """Certification verdict for one extracted bit string."""
-
-    certified: bool
-    bell_verdict: str
-    bell_value: float
-    monobit_p: float
-    runs: RunsTestResult
-    n_bits: int
-    records_sha256: str
-    extraction_rule: str
-    conspiracy_caveat: bool
-    significance_floor: float = SIGNIFICANCE_FLOOR
+# certification.json's layout: each key in print order with its type; CertificationReport is built from it
+_CERT_LAYOUT = {"certified": _BOOLEAN, "bell_verdict": _BELL_LAYOUT["verdict"], "bell_value": _NUMBER,
+                "monobit_p": _NUMBER, "runs_applicable": _BOOLEAN, "runs_p": _nullable(_NUMBER),
+                "runs_total": _nullable(_INTEGER), "runs_skip_reason": _nullable(_STRING), "n_bits": _INTEGER,
+                "records_sha256": _STRING, "extraction_rule": _STRING, "significance_floor": _POSITIVE,
+                "conspiracy_caveat": _BOOLEAN}
+CertificationReport = namedtuple("CertificationReport", _CERT_LAYOUT)
+CertificationReport.__doc__ = "Certification verdict for one extracted bit string: certification.json's keys."
 
 
 def _bits_of(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -165,34 +161,14 @@ def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
         and runs.p_value >= SIGNIFICANCE_FLOOR
     )
     return CertificationReport(
-        certified=certified,
-        bell_verdict=report.bell.verdict,
-        bell_value=report.bell.value,
-        monobit_p=p_mono,
-        runs=runs,
-        n_bits=counts.n,
-        records_sha256=report.records_sha256,
-        extraction_rule=EXTRACTION_RULE,
-        conspiracy_caveat=read_label(report.mode)[1],
-    )
+        certified=certified, bell_verdict=report.bell.verdict, bell_value=report.bell.value, monobit_p=p_mono,
+        runs_applicable=runs.applicable, runs_p=runs.p_value, runs_total=runs.n_runs, runs_skip_reason=runs.reason,
+        n_bits=counts.n, records_sha256=report.records_sha256, extraction_rule=EXTRACTION_RULE,
+        significance_floor=SIGNIFICANCE_FLOOR, conspiracy_caveat=read_label(report.mode)[1])
 
 
 def certification_to_jsonable(cert: CertificationReport) -> dict:
-    return {
-        "certified": cert.certified,
-        "bell_verdict": cert.bell_verdict,
-        "bell_value": _json_float(cert.bell_value),
-        "monobit_p": _json_float(cert.monobit_p),
-        "runs_applicable": cert.runs.applicable,
-        "runs_p": _json_float(cert.runs.p_value) if cert.runs.p_value is not None else None,
-        "runs_total": cert.runs.n_runs,
-        "runs_skip_reason": cert.runs.reason,
-        "n_bits": cert.n_bits,
-        "records_sha256": cert.records_sha256,
-        "extraction_rule": cert.extraction_rule,
-        "significance_floor": cert.significance_floor,
-        "conspiracy_caveat": cert.conspiracy_caveat,
-    }
+    return _written(cert, _CERT_LAYOUT)
 
 
 class _BitLines:

@@ -15,7 +15,7 @@ across runs, chunkings and thread counts.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +106,7 @@ SLOT_COUNT = {kind: max(max(pair) for pair in slots) for kind, (_, slots) in GEO
 GEOMETRY_OF_COUNT = {n: kind for kind, n in SLOT_COUNT.items()}
 
 
-@dataclass(frozen=True)
-class MeasurementContext:
+class MeasurementContext(NamedTuple):
     """One resolved context: tag, slot pair and the directions they map to."""
 
     tag: str
@@ -147,8 +146,7 @@ class ContextSet:
 # --- selector device ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelectorState:
+class SelectorState(NamedTuple):
     """Selector device state: current SplitMix64 state (starts at the seed) and
     the number of contexts emitted so far."""
 

@@ -111,6 +111,14 @@ def test_crlf_stages_read_and_write_the_crlf_copy(ab, tmp_path):
     assert ab.stage_argv("analyze", tmp_path, config)[:3] == ["analyze", "--records", str(tmp_path / "records.csv")]
 
 
+def test_the_import_stage_starts_python_to_import_the_cli_alone(ab, tmp_path):
+    # the benchmark's setup_s, timed with the same interleaving and verdicts as the stages
+    config = tmp_path / "config.json"
+    assert ab.STAGES[0] == "import"
+    assert ab.stage_command("import", tmp_path, config) == ["-c", "import bellsim.cli"]
+    assert ab.stage_command("run", tmp_path, config) == ["-m", "bellsim.cli", *ab.stage_argv("run", tmp_path, config)]
+
+
 @pytest.mark.parametrize("argv", [["--parent", "HEAD", "--rounds", "1"], ["--parent", "HEAD", "--trials", "0"],
                                   ["--rounds", "10"]])
 def test_bad_arguments_exit_before_anything_runs(ab, argv, capsys):

@@ -101,6 +101,7 @@ class TestRun:
         assert manifest["duration_seconds"] == timings["run_s"]
         assert set(environment) == {"python", "numpy", "platform", "nproc", "threads"}
         assert environment["numpy"] == np.__version__ and environment["threads"] == 1
+        assert environment["nproc"] == protocol._usable_cpus()  # the CPUs a run may use, not those of the host
         config = ExperimentConfig.from_dict(json.loads(cfg.read_text()))
         assert manifest["records_sha256"] == run_experiment(config).sha256()
 

@@ -11,7 +11,6 @@ labels that the records refute came with the check that makes them.
 import contextlib
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -130,7 +129,7 @@ def test_contextual_model_file_without_its_blocks():
 ])
 def test_conspiracy_caveat_of_each_report_label(label, caveat):
     records = run_experiment(ExperimentConfig("qm_sequential", TRIPLE, 200, 1, 2))
-    report = replace(analyze_records(records), mode=label)
+    report = analyze_records(records)._replace(mode=label)
     cert = certify_counts(BitCounts.of(extract_bits(records)), records, report)
     assert cert.conspiracy_caveat is caveat
 
@@ -144,7 +143,7 @@ def test_conspiracy_caveat_of_each_report_label(label, caveat):
 def test_report_label_refused_on_temporal_records(label, error, message):
     # a label of the other geometry, or one that is no mode and no geometry, gives no caveat to read
     records = run_experiment(ExperimentConfig("qm_sequential", TRIPLE, 200, 1, 2))
-    report = replace(analyze_records(records), mode=label)
+    report = analyze_records(records)._replace(mode=label)
     with pytest.raises(error) as exc:
         certify_counts(BitCounts.of(extract_bits(records)), records, report)
     assert str(exc.value) == message

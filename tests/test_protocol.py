@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -273,6 +274,7 @@ class TestRunExperiment:
     def test_spans_run_at_most_two_per_thread_ahead(self, monkeypatch, threads):
         # a run on one thread simulates spans of _STEP trials, on more of _CHUNK
         monkeypatch.setattr(protocol, "_STEP" if threads == 1 else "_CHUNK", 100)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: threads)  # the pool on any host
         started = []
         context_codes = protocol.context_codes
 
@@ -291,7 +293,8 @@ class TestRunExperiment:
                                                                        threads=threads)])
         assert np.array_equal(whole, run_experiment(temporal_config(n_trials=5000)).codes)
 
-    def test_only_a_serial_run_takes_step_sized_spans(self):
+    def test_only_a_serial_run_takes_step_sized_spans(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)  # the pool on any host
         cfg = temporal_config(n_trials=40_000)
         columns = (np.empty(40_000, np.uint8), np.empty(40_000, np.int8), np.empty(40_000, np.int8))
         sizes = {name: [span[1].size for span in protocol.run_spans(cfg, threads=threads, columns=cols)]
@@ -319,6 +322,7 @@ class TestRunExperiment:
                               outcome_seed=12, **cfg_kwargs)
         whole = run_experiment(cfg, model=model, threads=1)
         monkeypatch.setattr(protocol, "_CHUNK", 257)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 8)  # eight workers, whatever the host has
         result = []
         worker = threading.Thread(target=lambda: result.append(run_experiment(cfg, model=model, threads=8)),
                                   daemon=True)
@@ -350,6 +354,45 @@ class TestRunExperiment:
             assert after[path][0] is value, path
             if copy is not None:
                 assert np.array_equal(value, copy), path
+
+    def test_threads_are_capped_at_the_usable_cpus(self, monkeypatch):
+        # a million threads asked for: the pool is no larger than the CPUs, and the records are those of one thread
+        import concurrent.futures
+
+        asked = []
+
+        class InlinePool:  # notes its size and runs each span as it is submitted, on no thread of its own
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, span, lo, hi):
+                future = concurrent.futures.Future()
+                future.set_result(span(lo, hi))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(protocol, "_CHUNK", 100)
+        cfg, cpus = temporal_config(n_trials=5000), protocol._usable_cpus()
+        spans = list(protocol.run_spans(cfg, threads=10**6))
+        assert asked == ([cpus] if cpus > 1 else [])
+        assert len(spans) == max(50, cpus) if cpus > 1 else len(spans) == -(-5000 // protocol._STEP)
+        batch = RecordBatch("temporal", *(np.concatenate([span[k] for span in spans]) for k in (1, 2, 3)))
+        assert batch == run_experiment(cfg, threads=1)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 3)
+        assert len(list(protocol.run_spans(cfg, threads=10**6))) == 50 and asked[-1] == 3
+
+    def test_usable_cpus_are_the_affinity_set(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert protocol._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert protocol._usable_cpus() == 1
 
     def test_thread_environment_is_ignored(self, monkeypatch):
         # the thread count is the caller's argument alone: no variable of the environment changes it

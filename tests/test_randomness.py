@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellsim import protocol
 from bellsim.directions import max_violation_triple
 from bellsim.errors import IntegrityError, ValidationError
 from bellsim.hidden_variables import FiniteHVModel
@@ -13,6 +14,7 @@ from bellsim.protocol import (
     run_experiment,
 )
 from bellsim.randomness import (
+    _CERT_LAYOUT,
     BitCounts,
     certification_to_jsonable,
     certify,
@@ -151,7 +153,7 @@ class TestCertify:
         cert = certify(records, report)
         assert report.bell.verdict == "consistent"
         assert not cert.certified
-        assert cert.monobit_p < 0.01 and not cert.runs.applicable
+        assert cert.monobit_p < 0.01 and not cert.runs_applicable
 
     def test_no_violation_no_certificate_even_with_good_bits(self):
         # sign model: bits look fine but the bound is not violated
@@ -166,27 +168,21 @@ class TestCertify:
 
     def test_verdict_flip_is_monotone(self):
         # a downgraded verdict is one the records do not give: the re-check refuses it
-        import dataclasses
-
         records = qm_run(60_000)
         report = analyze_records(records, mode="qm_sequential")
         assert certify(records, report).certified
-        downgraded = dataclasses.replace(
-            report, bell=dataclasses.replace(report.bell, verdict="consistent")
-        )
+        downgraded = report._replace(bell=report.bell._replace(verdict="consistent"))
         with pytest.raises(IntegrityError, match="report bell"):
             certify(records, downgraded)
 
     def test_hand_set_violation_fails_the_recheck(self):
         # the sign model saturates the bound: B = 1.00307 here, inconclusive
-        import dataclasses
-
         cfg = ExperimentConfig(mode="hv:sign-model", directions=max_violation_triple(),
                                n_trials=200_000, selector_seed=1, outcome_seed=2)
         records = run_experiment(cfg)
         report = analyze_records(records, mode="hv:sign-model")
         assert report.bell.verdict == "inconclusive"
-        forged = dataclasses.replace(report, bell=dataclasses.replace(report.bell, verdict="violation"))
+        forged = report._replace(bell=report.bell._replace(verdict="violation"))
         with pytest.raises(IntegrityError, match="report bell"):
             certify(records, forged)
 
@@ -198,14 +194,22 @@ class TestCertify:
             certify(other, report)
 
     def test_jsonable_fields(self):
-        records = qm_run(2000)
-        cert = certify(records, analyze_records(records, mode="qm_sequential"))
-        doc = certification_to_jsonable(cert)
-        assert set(doc) >= {
-            "certified", "bell_verdict", "monobit_p", "runs_p", "n_bits",
-            "records_sha256", "extraction_rule", "significance_floor", "conspiracy_caveat",
-        }
-        assert doc["significance_floor"] == 0.01
+        # certification.json reads back through its own layout: every key in print order, each value of its type
+        runs = [(qm_run(60_000), "qm_sequential"), (constant_run(), "hv:const.json")]
+        docs = [certification_to_jsonable(certify(records, analyze_records(records, mode=mode)))
+                for records, mode in runs]
+        for doc in docs:
+            assert list(doc) == list(_CERT_LAYOUT)
+            assert protocol._read(doc, _CERT_LAYOUT, "certification") == doc
+            assert doc["significance_floor"] == 0.01
+        certified, skipped = docs
+        assert certified["certified"] and certified["runs_applicable"] and certified["runs_skip_reason"] is None
+        assert isinstance(certified["runs_p"], float) and isinstance(certified["runs_total"], int)
+        assert not skipped["certified"] and not skipped["runs_applicable"]
+        assert skipped["runs_p"] is None and skipped["runs_total"] is None
+        assert skipped["runs_skip_reason"].startswith("ones proportion")
+        with pytest.raises(ValidationError, match="'runs_total' must be a JSON integer or null, got 1.5"):
+            protocol._read({**certified, "runs_total": 1.5}, _CERT_LAYOUT, "certification")
 
 
 class TestBitsFile:

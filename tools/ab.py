@@ -5,13 +5,15 @@
 Run from anywhere inside a checkout.  The parent's ``src/`` is extracted
 with ``git archive REV`` into a temporary directory, and this checkout's
 ``src/`` (committed or not, without its ``__pycache__``) is copied beside
-it.  Each round runs, on both sides, the README config's `run`, `analyze`
-and `certify`, then `analyze` and `certify` of a CRLF copy of the records
-(made between the timed stages); each stage runs on one side and then on the
-other before the next stage, and the side that goes first alternates from
-round to round.  The config and each stage's command line are
-``tools/stage_rss.py``'s, and so is the launcher, which imports nothing
-large and reads the child's own resource usage from ``os.wait4``.
+it.  Each round runs, on both sides, ``python -c "import bellsim.cli"`` (the
+`import` stage, what the benchmark's ``setup_s`` times), the README
+config's `run`, `analyze` and `certify`, then `analyze` and `certify` of a
+CRLF copy of the records (made between the timed stages); each stage runs
+on one side and then on the other before the next stage, and the side that
+goes first alternates from round to round.  The config and each `bellsim`
+stage's command line are ``tools/stage_rss.py``'s, and so is the launcher,
+which imports nothing large and reads the child's own resource usage from
+``os.wait4``.
 
 With ``--bytecode uncached`` (the default, as the benchmark runs) no
 process writes bytecode, so every stage compiles bellsim's modules; with
@@ -55,7 +57,7 @@ from pathlib import Path
 from stage_rss import README_CONFIG, crlf_copy, launch, peak_mb, stage_argv
 
 SIDES = ("parent", "change")
-STAGES = ("run", "analyze", "certify", "analyze-crlf", "certify-crlf")
+STAGES = ("import", "run", "analyze", "certify", "analyze-crlf", "certify-crlf")
 METRICS = ("wall_s", "cpu_s", "minflt", "peak_rss_mb")  # lower is better for each
 OUTPUTS = ("records.csv", "report.json", "bits.txt", "certification.json")
 WIN_SHARE = 0.9  # the share of pairs the better side must win: 9 of 10
@@ -128,6 +130,14 @@ def table(summary: dict) -> str:
     return "\n".join(lines)
 
 
+def stage_command(stage: str, work: Path, config: Path) -> list[str]:
+    """The Python arguments of one stage: a fresh ``import bellsim.cli`` and nothing more for `import`, else the
+    `bellsim` stage of ``stage_rss.stage_argv``."""
+    if stage == "import":
+        return ["-c", "import bellsim.cli"]
+    return ["-m", "bellsim.cli", *stage_argv(stage, work, config)]
+
+
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout.strip()
 
@@ -165,8 +175,8 @@ def run_rounds(sides: dict, config: Path, rounds: int, problems: list[str]) -> d
                     (work / "crlf").mkdir(parents=True, exist_ok=True)
                     crlf_copy(work / "records.csv", work / "crlf" / "records.csv")
             for side in order:
-                argv = stage_argv(stage, sides[side]["work"], config)
-                code, seconds, usage = launch(argv, env=sides[side]["env"])
+                args = stage_command(stage, sides[side]["work"], config)
+                code, seconds, usage = launch(args, env=sides[side]["env"])
                 if code != 0:
                     problems.append(f"round {r + 1}: {side} {stage} exited {code}")
                 values = (seconds, usage.ru_utime + usage.ru_stime, usage.ru_minflt, peak_mb(usage))

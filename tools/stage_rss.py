@@ -56,12 +56,12 @@ def stage_argv(stage: str, work: Path, config: Path) -> list[str]:
     return ["certify", "--records", records, "--report", report, "--out-dir", str(d)]
 
 
-def launch(argv: list[str], env: dict | None = None):
-    """Exit code, wall seconds and resource usage (``os.wait4``'s, the child's own) of one `bellsim` stage
-    in a fresh process, with ``env`` as its environment if given."""
+def launch(args: list[str], env: dict | None = None):
+    """Exit code, wall seconds and resource usage (``os.wait4``'s, the child's own) of a fresh Python process
+    started with the arguments ``args`` (``["-m", "bellsim.cli", *argv]`` for a `bellsim` stage), with ``env``
+    as its environment if given."""
     started = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "bellsim.cli", *argv], stdin=subprocess.DEVNULL,
-                            stdout=subprocess.DEVNULL, env=env)
+    proc = subprocess.Popen([sys.executable, *args], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, env=env)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, time.perf_counter() - started, usage
@@ -74,7 +74,7 @@ def peak_mb(usage) -> float:
 
 def stage(argv: list[str]) -> tuple[int, float, float]:
     """Exit code, wall seconds and peak RSS in MB of one `bellsim` stage in a fresh process."""
-    code, seconds, usage = launch(argv)
+    code, seconds, usage = launch(["-m", "bellsim.cli", *argv])
     return code, seconds, peak_mb(usage)
 
 
