@@ -378,14 +378,14 @@ class TestRunExperiment:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(protocol, "_CHUNK", 100)
-        cfg, cpus = temporal_config(n_trials=5000), protocol._usable_cpus()
+        cfg = temporal_config(n_trials=5000)
         spans = list(protocol.run_spans(cfg, threads=10**6))
-        assert asked == ([cpus] if cpus > 1 else [])
-        assert len(spans) == max(50, cpus) if cpus > 1 else len(spans) == -(-5000 // protocol._STEP)
+        assert all(size <= protocol._usable_cpus() for size in asked)  # no pool at all where one CPU runs them
         batch = RecordBatch("temporal", *(np.concatenate([span[k] for span in spans]) for k in (1, 2, 3)))
         assert batch == run_experiment(cfg, threads=1)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 3)
-        assert len(list(protocol.run_spans(cfg, threads=10**6))) == 50 and asked[-1] == 3
+        spans = list(protocol.run_spans(cfg, threads=10**6))
+        assert asked[-1] == 3 and len(spans) == 50  # spans of _CHUNK trials, not one per thread asked for
 
     def test_usable_cpus_are_the_affinity_set(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
