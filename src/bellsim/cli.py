@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -25,7 +26,6 @@ from .errors import InsufficientDataError, IntegrityError, ValidationError
 from .protocol import (
     INEQUALITIES,
     RecordReader,
-    RecordSummary,
     _json_float,
     _usable_cpus,
     analyze_records,
@@ -57,11 +57,17 @@ class _Parser(argparse.ArgumentParser):
 def _committed(out: Path, *paths: Path):
     """Yield a sibling ``*.partial`` path for each output path in ``out``, making ``out`` if needed.
 
-    Each is moved onto its output only if the block ends without an
-    exception; otherwise, or if a move fails, the partial files are removed,
-    and so is every directory this call made (never one that was there), so
-    a failed stage leaves nothing new.
+    An output path that is a directory is refused first, before the stage
+    does any work.  Each partial file is moved onto its output only if the
+    block ends without an exception; otherwise, or if a move fails, the
+    partial files are removed, and so is every directory this call made
+    (never one that was there), so a failed stage leaves nothing new.  All
+    outputs share one directory, so once the first move has succeeded the
+    rest do too: no stage replaces some of its outputs and not the others.
     """
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
     partials = [path.with_name(path.name + ".partial") for path in paths]
@@ -134,7 +140,7 @@ def cmd_analyze(args) -> int:
     check_sigma_threshold(args.sigma_threshold, "--sigma-threshold")  # before the records are read
     if args.mode is not None:
         read_label(args.mode, "--mode")
-    records = RecordSummary.from_csv(args.records)
+    records = RecordReader.read(args.records)
     report = analyze_records(records, mode=args.mode, sigma_threshold=args.sigma_threshold)
     out = Path(args.out_dir)
     report_path = out / "report.json"
@@ -160,7 +166,7 @@ def cmd_certify(args) -> int:
         with open(args.records, "rb") as f, open(bits_tmp, "wb") as bits_file:
             reader = RecordReader(f)
             counts = stream_bits(reader, bits_file)
-        cert = certify_counts(counts, reader.summary(), report)
+        cert = certify_counts(counts, reader, report)
         write_json(certification_to_jsonable(cert), cert_tmp)
     status = "certified" if cert.certified else "NOT certified"
     caveat = " (conspiracy caveat applies)" if cert.conspiracy_caveat else ""

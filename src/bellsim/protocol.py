@@ -470,8 +470,10 @@ class RecordReader:
 
     Iterating yields each step as (lo, codes, s1, s2), the columns of trials
     lo..lo+m-1, while the SHA-256 of the rows and the outcome-count table are
-    kept up to date; :meth:`summary` returns them after the last step.  Only
-    one step's bytes are held.
+    kept up to date.  Only one step's bytes are held.  After the last step the
+    reader answers ``kind``, ``tags``, ``len()``, ``sha256()`` and
+    ``outcome_counts()`` as a :class:`RecordBatch` of the same records does,
+    so :func:`analyze_records` and :func:`check_report` take either.
 
     The header is checked and hashed once, out of the first read.  A step is
     the next _STEP lines, or the rest of the file, read with one read of what
@@ -587,58 +589,30 @@ class RecordReader:
             lo, self.n = self.n, self.n + codes.size
             yield lo, codes, s1, s2
 
-    def summary(self) -> "RecordSummary":
-        """Kind, size, hash and count table of the rows read so far (one step or more).
-
-        The table is a copy, so later steps leave the summary as it was taken.
-        """
-        if self._counts is None:
-            raise ValidationError("records: no step read yet")
-        return RecordSummary(self.kind, self.n, self._digest.hexdigest(), _read_only(self._counts.copy(), np.int64))
-
-
-@dataclass(frozen=True, eq=False)  # compared by value below, and so unhashable, as RecordBatch is
-class RecordSummary:
-    """What analysis reads of a records set: its kind, size, canonical hash and count table.
-
-    It answers ``kind``, ``tags``, ``len()``, ``sha256()`` and
-    ``outcome_counts()`` as a :class:`RecordBatch` of the same records does,
-    so :func:`analyze_records` takes either.
-    """
-
-    kind: str
-    n: int
-    records_sha256: str
-    counts: np.ndarray
+    def __len__(self) -> int:
+        return self.n
 
     @property
     def tags(self) -> tuple[str, ...]:
         return GEOMETRIES[self.kind][0]
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other) -> bool:
-        # by value: == on the count tables would compare them element by element
-        if not isinstance(other, RecordSummary):
-            return NotImplemented
-        return ((self.kind, self.n, self.records_sha256) == (other.kind, other.n, other.records_sha256)
-                and np.array_equal(self.counts, other.counts))
-
     def sha256(self) -> str:
-        return self.records_sha256
+        return self._digest.hexdigest()
 
     def outcome_counts(self) -> np.ndarray:
-        return self.counts
+        """The outcome-count table of the rows read so far, read-only: a view of the table later steps add to."""
+        if self._counts is None:
+            raise ValidationError("records: no step read yet")
+        return _read_only(self._counts)
 
     @classmethod
-    def from_csv(cls, path) -> "RecordSummary":
-        """Read a records file step by step, as :meth:`RecordBatch.from_csv` does, keeping no columns."""
+    def read(cls, path) -> "RecordReader":
+        """Read a records file to its end, as :meth:`RecordBatch.from_csv` does, keeping no columns."""
         with open(path, "rb") as f:
-            reader = RecordReader(f)
+            reader = cls(f)
             for _ in reader:
                 pass
-        return reader.summary()
+        return reader
 
 
 def _parse_lines(data: bytes, line: int, kind: str | None) -> str | None:
@@ -790,9 +764,8 @@ class RecordBatch:
         with open(path, "rb") as f:
             reader = RecordReader(f)
             columns = [step[1:] for step in reader]
-        summary = reader.summary()
-        batch = cls(summary.kind, *(np.concatenate(col) for col in zip(*columns)))
-        batch._sha256, batch._counts = summary.records_sha256, summary.counts
+        batch = cls(reader.kind, *(np.concatenate(col) for col in zip(*columns)))
+        batch._sha256, batch._counts = reader.sha256(), reader.outcome_counts()
         return batch
 
 
@@ -968,7 +941,7 @@ AnalysisReport = namedtuple("AnalysisReport", _REPORT_LAYOUT)
 AnalysisReport.__doc__ = "Per-context estimates plus the inequality verdict for one records file: report.json's keys."
 
 
-def estimate_correlators(records: "RecordBatch | RecordSummary") -> dict[str, CorrelatorEstimate]:
+def estimate_correlators(records: "RecordBatch | RecordReader") -> dict[str, CorrelatorEstimate]:
     """Per-context sample means and standard errors of the outcome product.
 
     Every context of the records' geometry must hold at least two trials.
@@ -1024,9 +997,9 @@ def chsh_quantity(estimates, sigma_threshold: float = 5.0) -> BellReport:
 # --- analysis report document -------------------------------------------------------------
 
 
-def analyze_records(records: "RecordBatch | RecordSummary", mode: str | None = None,
+def analyze_records(records: "RecordBatch | RecordReader", mode: str | None = None,
                     sigma_threshold: float = 5.0) -> AnalysisReport:
-    """Estimate all correlators of a record batch (or its summary) and evaluate its inequality."""
+    """Estimate all correlators of a record batch (or a reader read to its end) and evaluate its inequality."""
     check_sigma_threshold(sigma_threshold)
     if mode is None:
         mode = records.kind
@@ -1042,15 +1015,15 @@ def _written(block, layout: dict) -> dict:
             for key, kind in layout.items()}
 
 
-def _read(doc: Mapping, layout: dict, block: str) -> dict:
-    # the values of one report block, named by block, each checked against its type; a missing key raises KeyError
+def _read(doc: Mapping, layout: dict, block: str, document: str = "analysis report") -> dict:
+    # the values of one block of a document, named by block, each checked against its type; a missing key: KeyError
     if not isinstance(doc, Mapping):
-        raise ValidationError(f"malformed analysis report: {block} must be a JSON object, got {type(doc).__name__}")
+        raise ValidationError(f"malformed {document}: {block} must be a JSON object, got {type(doc).__name__}")
     for key, kind in layout.items():
         if not kind.test(doc[key]):
-            raise ValidationError(f"malformed analysis report: {key!r} must be {kind.must_be}, got {doc[key]!r}")
+            raise ValidationError(f"malformed {document}: {key!r} must be {kind.must_be}, got {doc[key]!r}")
     if unknown := sorted(doc.keys() - layout.keys()):
-        raise ValidationError(f"malformed analysis report: unknown key {unknown[0]!r}")
+        raise ValidationError(f"malformed {document}: unknown key {unknown[0]!r}")
     return {key: float(doc[key]) if kind.number and doc[key] is not None else doc[key]
             for key, kind in layout.items()}
 
@@ -1060,7 +1033,7 @@ def report_to_jsonable(report: AnalysisReport) -> dict:
     return {**_written(report, _REPORT_LAYOUT), "estimates": estimates, "bell": _written(report.bell, _BELL_LAYOUT)}
 
 
-def check_report(report: AnalysisReport, records: "RecordBatch | RecordSummary") -> None:
+def check_report(report: AnalysisReport, records: "RecordBatch | RecordReader") -> None:
     """Raise IntegrityError unless the records give every field of the report but the backend its mode names.
 
     The records hash is compared first, so records of another run fail on it before they are analysed;

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .protocol import (_BELL_LAYOUT, _BOOLEAN, _INTEGER, _NUMBER, _POSITIVE, _STRING, AnalysisReport, RecordBatch,
-                       RecordSummary, _nullable, _written, check_report, read_label)
+                       RecordReader, _nullable, _written, check_report, read_label)
 
 EXTRACTION_RULE = "s1s2-interleaved-v1"
 SIGNIFICANCE_FLOOR = 0.01
@@ -139,11 +139,11 @@ def certify(records: RecordBatch, report: AnalysisReport) -> CertificationReport
     return certify_counts(BitCounts.of(extract_bits(records)), records, report)
 
 
-def certify_counts(counts: BitCounts, records: RecordBatch | RecordSummary,
+def certify_counts(counts: BitCounts, records: RecordBatch | RecordReader,
                    report: AnalysisReport) -> CertificationReport:
     """Certify a bit string from its counts, keyed to the inequality verdict of its run's report.
 
-    ``records`` (a batch or its summary) are those the bits came from;
+    ``records`` (a batch, or a reader read to its end) are those the bits came from;
     first :func:`~bellsim.protocol.check_report` raises IntegrityError unless
     they give every field of the report and a geometry its mode label
     allows, the hash first.  Certified means: verdict is a violation and
@@ -171,39 +171,23 @@ def certification_to_jsonable(cert: CertificationReport) -> dict:
     return _written(cert, _CERT_LAYOUT)
 
 
-class _BitLines:
-    """bits.txt written a step at a time: 64 bits a line, a partial line carried into the next step."""
+def _bit_lines(bits: np.ndarray, start: int) -> np.ndarray:
+    """bits.txt's chars of bits that begin at bit ``start`` of the string: a newline after each 64th bit of it."""
+    return np.insert(bits + ord("0"), np.arange(64 - start % 64, bits.size + 1, 64), ord("\n"))
 
-    WIDTH = 64
 
-    def __init__(self, f):
-        self._f = f
-        self._rest = np.empty(0, dtype=np.uint8)  # the chars of a line not yet full
-        self._lines = 0
-
-    def write(self, bits: np.ndarray) -> None:
-        width = self.WIDTH
-        chars = np.concatenate((self._rest, (bits > 0).view(np.uint8) + ord("0")))
-        full = chars.size // width
-        lines = np.empty((full, width + 1), dtype=np.uint8)
-        lines[:, :width] = chars[:full * width].reshape(full, width)
-        lines[:, width] = ord("\n")
-        self._f.write(lines)
-        self._rest = chars[full * width:].copy()
-        self._lines += full
-
-    def finish(self) -> None:
-        """End the file: the partial last line, or a lone newline if there were no bits."""
-        if self._rest.size or not self._lines:
-            self._f.write(self._rest.tobytes() + b"\n")
+def _end_bit_lines(f, n: int) -> None:
+    # the newline that ends a last line of fewer than 64 of the n bits, or a file of no bits
+    if n % 64 or not n:
+        f.write(b"\n")
 
 
 def write_bits(bits, path) -> None:
     """Write bits (a sequence of 0/1) as ASCII '0'/'1' lines, 64 bits per line; no bits give a lone newline."""
+    bits = _as_bit_array(bits)
     with open(path, "wb") as f:
-        lines = _BitLines(f)
-        lines.write(_as_bit_array(bits))
-        lines.finish()
+        f.write(_bit_lines(bits, 0))
+        _end_bit_lines(f, bits.size)
 
 
 def stream_bits(steps, f) -> BitCounts:
@@ -213,10 +197,10 @@ def stream_bits(steps, f) -> BitCounts:
     :func:`write_bits` writes for the whole run; the counts are those
     :func:`monobit_test` and :func:`runs_test` read.
     """
-    counts, lines = BitCounts(), _BitLines(f)
-    for _, _, s1, s2 in steps:
+    counts = BitCounts()
+    for lo, _, s1, s2 in steps:
         bits = _bits_of(s1, s2)
         counts.add(bits)
-        lines.write(bits)
-    lines.finish()
+        f.write(_bit_lines(bits, 2 * lo))
+    _end_bit_lines(f, counts.n)
     return counts

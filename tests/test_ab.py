@@ -125,3 +125,14 @@ def test_bad_arguments_exit_before_anything_runs(ab, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         ab.main(argv)
     assert exc.value.code == 2
+
+
+def test_src_lines_are_those_of_the_packages_own_modules(ab, tmp_path):
+    # counted as tests/test_line_budget.py counts: str.splitlines of each src/bellsim/*.py, no other file
+    package = tmp_path / "src" / "bellsim"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline
+    (package / "notes.txt").write_text("1\n2\n")
+    (package / "sub" / "c.py").write_text("w = 4\n")
+    assert ab.src_bellsim_lines(tmp_path) == 4

@@ -287,7 +287,7 @@ class TestAnalyze:
         def read(path):
             raise AssertionError("read the records")
 
-        monkeypatch.setattr(protocol.RecordSummary, "from_csv", read)
+        monkeypatch.setattr(protocol.RecordReader, "read", read)
         capsys.readouterr()
         assert main(stage_argv("analyze", out, mode=mode)) == 1
         assert capsys.readouterr().err.startswith("bellsim: validation error: --mode must be ")
@@ -717,6 +717,23 @@ def test_a_model_file_that_cannot_be_opened(tmp_path, capsys, monkeypatch, stage
     assert main(argv) == code
     assert capsys.readouterr() == ("", f"bellsim: {err}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage,directory", [("run", "manifest.json"), ("certify", "certification.json")])
+def test_an_output_that_is_a_directory_is_refused_before_the_stage_works(tmp_path, capsys, stage, directory):
+    # the stage's first output would replace its file before the move onto the directory failed
+    cfg, out = run_pipeline(tmp_path)
+    assert main(stage_argv("analyze", out)) == 0
+    (out / directory).unlink(missing_ok=True)
+    (out / directory).mkdir()
+    records = (out / "records.csv").read_bytes()
+    held = sorted(path.name for path in out.iterdir())
+    write_config(cfg, outcome_seed=23)  # a run would write other records
+    capsys.readouterr()
+    assert main(stage_argv(stage, out, cfg)) == 2
+    assert (out / "records.csv").read_bytes() == records
+    assert sorted(path.name for path in out.iterdir()) == held and (out / directory).is_dir()
+    assert capsys.readouterr().err == f"bellsim: i/o error: [Errno 21] Is a directory: '{out / directory}'\n"
 
 
 class TestStreaming:

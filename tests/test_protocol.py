@@ -741,7 +741,7 @@ class TestRecordsCsv:
         monkeypatch.setattr(protocol, "_STEP", step)
         path = tmp_path / "r.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        for read in (RecordBatch.from_csv, protocol.RecordSummary.from_csv):
+        for read in (RecordBatch.from_csv, protocol.RecordReader.read):
             with pytest.raises(ValidationError) as exc:
                 read(path)
             assert str(exc.value) == message

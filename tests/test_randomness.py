@@ -1,7 +1,12 @@
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellsim import protocol
 from bellsim.directions import max_violation_triple
@@ -21,6 +26,7 @@ from bellsim.randomness import (
     extract_bits,
     monobit_test,
     runs_test,
+    stream_bits,
     write_bits,
 )
 
@@ -200,7 +206,7 @@ class TestCertify:
                 for records, mode in runs]
         for doc in docs:
             assert list(doc) == list(_CERT_LAYOUT)
-            assert protocol._read(doc, _CERT_LAYOUT, "certification") == doc
+            assert protocol._read(doc, _CERT_LAYOUT, "it", "certification") == doc
             assert doc["significance_floor"] == 0.01
         certified, skipped = docs
         assert certified["certified"] and certified["runs_applicable"] and certified["runs_skip_reason"] is None
@@ -208,8 +214,9 @@ class TestCertify:
         assert not skipped["certified"] and not skipped["runs_applicable"]
         assert skipped["runs_p"] is None and skipped["runs_total"] is None
         assert skipped["runs_skip_reason"].startswith("ones proportion")
-        with pytest.raises(ValidationError, match="'runs_total' must be a JSON integer or null, got 1.5"):
-            protocol._read({**certified, "runs_total": 1.5}, _CERT_LAYOUT, "certification")
+        with pytest.raises(ValidationError, match=r"^malformed certification: 'runs_total' must be a JSON integer or "
+                                                  r"null, got 1\.5$"):
+            protocol._read({**certified, "runs_total": 1.5}, _CERT_LAYOUT, "it", "certification")
 
 
 class TestBitsFile:
@@ -222,3 +229,33 @@ class TestBitsFile:
         assert all(set(line) <= {"0", "1"} for line in lines)
         assert all(len(line) == 64 for line in lines[:-1])
         assert "".join(lines) == "".join(str(b) for b in bits.tolist())
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+    def test_every_line_ends_in_a_newline_and_no_bits_give_one(self, tmp_path, n):
+        bits = [i % 3 % 2 for i in range(n)]
+        write_bits(bits, tmp_path / "bits.txt")
+        chars = "".join(map(str, bits))
+        expected = "".join(chars[i:i + 64] + "\n" for i in range(0, n, 64)) or "\n"
+        assert (tmp_path / "bits.txt").read_bytes() == expected.encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(outcomes=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=300),
+       cuts=st.lists(st.integers(0, 300), max_size=12))
+@example(outcomes=[(True, False), (False, False), (True, True)] * 40, cuts=list(range(120)))  # 1-trial steps
+@example(outcomes=[(False, True), (True, True), (False, False)] * 100, cuts=list(range(0, 300, 32)))  # whole lines
+@example(outcomes=[(True, False)] * 97, cuts=[])  # one step for everything
+@example(outcomes=[], cuts=[0, 0])  # no trials: a lone newline
+def test_stream_bits_of_any_split_writes_what_write_bits_writes(outcomes, cuts):
+    # a step's first line ends where the whole string's line does, however the trials were cut into steps
+    s1 = np.array([1 if up else -1 for up, _ in outcomes], dtype=np.int8)
+    s2 = np.array([1 if up else -1 for _, up in outcomes], dtype=np.int8)
+    n = len(outcomes)
+    edges = [0, *sorted(min(cut, n) for cut in cuts), n]
+    f = io.BytesIO()
+    counts = stream_bits([(lo, None, s1[lo:hi], s2[lo:hi]) for lo, hi in zip(edges, edges[1:])], f)
+    bits = [int(up) for pair in outcomes for up in pair]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_bits(bits, Path(tmp) / "bits.txt")
+        assert f.getvalue() == (Path(tmp) / "bits.txt").read_bytes()
+    assert counts == BitCounts.of(bits)

@@ -1,6 +1,5 @@
 """Property tests of the record path: rendering, parsing and the cached hash."""
 
-import dataclasses
 import io
 import re
 import tempfile
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 import bellsim.protocol as protocol
 from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.errors import ValidationError
-from bellsim.protocol import RECORDS_HEADER, ExperimentConfig, RecordBatch, RecordSummary, run_experiment, write_run
+from bellsim.protocol import RECORDS_HEADER, ExperimentConfig, RecordBatch, RecordReader, run_experiment, write_run
 from bellsim.selector import GEOMETRIES
 
 N_CONTEXTS = {"temporal": 3, "chsh": 4}
@@ -139,7 +138,7 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
 
     path.write_bytes(path.read_bytes().replace(b"\n400,", b"\n+400,"))  # trial 400 in another spelling
     with pytest.raises(ValidationError, match="^records line 402: not in canonical form$"):
-        RecordSummary.from_csv(path)
+        RecordReader.read(path)
     assert len(calls) == 4
 
     fresh = run_experiment(config)
@@ -221,20 +220,6 @@ def test_in_place_check_rejects_every_substituted_byte(kind, lo):
             assert not protocol._rows_are_canonical(edited, kind, lo, ends, key), (pos, value)
 
 
-def test_record_summaries_compare_by_value_and_are_unhashable(tmp_path):
-    config = ExperimentConfig(mode="qm_sequential", directions=max_violation_triple(),
-                              n_trials=500, selector_seed=1, outcome_seed=2)
-    path = tmp_path / "records.csv"
-    write_run(config, path)
-    a, b = RecordSummary.from_csv(path), RecordSummary.from_csv(path)
-    assert a == b and not a != b
-    for field, value in (("kind", "chsh"), ("n", 499), ("records_sha256", "0" * 64), ("counts", b.counts + 1)):
-        assert a != dataclasses.replace(b, **{field: value})
-    assert a != run_experiment(config) and a != "a summary"
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(a)
-
-
 def record_path_outputs(config: ExperimentConfig, threads: int, tmp: Path) -> list:
     """What the record path gives for a config: written bytes and hashes, and what reading them back gives."""
     run_path, crlf_path = tmp / "run.csv", tmp / "crlf.csv"
@@ -245,10 +230,10 @@ def record_path_outputs(config: ExperimentConfig, threads: int, tmp: Path) -> li
     outputs = [run_path.read_bytes(), run_hash, (tmp / "batch.csv").read_bytes(), batch.sha256(),
                RecordBatch(batch.kind, batch.codes, batch.s1, batch.s2).sha256()]  # rendered afresh
     for path in (run_path, crlf_path):
-        loaded, summary = RecordBatch.from_csv(path), RecordSummary.from_csv(path)
+        loaded, reader = RecordBatch.from_csv(path), RecordReader.read(path)
         outputs += [(loaded.kind, loaded.codes.tolist(), loaded.s1.tolist(), loaded.s2.tolist(),
                      loaded.sha256(), loaded.outcome_counts().tolist()),
-                    (summary.kind, summary.n, summary.records_sha256, summary.counts.tolist())]
+                    (reader.kind, len(reader), reader.sha256(), reader.outcome_counts().tolist())]
     return outputs
 
 
@@ -347,7 +332,7 @@ def test_steps_after_the_first_are_sized_by_the_files_kind(monkeypatch, tmp_path
         assert reader._step_size() == 7 * (1 + 16)
         for _ in reader:
             assert reader._step_size() == 7 * (len(str(reader.n + 6)) + width)
-    assert reader.summary().records_sha256 == batch.sha256()
+    assert reader.sha256() == batch.sha256()
 
 
 def test_mixed_line_ends_load_on_the_streamed_path(monkeypatch, tmp_path, streamed):
@@ -381,22 +366,22 @@ def test_reads_of_any_size_map_line_ends_as_the_whole_file(pieces, sizes):
     assert reader._buf == data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def test_summary_before_any_step_is_a_validation_error():
+def test_counts_before_any_step_are_a_validation_error():
     with pytest.raises(ValidationError, match="^records: no step read yet$"):
-        protocol.RecordReader(io.BytesIO(b"")).summary()
+        protocol.RecordReader(io.BytesIO(b"")).outcome_counts()
 
 
-def test_a_summary_keeps_the_counts_it_was_taken_with(monkeypatch, tmp_path):
-    _, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
+def test_the_reader_answers_for_the_rows_read_so_far(monkeypatch, tmp_path):
+    batch, path = small_chunk_batch(monkeypatch, tmp_path)  # 500 rows in steps of 7
     with open(path, "rb") as f:
         reader = protocol.RecordReader(f)
         steps = iter(reader)
         next(steps)
-        early = reader.summary()
+        assert len(reader) == reader.outcome_counts().sum() == 7
         for _ in steps:
             pass
-    assert early.n == 7 and early.counts.sum() == 7
-    assert reader.summary().n == reader.summary().counts.sum() == 500
+    assert len(reader) == reader.outcome_counts().sum() == 500
+    assert (reader.kind, reader.tags, reader.sha256()) == (batch.kind, batch.tags, batch.sha256())
 
 
 def test_the_count_table_is_added_to_in_place(monkeypatch, tmp_path):
@@ -406,7 +391,7 @@ def test_the_count_table_is_added_to_in_place(monkeypatch, tmp_path):
         reader = protocol.RecordReader(f)
         tables = [reader._counts for _ in reader]
     assert len(tables) == 72 and all(table is tables[0] for table in tables)
-    assert np.array_equal(reader.summary().counts, batch.outcome_counts())
+    assert np.array_equal(reader.outcome_counts(), batch.outcome_counts())
 
 
 @pytest.mark.parametrize("kind", ["temporal", "chsh"])
@@ -451,7 +436,7 @@ def test_a_short_row_first_in_a_step_cites_its_line(monkeypatch, tmp_path, row):
     lines[8] = row  # line 9, trial 7: the first row of the second step
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ValidationError, match=r"^records line 9: expected 6 fields, got \d$"):
-        RecordSummary.from_csv(path)
+        RecordReader.read(path)
 
 
 def test_a_long_line_is_read_on_only_to_cite_it(monkeypatch, tmp_path, reads):
@@ -473,7 +458,7 @@ def test_rows_longer_than_canonical_are_refused_out_of_one_read(monkeypatch, tmp
     header, rows = path.read_bytes().split(b"\n", 1)
     path.write_bytes(header + b"\n" + re.sub(rb",([0-9])", rb",+\1", rows))
     with pytest.raises(ValidationError, match="^records line 2: not in canonical form$"):
-        RecordSummary.from_csv(path)
+        RecordReader.read(path)
     assert len(reads) == 1 and len(reads[0][1]) < 7 * 40
     assert_refused(path.read_bytes(), "records line 2: not in canonical form")
 
@@ -500,7 +485,7 @@ def test_only_the_step_that_differs_is_parsed_line_by_line(monkeypatch, tmp_path
     lines[row + 1] = b"0" + lines[row + 1]  # a leading zero: a valid value, not in canonical form
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ValidationError, match=rf"^records line {row + 2}: not in canonical form$"):
-        RecordSummary.from_csv(path)
+        RecordReader.read(path)
     first = row - row % 7
     assert parser_calls == [first + 2]  # the file's line of the step's first row; the header never reaches it
     assert_refused(path.read_bytes(), f"records line {row + 2}: not in canonical form")
@@ -513,7 +498,7 @@ def test_a_row_past_the_read_is_explained_after_the_rows_before_it(monkeypatch, 
     lines[3] = b" " * 100 + lines[3]  # trial 2, longer than a step of canonical rows
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ValidationError, match="^records line 4: not in canonical form$"):
-        RecordSummary.from_csv(path)
+        RecordReader.read(path)
     assert parser_calls == [2, 4]  # the whole rows of the step's read, then the row after them, read on to its end
     assert_refused(path.read_bytes(), "records line 4: not in canonical form")
 

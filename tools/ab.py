@@ -32,7 +32,9 @@ the sign test's order statistics, the k-th smallest and k-th largest ratio
 with the largest k whose coverage is at least 95% (at 10 rounds the 2nd and
 9th smallest, 97.85%), or the smallest and largest with the coverage they
 have when no k reaches it.  ``--out`` writes all of it, with every sample,
-as JSON (``tools/bench_record.py --ab FILE`` stores that in a BENCH record).
+as JSON (``tools/bench_record.py --ab FILE`` stores that in a BENCH record),
+with each side's ``src_bellsim_lines`` and, as ``nproc``, the CPUs the
+process may run on.
 
 Exits 1 if a stage fails or if the two sides' records, report, bits or
 certification differ; there is no timing gate.  It uses no network and
@@ -138,6 +140,17 @@ def stage_command(stage: str, work: Path, config: Path) -> list[str]:
     return ["-m", "bellsim.cli", *stage_argv(stage, work, config)]
 
 
+def src_bellsim_lines(tree: Path) -> int:
+    """The line count (str.splitlines) of every src/bellsim/*.py file of a tree, summed, as the benchmark counts it."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in sorted((tree / "src" / "bellsim").glob("*.py")))
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one, else os.cpu_count()."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout.strip()
 
@@ -218,6 +231,7 @@ def main(argv=None) -> int:
         config.write_text(json.dumps(dict(README_CONFIG, n_trials=args.trials)), encoding="utf-8")
         samples = run_rounds(sides, config, args.rounds, problems)
         differing = differing_outputs(sides)
+        lines = {side: src_bellsim_lines(Path(tmp) / side) for side in SIDES}
     problems += [f"{name} differs between the sides" for name in differing]
     summary = summarize(samples)
     print(table(summary))
@@ -226,8 +240,8 @@ def main(argv=None) -> int:
         "change": git(root, "rev-parse", "HEAD"),
         "change_src_uncommitted": bool(git(root, "status", "--porcelain", "--", "src")),
         "n_trials": args.trials, "rounds": args.rounds, "bytecode": args.bytecode,
-        "python": sys.version.split()[0], "nproc": os.cpu_count(), "rule": RULE, "interval_rule": INTERVAL_RULE,
-        "identical_outputs": not differing, "stages": summary,
+        "python": sys.version.split()[0], "nproc": usable_cpus(), "src_bellsim_lines": lines, "rule": RULE,
+        "interval_rule": INTERVAL_RULE, "identical_outputs": not differing, "stages": summary,
     }
     if args.out is not None:
         args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
