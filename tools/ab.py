@@ -146,11 +146,6 @@ def src_bellsim_lines(tree: Path) -> int:
                for path in sorted((tree / "src" / "bellsim").glob("*.py")))
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform has one, else os.cpu_count()."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout.strip()
 
@@ -240,8 +235,10 @@ def main(argv=None) -> int:
         "change": git(root, "rev-parse", "HEAD"),
         "change_src_uncommitted": bool(git(root, "status", "--porcelain", "--", "src")),
         "n_trials": args.trials, "rounds": args.rounds, "bytecode": args.bytecode,
-        "python": sys.version.split()[0], "nproc": usable_cpus(), "src_bellsim_lines": lines, "rule": RULE,
-        "interval_rule": INTERVAL_RULE, "identical_outputs": not differing, "stages": summary,
+        "python": sys.version.split()[0], "src_bellsim_lines": lines, "rule": RULE, "interval_rule": INTERVAL_RULE,
+        # the CPUs this process may run on, as the manifest and the benchmark count them
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "identical_outputs": not differing, "stages": summary,
     }
     if args.out is not None:
         args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
