@@ -27,7 +27,7 @@ _EXPORTS = {
     "quantum": ("QubitState", "brute_force_sequential_correlator", "brute_force_singlet_correlator",
                 "measure_spin", "singlet_analytic_correlator"),
     "randomness": ("CertificationReport", "certify", "extract_bits", "monobit_test", "runs_test"),
-    "selector": ("MeasurementContext", "SelectorState", "derive_trial_randomness", "next_context"),
+    "selector": ("MeasurementContext",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

@@ -31,10 +31,7 @@ from .selector import (
     GEOMETRY_OF_COUNT,
     SLOT_COUNT,
     ContextSet,
-    SelectorState,
     context_codes,
-    derive_trial_randomness,
-    next_context,
     state_after,
     trial_uniforms,
     validate_seed,
@@ -896,25 +893,6 @@ def write_run(config: ExperimentConfig, path, threads: int = 1) -> str:
     """
     spans = (span[:4] for span in run_spans(config, threads=threads))
     return _write_csv(path, config.geometry, spans)
-
-
-def _run_reference(config: ExperimentConfig, model=None) -> RecordBatch:
-    # per-trial scalar path; the vectorized runner must match it bit-for-bit
-    sampler = make_sampler(config, model=model)
-    contexts = sampler.contexts
-    sel = SelectorState.from_seed(config.selector_seed)
-    n = config.n_trials
-    codes = np.empty(n, dtype=np.uint8)
-    s1 = np.empty(n, dtype=np.int8)
-    s2 = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        ctx, sel = next_context(sel, contexts)
-        code = contexts.contexts.index(ctx)
-        stream = derive_trial_randomness(config.outcome_seed, i)
-        u1 = stream.next()
-        u2 = stream.next()
-        codes[i], (s1[i], s2[i]) = code, sampler.trial(code, u1, u2)
-    return RecordBatch(config.geometry, codes, s1, s2)
 
 
 # --- estimation and inequality reports --------------------------------------------------

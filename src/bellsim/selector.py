@@ -15,6 +15,7 @@ across runs, chunkings and thread counts.
 from __future__ import annotations
 
 import functools
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +39,8 @@ _U11 = np.uint64(11)
 
 _INV_2_53 = 2.0 ** -53
 _INV_GAMMA = pow(GAMMA, -1, 1 << 64)
+# a seed string: ASCII digits, or 0x and ASCII hex digits
+_SEED_STRING = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
 
 
 def mix64(z: int) -> int:
@@ -84,7 +87,9 @@ def validate_seed(value, name: str = "seed") -> int:
         try:
             parsed = int(value, 16) if value.lower().startswith("0x") else int(value, 10)
         except ValueError:
-            raise ValidationError(f"{name} is not a decimal or 0x-prefixed integer: {value!r}") from None
+            parsed = None
+        if parsed is None or not _SEED_STRING.fullmatch(value):  # int() also reads "1_000", " 12 ", "+5"
+            raise ValidationError(f"{name} is not a decimal or 0x-prefixed integer: {value!r}")
     elif isinstance(value, int):
         parsed = value
     else:
@@ -146,48 +151,20 @@ class ContextSet:
 # --- selector device ---------------------------------------------------------
 
 
-class SelectorState(NamedTuple):
-    """Selector device state: current SplitMix64 state (starts at the seed) and
-    the number of contexts emitted so far."""
-
-    state: int
-    counter: int = 0
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "SelectorState":
-        return cls(state=validate_seed(seed, "selector_seed"), counter=0)
-
-
 def _accept_bound(n_contexts: int) -> int:
     # largest multiple of n_contexts representable in 64 bits; draws at or
     # above it are rejected so the accepted range maps uniformly via mod
     return n_contexts * ((1 << 64) // n_contexts)
 
 
-def next_context(state: SelectorState, contexts: ContextSet) -> tuple[MeasurementContext, SelectorState]:
-    """Emit the next context; returns it with the advanced selector state.
-
-    Advances the SplitMix64 recurrence and maps the draw onto the context
-    set by rejection: draws >= n*floor(2^64/n) are discarded, the rest
-    taken mod n.  The emitted sequence is a pure function of the seed and
-    the emission counter.
-    """
-    bound = _accept_bound(len(contexts))
-    s = state.state
-    while True:
-        s = (s + GAMMA) & MASK64
-        z = mix64(s)
-        if z < bound:
-            code = z % len(contexts)
-            return contexts[code], SelectorState(state=s, counter=state.counter + 1)
-
-
 def context_codes(seed: int, n: int, n_contexts: int) -> np.ndarray:
     """Vectorized selector: the first n context codes for the given seed.
 
-    Exactly reproduces n calls to :func:`next_context`: it draws the n
-    draws plus the rejected ones among them (see :func:`_rejected_among`) in
-    one block and drops the rejected ones.
+    Draw j is mix64(seed + j*GAMMA); a draw at or above :func:`_accept_bound`
+    is rejected and the rest taken mod n_contexts, as the scalar reference in
+    the tests emits them one at a time.  It draws the n draws plus the
+    rejected ones among them (see :func:`_rejected_among`) in one block and
+    drops the rejected ones.
     """
     seed = validate_seed(seed, "selector_seed")
     if n < 0:
@@ -243,39 +220,12 @@ def state_after(seed: int, count: int, n_contexts: int) -> int:
 # --- per-trial outcome randomness ---------------------------------------------
 
 
-class TrialStream:
-    """Uniform variates in [0, 1) for one trial, independent across trials.
-
-    The stream state is seeded with mix64(master_seed XOR trial_index), so
-    any trial's stream can be derived directly from its index without
-    generating its predecessors.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, master_seed: int, trial_index: int):
-        self._state = mix64((master_seed ^ trial_index) & MASK64)
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GAMMA) & MASK64
-        return mix64(self._state)
-
-    def next(self) -> float:
-        """Next uniform double in [0, 1), from the top 53 bits of the draw."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
-
-def derive_trial_randomness(master_seed: int, trial_index: int) -> TrialStream:
-    """The outcome-sampling stream for one trial (see :class:`TrialStream`)."""
-    return TrialStream(validate_seed(master_seed, "outcome_seed"), trial_index)
-
-
 def trial_uniforms(master_seed: int, start: int, stop: int, n_draws: int = 2) -> np.ndarray:
     """Vectorized trial streams: the first n_draws variates of trials
     start..stop-1, as an (n_draws, stop-start) float64 array.
 
-    Row k equals TrialStream(master_seed, i).next() called k+1 times, for
-    each trial index i in order.
+    Row k holds draw k+1 of each trial i's stream, in order: the top 53 bits
+    of mix64(mix64(master_seed ^ i) + (k+1)*GAMMA), scaled to [0, 1).
     """
     master_seed = validate_seed(master_seed, "outcome_seed")
     s0 = np.arange(start, stop, dtype=np.uint64)

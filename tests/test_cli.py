@@ -156,6 +156,13 @@ class TestRun:
         assert not out.exists()
         assert not list(tmp_path.rglob("*.partial"))
 
+    def test_a_seed_with_a_digit_separator_leaves_no_out_dir(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", selector_seed="1_000")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "bellsim: validation error: selector_seed is not a decimal or 0x-prefixed integer: '1_000'\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("out_dir", ["newdir", "new/nested/dir"])
     def test_a_model_that_fails_to_load_leaves_no_out_dir(self, tmp_path, capsys, out_dir):
         cfg = write_config(tmp_path / "cfg.json", mode=f"conspiracy:{unloadable_model(tmp_path)}", n_trials=100)

@@ -169,3 +169,17 @@ def test_the_cli_imports_no_thread_pool():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    # tests/reference.py is the scalar oracle the package is checked against, so no module may lean on it
+    test_modules = {path.stem for path in TESTS.glob("*.py")} | {"tests"}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            assert {name.partition(".")[0] for name in imported}.isdisjoint(test_modules), path.name

@@ -29,7 +29,6 @@ from bellsim.protocol import (
     CorrelatorEstimate,
     ExperimentConfig,
     RecordBatch,
-    _run_reference,
     analyze_records,
     bell_quantity,
     check_sigma_threshold,
@@ -45,6 +44,7 @@ from bellsim.protocol import (
 )
 from bellsim.quantum import QubitState, SequentialSampler
 from bellsim.selector import GAMMA, GEOMETRIES, MASK64, context_codes, mix64, trial_uniforms
+from reference import _run_reference
 
 TRIPLE = max_violation_triple()
 QUAD = tsirelson_quadruple()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import protocol
-from bellsim.directions import max_violation_triple
+from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.errors import IntegrityError, ValidationError
 from bellsim.hidden_variables import FiniteHVModel
 from bellsim.protocol import (
@@ -152,6 +152,20 @@ class TestCertify:
         cert = certify(records, report)
         assert cert.certified  # the formal rule fires...
         assert cert.conspiracy_caveat  # ...but the caveat is mandatory
+
+    def test_the_tsirelson_chsh_violation_certifies_nothing(self):
+        """A violation is necessary for a certificate, not sufficient: this strongest CHSH violation certifies
+        nothing, because the two raw bits of a pair disagree in about 85% of the trials of three of the four
+        contexts, and the runs test sees it.  ROADMAP.md's item 6 (certify only the entropy the violation
+        supports) is expected to change this verdict on purpose."""
+        records = run_experiment(ExperimentConfig("qm_singlet", tsirelson_quadruple(), 60_000, 7, 8))
+        report = analyze_records(records, mode="qm_singlet")
+        cert = certify(records, report)
+        assert report.bell.verdict == cert.bell_verdict == "violation"
+        assert report.bell.value > 2.8
+        assert not cert.certified
+        assert cert.monobit_p >= 0.01 and cert.runs_p < 0.01
+        assert cert.runs_total > 70_000  # against about 60 000 for independent bits
 
     def test_constant_model_never_certifies(self):
         records = constant_run()

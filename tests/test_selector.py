@@ -7,21 +7,19 @@ import bellsim.protocol as protocol
 from bellsim.directions import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.errors import ValidationError
 from bellsim.selector import (
+    _INV_GAMMA,
     GAMMA,
     MASK64,
     ContextSet,
-    SelectorState,
-    TrialStream,
     _accept_bound,
     context_codes,
-    derive_trial_randomness,
     mix64,
-    next_context,
     state_after,
     trial_uniforms,
     unmix64,
     validate_seed,
 )
+from reference import SelectorState, TrialStream, derive_trial_randomness, independent_seed_pairs, next_context
 
 TEMPORAL = ContextSet("temporal", (X_AXIS, Y_AXIS, Z_AXIS))
 CHSH = ContextSet("chsh", (X_AXIS, Y_AXIS, Z_AXIS, X_AXIS))
@@ -194,13 +192,39 @@ class TestTrialStreams:
         assert monobit_test(bits) >= 0.01
 
 
+class TestSeedIndependence:
+    N = 4096  # trials; the bit length of N - 1 is 12
+
+    def test_adjacent_outcome_seeds_give_the_same_uniforms_permuted(self):
+        # trial i's stream is seeded with mix64(outcome_seed ^ i), and 77001 ^ i == 77000 ^ (i ^ 1)
+        n = self.N
+        assert np.array_equal(trial_uniforms(77001, 0, n), trial_uniforms(77000, 0, n)[:, np.arange(n) ^ 1])
+
+    @pytest.mark.parametrize("bit,shared", [(11, True), (12, False)])
+    def test_runs_share_streams_unless_their_seeds_differ_at_or_above_the_bit_length(self, bit, shared):
+        draws = [set(trial_uniforms(seed, 0, self.N).ravel().tolist()) for seed in (77000, 77000 ^ (1 << bit))]
+        assert draws[0] == draws[1] if shared else draws[0].isdisjoint(draws[1])
+
+    def test_independent_seed_pairs_share_no_stream_and_no_selector_draw(self):
+        pairs = independent_seed_pairs(8)
+        draws = [set(trial_uniforms(outcome_seed, 0, self.N).ravel().tolist()) for _, outcome_seed in pairs]
+        assert len(set().union(*draws)) == sum(map(len, draws)) == 8 * 2 * self.N
+        for i, (s, _) in enumerate(pairs):
+            for t, _ in pairs[i + 1:]:
+                gap = ((t - s) * _INV_GAMMA) % 2**64  # draws from seed s to seed t on the one SplitMix64 cycle
+                assert gap and gap % 2**32 == 0  # so runs of fewer than 2^32 trials never reach each other's
+        assert len({seed for pair in pairs for seed in pair}) == 16
+
+
 class TestSeedParsing:
     def test_accepts_decimal_and_hex_strings(self):
         assert validate_seed("123") == 123
         assert validate_seed("0xFF") == 255
+        assert validate_seed("0X1F") == 31
         assert validate_seed(2**64 - 1) == 2**64 - 1
 
-    @pytest.mark.parametrize("bad", [-1, 2**64, "0y12", "12.5", 1.5, True, None])
+    @pytest.mark.parametrize("bad", [-1, 2**64, "0y12", "12.5", 1.5, True, None, "1_000", " 12 ", "+5", "0x_ff",
+                                     "\u0661\u0662", "\u00b2"])
     def test_rejects_bad_seeds(self, bad):
         with pytest.raises(ValidationError):
             validate_seed(bad)

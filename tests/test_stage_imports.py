@@ -1,4 +1,4 @@
-"""Each CLI stage loads only the bellsim modules it calls, and the package still exports every name it did.
+"""Each CLI stage loads only the bellsim modules it calls, and the package exports the names it lists and no other.
 
 A stage starts a fresh process, so every module it imports is compiled or
 read and kept in memory for nothing if the stage never calls it.  `analyze`
@@ -113,7 +113,7 @@ def test_run_and_oracle_build_every_mode_in_a_fresh_process(tmp_path, capsys, mo
     assert stdout == capsys.readouterr().out
 
 
-# every name the package exported when it imported each submodule eagerly, by the submodule that defines it
+# every name the package exports, by the submodule that defines it
 EXPORTS = {
     "directions": ["Direction3", "max_violation_triple", "tsirelson_quadruple"],
     "errors": ["BellsimError", "InsufficientDataError", "IntegrityError", "ValidationError"],
@@ -125,8 +125,10 @@ EXPORTS = {
     "quantum": ["QubitState", "brute_force_sequential_correlator", "brute_force_singlet_correlator",
                 "measure_spin", "singlet_analytic_correlator"],
     "randomness": ["CertificationReport", "certify", "extract_bits", "monobit_test", "runs_test"],
-    "selector": ["MeasurementContext", "SelectorState", "derive_trial_randomness", "next_context"],
+    "selector": ["MeasurementContext"],
 }
+# the scalar reference the package no longer holds; it lives beside the tests, in tests/reference.py
+REMOVED = ["SelectorState", "derive_trial_randomness", "next_context"]
 
 
 @pytest.mark.parametrize("module,name", [(module, name) for module, names in EXPORTS.items() for name in names])
@@ -143,3 +145,10 @@ def test_the_package_lists_exactly_those_names():
         exec("from bellsim import no_such_name", {})
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         bellsim.no_such_name
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_a_removed_name_is_no_export(name):
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(bellsim, name)
+    assert name not in bellsim.__all__ and name not in dir(bellsim)

@@ -9,8 +9,10 @@ and the stages write into a temporary directory.  Each stage must exit 0,
 and `oracle` must print a JSON object that holds `correlators`, `marginals`
 and `quantity`.  Then `analyze` of a copy of the records with the first
 s1 = 1 spelled "+1" must exit 1, cite that row's line on stderr and write
-no report.  The script prints each command's exit code and output, and
-exits 1 at the first check that fails.
+no report, and `run` of the config with `"selector_seed": "1_000"` (a digit
+separator, which seeds may not hold) must exit 1, print `validation error`
+on stderr and make no out dir.  The script prints each command's exit code
+and output, and exits 1 at the first check that fails.
 """
 
 import json
@@ -49,6 +51,17 @@ def refuses_a_respelled_row(command: list[str], out: Path, config: Path) -> bool
     return True
 
 
+def refuses_a_separated_seed(command: list[str], tmp: Path) -> bool:
+    """Whether `run` with the selector seed "1_000" exits 1 with a validation error and makes no out dir."""
+    config, out = tmp / "separated.json", tmp / "separated"
+    config.write_text(json.dumps(dict(README_CONFIG, n_trials=N_TRIALS, selector_seed="1_000")), encoding="utf-8")
+    done = bellsim(command, stage_argv("run", out, config))
+    if done.returncode != 1 or "validation error" not in done.stderr or out.exists():
+        print("run with the selector seed '1_000' did not exit 1 with a validation error and no out dir")
+        return False
+    return True
+
+
 def main(command: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "config.json", Path(tmp) / "out"
@@ -63,7 +76,8 @@ def main(command: list[str]) -> int:
         if missing:
             print(f"oracle printed no {', '.join(missing)}")
             return 1
-        return 0 if refuses_a_respelled_row(command, out, config) else 1
+        refused = refuses_a_respelled_row(command, out, config) and refuses_a_separated_seed(command, Path(tmp))
+        return 0 if refused else 1
 
 
 if __name__ == "__main__":
