@@ -212,8 +212,7 @@ class TestSeedIndependence:
         for i, (s, _) in enumerate(pairs):
             for t, _ in pairs[i + 1:]:
                 gap = ((t - s) * _INV_GAMMA) % 2**64  # draws from seed s to seed t on the one SplitMix64 cycle
-                assert gap and gap % 2**32 == 0  # so runs of fewer than 2^32 trials never reach each other's
-        assert len({seed for pair in pairs for seed in pair}) == 16
+                assert gap and gap % 2**32 == 0  # so neither selector's first 2^32 draws reach the other's
 
 
 class TestSeedParsing:
