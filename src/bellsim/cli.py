@@ -35,6 +35,7 @@ from .protocol import (
     load_report,
     make_sampler,
     read_label,
+    threads_used,
     write_json,
     write_report,
     write_run,
@@ -129,6 +130,7 @@ def cmd_run(args) -> int:
                 "platform": platform.platform(),
                 "nproc": _usable_cpus(),
                 "threads": threads,
+                "threads_used": threads_used(threads),
             },
         }
         write_json(manifest, manifest_tmp)

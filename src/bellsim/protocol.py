@@ -252,6 +252,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def threads_used(threads) -> int:
+    """The threads a run asked for ``threads`` uses: the count, checked, and no more than the usable CPUs."""
+    return min(check_threads(threads), _usable_cpus())
+
+
 def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(read_json(path, "config"))
 
@@ -814,20 +819,21 @@ def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=No
 
     ``threads`` is checked and the sampler built when this is called, so a
     bad thread count, config or model fails before the first span is asked for.
-    The run uses no more threads than the CPUs this process may run on.
-    The trials are split into balanced spans, at least one per thread and at
-    most _CHUNK trials each, or at most _STEP trials each on one thread, so
-    a run without ``columns`` then holds one step's arrays, not a span's.
-    A span draws its contexts from the selector state its first
-    trial starts at, and its uniforms from the trial indices, so neither the
-    split nor the thread pool over the spans can change the records.  With
-    more than one thread, at most 2 x threads spans are submitted ahead of
-    the consumer.  Given ``columns``, three arrays (codes, s1, s2) of
-    n_trials each, every span is written into them and counted where it is
-    computed, and yields views of them and its outcome-count table as
-    ``counts``; without, ``counts`` is None.
+    The run uses :func:`threads_used` threads, no more than the CPUs this
+    process may run on.  The trials are split into balanced spans, at least
+    one per thread and at most _CHUNK trials each, or at most _STEP trials
+    each on one thread, so a run without ``columns`` then holds one step's
+    arrays, not a span's.  A span draws its contexts from the selector state
+    its first trial starts at, and its uniforms from the trial indices, so
+    neither the split nor the thread pool over the spans can change the
+    records.  With more than one thread, at most 2 x threads spans are
+    submitted ahead of the consumer, to the pool that the process's runs on
+    that many threads share (:func:`_span_pool`).  Given ``columns``, three
+    arrays (codes, s1, s2) of n_trials each, every span is written into
+    them and counted where it is computed, and yields views of them and its
+    outcome-count table as ``counts``; without, ``counts`` is None.
     """
-    n_threads = min(check_threads(threads), _usable_cpus())
+    n_threads = threads_used(threads)
     sampler = make_sampler(config, model=model)
     _reuse_step_memory()
     n, k = config.n_trials, len(sampler.contexts)
@@ -850,19 +856,39 @@ def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=No
     return _pooled(span, edges, n_threads)
 
 
-def _pooled(span, edges, n_threads: int):
-    # yield span(lo, hi) for each (lo, hi) of edges in order, computed on n_threads threads at most
-    # 2 x n_threads spans ahead of the consumer
+@functools.lru_cache(maxsize=1)
+def _span_pool(n_threads: int):
+    """The pool of n_threads workers that pooled runs share: made by the first run on n_threads, kept for the next.
+
+    A run on another count replaces it; a run that still holds the old pool
+    keeps it until that run ends, and its idle workers end once it is
+    collected.  A forked child forgets the pool, whose workers it does not have.
+    """
     from concurrent.futures import ThreadPoolExecutor  # imported only by runs on more than one thread
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        pending = deque()
+    return ThreadPoolExecutor(max_workers=n_threads, thread_name_prefix="bellsim-span")
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_span_pool.cache_clear)
+
+
+def _pooled(span, edges, n_threads: int):
+    # yield span(lo, hi) for each (lo, hi) of edges in order, computed on the shared pool of n_threads workers
+    # at most 2 x n_threads spans ahead of the consumer; a run abandoned midway (closed, or its consumer or a span
+    # raised) cancels the spans not yet started and leaves those running to finish on the pool unread
+    pool = _span_pool(n_threads)
+    pending = deque()
+    try:
         for lo, hi in edges:
             if len(pending) == 2 * n_threads:
                 yield pending.popleft().result()
             pending.append(pool.submit(span, lo, hi))
         while pending:
             yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def run_experiment(config: ExperimentConfig, model=None, threads: int = 1) -> RecordBatch:
@@ -891,8 +917,11 @@ def write_run(config: ExperimentConfig, path, threads: int = 1) -> str:
     The file holds exactly the bytes ``run_experiment(config).write_csv(path)``
     writes, but no more than the spans in flight are held at once.
     """
-    spans = (span[:4] for span in run_spans(config, threads=threads))
-    return _write_csv(path, config.geometry, spans)
+    spans = run_spans(config, threads=threads)
+    try:
+        return _write_csv(path, config.geometry, (span[:4] for span in spans))
+    finally:
+        spans.close()  # a write that failed leaves no span queued on the pool
 
 
 # --- estimation and inequality reports --------------------------------------------------

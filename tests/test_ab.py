@@ -1,7 +1,12 @@
-"""tools/ab.py's statistics and verdicts, fed made-up samples; no stage runs here."""
+"""tools/ab.py's statistics and verdicts, fed made-up samples, and its sweep stage, run once at a small trial count."""
 
+import hashlib
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,3 +141,35 @@ def test_src_lines_are_those_of_the_packages_own_modules(ab, tmp_path):
     (package / "notes.txt").write_text("1\n2\n")
     (package / "sub" / "c.py").write_text("w = 4\n")
     assert ab.src_bellsim_lines(tmp_path) == 4
+
+
+def test_the_sweep_stage_writes_a_digest_of_every_pooled_run(ab, tmp_path):
+    # the stage's own process, on this checkout's source at 2000 trials a run; its lines are those of the library
+    import ab_sweep
+    import numpy as np
+
+    from bellsim.protocol import ExperimentConfig, run_experiment
+
+    config, work = tmp_path / "config.json", tmp_path / "work"
+    config.write_text(json.dumps(dict(ab.README_CONFIG, n_trials=2000)), encoding="utf-8")
+    ab_sweep.write_models(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
+    code, _, _ = ab.launch(ab.stage_command("sweep", work, config), env=env)
+    assert code == 0
+    lines = (work / "sweep.txt").read_text(encoding="utf-8").splitlines()
+    runs = ab_sweep.sweep_configs(tmp_path, 2000)
+    assert len(lines) == len(runs) == 24
+    assert {backend for backend, *_ in runs} == {backend for backend, *_ in ab_sweep.BACKENDS}
+    for line, (backend, k, doc) in zip(lines, runs):
+        batch = run_experiment(ExperimentConfig.from_dict(doc))  # one thread: the pool changes no digest
+        digest = hashlib.sha256(np.concatenate([batch.codes.view(np.int8), batch.s1, batch.s2]).tobytes())
+        assert line.split()[:3] == [backend, str(k), digest.hexdigest()]
+    # a sweep file that differs, or is missing on one side, is reported as it is for the stage outputs
+    assert "sweep.txt" in ab.differing_outputs({"parent": {"work": work}, "change": {"work": tmp_path}})
+
+
+def test_the_launcher_imports_no_numpy_or_bellsim():
+    # a child's peak RSS starts at the high-water mark of the process that exec'd it (tools/stage_rss.py)
+    code = "import sys; import ab; print(sorted(m for m in ('numpy', 'bellsim') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=TOOLS, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -99,8 +99,8 @@ class TestRun:
         assert timings["run_s"] > 0 and timings["trials_per_s"] > 0
         assert timings["peak_rss_mb"] is None or timings["peak_rss_mb"] > 0
         assert manifest["duration_seconds"] == timings["run_s"]
-        assert set(environment) == {"python", "numpy", "platform", "nproc", "threads"}
-        assert environment["numpy"] == np.__version__ and environment["threads"] == 1
+        assert set(environment) == {"python", "numpy", "platform", "nproc", "threads", "threads_used"}
+        assert environment["numpy"] == np.__version__ and environment["threads"] == environment["threads_used"] == 1
         assert environment["nproc"] == protocol._usable_cpus()  # the CPUs a run may use, not those of the host
         config = ExperimentConfig.from_dict(json.loads(cfg.read_text()))
         assert manifest["records_sha256"] == run_experiment(config).sha256()
@@ -134,6 +134,16 @@ class TestRun:
         out2 = tmp_path / "out_threads"
         assert main(["run", "--config", str(cfg), "--out-dir", str(out2), "--threads", "4"]) == 0
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
+    def test_manifest_says_the_threads_asked_for_and_those_used(self, tmp_path, monkeypatch):
+        # eight asked for on two usable CPUs: the run used two, and the manifest says both
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--threads", "8"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == manifest["environment"]["threads"] == 8
+        assert manifest["environment"]["threads_used"] == 2
 
     def test_environment_does_not_set_the_thread_count(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,6 +1,9 @@
+import contextlib
+import gc
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 import threading
@@ -43,7 +46,7 @@ from bellsim.protocol import (
     write_report,
 )
 from bellsim.quantum import QubitState, SequentialSampler
-from bellsim.selector import GAMMA, GEOMETRIES, MASK64, context_codes, mix64, trial_uniforms
+from bellsim.selector import GAMMA, GEOMETRIES, MASK64, context_codes, mix64, state_after, trial_uniforms
 from reference import _run_reference
 
 TRIPLE = max_violation_triple()
@@ -355,27 +358,24 @@ class TestRunExperiment:
             if copy is not None:
                 assert np.array_equal(value, copy), path
 
-    def test_threads_are_capped_at_the_usable_cpus(self, monkeypatch):
+    def test_threads_are_capped_at_the_usable_cpus(self, monkeypatch, request):
         # a million threads asked for: the pool is no larger than the CPUs, and the records are those of one thread
         import concurrent.futures
 
         asked = []
 
         class InlinePool:  # notes its size and runs each span as it is submitted, on no thread of its own
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, thread_name_prefix):
                 asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def submit(self, span, lo, hi):
                 future = concurrent.futures.Future()
                 future.set_result(span(lo, hi))
                 return future
 
+        # the shared pool is made by the first pooled run after the cache is cleared, and must not outlive this test
+        protocol._span_pool.cache_clear()
+        request.addfinalizer(protocol._span_pool.cache_clear)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(protocol, "_CHUNK", 100)
         cfg = temporal_config(n_trials=5000)
@@ -479,6 +479,151 @@ def temporal_records(*rows):
 
 # two trials of each context but AB, with mixed outcomes
 OTHER_CONTEXTS = [("AC", 1, -1), ("BC", -1, -1), ("AC", -1, -1), ("BC", 1, -1)]
+
+
+def pool_workers() -> list:
+    """The live worker threads of bellsim's span pools."""
+    return [thread for thread in threading.enumerate() if thread.name.startswith("bellsim-span")]
+
+
+def pooled_run_in_child(cfg, conn):
+    # the target of a forked child: a pooled run of its own, its columns sent back
+    batch = run_experiment(cfg, threads=2)
+    conn.send((batch.codes, batch.s1, batch.s2))
+    conn.close()
+
+
+class TestSpanPool:
+    """Pooled runs share one pool: the first run on T threads makes it, later ones reuse it, another T replaces it."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)  # the pool on any host
+        monkeypatch.setattr(protocol, "_CHUNK", 1000)
+
+    def test_runs_on_one_count_reuse_one_pool_and_another_count_replaces_it(self, monkeypatch):
+        cfg = temporal_config(n_trials=20_000)
+        serial = run_experiment(cfg)
+        for threads in (2, 3, 2):
+            monkeypatch.setattr(protocol, "_usable_cpus", lambda threads=threads: threads)
+            assert run_experiment(cfg, threads=threads) == serial
+        pool = protocol._span_pool(2)
+        assert run_experiment(cfg, threads=2) == serial and protocol._span_pool(2) is pool
+        gc.collect()
+        deadline = time.monotonic() + 30
+        while set(pool_workers()) - pool._threads and time.monotonic() < deadline:  # a replaced pool's end as they wake
+            time.sleep(0.01)
+        assert 1 <= len(pool_workers()) <= 2
+        assert set(pool_workers()) <= pool._threads
+
+    def test_concurrent_runs_share_and_replace_the_pool_under_fast_switching(self, monkeypatch):
+        # runs on 2 and on 3 threads at once: each replaces the pool the other may still be running on
+        cfg = temporal_config(n_trials=20_000, selector_seed=(REJECTING_SEED - 7000 * GAMMA) % 2**64)
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 8)
+        results = {2: [], 3: []}
+        workers = [threading.Thread(target=lambda t=t: results[t].extend(run_experiment(cfg, threads=t)
+                                                                         for _ in range(5)), daemon=True)
+                   for t in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == {2: [serial] * 5, 3: [serial] * 5}
+
+    @pytest.fixture
+    def held_spans(self, monkeypatch):
+        """(release, started): every span after the first holds its worker until release is set, and each span
+        notes its first trial in started as it starts, so the fourth span submitted is still queued then."""
+        release, started = threading.Event(), []
+
+        def held(seed, lo, k):
+            started.append(lo)
+            if lo:
+                release.wait(30)
+            return state_after(seed, lo, k)
+
+        monkeypatch.setattr(protocol, "state_after", held)
+        yield release, started
+        release.set()
+
+    @staticmethod
+    def assert_queued_spans_were_cancelled(release, started):
+        release.set()
+        protocol._span_pool(2).submit(int).result()  # runs after every span queued before it
+        time.sleep(0.05)
+        assert set(started) <= {0, 1000, 2000}  # at most the spans the two workers had started, and none after
+
+    def test_a_closed_run_cancels_its_queued_spans_and_returns_at_once(self, held_spans):
+        release, started = held_spans
+        cfg = temporal_config(n_trials=20_000)
+        spans = protocol.run_spans(cfg, threads=2)
+        assert next(spans)[0] == 0
+        began = time.monotonic()
+        spans.close()
+        assert time.monotonic() - began < 10 and not release.is_set()  # no wait for the held spans
+        self.assert_queued_spans_were_cancelled(release, started)
+        assert run_experiment(cfg, threads=2) == run_experiment(cfg, threads=1)
+
+    def test_a_write_that_fails_cancels_its_queued_spans(self, held_spans, monkeypatch, tmp_path):
+        # the exception, held here, keeps the run's frames alive: write_run closes the run itself
+        def failing_chunks(kind, spans):
+            next(spans)
+            raise OSError("disk full")
+            yield
+
+        monkeypatch.setattr(protocol, "_csv_chunks", failing_chunks)
+        with pytest.raises(OSError, match="disk full") as failed:
+            protocol.write_run(temporal_config(n_trials=20_000), tmp_path / "records.csv", threads=2)
+        self.assert_queued_spans_were_cancelled(*held_spans)
+        assert failed.traceback  # still held, with the frames of the failed write
+
+    def test_a_span_that_raises_leaves_the_pool_to_the_next_run(self, monkeypatch):
+        cfg = temporal_config(n_trials=20_000)
+        serial, pool = run_experiment(cfg), protocol._span_pool(2)
+
+        def failing(seed, lo, k):
+            if lo >= 5000:
+                raise RuntimeError(f"span at {lo} failed")
+            return state_after(seed, lo, k)
+
+        monkeypatch.setattr(protocol, "state_after", failing)
+        with pytest.raises(RuntimeError, match="span at 5000 failed"):
+            run_experiment(cfg, threads=2)
+        monkeypatch.setattr(protocol, "state_after", state_after)
+        assert run_experiment(cfg, threads=2) == serial
+        assert protocol._span_pool(2) is pool
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no fork")
+    def test_a_forked_child_runs_on_a_pool_of_its_own(self):
+        # the parent's workers do not exist in the child, so a pool it inherited would take spans and run none
+        cfg = temporal_config(n_trials=20_000)
+        parent = run_experiment(cfg, threads=2)
+        assert pool_workers()
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=pooled_run_in_child, args=(cfg, send))
+        forked = (pytest.warns(DeprecationWarning, match="use of fork") if sys.version_info >= (3, 12)
+                  else contextlib.nullcontext())
+        with forked:
+            child.start()
+        send.close()
+        with receive:
+            answered = receive.poll(30)
+            columns = receive.recv() if answered else None
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert answered, "the child's pooled run gave no records within 30 s"
+        assert child.exitcode == 0
+        assert RecordBatch("temporal", *columns) == parent
 
 
 class TestEstimators:

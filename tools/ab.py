@@ -8,9 +8,12 @@ with ``git archive REV`` into a temporary directory, and this checkout's
 it.  Each round runs, on both sides, ``python -c "import bellsim.cli"`` (the
 `import` stage, what the benchmark's ``setup_s`` times), the README
 config's `run`, `analyze` and `certify`, then `analyze` and `certify` of a
-CRLF copy of the records (made between the timed stages); each stage runs
-on one side and then on the other before the next stage, and the side that
-goes first alternates from round to round.  The config and each `bellsim`
+CRLF copy of the records (made between the timed stages), and last the
+`sweep` stage: ``tools/ab_sweep.py``, one process that runs the six sweep
+backends at 4 angles, ``--trials`` trials a run, through the library path
+on pooled threads (24 runs) and writes a digest of every run's columns;
+each stage runs on one side and then on the other before the next stage,
+and the side that goes first alternates from round to round.  The config and each `bellsim`
 stage's command line are ``tools/stage_rss.py``'s, and so is the launcher,
 which imports nothing large and reads the child's own resource usage from
 ``os.wait4``.
@@ -36,8 +39,8 @@ as JSON (``tools/bench_record.py --ab FILE`` stores that in a BENCH record),
 with each side's ``src_bellsim_lines`` and, as ``nproc``, the CPUs the
 process may run on.
 
-Exits 1 if a stage fails or if the two sides' records, report, bits or
-certification differ; there is no timing gate.  It uses no network and
+Exits 1 if a stage fails or if the two sides' records, report, bits,
+certification or sweep digests differ; there is no timing gate.  It uses no network and
 changes nothing outside its temporary directory.
 """
 
@@ -56,12 +59,14 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+from ab_sweep import write_models
 from stage_rss import README_CONFIG, crlf_copy, launch, peak_mb, stage_argv
 
 SIDES = ("parent", "change")
-STAGES = ("import", "run", "analyze", "certify", "analyze-crlf", "certify-crlf")
+STAGES = ("import", "run", "analyze", "certify", "analyze-crlf", "certify-crlf", "sweep")
 METRICS = ("wall_s", "cpu_s", "minflt", "peak_rss_mb")  # lower is better for each
 OUTPUTS = ("records.csv", "report.json", "bits.txt", "certification.json")
+SWEEP = Path(__file__).resolve().parent / "ab_sweep.py"
 WIN_SHARE = 0.9  # the share of pairs the better side must win: 9 of 10
 MIN_ROUNDS = 10  # fewer rounds than this give no verdict
 RULE = (f"gain: the change is lower in at least {WIN_SHARE:.0%} of at least {MIN_ROUNDS} pairs, and its median is "
@@ -133,10 +138,13 @@ def table(summary: dict) -> str:
 
 
 def stage_command(stage: str, work: Path, config: Path) -> list[str]:
-    """The Python arguments of one stage: a fresh ``import bellsim.cli`` and nothing more for `import`, else the
-    `bellsim` stage of ``stage_rss.stage_argv``."""
+    """The Python arguments of one stage: a fresh ``import bellsim.cli`` and nothing more for `import`,
+    ``ab_sweep.py`` of config into work / "sweep.txt" for `sweep`, else the `bellsim` stage of
+    ``stage_rss.stage_argv``."""
     if stage == "import":
         return ["-c", "import bellsim.cli"]
+    if stage == "sweep":
+        return [str(SWEEP), str(config), str(work / "sweep.txt")]
     return ["-m", "bellsim.cli", *stage_argv(stage, work, config)]
 
 
@@ -197,7 +205,7 @@ def run_rounds(sides: dict, config: Path, rounds: int, problems: list[str]) -> d
 def differing_outputs(sides: dict) -> list[str]:
     """The outputs of the last round that the two sides did not write byte for byte alike."""
     a, b = (sides[side]["work"] for side in SIDES)
-    names = [*OUTPUTS, *(f"crlf/{name}" for name in OUTPUTS[1:])]
+    names = [*OUTPUTS, *(f"crlf/{name}" for name in OUTPUTS[1:]), "sweep.txt"]
     return [name for name in names
             if not ((a / name).exists() and (b / name).exists() and filecmp.cmp(a / name, b / name, shallow=False))]
 
@@ -224,6 +232,7 @@ def main(argv=None) -> int:
         sides = prepare(root, parent, Path(tmp), args.bytecode)
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(dict(README_CONFIG, n_trials=args.trials)), encoding="utf-8")
+        write_models(Path(tmp))  # the sweep's model documents, beside the config, for both sides
         samples = run_rounds(sides, config, args.rounds, problems)
         differing = differing_outputs(sides)
         lines = {side: src_bellsim_lines(Path(tmp) / side) for side in SIDES}
