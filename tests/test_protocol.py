@@ -511,8 +511,8 @@ class TestSpanPool:
         assert run_experiment(cfg, threads=2) == serial and protocol._span_pool(2) is pool
         gc.collect()
         deadline = time.monotonic() + 30
-        while set(pool_workers()) - pool._threads and time.monotonic() < deadline:  # a replaced pool's end as they wake
-            time.sleep(0.01)
+        while set(pool_workers()) - pool._threads and time.monotonic() < deadline:
+            time.sleep(0.01)  # the replaced pools' workers end as they wake
         assert 1 <= len(pool_workers()) <= 2
         assert set(pool_workers()) <= pool._threads
 

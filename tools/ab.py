@@ -13,10 +13,10 @@ CRLF copy of the records (made between the timed stages), and last the
 backends at 4 angles, ``--trials`` trials a run, through the library path
 on pooled threads (24 runs) and writes a digest of every run's columns;
 each stage runs on one side and then on the other before the next stage,
-and the side that goes first alternates from round to round.  The config and each `bellsim`
-stage's command line are ``tools/stage_rss.py``'s, and so is the launcher,
-which imports nothing large and reads the child's own resource usage from
-``os.wait4``.
+and the side that goes first alternates from round to round.  The config
+and each `bellsim` stage's command line are ``tools/stage_rss.py``'s, and
+so is the launcher, which imports nothing large and reads the child's own
+resource usage from ``os.wait4``.
 
 With ``--bytecode uncached`` (the default, as the benchmark runs) no
 process writes bytecode, so every stage compiles bellsim's modules; with
@@ -40,8 +40,8 @@ with each side's ``src_bellsim_lines`` and, as ``nproc``, the CPUs the
 process may run on.
 
 Exits 1 if a stage fails or if the two sides' records, report, bits,
-certification or sweep digests differ; there is no timing gate.  It uses no network and
-changes nothing outside its temporary directory.
+certification or sweep digests differ; there is no timing gate.  It uses
+no network and changes nothing outside its temporary directory.
 """
 
 from __future__ import annotations
