@@ -29,13 +29,15 @@ import numpy as np
 from .directions import angle_between
 from .errors import ValidationError
 from .protocol import _is_real, _read_only, _signs, read_json, write_json
-from .selector import GEOMETRIES, GEOMETRY_OF_COUNT, SLOT_COUNT, ContextSet
+from .selector import GEOMETRIES, GEOMETRY_OF_COUNT, SLOT_COUNT, ContextSet, as_floats, uniform_threshold
 
 WEIGHT_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
-# cells of the finite samplers' bucket grid; a power of two, so that scaling a uniform by it is exact
+# cells of the finite samplers' bucket grid; a power of two, so that a numerator's cell is its top 12 of 53 bits
 _GRID = 1 << 12
+_CELL_SHIFT = np.uint64(53 - 12)
+_HALF = uniform_threshold(0.5)  # 2^52: m < it where u < 1/2
 # the most thresholds in one cell that the grid takes: 64 compare passes cost about one np.searchsorted over
 # 100 000 thresholds (8 ms against 7-11 ms per 65 536 trials on one Xeon core) and hold 2 MiB of table
 _MAX_ROWS = 64
@@ -106,6 +108,13 @@ class ContextualFiniteModel:
 # --- exact evaluation (finite models only) --------------------------------------
 
 
+def _expectation(weights: np.ndarray, values: np.ndarray) -> float:
+    """sum_i w_i * v_i of +-1 values; exactly v where every initial condition of positive weight has value v,
+    which the float sum misses by an ulp when the weights' float sum is not exactly 1."""
+    held = values[weights > 0.0]
+    return float(held[0]) if np.all(held == held[0]) else float(weights @ values)
+
+
 def exact_correlator(model: FiniteHVModel, slot_x: int, slot_y: int) -> float:
     """P(x,y) = sum_i w_i * S(i, slot_x) * S(i, slot_y), exact finite sum."""
     if not isinstance(model, FiniteHVModel):
@@ -113,7 +122,7 @@ def exact_correlator(model: FiniteHVModel, slot_x: int, slot_y: int) -> float:
     if max(slot_x, slot_y) > model.n_slots:
         raise ValidationError(f"model has {model.n_slots} slots, context uses slot {max(slot_x, slot_y)}")
     prod = model.responses[:, slot_x - 1].astype(np.float64) * model.responses[:, slot_y - 1]
-    return float(model.weights @ prod)
+    return _expectation(model.weights, prod)
 
 
 # --- generators and file format --------------------------------------------------
@@ -209,7 +218,8 @@ def write_model(model, path) -> None:
 # run, which the runner calls from several threads at once.  Its trial method
 # is the per-trial scalar reference that run matches bit for bit, and its
 # exact_moments(code) the context's exact (E[s1], E[s2], E[s1*s2]) as floats.
-# run and trial take uniforms in [0, 1), as selector.trial_uniforms gives them.
+# trial takes float uniforms u in [0, 1); run takes their uint64 numerators
+# m = u * 2^53, as selector.trial_uniforms gives them, and may overwrite them.
 
 
 class _FiniteSampler:
@@ -221,7 +231,8 @@ class _FiniteSampler:
 
     A trial's bucket, the number of thresholds at or below u1, is the count
     at or below the lower edge of u1's cell in a grid of _GRID equal cells
-    (u1 * _GRID is exact), plus one compare per threshold inside the cell.
+    (the top 12 bits of its numerator, m >> 41), plus one compare per
+    threshold t inside the cell: u1 >= t exactly when m >= ceil(t * 2^53).
     So a trial costs T compare passes, T the most thresholds in one cell: at
     most one per context if every weight is at least 1/_GRID, at worst all;
     above _MAX_ROWS the sampler keeps no grid and binary-searches instead.
@@ -242,31 +253,32 @@ class _FiniteSampler:
             s2.append(m.responses[idx, sy - 1])
         self._s1 = _read_only(np.concatenate(s1))
         self._s2 = _read_only(np.concatenate(s2))
-        # _base[cell]: thresholds at or below the cell's lower edge; _inner[j, cell]: its j-th inside, or inf
+        # _base[cell]: thresholds at or below the cell's lower edge; _inner[j, cell]: its j-th inside, or 2^53,
+        # as numerator thresholds
         cells = (union * _GRID).astype(np.intp)
         inside = (union > 0.0) & (union < 1.0) & (cells != union * _GRID)
         cells, thresholds = cells[inside], union[inside]
         rank = np.arange(cells.size) - np.searchsorted(cells, cells)  # the threshold's place in its cell
         rows = int(rank.max()) + 1 if rank.size else 0
-        self._union, self._base, self._inner = _read_only(union), None, None
+        self._union, self._base, self._inner = _read_only(uniform_threshold(union)), None, None
         if rows <= _MAX_ROWS:
             self._base = _read_only(np.searchsorted(union, np.arange(_GRID) / _GRID, side="right"))
-            inner = np.full((rows, _GRID), np.inf)
-            inner[rank, cells] = thresholds
+            inner = np.full((rows, _GRID), uniform_threshold(1.0))
+            inner[rank, cells] = uniform_threshold(thresholds)
             self._inner = _read_only(inner)
 
-    def _bucket(self, u1: np.ndarray) -> np.ndarray:
-        """The bucket of each u1 in [0, 1): np.searchsorted(union, u1, side="right"), in T + 1 lookups."""
+    def _bucket(self, m1: np.ndarray) -> np.ndarray:
+        """The bucket of each numerator m1: np.searchsorted(union, m1 * 2^-53, side="right"), in T + 1 lookups."""
         if self._inner is None:  # more than _MAX_ROWS thresholds in one cell
-            return np.searchsorted(self._union, u1, side="right")
-        cell = (u1 * _GRID).astype(np.intp)
+            return np.searchsorted(self._union, m1, side="right")
+        cell = (m1 >> _CELL_SHIFT).view(np.intp)
         key = self._base.take(cell)
         for row in self._inner:
-            key += u1 >= row.take(cell)
+            key += m1 >= row.take(cell)
         return key
 
-    def _sample(self, codes: np.ndarray, u1: np.ndarray):
-        key = self._bucket(u1)
+    def _sample(self, codes: np.ndarray, m1: np.ndarray):
+        key = self._bucket(m1)
         key += codes * np.intp(self._n_buckets)
         return self._s1.take(key), self._s2.take(key)
 
@@ -278,7 +290,8 @@ class _FiniteSampler:
 
     def exact_moments(self, code: int) -> tuple[float, float, float]:
         sub, (sx, sy) = self._subs[code], self.contexts.slots[code]
-        return *(float(sub.weights @ sub.responses[:, slot - 1]) for slot in (sx, sy)), exact_correlator(sub, sx, sy)
+        marginals = (_expectation(sub.weights, sub.responses[:, slot - 1]) for slot in (sx, sy))
+        return *marginals, exact_correlator(sub, sx, sy)
 
 
 class FiniteModelSampler(_FiniteSampler):
@@ -292,8 +305,8 @@ class FiniteModelSampler(_FiniteSampler):
             )
         super().__init__([model] * len(contexts), contexts)
 
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray | None = None):
-        return self._sample(codes, u1)
+    def run(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray | None = None):
+        return self._sample(codes, m1)
 
 
 class ContextualModelSampler(_FiniteSampler):
@@ -304,17 +317,22 @@ class ContextualModelSampler(_FiniteSampler):
             raise ValidationError("contextual models are defined for the temporal contexts only")
         super().__init__([model.for_tag(tag) for tag in contexts.tags], contexts)
 
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray | None = None):
-        return self._sample(codes, u1)
+    def run(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray | None = None):
+        return self._sample(codes, m1)
 
 
-def _sphere_axis(u1: np.ndarray, u2: np.ndarray, with_y: bool = True):
-    """Uniform point on the unit sphere from two uniforms (z = 2u-1, azimuth);
-    the y component is None when not asked for."""
+def _sphere_axis(u1: np.ndarray, u2: np.ndarray):
+    """Uniform point on the unit sphere from two uniforms (z = 2u-1, azimuth)."""
     c = 2.0 * u1 - 1.0
     r = np.sqrt(np.maximum(1.0 - c * c, 0.0))
     phi = TWO_PI * u2
-    return r * np.cos(phi), r * np.sin(phi) if with_y else None, c
+    return r * np.cos(phi), r * np.sin(phi), c
+
+
+# the float32 projection estimate that SignModelSampler.run settles a trial from lies within 3.4e-6 of the float64 one
+_MARGIN = 4e-6
+# the error of numpy's float32 cos and sin on [0, 2 pi] that the margin assumes, 8 float32 ulps of 1
+TRIG_ERROR_F32 = 2.0 ** -21
 
 
 class SignModelSampler:
@@ -322,11 +340,22 @@ class SignModelSampler:
     sphere answers each slot with the sign of its projection on that slot's
     direction.
 
-    run projects each trial's axis once on every slot direction, with the
-    float operations of trial; the signs, packed into bits after the context
-    code, index the outcome tables.  A projection term whose direction
-    component is exactly 0 is left out: the axis is finite, so the term is
-    +-0, and adding +-0 cannot change the ``>= 0`` test.
+    The rule is :meth:`_slot_bits`, in float64, which trial runs.  run
+    settles most trials from a float32 estimate of the same projections
+    instead: z32 = f32(c) for c = 2 u1 - 1, r32 = sqrt(f32(1 - c c)),
+    phi32 = f32(u2) f32(2 pi), and x32, y32 = r32 cos/sin(phi32), each
+    projection summed over its direction's non-zero components.  With
+    u = 2^-24, each estimate lies within
+    sqrt(3) (4.5 u + e_trig + d_phi) + 2 u = 3.4e-6 < _MARGIN of the float64
+    projection: d_phi = 3 u 2 pi bounds |phi32 - phi64| and so the change
+    of cos and sin; e_trig = TRIG_ERROR_F32 bounds numpy's float32 cos and
+    sin (a test checks it); r32 and the products x32, y32 add 2.5 u to x and
+    y, f32(c) adds u to z; each direction component and each product rounds
+    once (2 u a term, the components' magnitudes summing to at most
+    sqrt(3)); the two float32 additions add 2 u; float64 rounding adds
+    about 1e-15.  So where every |estimate| of a trial is above _MARGIN its
+    signs are those of the float64 rule, and every other trial, NaN
+    included, is recomputed by that rule: records stay byte-identical.
     """
 
     draws = 2  # uniforms per trial that run reads
@@ -339,27 +368,60 @@ class SignModelSampler:
         sx, sy = (np.array(col)[code] for col in zip(*contexts.slots))
         self._s1 = _read_only(_signs(((bits >> (sx - 1)) & 1).astype(bool)))
         self._s2 = _read_only(_signs(((bits >> (sy - 1)) & 1).astype(bool)))
-        # per slot direction: (axis component, direction component) of its non-zero terms
-        self._terms = tuple(tuple((i, c) for i, c in enumerate((d.x, d.y, d.z)) if c != 0.0)
+        # per slot direction: (axis component, float32 direction component) of its non-zero terms
+        self._terms = tuple(tuple((i, np.float32(c)) for i, c in enumerate((d.x, d.y, d.z)) if c != 0.0)
                             for d in contexts.directions)
         self._uses_y = any(d.y != 0.0 for d in contexts.directions)
 
+    def _slot_bits(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """Bit k-1 of each trial set where the axis of float uniforms (u1, u2) projects >= 0 on slot k's direction."""
+        lx, ly, lz = _sphere_axis(u1, u2)
+        bits = np.zeros(u1.shape, dtype=np.uint8)
+        for k, d in enumerate(self.contexts.directions):
+            bits |= (lx * d.x + ly * d.y + lz * d.z >= 0.0).view(np.uint8) << np.uint8(k)
+        return bits
+
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
-        # length-1 arrays, so the draw goes through the very same ufunc loops as run
-        lx, ly, lz = _sphere_axis(np.array([u1]), np.array([u2]))
-        ctx = self.contexts[code]
-        s1, s2 = (1 if (lx * d.x + ly * d.y + lz * d.z)[0] >= 0.0 else -1 for d in (ctx.dir_x, ctx.dir_y))
+        # length-1 arrays, so the draw goes through the very same ufunc loops as run's recheck
+        bits = int(self._slot_bits(np.array([u1]), np.array([u2]))[0])
+        s1, s2 = (1 if bits >> (slot - 1) & 1 else -1 for slot in self.contexts.slots[code])
         return s1, s2
 
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        axis = _sphere_axis(u1, u2, with_y=self._uses_y)
-        key = codes << np.uint8(len(self._terms))
-        for k, ((i, c), *rest) in enumerate(self._terms):
-            dots = axis[i] * c
-            for i, c in rest:
-                dots += axis[i] * c
-            key |= (dots >= 0.0).view(np.uint8) << np.uint8(k)
+    def run(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+        key = self._key(codes, m1, m2)  # its float temporaries are gone before take converts key to intp
         return self._s1.take(key), self._s2.take(key)
+
+    def _key(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+        """Each trial's code, then its slot bits: the float32 estimate's, or the float64 rule's where that is near 0."""
+        u1, u2 = as_floats(m1), as_floats(m2)
+        c = u1 * 2.0
+        c -= 1.0
+        z = c.astype(np.float32)
+        np.multiply(c, c, out=c)
+        r = np.subtract(1.0, c, out=c).astype(np.float32)
+        del c
+        np.sqrt(r, out=r)
+        phi = u2.astype(np.float32)
+        phi *= np.float32(TWO_PI)
+        y = np.sin(phi) if self._uses_y else None
+        x = np.cos(phi, out=phi)
+        x *= r
+        if y is not None:
+            y *= r
+        del r
+        axis = (x, y, z)
+        key = codes << np.uint8(len(self._terms))
+        least = None  # each trial's smallest |estimate|, NaN where one is NaN
+        for k, ((i, d), *rest) in enumerate(self._terms):
+            dots = axis[i] * d
+            for i, d in rest:
+                dots += axis[i] * d
+            key |= (dots >= 0.0).view(np.uint8) << np.uint8(k)
+            dots = np.abs(dots, out=dots)
+            least = dots if least is None else np.minimum(least, dots, out=least)
+        near = np.flatnonzero(~(least > _MARGIN))
+        key[near] = (codes[near] << np.uint8(len(self._terms))) | self._slot_bits(u1[near], u2[near])
+        return key
 
     def exact_moments(self, code: int) -> tuple[float, float, float]:
         """Unbiased marginals, and 1 - 2*theta/pi for the angle theta between the context's directions."""
@@ -378,14 +440,15 @@ class QmMimicSampler:
         # P(s2 = s1) = (1 + E)/2 per context
         self._p_same = _read_only([min(1.0, max(0.0, (1.0 + self.exact_moments(code)[2]) / 2.0))
                                    for code in range(len(contexts))])
+        self._t_same = _read_only(uniform_threshold(self._p_same))
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         s1 = 1 if u1 < 0.5 else -1
         return s1, s1 if u2 < self._p_same[code] else -s1
 
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        s1 = _signs(u1 < 0.5)
-        return s1, _signs(u2 < self._p_same.take(codes)) * s1
+    def run(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+        s1 = _signs(m1 < _HALF)
+        return s1, _signs(m2 < self._t_same.take(codes)) * s1
 
     def exact_moments(self, code: int) -> tuple[float, float, float]:
         ctx = self.contexts[code]

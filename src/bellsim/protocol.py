@@ -826,7 +826,8 @@ def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=No
     arrays, not a span's.  A span draws its contexts from the selector state
     its first trial starts at, and its uniforms from the trial indices, so
     neither the split nor the thread pool over the spans can change the
-    records.  With more than one thread, at most 2 x threads spans are
+    records.  A span's uniforms are its own, so the sampler's run may
+    overwrite them.  With more than one thread, at most 2 x threads spans are
     submitted ahead of the consumer, to the pool that the process's runs on
     that many threads share (:func:`_span_pool`).  Given ``columns``, three
     arrays (codes, s1, s2) of n_trials each, every span is written into

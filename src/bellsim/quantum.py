@@ -20,7 +20,7 @@ import numpy as np
 from .directions import Direction3
 from .errors import ValidationError
 from .protocol import _read_only, _signs
-from .selector import ContextSet
+from .selector import ContextSet, uniform_threshold
 
 NORM_TOL = 1e-12
 # squared-norm floor below which a projected branch counts as empty
@@ -201,7 +201,8 @@ class _TwoStepSampler:
     """Two measurements per trial: the first outcome from its Born probability, the second from the
     state it collapsed to.  A backend states its physics as _first(ctx), the first +1 probability,
     _second(ctx, s1), the second's after outcome s1, and _correlator(ctx), the exact E[s1*s2]; run
-    draws from tables of those very floats, so it matches trial bit for bit.
+    compares its fixed-point uniforms with the thresholds of those very floats
+    (:func:`selector.uniform_threshold`), so it matches trial bit for bit.
     """
 
     draws = 2  # uniforms per trial that run reads
@@ -211,6 +212,7 @@ class _TwoStepSampler:
         # _p1[code]: the first +1 probability; _p2[code, (s1 + 1) >> 1]: the second's after outcome s1
         self._p1 = _read_only([self._first(ctx) for ctx in contexts.contexts])
         self._p2 = _read_only([[self._second(ctx, s1) for s1 in (-1, 1)] for ctx in contexts.contexts])
+        self._t1, self._t2 = _read_only(uniform_threshold(self._p1)), _read_only(uniform_threshold(self._p2))
 
     def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
         ctx = self.contexts[code]
@@ -219,9 +221,9 @@ class _TwoStepSampler:
         s1 = 1 if u1 < self._first(ctx) else -1
         return s1, 1 if u2 < self._second(ctx, s1) else -1
 
-    def _sample(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        up = u1 < self._p1.take(codes)
-        s2_up = u2 < self._p2.ravel().take(codes * np.uint8(2) + up)  # _p2 flat, at code * 2 + (s1 > 0)
+    def _sample(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+        up = m1 < self._t1.take(codes)
+        s2_up = m2 < self._t2.ravel().take(codes * np.uint8(2) + up)  # _t2 flat, at code * 2 + (s1 > 0)
         return _signs(up), _signs(s2_up)
 
     def exact_moments(self, code: int) -> tuple[float, float, float]:
@@ -258,8 +260,8 @@ class SequentialSampler(_TwoStepSampler):
         s2, _ = measure_spin(after, ctx.dir_y, u2)
         return s1, s2
 
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        return self._sample(codes, u1, u2)
+    def run(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+        return self._sample(codes, m1, m2)
 
 
 class SingletSampler(_TwoStepSampler):
@@ -276,5 +278,5 @@ class SingletSampler(_TwoStepSampler):
     def _correlator(self, ctx) -> float:
         return singlet_analytic_correlator(ctx.dir_x, ctx.dir_y)
 
-    def run(self, codes: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        return self._sample(codes, u1, u2)
+    def run(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+        return self._sample(codes, m1, m2)

@@ -37,6 +37,7 @@ _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 
+_2_53 = 2.0 ** 53
 _INV_2_53 = 2.0 ** -53
 _INV_GAMMA = pow(GAMMA, -1, 1 << 64)
 # a seed string: ASCII digits, or 0x and ASCII hex digits
@@ -222,19 +223,39 @@ def state_after(seed: int, count: int, n_contexts: int) -> int:
 
 def trial_uniforms(master_seed: int, start: int, stop: int, n_draws: int = 2) -> np.ndarray:
     """Vectorized trial streams: the first n_draws variates of trials
-    start..stop-1, as an (n_draws, stop-start) float64 array.
+    start..stop-1, as an (n_draws, stop-start) uint64 array of fixed-point uniforms.
 
     Row k holds draw k+1 of each trial i's stream, in order: the top 53 bits
-    of mix64(mix64(master_seed ^ i) + (k+1)*GAMMA), scaled to [0, 1).
+    m of mix64(mix64(master_seed ^ i) + (k+1)*GAMMA), the numerator of the
+    uniform u = m * 2^-53 in [0, 1).  A backend compares m with
+    :func:`uniform_threshold` or reads u with :func:`as_floats`.
     """
     master_seed = validate_seed(master_seed, "outcome_seed")
-    s0 = np.arange(start, stop, dtype=np.uint64)
+    out = np.empty((n_draws, stop - start), dtype=np.uint64)
+    s0 = out[-1]  # each trial's stream state, until the last row's draw is made over it
+    s0[...] = np.arange(start, stop, dtype=np.uint64)
     s0 ^= np.uint64(master_seed)
     _mix64_vec(s0)
-    out = np.empty((n_draws, stop - start), dtype=np.float64)
     for k in range(n_draws):
         step = np.uint64(((k + 1) * GAMMA) & MASK64)  # numpy scalar mult would warn on wrap
-        z = _mix64_vec(np.add(s0, step, out=out[k].view(np.uint64)))
-        z >>= _U11
-        np.multiply(z, _INV_2_53, out=out[k])  # exact: z < 2^53 converts to float64 as is
+        _mix64_vec(np.add(s0, step, out=out[k]))
+        out[k] >>= _U11
     return out
+
+
+def uniform_threshold(p) -> np.ndarray:
+    """ceil(p * 2^53) as uint64, elementwise: a numerator m has m * 2^-53 < p exactly when m < it.
+
+    Exact for every p in [0, 1]: p * 2^53 and m * 2^-53 are both exact in
+    binary64, and m < x holds for an integer m exactly when m < ceil(x).
+    So p = 0 gives 0 (never below) and p = 1 gives 2^53 (always below).
+    """
+    return np.ceil(np.multiply(p, _2_53)).astype(np.uint64)
+
+
+def as_floats(m: np.ndarray) -> np.ndarray:
+    """The uniforms m * 2^-53 of uint64 numerators m, written over m: a float64 view of its buffer."""
+    u = m.view(np.float64)
+    u[...] = m.view(np.int64)  # exact, as m < 2^53; numpy's plain cast loop beats a cast inside np.multiply
+    u *= _INV_2_53
+    return u

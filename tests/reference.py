@@ -78,6 +78,19 @@ class TrialStream:
         return (self.next_u64() >> 11) * _INV_2_53
 
 
+def numerators(u) -> np.ndarray:
+    """The uint64 numerators m = u * 2^53 that a sampler's run takes for float uniforms u in [0, 1).
+
+    Each u must be a multiple of 2^-53, as every uniform a trial stream draws
+    (and numpy's ``Generator.random``) is; any other float raises ValueError.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    m = (u * 2.0 ** 53).astype(np.uint64)
+    if not (np.all((u >= 0.0) & (u < 1.0)) and np.array_equal(m * _INV_2_53, u)):
+        raise ValueError("uniforms must be multiples of 2^-53 in [0, 1)")
+    return m
+
+
 def derive_trial_randomness(master_seed: int, trial_index: int) -> TrialStream:
     """The outcome-sampling stream for one trial (see :class:`TrialStream`)."""
     return TrialStream(validate_seed(master_seed, "outcome_seed"), trial_index)

@@ -173,3 +173,26 @@ def test_the_launcher_imports_no_numpy_or_bellsim():
     code = "import sys; import ab; print(sorted(m for m in ('numpy', 'bellsim') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], cwd=TOOLS, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_each_sweep_backend_gets_its_own_cpu_samples_and_verdict(ab, tmp_path, monkeypatch):
+    # two rounds of the sweep stage alone, on this checkout's source on both sides, at 2000 trials a run
+    import ab_sweep
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(ab.README_CONFIG, n_trials=2000)), encoding="utf-8")
+    ab_sweep.write_models(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
+    sides = {side: {"env": env, "work": tmp_path / side} for side in ab.SIDES}
+    monkeypatch.setattr(ab, "STAGES", ("sweep",))
+    problems = []
+    summary = ab.summarize(ab.run_rounds(sides, config, 2, problems))
+    assert problems == []
+    backends = [backend for backend, *_ in ab_sweep.BACKENDS]
+    assert list(summary) == ["sweep", *(f"sweep {backend}" for backend in backends)]
+    for backend in backends:
+        c = summary[f"sweep {backend}"]["cpu_s"]
+        assert c["rounds"] == 2 and c["verdict"] == "none" and c["interval"] is not None
+        assert all(seconds > 0.0 for side in ab.SIDES for seconds in c[side]["samples"])
+    assert not list(tmp_path.glob("*/sweep.cpu.json"))  # read once, then removed
+    assert len(ab.table(summary).splitlines()) == 1 + len(ab.METRICS) + len(backends)

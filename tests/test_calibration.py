@@ -27,8 +27,7 @@ seeds 5000 + s, whose runs share their trial streams, each of the six
 backends failed at least one check (qm_sequential's correlator z had a mean
 of +0.41), and the last test keeps that case.
 
-A context whose exact correlator is +1 or -1 (up to the float rounding of
-its model's weights, CERTAIN) has no z: each of its trials gives that
+A context whose exact correlator is exactly +1 or -1 has no z: each of its trials gives that
 product, so its sampled mean must be exactly +1 or -1 and its stderr 0,
 which adds nothing to the value's stderr.  It is checked for exactly
 that and left out of the z-scores (the contextual model's BC context here).
@@ -49,7 +48,6 @@ RUNS = 200
 N_TRIALS = 20_000
 K = 4.5
 MARGIN = 0.15
-CERTAIN = 1e-12  # an exact correlator this close to +-1 is +-1 up to the rounding of its weights' sum
 THETA = 3 * math.pi / 16  # one of the sweep's eight angles
 TEMPORAL = tuple(Direction3.from_polar(t) for t in (-THETA, 0.0, 2 * THETA))
 CHSH = tuple(Direction3.from_polar(t) for t in (0.0, 2 * THETA, THETA, 3 * THETA))
@@ -90,8 +88,8 @@ def z_scores(mode, directions, model, seed_pairs) -> tuple[list[float], list[flo
         config = ExperimentConfig(mode, directions, N_TRIALS, selector_seed, outcome_seed)
         estimates = estimate_correlators(run_experiment(config, model=model, threads=2))
         for tag, estimate in estimates.items():
-            if abs(exact[tag]) > 1.0 - CERTAIN:
-                certain.append((math.copysign(1.0, exact[tag]), estimate.mean, estimate.stderr))
+            if abs(exact[tag]) == 1.0:
+                certain.append((exact[tag], estimate.mean, estimate.stderr))
             else:
                 correlator_z.append((estimate.mean - exact[tag]) / estimate.stderr)
         bell = QUANTITY[kind](estimates)

@@ -24,7 +24,8 @@ from bellsim.hidden_variables import (
     write_model,
 )
 from bellsim.protocol import ExperimentConfig, make_sampler
-from bellsim.selector import GAMMA, GEOMETRIES, MASK64, ContextSet, trial_uniforms, unmix64
+from bellsim.selector import _INV_2_53, GAMMA, GEOMETRIES, MASK64, ContextSet, trial_uniforms, uniform_threshold, unmix64
+from reference import numerators
 
 TRIPLE = ContextSet("temporal", max_violation_triple())
 AB, AC, BC = range(3)  # context codes of TRIPLE
@@ -110,6 +111,20 @@ class TestExactCorrelators:
     def test_two_lambda_hand_enumeration(self):
         model = FiniteHVModel([0.5, 0.5], [[1, 1, 1], [1, -1, -1]])
         assert exact_correlators(model) == (0.0, 0.0, 1.0)
+
+    def test_a_product_every_condition_shares_is_exact_though_the_weights_sum_misses_1(self):
+        model = random_finite_model(42, 5)
+        assert float(model.weights.sum()) == 0.9999999999999999
+        assert exact_correlator(model, 2, 3) == -1.0
+        assert exact_correlator(model, 1, 2) == float(model.weights @ (model.responses[:, 0] * model.responses[:, 1]))
+        responses = model.responses.copy()
+        responses[:, 0] = 1  # every condition answers +1 at slot 1
+        sampler = FiniteModelSampler(FiniteHVModel(model.weights, responses), TRIPLE)
+        assert sampler.exact_moments(AB)[0] == 1.0 and sampler.exact_moments(BC)[2] == -1.0
+
+    def test_zero_weight_conditions_do_not_count(self):
+        model = FiniteHVModel([0.5, 0.0, 0.5], [[1, 1, 1], [1, -1, 1], [-1, -1, -1]])
+        assert exact_correlators(model) == (1.0, 1.0, 1.0)
 
     def test_non_finite_model_rejected(self):
         with pytest.raises(ValidationError, match="finite model"):
@@ -238,7 +253,7 @@ class TestSignModel:
         u2 = np.array([0.0, 0.25, 0.5, 0.0, 0.0, 0.0])
         for code in range(3):
             codes = np.full(u1.size, code, dtype=np.uint8)
-            s1, s2 = sampler.run(codes, u1, u2)
+            s1, s2 = sampler.run(codes, numerators(u1), numerators(u2))
             assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, a, b) for a, b in zip(u1, u2)]
 
     def test_sampler_matches_formula(self, rng):
@@ -246,7 +261,7 @@ class TestSignModel:
         n = 100_000
         u = rng.random((2, n))
         for code in range(3):
-            s1, s2 = sampler.run(np.full(n, code, dtype=np.uint8), u[0], u[1])
+            s1, s2 = sampler.run(np.full(n, code, dtype=np.uint8), numerators(u[0]), numerators(u[1]))
             assert abs(float(np.mean(s1 * s2)) - sampler.exact_moments(code)[2]) <= 4 / math.sqrt(n)
             assert abs(float(np.mean(s1))) <= 4 / math.sqrt(n)
 
@@ -281,7 +296,7 @@ class TestQmMimic:
         n = 100_000
         u = rng.random((2, n))
         for code in range(3):
-            s1, s2 = sampler.run(np.full(n, code, dtype=np.uint8), u[0], u[1])
+            s1, s2 = sampler.run(np.full(n, code, dtype=np.uint8), numerators(u[0]), numerators(u[1]))
             target = sampler.exact_moments(code)[2]
             assert abs(float(np.mean(s1 * s2)) - target) <= 4 / math.sqrt(n)
 
@@ -373,7 +388,7 @@ class TestSamplerBinding:
         n = 90_000
         u = rng.random((2, n))
         codes = (np.arange(n) % 3).astype(np.uint8)
-        s1, s2 = sampler.run(codes, u[0], u[1])
+        s1, s2 = sampler.run(codes, numerators(u[0]), numerators(u[1]))
         prod = s1.astype(np.int32) * s2
         for code in range(3):
             mask = codes == code
@@ -392,22 +407,22 @@ class TestSamplerBinding:
             sampler = ContextualModelSampler(ContextualFiniteModel(tables), TRIPLE)
         else:
             sampler = FiniteModelSampler(edged, TRIPLE)
-        u1 = np.concatenate([cum, [0.0, 0.3, (cum[-1] + 1.0) / 2, np.nextafter(1.0, 0.0)]])
+        u1 = np.concatenate([cum, [0.0, 0.375, cum[-1] + 2.0**-53, np.nextafter(1.0, 0.0)]])
         chosen = np.minimum(np.searchsorted(edged._cum, u1, side="right"), edged.n_lambda - 1)
         assert chosen.tolist() == [2, 2, 3, 3, 0, 2, 3, 3]
         for code in range(3):
-            s1, s2 = sampler.run(np.full(u1.size, code, dtype=np.uint8), u1, np.zeros(u1.size))
+            s1, s2 = sampler.run(np.full(u1.size, code, dtype=np.uint8), numerators(u1))
             assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, u, 0.0) for u in u1]
 
     def test_largest_draw_is_below_1_and_run_matches_trial_on_it(self):
         # trial 0's first draw is mix64(mix64(seed) + GAMMA) >> 11, times 2^-53: this seed makes it all ones
         seed = unmix64((unmix64(MASK64) - GAMMA) & MASK64)
-        u1 = trial_uniforms(seed, 0, 1, 1)[0]
-        assert u1.tolist() == [1.0 - 2.0 ** -53]
+        m1 = trial_uniforms(seed, 0, 1, 1)[0]
+        assert m1.tolist() == [2**53 - 1]
         sampler = FiniteModelSampler(random_finite_model(7, 5), TRIPLE)
         for code in range(3):
-            s1, s2 = sampler.run(np.full(1, code, dtype=np.uint8), u1)
-            assert (s1[0], s2[0]) == sampler.trial(code, u1[0], 0.0)
+            s1, s2 = sampler.run(np.full(1, code, dtype=np.uint8), m1)
+            assert (s1[0], s2[0]) == sampler.trial(code, 1.0 - 2.0 ** -53, 0.0)
 
     def test_three_slot_model_rejected_for_chsh(self):
         contexts = ContextSet("chsh", (X_AXIS, Y_AXIS, Z_AXIS, X_AXIS))
@@ -418,7 +433,7 @@ class TestSamplerBinding:
         sampler = FiniteModelSampler(random_finite_model(5, 3, n_slots=4), TRIPLE)
         codes = rng.integers(0, 3, size=100).astype(np.uint8)
         u = rng.random((2, 100))
-        s1, s2 = sampler.run(codes, u[0], u[1])
+        s1, s2 = sampler.run(codes, numerators(u[0]), numerators(u[1]))
         assert set(np.unique(s1)) <= {-1, 1}
 
     def test_contextual_sampler_requires_temporal(self):
@@ -448,6 +463,13 @@ BUCKET_MODELS = {
 }
 
 
+def numerators_around(p, rng, n_random: int) -> np.ndarray:
+    """The numerators next to and on each threshold ceil(p * 2^53), with 0, 2^53 - 1 and n_random random ones."""
+    t = uniform_threshold(p).astype(np.int64)
+    m = np.concatenate([t - 1, t, t + 1, [0, 2**53 - 1], rng.integers(0, 2**53, n_random)])
+    return m[(m >= 0) & (m < 2**53)].astype(np.uint64)
+
+
 class TestBucketLookup:
     """The finite samplers' grid lookup gives np.searchsorted's bucket, exactly."""
 
@@ -457,13 +479,11 @@ class TestBucketLookup:
         sampler = make()
         assert sampler._inner.shape[0] == passes
         union = np.unique(np.concatenate([m._cum for m in sampler._subs]))
-        edges = np.arange(_GRID + 1) / _GRID
-        u = np.concatenate([union, np.nextafter(union, 0.0), edges, np.nextafter(edges, 0.0),
-                            np.nextafter(edges, 1.0), [0.0], rng.random(10_000)])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        assert np.array_equal(sampler._bucket(u), np.searchsorted(union, u, side="right"))
+        m = numerators_around(np.concatenate([union, np.arange(_GRID + 1) / _GRID]), rng, 10_000)
+        u = m * _INV_2_53
+        assert np.array_equal(sampler._bucket(m), np.searchsorted(union, u, side="right"))
         for code in range(3):
-            s1, s2 = sampler.run(np.full(u.size, code, dtype=np.uint8), u)
+            s1, s2 = sampler.run(np.full(m.size, code, dtype=np.uint8), m)
             assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, x, 0.0) for x in u.tolist()]
 
     @pytest.mark.parametrize("crowd", [_MAX_ROWS, _MAX_ROWS + 1])
@@ -476,9 +496,9 @@ class TestBucketLookup:
             assert sampler._inner.shape == (crowd, _GRID)
         else:
             assert sampler._inner is None and sampler._base is None
-        u = np.concatenate([model._cum, np.nextafter(model._cum, 0.0), [0.0], rng.random(2000)])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        assert np.array_equal(sampler._bucket(u), np.searchsorted(model._cum, u, side="right"))
+        m = numerators_around(model._cum, rng, 2000)
+        u = m * _INV_2_53
+        assert np.array_equal(sampler._bucket(m), np.searchsorted(model._cum, u, side="right"))
         for code in range(3):
-            s1, s2 = sampler.run(np.full(u.size, code, dtype=np.uint8), u)
+            s1, s2 = sampler.run(np.full(m.size, code, dtype=np.uint8), m)
             assert list(zip(s1.tolist(), s2.tolist())) == [sampler.trial(code, x, 0.0) for x in u.tolist()]

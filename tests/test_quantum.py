@@ -21,6 +21,7 @@ from bellsim.quantum import (
 from bellsim.selector import ContextSet
 
 from conftest import random_direction, random_qubit_state
+from reference import numerators
 
 TOL = 1e-12
 
@@ -218,7 +219,7 @@ class TestSequentialCorrelator:
             contexts = ContextSet("temporal", (d1, d2, Z_AXIS))
             sampler = SequentialSampler(contexts, state)
             u = rng.random((2, n))
-            s1, s2 = sampler.run(np.zeros(n, dtype=np.uint8), u[0], u[1])
+            s1, s2 = sampler.run(np.zeros(n, dtype=np.uint8), numerators(u[0]), numerators(u[1]))
             assert abs(float(np.mean(s1 * s2)) - d1.dot(d2)) <= 4 / math.sqrt(n)
 
 
@@ -284,7 +285,7 @@ class TestSinglet:
         n = 40_000
         u = rng.random((2, n))
         codes = np.zeros(n, dtype=np.uint8)
-        sA, sB = sampler.run(codes, u[0], u[1])
+        sA, sB = sampler.run(codes, numerators(u[0]), numerators(u[1]))
         target = sampler.exact_moments(0)[2]
         assert abs(float(np.mean(sA * sB)) - target) <= 4 / math.sqrt(n)
         assert abs(float(np.mean(sA))) <= 4 / math.sqrt(n)

@@ -11,8 +11,8 @@ config's `run`, `analyze` and `certify`, then `analyze` and `certify` of a
 CRLF copy of the records (made between the timed stages), and last the
 `sweep` stage: ``tools/ab_sweep.py``, one process that runs the six sweep
 backends at 4 angles, ``--trials`` trials a run, through the library path
-on pooled threads (24 runs) and writes a digest of every run's columns;
-each stage runs on one side and then on the other before the next stage,
+on pooled threads (24 runs) and writes a digest of every run's columns
+and each backend's process CPU time; each stage runs on one side and then on the other before the next stage,
 and the side that goes first alternates from round to round.  The config
 and each `bellsim` stage's command line are ``tools/stage_rss.py``'s, and
 so is the launcher, which imports nothing large and reads the child's own
@@ -24,7 +24,8 @@ process writes bytecode, so every stage compiles bellsim's modules; with
 library read their installed bytecode either way.
 
 For each stage and each of wall time, user+sys CPU, minor faults and peak
-RSS it prints each side's median and quartiles, the number of rounds in
+RSS, and for each sweep backend (a row ``sweep BACKEND``) its CPU time over
+its runs, it prints each side's median and quartiles, the number of rounds in
 which the change was lower (a pair win), and the ratio of the medians.  It
 says "gain" only when the change wins at least 9 of 10 pairs (90% of at
 least 10 rounds) and its median is below the parent's by more than the
@@ -59,7 +60,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-from ab_sweep import write_models
+from ab_sweep import BACKENDS, cpu_path, write_models
 from stage_rss import README_CONFIG, crlf_copy, launch, peak_mb, stage_argv
 
 SIDES = ("parent", "change")
@@ -125,13 +126,14 @@ def summarize(samples: dict) -> dict:
 
 
 def table(summary: dict) -> str:
-    lines = [f"{'stage':13s} {'metric':12s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
+    width = max(13, *map(len, summary))
+    lines = [f"{'stage':{width}s} {'metric':12s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
              f"{'wins':>6s} {'ratio':>7s}  verdict  ratio interval (coverage)"]
     for stage, metrics in summary.items():
         for metric, c in metrics.items():
             a, b, ci = c["parent"], c["change"], c["interval"]
             interval = f"[{ci['low']:.4f}, {ci['high']:.4f}] ({ci['coverage']:.1%})" if ci else "-"
-            lines.append(f"{stage:13s} {metric:12s} {a['median']:12.4g} [{a['q1']:9.4g}, {a['q3']:9.4g}] "
+            lines.append(f"{stage:{width}s} {metric:12s} {a['median']:12.4g} [{a['q1']:9.4g}, {a['q3']:9.4g}] "
                          f"{b['median']:12.4g} [{b['q1']:9.4g}, {b['q3']:9.4g}] {c['wins']:>2d}/{c['rounds']:<3d} "
                          f"{c['ratio']:7.4f}  {c['verdict']:7s}  {interval}")
     return "\n".join(lines)
@@ -198,8 +200,20 @@ def run_rounds(sides: dict, config: Path, rounds: int, problems: list[str]) -> d
                 values = (seconds, usage.ru_utime + usage.ru_stime, usage.ru_minflt, peak_mb(usage))
                 for metric, value in zip(METRICS, values):
                     samples[stage][metric][side].append(value)
+                if stage == "sweep":
+                    for backend, seconds in sweep_cpu(sides[side]["work"], ok=code == 0).items():
+                        row = samples.setdefault(f"sweep {backend}", {"cpu_s": {s: [] for s in SIDES}})
+                        row["cpu_s"][side].append(seconds)
         print(f"round {r + 1}/{rounds} done", file=sys.stderr, flush=True)
     return samples
+
+
+def sweep_cpu(work: Path, ok: bool = True) -> dict[str, float]:
+    """Each sweep backend's CPU seconds in the sweep stage just run in work; NaN for each if the stage failed."""
+    path = cpu_path(work / "sweep.txt")
+    cpu_s = json.loads(path.read_text(encoding="utf-8")) if ok else {}
+    path.unlink(missing_ok=True)  # so that a later failed stage cannot pass this one's times off as its own
+    return {backend: cpu_s.get(backend, math.nan) for backend, *_ in BACKENDS}
 
 
 def differing_outputs(sides: dict) -> list[str]:

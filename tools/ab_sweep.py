@@ -15,7 +15,10 @@ contextual models are MODELS, read from the files beside CONFIG that
 
 Writes to OUT one line per run: the backend, the angle's index, the SHA-256
 of the run's codes, s1 and s2 columns, and its correlator means.  Two
-trees that simulate alike write the same file.
+trees that simulate alike write the same file.  Beside it, as OUT with the
+suffix ``.cpu.json``, it writes each backend's CPU seconds over its runs:
+``time.process_time`` around each run and its estimate, so the pool's
+threads count too.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 ANGLES = 4
@@ -73,6 +77,11 @@ def sweep_configs(directory: Path, n_trials: int) -> list[tuple[str, int, dict]]
     return runs
 
 
+def cpu_path(out: Path) -> Path:
+    """Where the stage that writes out writes each backend's CPU seconds."""
+    return out.with_suffix(".cpu.json")
+
+
 def columns_sha256(batch) -> str:
     """The SHA-256 of a RecordBatch's codes, s1 and s2 columns, one after the other."""
     digest = hashlib.sha256()
@@ -86,13 +95,16 @@ def main(argv: list[str]) -> int:
 
     config, out = Path(argv[0]), Path(argv[1])
     n_trials = json.loads(config.read_text(encoding="utf-8"))["n_trials"]
-    lines = []
+    lines, cpu_s = [], {}
     for backend, k, doc in sweep_configs(config.parent, n_trials):
+        started = time.process_time()
         batch = run_experiment(ExperimentConfig.from_dict(doc), threads=THREADS)
         means = " ".join(repr(e.mean) for e in estimate_correlators(batch).values())
+        cpu_s[backend] = cpu_s.get(backend, 0.0) + time.process_time() - started
         lines.append(f"{backend} {k} {columns_sha256(batch)} {means}\n")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("".join(lines), encoding="utf-8")
+    cpu_path(out).write_text(json.dumps(cpu_s), encoding="utf-8")
     return 0
 
 
