@@ -321,18 +321,8 @@ class ContextualModelSampler(_FiniteSampler):
         return self._sample(codes, m1)
 
 
-def _sphere_axis(u1: np.ndarray, u2: np.ndarray):
-    """Uniform point on the unit sphere from two uniforms (z = 2u-1, azimuth)."""
-    c = 2.0 * u1 - 1.0
-    r = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    phi = TWO_PI * u2
-    return r * np.cos(phi), r * np.sin(phi), c
-
-
-# the float32 projection estimate that SignModelSampler.run settles a trial from lies within 3.4e-6 of the float64 one
-_MARGIN = 4e-6
-# the error of numpy's float32 cos and sin on [0, 2 pi] that the margin assumes, 8 float32 ulps of 1
-TRIG_ERROR_F32 = 2.0 ** -21
+_MARGIN = 4e-6  # SignModelSampler.run keeps a float32 estimate farther than this from 0; its error is below 3.4e-6
+TRIG_ERROR_F32 = 2.0 ** -21  # the error of numpy's float32 cos and sin on [0, 2 pi] that _MARGIN assumes
 
 
 class SignModelSampler:
@@ -340,22 +330,16 @@ class SignModelSampler:
     sphere answers each slot with the sign of its projection on that slot's
     direction.
 
-    The rule is :meth:`_slot_bits`, in float64, which trial runs.  run
-    settles most trials from a float32 estimate of the same projections
-    instead: z32 = f32(c) for c = 2 u1 - 1, r32 = sqrt(f32(1 - c c)),
-    phi32 = f32(u2) f32(2 pi), and x32, y32 = r32 cos/sin(phi32), each
-    projection summed over its direction's non-zero components.  With
-    u = 2^-24, each estimate lies within
-    sqrt(3) (4.5 u + e_trig + d_phi) + 2 u = 3.4e-6 < _MARGIN of the float64
-    projection: d_phi = 3 u 2 pi bounds |phi32 - phi64| and so the change
-    of cos and sin; e_trig = TRIG_ERROR_F32 bounds numpy's float32 cos and
-    sin (a test checks it); r32 and the products x32, y32 add 2.5 u to x and
-    y, f32(c) adds u to z; each direction component and each product rounds
-    once (2 u a term, the components' magnitudes summing to at most
-    sqrt(3)); the two float32 additions add 2 u; float64 rounding adds
-    about 1e-15.  So where every |estimate| of a trial is above _MARGIN its
-    signs are those of the float64 rule, and every other trial, NaN
-    included, is recomputed by that rule: records stay byte-identical.
+    The rule is :meth:`_slot_bits`, in float64, which trial runs.  run settles a trial from a float32
+    estimate of the same projections instead, where each lies farther than _MARGIN from 0: z32 = f32(c)
+    for c = 2 u1 - 1, r32 = sqrt(f32(1 - c c)), phi32 = f32(u2) f32(2 pi), x32, y32 = r32 cos/sin(phi32),
+    summed over each direction's non-zero components.  With u = 2^-24, an estimate is within
+    sqrt(3) (4.5 u + e_trig + d_phi) + 2 u = 3.4e-6 of the float64 projection: d_phi = 3 u 2 pi bounds
+    |phi32 - phi64|, so the move of cos and sin; e_trig = TRIG_ERROR_F32 bounds numpy's float32 cos and sin
+    (a test checks it); r32 and the products add 2.5 u to x and y, f32(c) adds u to z; a direction
+    component and its product round once each (2 u a term, the components' magnitudes summing to at most
+    sqrt(3)); two float32 sums add 2 u, float64 rounding about 1e-15.  Every other trial, NaN included,
+    is recomputed by the float64 rule, so the records are byte-identical.
     """
 
     draws = 2  # uniforms per trial that run reads
@@ -374,8 +358,11 @@ class SignModelSampler:
         self._uses_y = any(d.y != 0.0 for d in contexts.directions)
 
     def _slot_bits(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        """Bit k-1 of each trial set where the axis of float uniforms (u1, u2) projects >= 0 on slot k's direction."""
-        lx, ly, lz = _sphere_axis(u1, u2)
+        """Bit k-1 of each trial set where the axis of float uniforms (u1, u2) projects >= 0 on slot k's direction:
+        the axis z = 2 u1 - 1 at azimuth 2 pi u2, uniform on the unit sphere."""
+        c = 2.0 * u1 - 1.0
+        r = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+        lx, ly, lz = r * np.cos(TWO_PI * u2), r * np.sin(TWO_PI * u2), c
         bits = np.zeros(u1.shape, dtype=np.uint8)
         for k, d in enumerate(self.contexts.directions):
             bits |= (lx * d.x + ly * d.y + lz * d.z >= 0.0).view(np.uint8) << np.uint8(k)
@@ -403,11 +390,9 @@ class SignModelSampler:
         np.sqrt(r, out=r)
         phi = u2.astype(np.float32)
         phi *= np.float32(TWO_PI)
-        y = np.sin(phi) if self._uses_y else None
+        y = np.sin(phi) * r if self._uses_y else None
         x = np.cos(phi, out=phi)
         x *= r
-        if y is not None:
-            y *= r
         del r
         axis = (x, y, z)
         key = codes << np.uint8(len(self._terms))
