@@ -27,10 +27,11 @@ seeds 5000 + s, whose runs share their trial streams, each of the six
 backends failed at least one check (qm_sequential's correlator z had a mean
 of +0.41), and the last test keeps that case.
 
-A context whose exact correlator is exactly +1 or -1 has no z: each of its trials gives that
-product, so its sampled mean must be exactly +1 or -1 and its stderr 0,
-which adds nothing to the value's stderr.  It is checked for exactly
-that and left out of the z-scores (the contextual model's BC context here).
+A context whose exact correlator is exactly +1 or -1 has no z: each of its
+trials gives that product, so its sampled mean must be exactly +1 or -1
+and its stderr 0, which adds nothing to the value's stderr.  It is checked
+for exactly that and left out of the z-scores (the contextual model's BC
+context here).
 """
 
 import math

@@ -12,8 +12,9 @@ CRLF copy of the records (made between the timed stages), and last the
 `sweep` stage: ``tools/ab_sweep.py``, one process that runs the six sweep
 backends at 4 angles, ``--trials`` trials a run, through the library path
 on pooled threads (24 runs) and writes a digest of every run's columns
-and each backend's process CPU time; each stage runs on one side and then on the other before the next stage,
-and the side that goes first alternates from round to round.  The config
+and each backend's process CPU time; each stage runs on one side and then
+on the other before the next stage, and the side that goes first
+alternates from round to round.  The config
 and each `bellsim` stage's command line are ``tools/stage_rss.py``'s, and
 so is the launcher, which imports nothing large and reads the child's own
 resource usage from ``os.wait4``.
@@ -24,11 +25,11 @@ process writes bytecode, so every stage compiles bellsim's modules; with
 library read their installed bytecode either way.
 
 For each stage and each of wall time, user+sys CPU, minor faults and peak
-RSS, and for each sweep backend (a row ``sweep BACKEND``) its CPU time over
-its runs, it prints each side's median and quartiles, the number of rounds in
-which the change was lower (a pair win), and the ratio of the medians.  It
-says "gain" only when the change wins at least 9 of 10 pairs (90% of at
-least 10 rounds) and its median is below the parent's by more than the
+RSS, and for each sweep backend (a row ``sweep BACKEND``) its CPU time
+over its runs, it prints each side's median and quartiles, the number of
+rounds in which the change was lower (a pair win), and the ratio of the
+medians.  It says "gain" only when the change wins at least 9 of 10 pairs
+(90% of at least 10 rounds) and its median is below the parent's by more than the
 parent's interquartile range, and "loss" by the same rule the other way;
 anything else is "none".  Beside the verdict it prints a distribution-free
 confidence interval for the median of the per-round change/parent ratios:
@@ -208,7 +209,7 @@ def run_rounds(sides: dict, config: Path, rounds: int, problems: list[str]) -> d
     return samples
 
 
-def sweep_cpu(work: Path, ok: bool = True) -> dict[str, float]:
+def sweep_cpu(work: Path, ok: bool) -> dict[str, float]:
     """Each sweep backend's CPU seconds in the sweep stage just run in work; NaN for each if the stage failed."""
     path = cpu_path(work / "sweep.txt")
     cpu_s = json.loads(path.read_text(encoding="utf-8")) if ok else {}
