@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -734,24 +735,21 @@ class RecordBatch:
 
     # -- canonical CSV form --
 
-    def _span(self):
-        return ((0, self.codes, self.s1, self.s2),)
-
     def to_csv_bytes(self) -> bytes:
-        return b"".join(_csv_chunks(self.kind, self._span()))
+        return b"".join((_HEADER_LINE, *_span_rows(self.kind, 0, self.codes, self.s1, self.s2)))
 
     def sha256(self) -> str:
         """SHA-256 of the canonical CSV (LF line ends), rendered only if not yet known."""
         if self._sha256 is None:
-            digest = hashlib.sha256()
-            for chunk in _csv_chunks(self.kind, self._span()):
+            digest = hashlib.sha256(_HEADER_LINE)
+            for chunk in _span_rows(self.kind, 0, self.codes, self.s1, self.s2):
                 digest.update(chunk)
             self._sha256 = digest.hexdigest()
         return self._sha256
 
     def write_csv(self, path) -> None:
         """Write the canonical CSV _STEP rows at a time, hashing it on the way."""
-        self._sha256 = _write_csv(path, self.kind, self._span())
+        self._sha256 = _write_csv(path, _span_rows(self.kind, 0, self.codes, self.s1, self.s2))
 
     @classmethod
     def from_csv(cls, path) -> "RecordBatch":
@@ -771,24 +769,23 @@ class RecordBatch:
         return batch
 
 
-def _csv_chunks(kind: str, spans):
-    """The canonical CSV of (lo, codes, s1, s2) spans in trial order: the header, then each span's rows.
+def _span_rows(kind: str, lo: int, codes, s1, s2):
+    """The canonical CSV rows of trials lo..lo+m-1 given their columns, in chunks of _STEP rows.
 
-    The rows are rendered _STEP at a time, so a span of any length adds only one step's buffers.
+    Each chunk is rendered as it is asked for, so a span of any length adds only one step's buffers.
     """
     _reuse_step_memory()
-    yield _HEADER_LINE
-    for lo, codes, s1, s2 in spans:
-        for i in range(0, codes.size, _STEP):
-            step = slice(i, i + _STEP)
-            yield _render_rows(kind, lo + i, _outcome_key(codes[step], s1[step], s2[step]))
+    for i in range(0, codes.size, _STEP):
+        step = slice(i, i + _STEP)
+        yield _render_rows(kind, lo + i, _outcome_key(codes[step], s1[step], s2[step]))
 
 
-def _write_csv(path, kind: str, spans) -> str:
-    """Write the canonical CSV of (lo, codes, s1, s2) spans to path as they come; returns its SHA-256."""
-    digest = hashlib.sha256()
+def _write_csv(path, chunks) -> str:
+    """Write the header, then chunks of canonical rows in trial order, to path as they come; returns its SHA-256."""
+    digest = hashlib.sha256(_HEADER_LINE)
     with open(path, "wb") as f:
-        for chunk in _csv_chunks(kind, spans):
+        f.write(_HEADER_LINE)
+        for chunk in chunks:
             f.write(chunk)
             digest.update(chunk)
     return digest.hexdigest()
@@ -814,25 +811,24 @@ def make_sampler(config: ExperimentConfig, model=None):
     return _backend_class(row.model_sampler)(model, contexts)
 
 
-def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=None):
-    """A generator of every span of a run as (lo, codes, s1, s2, counts), in trial order.
+def run_spans(config: ExperimentConfig, work, model=None, threads: int = 1):
+    """A generator of ``work(lo, codes, s1, s2)`` for every span of a run, trials lo..lo+m-1, in trial order.
 
-    ``threads`` is checked and the sampler built when this is called, so a
-    bad thread count, config or model fails before the first span is asked for.
-    The run uses :func:`threads_used` threads, no more than the CPUs this
-    process may run on.  The trials are split into balanced spans, at least
-    one per thread and at most _CHUNK trials each, or at most _STEP trials
-    each on one thread, so a run without ``columns`` then holds one step's
-    arrays, not a span's.  A span draws its contexts from the selector state
-    its first trial starts at, and its uniforms from the trial indices, so
-    neither the split nor the thread pool over the spans can change the
+    ``work`` runs where its span is computed: on the caller's thread on one
+    thread, on the pool's workers on more, so a span's arrays are used and
+    freed where they were made.  ``threads`` is checked and the sampler built
+    when this is called, so a bad thread count, config or model fails before
+    the first span is asked for.  The run uses :func:`threads_used` threads,
+    no more than the CPUs this process may run on.  The trials are split into
+    balanced spans, at least one per thread and at most _CHUNK trials each,
+    or at most _STEP trials each on one thread, so a serial run holds one
+    step's arrays, not a span's.  A span draws its contexts from the selector
+    state its first trial starts at, and its uniforms from the trial indices,
+    so neither the split nor the thread pool over the spans can change the
     records.  A span's uniforms are its own, so the sampler's run may
     overwrite them.  With more than one thread, at most 2 x threads spans are
     submitted ahead of the consumer, to the pool that the process's runs on
-    that many threads share (:func:`_span_pool`).  Given ``columns``, three
-    arrays (codes, s1, s2) of n_trials each, every span is written into
-    them and counted where it is computed, and yields views of them and its
-    outcome-count table as ``counts``; without, ``counts`` is None.
+    that many threads share (:func:`_span_pool`).
     """
     n_threads = threads_used(threads)
     sampler = make_sampler(config, model=model)
@@ -842,12 +838,7 @@ def run_spans(config: ExperimentConfig, model=None, threads: int = 1, columns=No
     def span(lo: int, hi: int):
         codes = context_codes(state_after(config.selector_seed, lo, k), hi - lo, k)
         s1, s2 = sampler.run(codes, *trial_uniforms(config.outcome_seed, lo, hi, n_draws=sampler.draws))
-        if columns is None:
-            return lo, codes, s1, s2, None
-        for column, values in zip(columns, (codes, s1, s2)):
-            column[lo:hi] = values
-        codes, s1, s2 = (column[lo:hi] for column in columns)
-        return lo, codes, s1, s2, _count_table(k, _outcome_key(codes, s1, s2))
+        return work(lo, codes, s1, s2)
 
     size = _STEP if n_threads == 1 else _CHUNK
     n_spans = min(max(-(-n // size), n_threads), n)
@@ -895,19 +886,23 @@ def _pooled(span, edges, n_threads: int):
 def run_experiment(config: ExperimentConfig, model=None, threads: int = 1) -> RecordBatch:
     """Run all trials of an experiment; bit-identical for identical seeds.
 
-    The spans of :func:`run_spans` are written into the batch's columns by
-    the threads that compute them (so each span's arrays are freed where they
-    were made), and the sum of their count tables becomes its
-    :meth:`RecordBatch.outcome_counts`.
+    Each span of :func:`run_spans` is written into the batch's columns and
+    counted by the thread that computes it, and the sum of the spans' count
+    tables becomes its :meth:`RecordBatch.outcome_counts`.
     """
-    n = config.n_trials
-    codes = np.empty(n, dtype=np.uint8)
-    s1 = np.empty(n, dtype=np.int8)
-    s2 = np.empty(n, dtype=np.int8)
+    n, k = config.n_trials, len(GEOMETRIES[config.geometry][0])
+    columns = (np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8))
+
+    def store(lo: int, *span) -> np.ndarray:
+        hi = lo + span[0].size
+        for column, values in zip(columns, span):
+            column[lo:hi] = values
+        return _count_table(k, _outcome_key(*(column[lo:hi] for column in columns)))
+
     counts = 0
-    for *_, table in run_spans(config, model, threads, columns=(codes, s1, s2)):
+    for table in run_spans(config, store, model, threads):
         counts = counts + table
-    batch = RecordBatch(config.geometry, codes, s1, s2)
+    batch = RecordBatch(config.geometry, *columns)
     batch._counts = _read_only(counts, np.int64)
     return batch
 
@@ -916,11 +911,14 @@ def write_run(config: ExperimentConfig, path, threads: int = 1) -> str:
     """Run an experiment straight into a records CSV, one span at a time; returns its SHA-256.
 
     The file holds exactly the bytes ``run_experiment(config).write_csv(path)``
-    writes, but no more than the spans in flight are held at once.
+    writes.  Each span is rendered into its chunks of _STEP rows where it is
+    computed, and this thread hashes and writes them in trial order, so no
+    more than the spans in flight are held at once.
     """
-    spans = run_spans(config, threads=threads)
+    spans = run_spans(config, lambda *span: list(_span_rows(config.geometry, *span)), threads=threads)
+    _digits4()  # built here, after the step memory is set and before any span, so that no worker builds it
     try:
-        return _write_csv(path, config.geometry, (span[:4] for span in spans))
+        return _write_csv(path, itertools.chain.from_iterable(spans))
     finally:
         spans.close()  # a write that failed leaves no span queued on the pool
 

@@ -116,6 +116,26 @@ def test_crlf_stages_read_and_write_the_crlf_copy(ab, tmp_path):
     assert ab.stage_argv("analyze", tmp_path, config)[:3] == ["analyze", "--records", str(tmp_path / "records.csv")]
 
 
+def test_the_pooled_run_stage_writes_beside_the_run_and_must_write_its_records(ab, tmp_path):
+    # the run-2-threads stage is stage_rss.py's own, and its records must be the run stage's on each side
+    config = tmp_path / "config.json"
+    assert ab.STAGES.index("run-2-threads") == ab.STAGES.index("run") + 1
+    assert ab.stage_argv("run-2-threads", tmp_path, config) == [
+        "run", "--config", str(config), "--out-dir", str(tmp_path / "pooled"), "--threads", "2"]
+    sides = {side: {"work": tmp_path / side} for side in ab.SIDES}
+    names = [*ab.OUTPUTS, *(f"crlf/{name}" for name in ab.OUTPUTS[1:]), "sweep.txt", ab.POOLED]
+    for side in ab.SIDES:
+        for name in names:
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_bytes(b"0,AB,1,2,1,-1\n")
+    assert ab.differing_outputs(sides) == []
+    (tmp_path / "change" / ab.POOLED).write_bytes(b"0,AB,1,2,-1,-1\n")  # both sides alike, but not the run's
+    (tmp_path / "parent" / ab.POOLED).write_bytes(b"0,AB,1,2,-1,-1\n")
+    assert ab.differing_outputs(sides) == [ab.POOLED]
+    (tmp_path / "parent" / ab.POOLED).unlink()
+    assert ab.differing_outputs(sides) == [ab.POOLED]
+
+
 def test_the_import_stage_starts_python_to_import_the_cli_alone(ab, tmp_path):
     # the benchmark's setup_s, timed with the same interleaving and verdicts as the stages
     config = tmp_path / "config.json"

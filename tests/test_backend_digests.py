@@ -9,6 +9,7 @@ samplers' bucket grid, so the lookup's inner thresholds are exercised too.
 
 import pytest
 
+import bellsim.protocol as protocol
 from bellsim.directions import Direction3, tsirelson_quadruple
 from bellsim.hidden_variables import ContextualFiniteModel, FiniteHVModel
 from bellsim.protocol import ExperimentConfig, run_experiment
@@ -46,7 +47,8 @@ CASES = {
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("backend", list(CASES))
-def test_records_digest_of_every_backend(backend, threads):
+def test_records_digest_of_every_backend(backend, threads, monkeypatch):
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: threads)  # the pool on any host
     (mode, directions, model), digest = CASES[backend]
     config = ExperimentConfig(mode, directions, N_TRIALS, selector_seed=0xB0E1 + len(backend),
                               outcome_seed=12648430 ^ len(mode))

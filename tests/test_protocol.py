@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import gc
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -94,6 +96,11 @@ def reachable_attributes(sampler):
             found[f"{path}.{key}"] = (value, value.copy() if isinstance(value, np.ndarray) else None)
             todo.append((f"{path}.{key}", value))
     return found
+
+
+def span_columns(lo, codes, s1, s2):
+    """The work of a run_spans run that keeps each span as it is computed: (lo, codes, s1, s2)."""
+    return lo, codes, s1, s2
 
 
 def masked_mean_estimates(batch):
@@ -286,25 +293,23 @@ class TestRunExperiment:
             return context_codes(*args)
 
         monkeypatch.setattr(protocol, "context_codes", logged)
-        spans = protocol.run_spans(temporal_config(n_trials=5000), threads=threads)
+        spans = protocol.run_spans(temporal_config(n_trials=5000), span_columns, threads=threads)
         lo, codes, *_ = next(spans)
         time.sleep(0.05)  # time for a pool without a bound to run ahead
         assert lo == 0 and codes.size == 100
         assert len(started) <= (2 * threads if threads > 1 else 1)
         spans.close()
         whole = np.concatenate([span[1] for span in protocol.run_spans(temporal_config(n_trials=5000),
-                                                                       threads=threads)])
+                                                                       span_columns, threads=threads)])
         assert np.array_equal(whole, run_experiment(temporal_config(n_trials=5000)).codes)
 
     def test_only_a_serial_run_takes_step_sized_spans(self, monkeypatch):
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)  # the pool on any host
         cfg = temporal_config(n_trials=40_000)
-        columns = (np.empty(40_000, np.uint8), np.empty(40_000, np.int8), np.empty(40_000, np.int8))
-        sizes = {name: [span[1].size for span in protocol.run_spans(cfg, threads=threads, columns=cols)]
-                 for name, threads, cols in [("serial", 1, None), ("columns", 1, columns), ("pooled", 2, None)]}
-        for serial in (sizes["serial"], sizes["columns"]):
-            assert sum(serial) == 40_000 and max(serial) <= protocol._STEP
-        assert min(sizes["pooled"]) > protocol._STEP
+        serial, pooled = ([span[1].size for span in protocol.run_spans(cfg, span_columns, threads=threads)]
+                          for threads in (1, 2))
+        assert sum(serial) == 40_000 and max(serial) <= protocol._STEP
+        assert min(pooled) > protocol._STEP
 
     @pytest.mark.parametrize("rejected_trial", [300, 1234, 1999])
     def test_rejected_draw_in_a_later_span(self, monkeypatch, rejected_trial):
@@ -379,12 +384,12 @@ class TestRunExperiment:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(protocol, "_CHUNK", 100)
         cfg = temporal_config(n_trials=5000)
-        spans = list(protocol.run_spans(cfg, threads=10**6))
+        spans = list(protocol.run_spans(cfg, span_columns, threads=10**6))
         assert all(size <= protocol._usable_cpus() for size in asked)  # no pool at all where one CPU runs them
         batch = RecordBatch("temporal", *(np.concatenate([span[k] for span in spans]) for k in (1, 2, 3)))
         assert batch == run_experiment(cfg, threads=1)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 3)
-        spans = list(protocol.run_spans(cfg, threads=10**6))
+        spans = list(protocol.run_spans(cfg, span_columns, threads=10**6))
         assert asked[-1] == 3 and len(spans) == 50  # spans of _CHUNK trials, not one per thread asked for
 
     def test_usable_cpus_are_the_affinity_set(self, monkeypatch):
@@ -401,7 +406,7 @@ class TestRunExperiment:
         serial = run_experiment(cfg)
         monkeypatch.setenv("BELLSIM_THREADS", "3")
         assert run_experiment(cfg, threads=1) == serial
-        assert [span[1].size for span in protocol.run_spans(cfg, threads=1)] == [100] * 5
+        assert [span[1].size for span in protocol.run_spans(cfg, span_columns, threads=1)] == [100] * 5
 
     @pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
     def test_thread_count_must_be_a_positive_int(self, tmp_path, threads):
@@ -409,7 +414,7 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match=rf"thread count must be a positive integer, got {threads!r}"):
             protocol.check_threads(threads)
         for run in (lambda: run_experiment(cfg, threads=threads),
-                    lambda: list(protocol.run_spans(cfg, threads=threads)),
+                    lambda: list(protocol.run_spans(cfg, span_columns, threads=threads)),
                     lambda: protocol.write_run(cfg, tmp_path / "records.csv", threads=threads)):
             with pytest.raises(ValidationError, match="thread count"):
                 run()
@@ -420,9 +425,9 @@ class TestRunExperiment:
         model.write_text(json.dumps({"ab": 5, "ac": table, "bc": table}))
         cfg = temporal_config(mode=f"conspiracy:{model}", n_trials=100)
         with pytest.raises(ValidationError, match="context 'ab' must be a JSON object"):
-            protocol.run_spans(cfg)  # when called, before a span is asked for
+            protocol.run_spans(cfg, span_columns)  # when called, before a span is asked for
         with pytest.raises(ValidationError, match="thread count"):
-            protocol.run_spans(temporal_config(), threads=0)
+            protocol.run_spans(temporal_config(), span_columns, threads=0)
         with pytest.raises(ValidationError, match="context 'ab' must be a JSON object"):
             protocol.write_run(cfg, tmp_path / "records.csv")
         assert not (tmp_path / "records.csv").exists()
@@ -563,7 +568,7 @@ class TestSpanPool:
     def test_a_closed_run_cancels_its_queued_spans_and_returns_at_once(self, held_spans):
         release, started = held_spans
         cfg = temporal_config(n_trials=20_000)
-        spans = protocol.run_spans(cfg, threads=2)
+        spans = protocol.run_spans(cfg, span_columns, threads=2)
         assert next(spans)[0] == 0
         began = time.monotonic()
         spans.close()
@@ -573,16 +578,44 @@ class TestSpanPool:
 
     def test_a_write_that_fails_cancels_its_queued_spans(self, held_spans, monkeypatch, tmp_path):
         # the exception, held here, keeps the run's frames alive: write_run closes the run itself
-        def failing_chunks(kind, spans):
-            next(spans)
-            raise OSError("disk full")
-            yield
+        class FullDisk(io.BufferedWriter):  # takes the header, then fails on the first chunk of rows
+            def write(self, data):
+                if self.tell():
+                    raise OSError("disk full")
+                return super().write(data)
 
-        monkeypatch.setattr(protocol, "_csv_chunks", failing_chunks)
+        monkeypatch.setattr(protocol, "open", lambda path, mode: FullDisk(io.FileIO(path, mode)), raising=False)
         with pytest.raises(OSError, match="disk full") as failed:
             protocol.write_run(temporal_config(n_trials=20_000), tmp_path / "records.csv", threads=2)
         self.assert_queued_spans_were_cancelled(*held_spans)
         assert failed.traceback  # still held, with the frames of the failed write
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_span_is_stored_or_rendered_on_the_thread_that_computes_it(self, monkeypatch, tmp_path, threads):
+        # the work of every span runs on a pool worker when pooled, on the caller's thread when serial; the digit
+        # table is built once, by the caller, before any span is rendered
+        cfg = temporal_config(n_trials=20_000)
+        serial = run_experiment(cfg)
+        named, built, run_spans, digits4 = [], [], protocol.run_spans, protocol._digits4.__wrapped__
+
+        def naming(config, work, *args, **kwargs):
+            def named_work(*span):
+                named.append(threading.current_thread().name)
+                return work(*span)
+            return run_spans(config, named_work, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_spans", naming)
+        monkeypatch.setattr(protocol, "_digits4", functools.cache(
+            lambda: built.append(threading.current_thread().name) or digits4()))
+        assert run_experiment(cfg, threads=threads) == serial
+        assert protocol.write_run(cfg, tmp_path / "records.csv", threads=threads) == serial.sha256()
+        assert (tmp_path / "records.csv").read_bytes() == serial.to_csv_bytes()
+        assert len(named) == (2 * 20 if threads > 1 else 2 * 2)  # spans of _CHUNK = 1000, or of _STEP trials
+        if threads > 1:
+            assert all(name.startswith("bellsim-span_") for name in named)
+        else:
+            assert set(named) == {threading.current_thread().name}
+        assert built == [threading.current_thread().name]
 
     def test_a_span_that_raises_leaves_the_pool_to_the_next_run(self, monkeypatch):
         cfg = temporal_config(n_trials=20_000)

@@ -247,12 +247,12 @@ def test_span_and_step_sizes_change_no_output(chunk, step, n_trials, chsh, threa
     extra = dict(mode="qm_singlet", directions=tsirelson_quadruple()) if chsh else {}
     config = ExperimentConfig(**{**dict(mode="qm_sequential", directions=max_violation_triple(),
                                         n_trials=n_trials, selector_seed=9, outcome_seed=10), **extra})
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_usable_cpus", lambda: threads)  # the pool, and its rendering workers, on any host
         whole = record_path_outputs(config, threads, Path(tmp))  # one span and one step at these sizes
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocol, "_CHUNK", chunk)
-            mp.setattr(protocol, "_STEP", step)
-            assert record_path_outputs(config, threads, Path(tmp)) == whole
+        mp.setattr(protocol, "_CHUNK", chunk)
+        mp.setattr(protocol, "_STEP", step)
+        assert record_path_outputs(config, threads, Path(tmp)) == whole
 
 
 # --- the streamed reader, with _STEP patched small ---------------------------------

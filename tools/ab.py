@@ -7,17 +7,18 @@ with ``git archive REV`` into a temporary directory, and this checkout's
 ``src/`` (committed or not, without its ``__pycache__``) is copied beside
 it.  Each round runs, on both sides, ``python -c "import bellsim.cli"`` (the
 `import` stage, what the benchmark's ``setup_s`` times), the README
-config's `run`, `analyze` and `certify`, then `analyze` and `certify` of a
-CRLF copy of the records (made between the timed stages), and last the
-`sweep` stage: ``tools/ab_sweep.py``, one process that runs the six sweep
-backends at 4 angles, ``--trials`` trials a run, through the library path
-on pooled threads (24 runs) and writes a digest of every run's columns
-and each backend's process CPU time; each stage runs on one side and then
-on the other before the next stage, and the side that goes first
-alternates from round to round.  The config
-and each `bellsim` stage's command line are ``tools/stage_rss.py``'s, and
-so is the launcher, which imports nothing large and reads the child's own
-resource usage from ``os.wait4``.
+config's `run`, `run --threads 2` (the `run-2-threads` stage, into a
+``pooled`` directory), `analyze` and `certify`, then `analyze` and
+`certify` of a CRLF copy of the records (made between the timed stages),
+and last the `sweep` stage: ``tools/ab_sweep.py``, one process that runs
+the six sweep backends at 4 angles, ``--trials`` trials a run, through the
+library path on pooled threads (24 runs) and writes a digest of every
+run's columns and each backend's process CPU time; each stage runs on one
+side and then on the other before the next stage, and the side that goes
+first alternates from round to round.  The config and each `bellsim`
+stage's command line are ``tools/stage_rss.py``'s, and so is the launcher,
+which imports nothing large and reads the child's own resource usage from
+``os.wait4``.
 
 With ``--bytecode uncached`` (the default, as the benchmark runs) no
 process writes bytecode, so every stage compiles bellsim's modules; with
@@ -41,9 +42,10 @@ as JSON (``tools/bench_record.py --ab FILE`` stores that in a BENCH record),
 with each side's ``src_bellsim_lines`` and, as ``nproc``, the CPUs the
 process may run on.
 
-Exits 1 if a stage fails or if the two sides' records, report, bits,
-certification or sweep digests differ; there is no timing gate.  It uses
-no network and changes nothing outside its temporary directory.
+Exits 1 if a stage fails, if the two sides' records, report, bits,
+certification or sweep digests differ, or if either side's
+`run-2-threads` records differ from its `run`'s; there is no timing gate.
+It uses no network and changes nothing outside its temporary directory.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ from ab_sweep import BACKENDS, cpu_path, write_models
 from stage_rss import README_CONFIG, crlf_copy, launch, peak_mb, stage_argv
 
 SIDES = ("parent", "change")
-STAGES = ("import", "run", "analyze", "certify", "analyze-crlf", "certify-crlf", "sweep")
+STAGES = ("import", "run", "run-2-threads", "analyze", "certify", "analyze-crlf", "certify-crlf", "sweep")
 METRICS = ("wall_s", "cpu_s", "minflt", "peak_rss_mb")  # lower is better for each
 OUTPUTS = ("records.csv", "report.json", "bits.txt", "certification.json")
+POOLED = "pooled/records.csv"  # the records of the run-2-threads stage, which must be those of the run stage
 SWEEP = Path(__file__).resolve().parent / "ab_sweep.py"
 WIN_SHARE = 0.9  # the share of pairs the better side must win: 9 of 10
 MIN_ROUNDS = 10  # fewer rounds than this give no verdict
@@ -217,12 +220,17 @@ def sweep_cpu(work: Path, ok: bool) -> dict[str, float]:
     return {backend: cpu_s.get(backend, math.nan) for backend, *_ in BACKENDS}
 
 
+def same_bytes(a: Path, b: Path) -> bool:
+    return a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)
+
+
 def differing_outputs(sides: dict) -> list[str]:
-    """The outputs of the last round that the two sides did not write byte for byte alike."""
+    """The outputs of the last round that the two sides did not write byte for byte alike, then POOLED if either
+    side's `run-2-threads` records are not byte for byte its `run`'s."""
     a, b = (sides[side]["work"] for side in SIDES)
     names = [*OUTPUTS, *(f"crlf/{name}" for name in OUTPUTS[1:]), "sweep.txt"]
-    return [name for name in names
-            if not ((a / name).exists() and (b / name).exists() and filecmp.cmp(a / name, b / name, shallow=False))]
+    differing = [name for name in names if not same_bytes(a / name, b / name)]
+    return differing + [POOLED] * any(not same_bytes(w / POOLED, w / "records.csv") for w in (a, b))
 
 
 def main(argv=None) -> int:
@@ -251,7 +259,8 @@ def main(argv=None) -> int:
         samples = run_rounds(sides, config, args.rounds, problems)
         differing = differing_outputs(sides)
         lines = {side: src_bellsim_lines(Path(tmp) / side) for side in SIDES}
-    problems += [f"{name} differs between the sides" for name in differing]
+    problems += [f"{name} differs {'from records.csv' if name == POOLED else 'between the sides'}"
+                 for name in differing]
     summary = summarize(samples)
     print(table(summary))
     doc = {

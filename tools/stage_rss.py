@@ -45,12 +45,15 @@ README_CONFIG = json.loads(re.search(r"### Config\n\n```json\n(.*?)```", README_
 
 
 def stage_argv(stage: str, work: Path, config: Path) -> list[str]:
-    """The `bellsim` arguments of one stage of README_CONFIG's pipeline in work: `run`, `analyze` or `certify`
-    of work's records, or with a "-crlf" suffix `analyze` or `certify` of the copy in work / "crlf"."""
+    """The `bellsim` arguments of one stage of README_CONFIG's pipeline in work: `run`, `run-2-threads` (`run
+    --threads 2` into work / "pooled"), `analyze` or `certify` of work's records, or with a "-crlf" suffix
+    `analyze` or `certify` of the copy in work / "crlf"."""
     d = work / "crlf" if stage.endswith("-crlf") else work
     records, report = str(d / "records.csv"), str(d / "report.json")
     if stage == "run":
         return ["run", "--config", str(config), "--out-dir", str(work)]
+    if stage == "run-2-threads":
+        return ["run", "--config", str(config), "--out-dir", str(work / "pooled"), "--threads", "2"]
     if stage.startswith("analyze"):
         return ["analyze", "--records", records, "--mode", README_CONFIG["mode"], "--out-dir", str(d)]
     return ["certify", "--records", records, "--report", report, "--out-dir", str(d)]
@@ -90,10 +93,8 @@ def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> di
     crlf, pooled = out / "crlf", out / "pooled"
     config = work / f"config-{n_trials}.json"
     config.write_text(json.dumps(dict(README_CONFIG, n_trials=n_trials)), encoding="utf-8")
-    stages = {"run": stage_argv("run", out, config),
-              "run-2-threads": [*stage_argv("run", pooled, config), "--threads", "2"],
-              **{name: stage_argv(name, out, config)
-                 for name in ("analyze", "certify", "analyze-crlf", "certify-crlf")}}
+    stages = {name: stage_argv(name, out, config)
+              for name in ("run", "run-2-threads", "analyze", "certify", "analyze-crlf", "certify-crlf")}
     results = {}
     for name, argv in stages.items():
         if name == "analyze-crlf" and (out / "records.csv").exists():  # made between the timed stages
