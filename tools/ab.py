@@ -221,6 +221,7 @@ def sweep_cpu(work: Path, ok: bool) -> dict[str, float]:
 
 
 def same_bytes(a: Path, b: Path) -> bool:
+    """Whether files a and b both exist and hold the same bytes."""
     return a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)
 
 
