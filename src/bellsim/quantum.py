@@ -233,9 +233,9 @@ class _TwoStepSampler:
 
 
 class SequentialSampler(_TwoStepSampler):
-    """Trial sampler for consecutive measurements on one freshly prepared particle.
+    """Trial sampler for consecutive measurements on one freshly prepared particle, along dir_x then dir_y.
 
-    Its trial is two :func:`measure_spin` calls, the projector arithmetic of _first and _second.
+    Its inherited trial is two :func:`measure_spin` calls: _first and _second are their prob_plus and collapse.
     The default preparation, :func:`balanced_preparation`, leaves every correlator unchanged but
     keeps outcome marginals unbiased (the property the bit-extraction pipeline relies on).
     """
@@ -252,13 +252,6 @@ class SequentialSampler(_TwoStepSampler):
 
     def _correlator(self, ctx) -> float:
         return ctx.dir_x.dot(ctx.dir_y)  # for any initial state
-
-    def trial(self, code: int, u1: float, u2: float) -> tuple[int, int]:
-        """Two consecutive measurements on one particle: along the context's dir_x, then dir_y."""
-        ctx = self.contexts[code]
-        s1, after = measure_spin(self.state0, ctx.dir_x, u1)
-        s2, _ = measure_spin(after, ctx.dir_y, u2)
-        return s1, s2
 
     def run(self, codes: np.ndarray, m1: np.ndarray, m2: np.ndarray):
         return self._sample(codes, m1, m2)

@@ -1,6 +1,5 @@
 """tools/ab.py's statistics and verdicts, fed made-up samples, and its sweep stage, run once at a small trial count."""
 
-import hashlib
 import importlib.util
 import json
 import math
@@ -163,29 +162,62 @@ def test_src_lines_are_those_of_the_packages_own_modules(ab, tmp_path):
     assert ab.src_bellsim_lines(tmp_path) == 4
 
 
-def test_the_sweep_stage_writes_a_digest_of_every_pooled_run(ab, tmp_path):
-    # the stage's own process, on this checkout's source at 2000 trials a run; its lines are those of the library
-    import ab_sweep
-    import numpy as np
+def test_the_sweep_spec_is_the_benchmarks_own_sweep(ab, tmp_path, monkeypatch):
+    # the ops, seeds and model documents of perfbench's sweep-backends workload, each run capped at --trials
+    monkeypatch.syspath_prepend(str(ab.PERFBENCH))
+    import workloads
 
-    from bellsim.protocol import ExperimentConfig, run_experiment
+    from bellsim.protocol import ExperimentConfig, make_sampler
+
+    spec, bench = tmp_path / "ab" / "sweep-spec.json", tmp_path / "bench"
+    spec.parent.mkdir()
+    bench.mkdir()
+    ab.make_sweep_spec(spec, 2000)
+    ops, expected = json.loads(spec.read_text(encoding="utf-8"))["ops"], workloads.sweep_specs(0, bench)
+    assert [(op["op"], op["backend"]) for op in ops] == [(s["op"], s["backend"]) for s in expected]
+    for op, s in zip(ops, expected):
+        config, theirs = op["config"], s["config"]
+        assert (op["threads"], config["n_trials"]) == (min(2, ab.usable_cpus()), 2000)
+        for key in ("directions", "selector_seed", "outcome_seed", "sigma_threshold"):
+            assert config[key] == theirs[key]
+        assert config["mode"].replace(str(spec.parent), "") == theirs["mode"].replace(str(bench), "")
+        assert [*workloads.model_documents([op]).values()] == [*workloads.model_documents([s]).values()]
+    # the seeded models put a threshold inside a grid cell, so the finite sampler's inner rows are timed too
+    for op in ops:
+        if op["backend"] in ("hv:finite", "conspiracy:contextual"):
+            assert make_sampler(ExperimentConfig.from_dict(op["config"]))._inner.shape[0] >= 1
+    ab.make_sweep_spec(spec, 3_000_000)  # the benchmark's trials when --trials asks for more
+    assert {op["config"]["n_trials"] for op in json.loads(spec.read_text(encoding="utf-8"))["ops"]} == {1_000_000}
+
+
+def test_the_sweep_stage_writes_a_digest_of_every_pooled_run(ab, tmp_path, monkeypatch):
+    # the benchmark's own runner on this checkout's source at 2000 trials a run; its lines are those of the library
+    monkeypatch.syspath_prepend(str(ab.PERFBENCH))
+    from checks import columns_digest
+
+    from bellsim.protocol import ExperimentConfig, estimate_correlators, run_experiment
 
     config, work = tmp_path / "config.json", tmp_path / "work"
-    config.write_text(json.dumps(dict(ab.README_CONFIG, n_trials=2000)), encoding="utf-8")
-    ab_sweep.write_models(tmp_path)
+    work.mkdir()
+    ab.make_sweep_spec(ab.sweep_spec(config), 2000)
+    ops = json.loads(ab.sweep_spec(config).read_text(encoding="utf-8"))["ops"]
     env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
     code, _, _ = ab.launch(ab.stage_command("sweep", work, config), env=env)
     assert code == 0
-    lines = (work / "sweep.txt").read_text(encoding="utf-8").splitlines()
-    runs = ab_sweep.sweep_configs(tmp_path, 2000)
-    assert len(lines) == len(runs) == 24
-    assert {backend for backend, *_ in runs} == {backend for backend, *_ in ab_sweep.BACKENDS}
-    for line, (backend, k, doc) in zip(lines, runs):
-        batch = run_experiment(ExperimentConfig.from_dict(doc))  # one thread: the pool changes no digest
-        digest = hashlib.sha256(np.concatenate([batch.codes.view(np.int8), batch.s1, batch.s2]).tobytes())
-        assert line.split()[:3] == [backend, str(k), digest.hexdigest()]
+    seconds = ab.sweep_wall(work, ops, ok=True)
+    assert [*seconds] == [*dict.fromkeys(op["backend"] for op in ops)] and all(s > 0.0 for s in seconds.values())
+    lines = [json.loads(line) for line in (work / "sweep.txt").read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == len(ops)
+    for line, op in zip(lines, ops):
+        batch = run_experiment(ExperimentConfig.from_dict(op["config"]))  # one thread: the pool changes no digest
+        assert [*line] == ["op", *ab.SWEEP_KEYS]
+        assert (line["op"], line["digest"]) == (op["op"], columns_digest(batch.codes, batch.s1, batch.s2))
+        assert [e["mean"] for e in line["estimates"].values()] == [e.mean for e in estimate_correlators(batch).values()]
     # a sweep file that differs, or is missing on one side, is reported as it is for the stage outputs
     assert "sweep.txt" in ab.differing_outputs({"parent": {"work": work}, "change": {"work": tmp_path}})
+    # a failed stage leaves no sweep.txt and NaN rows
+    assert all(math.isnan(s) for s in ab.sweep_wall(work, ops, ok=False).values())
+    assert not (work / "sweep.txt").exists()
 
 
 def test_the_launcher_imports_no_numpy_or_bellsim():
@@ -195,24 +227,25 @@ def test_the_launcher_imports_no_numpy_or_bellsim():
     assert out.strip() == "[]"
 
 
-def test_each_sweep_backend_gets_its_own_cpu_samples_and_verdict(ab, tmp_path, monkeypatch):
+def test_each_sweep_backend_gets_its_own_wall_samples_and_verdict(ab, tmp_path, monkeypatch):
     # two rounds of the sweep stage alone, on this checkout's source on both sides, at 2000 trials a run
-    import ab_sweep
-
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(ab.README_CONFIG, n_trials=2000)), encoding="utf-8")
-    ab_sweep.write_models(tmp_path)
+    ab.make_sweep_spec(ab.sweep_spec(config), 2000)
     env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
     sides = {side: {"env": env, "work": tmp_path / side} for side in ab.SIDES}
+    for side in sides.values():
+        side["work"].mkdir()
     monkeypatch.setattr(ab, "STAGES", ("sweep",))
     problems = []
     summary = ab.summarize(ab.run_rounds(sides, config, 2, problems))
     assert problems == []
-    backends = [backend for backend, *_ in ab_sweep.BACKENDS]
+    ops = json.loads(ab.sweep_spec(config).read_text(encoding="utf-8"))["ops"]
+    backends = [*dict.fromkeys(op["backend"] for op in ops)]
     assert list(summary) == ["sweep", *(f"sweep {backend}" for backend in backends)]
     for backend in backends:
-        c = summary[f"sweep {backend}"]["cpu_s"]
+        c = summary[f"sweep {backend}"]["wall_s"]
         assert c["rounds"] == 2 and c["verdict"] == "none" and c["interval"] is not None
         assert all(seconds > 0.0 for side in ab.SIDES for seconds in c[side]["samples"])
-    assert not list(tmp_path.glob("*/sweep.cpu.json"))  # read once, then removed
+    assert not list(tmp_path.glob(f"*/{ab.SWEEP_OUT}"))  # read once, then removed
+    assert "sweep.txt" not in ab.differing_outputs(sides)  # both sides ran the same source
     assert len(ab.table(summary).splitlines()) == 1 + len(ab.METRICS) + len(backends)

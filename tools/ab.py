@@ -10,15 +10,21 @@ it.  Each round runs, on both sides, ``python -c "import bellsim.cli"`` (the
 config's `run`, `run --threads 2` (the `run-2-threads` stage, into a
 ``pooled`` directory), `analyze` and `certify`, then `analyze` and
 `certify` of a CRLF copy of the records (made between the timed stages),
-and last the `sweep` stage: ``tools/ab_sweep.py``, one process that runs
-the six sweep backends at 4 angles, ``--trials`` trials a run, through the
-library path on pooled threads (24 runs) and writes a digest of every
-run's columns and each backend's process CPU time; each stage runs on one
-side and then on the other before the next stage, and the side that goes
-first alternates from round to round.  The config and each `bellsim`
+and last the `sweep` stage: one pass of the benchmark's own runner,
+``perfbench/child.py sweep SPEC OUT``, over the benchmark's own
+`sweep-backends` ops (``perfbench/workloads.sweep_specs`` at seed 0: six
+backends at 8 angles, its seeded models, seeds and directions), each on
+``min(2, usable CPUs)`` threads, at ``min(--trials, 1 M)`` trials a run;
+SPEC and the model files are written once, before the rounds, by a short
+untimed child process, since this one imports no numpy.  Each stage runs on
+one side and then on the other before the next stage, and the side that
+goes first alternates from round to round.  The config and each `bellsim`
 stage's command line are ``tools/stage_rss.py``'s, and so is the launcher,
 which imports nothing large and reads the child's own resource usage from
-``os.wait4``.
+``os.wait4``.  The stages differ from the benchmark's workloads in one
+input: the `analyze-crlf` and `certify-crlf` stages read a CRLF copy of the
+README config's temporal records, while `reanalyze-chsh-crlf` reads CHSH
+records.
 
 With ``--bytecode uncached`` (the default, as the benchmark runs) no
 process writes bytecode, so every stage compiles bellsim's modules; with
@@ -26,10 +32,12 @@ process writes bytecode, so every stage compiles bellsim's modules; with
 library read their installed bytecode either way.
 
 For each stage and each of wall time, user+sys CPU, minor faults and peak
-RSS, and for each sweep backend (a row ``sweep BACKEND``) its CPU time
-over its runs, it prints each side's median and quartiles, the number of
-rounds in which the change was lower (a pair win), and the ratio of the
-medians.  It says "gain" only when the change wins at least 9 of 10 pairs
+RSS, and for each sweep backend (a row ``sweep BACKEND``) its wall time
+(the child's own ``perf_counter`` seconds around each of its runs'
+``run_experiment``, ``estimate_correlators`` and Bell quantity, as the
+benchmark times them, summed), it prints each side's median and quartiles,
+the number of rounds in which the change was lower (a pair win), and the
+ratio of the medians.  It says "gain" only when the change wins at least 9 of 10 pairs
 (90% of at least 10 rounds) and its median is below the parent's by more than the
 parent's interquartile range, and "loss" by the same rule the other way;
 anything else is "none".  Beside the verdict it prints a distribution-free
@@ -43,7 +51,8 @@ with each side's ``src_bellsim_lines`` and, as ``nproc``, the CPUs the
 process may run on.
 
 Exits 1 if a stage fails, if the two sides' records, report, bits,
-certification or sweep digests differ, or if either side's
+certification or ``sweep.txt`` (each sweep op's digest of its columns,
+its estimates and its ``bell`` block) differ, or if either side's
 `run-2-threads` records differ from its `run`'s; there is no timing gate.
 It uses no network and changes nothing outside its temporary directory.
 """
@@ -63,7 +72,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-from ab_sweep import BACKENDS, cpu_path, write_models
+from bench_record import src_uncommitted
 from stage_rss import README_CONFIG, crlf_copy, launch, peak_mb, stage_argv
 
 SIDES = ("parent", "change")
@@ -71,7 +80,10 @@ STAGES = ("import", "run", "run-2-threads", "analyze", "certify", "analyze-crlf"
 METRICS = ("wall_s", "cpu_s", "minflt", "peak_rss_mb")  # lower is better for each
 OUTPUTS = ("records.csv", "report.json", "bits.txt", "certification.json")
 POOLED = "pooled/records.csv"  # the records of the run-2-threads stage, which must be those of the run stage
-SWEEP = Path(__file__).resolve().parent / "ab_sweep.py"
+TOOLS = Path(__file__).resolve().parent
+PERFBENCH = TOOLS.parent / "perfbench"
+SWEEP_OUT = "sweep.json"  # what perfbench/child.py writes in a side's work directory; read, then removed
+SWEEP_KEYS = ("digest", "estimates", "bell")  # of each sweep op's result, what sweep.txt holds
 WIN_SHARE = 0.9  # the share of pairs the better side must win: 9 of 10
 MIN_ROUNDS = 10  # fewer rounds than this give no verdict
 RULE = (f"gain: the change is lower in at least {WIN_SHARE:.0%} of at least {MIN_ROUNDS} pairs, and its median is "
@@ -143,14 +155,44 @@ def table(summary: dict) -> str:
     return "\n".join(lines)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, as the manifest and the benchmark count them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def sweep_spec(config: Path) -> Path:
+    """The SPEC of the sweep stage, beside config."""
+    return config.with_name("sweep-spec.json")
+
+
+def write_sweep_spec(spec: Path, n_trials: int) -> None:
+    """Write to spec the benchmark's sweep ops at min(n_trials, the benchmark's) trials a run, and their model
+    files beside it.  Imports the benchmark's workloads, and so numpy: run it in a child (make_sweep_spec)."""
+    import workloads
+
+    threads = min(2, usable_cpus())
+    ops = [{"op": s["op"], "backend": s["backend"], "threads": threads,
+            "config": {**s["config"], "n_trials": min(n_trials, s["config"]["n_trials"])}}
+           for s in workloads.sweep_specs(0, spec.parent)]
+    # "seconds": 0 makes the child run one pass
+    spec.write_text(json.dumps({"ops": ops, "seconds": 0, "work": str(spec.parent)}), encoding="utf-8")
+
+
+def make_sweep_spec(spec: Path, n_trials: int) -> None:
+    """write_sweep_spec in a short child process, so that this one imports no numpy."""
+    code = "import sys, ab; from pathlib import Path; ab.write_sweep_spec(Path(sys.argv[1]), int(sys.argv[2]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TOOLS), str(PERFBENCH)])}
+    subprocess.run([sys.executable, "-c", code, str(spec), str(n_trials)], env=env, check=True)
+
+
 def stage_command(stage: str, work: Path, config: Path) -> list[str]:
     """The Python arguments of one stage: a fresh ``import bellsim.cli`` and nothing more for `import`,
-    ``ab_sweep.py`` of config into work / "sweep.txt" for `sweep`, else the `bellsim` stage of
-    ``stage_rss.stage_argv``."""
+    ``perfbench/child.py sweep`` of the SPEC beside config into work / SWEEP_OUT for `sweep`, else the
+    `bellsim` stage of ``stage_rss.stage_argv``."""
     if stage == "import":
         return ["-c", "import bellsim.cli"]
     if stage == "sweep":
-        return [str(SWEEP), str(config), str(work / "sweep.txt")]
+        return [str(PERFBENCH / "child.py"), "sweep", str(sweep_spec(config)), str(work / SWEEP_OUT)]
     return ["-m", "bellsim.cli", *stage_argv(stage, work, config)]
 
 
@@ -183,11 +225,13 @@ def prepare(root: Path, parent: str, tmp: Path, bytecode: str) -> dict[str, dict
             env.pop("PYTHONDONTWRITEBYTECODE", None)
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
         sides[side] = {"env": env, "work": tmp / f"work-{side}"}
+        sides[side]["work"].mkdir()
     return sides
 
 
 def run_rounds(sides: dict, config: Path, rounds: int, problems: list[str]) -> dict:
     samples = {stage: {metric: {side: [] for side in SIDES} for metric in METRICS} for stage in STAGES}
+    ops = json.loads(sweep_spec(config).read_text(encoding="utf-8"))["ops"]
     for r in range(rounds):
         order = SIDES if r % 2 == 0 else SIDES[::-1]
         for stage in STAGES:
@@ -205,19 +249,30 @@ def run_rounds(sides: dict, config: Path, rounds: int, problems: list[str]) -> d
                 for metric, value in zip(METRICS, values):
                     samples[stage][metric][side].append(value)
                 if stage == "sweep":
-                    for backend, seconds in sweep_cpu(sides[side]["work"], ok=code == 0).items():
-                        row = samples.setdefault(f"sweep {backend}", {"cpu_s": {s: [] for s in SIDES}})
-                        row["cpu_s"][side].append(seconds)
+                    for backend, seconds in sweep_wall(sides[side]["work"], ops, ok=code == 0).items():
+                        row = samples.setdefault(f"sweep {backend}", {"wall_s": {s: [] for s in SIDES}})
+                        row["wall_s"][side].append(seconds)
         print(f"round {r + 1}/{rounds} done", file=sys.stderr, flush=True)
     return samples
 
 
-def sweep_cpu(work: Path, ok: bool) -> dict[str, float]:
-    """Each sweep backend's CPU seconds in the sweep stage just run in work; NaN for each if the stage failed."""
-    path = cpu_path(work / "sweep.txt")
-    cpu_s = json.loads(path.read_text(encoding="utf-8")) if ok else {}
-    path.unlink(missing_ok=True)  # so that a later failed stage cannot pass this one's times off as its own
-    return {backend: cpu_s.get(backend, math.nan) for backend, *_ in BACKENDS}
+def sweep_wall(work: Path, ops: list[dict], ok: bool) -> dict[str, float]:
+    """Each sweep backend's wall seconds in the sweep stage just run in work, its ops' as the child timed them,
+    summed; first each op's digest, estimates and bell go to work / "sweep.txt".  NaN for each backend, and no
+    sweep.txt, if the stage failed."""
+    out, lines = work / SWEEP_OUT, work / "sweep.txt"
+    done = json.loads(out.read_text(encoding="utf-8"))["passes"][0] if ok else []
+    # removed, so that a later failed stage cannot pass this one's times or outputs off as its own
+    out.unlink(missing_ok=True)
+    lines.unlink(missing_ok=True)
+    if done:
+        lines.write_text("".join(json.dumps({"op": item["op"], **{key: item["result"][key] for key in SWEEP_KEYS}})
+                                 + "\n" for item in done), encoding="utf-8")
+    backend = {op["op"]: op["backend"] for op in ops}
+    seconds = {b: 0.0 if done else math.nan for b in backend.values()}
+    for item in done:
+        seconds[backend[item["op"]]] += item["seconds"]
+    return seconds
 
 
 def same_bytes(a: Path, b: Path) -> bool:
@@ -256,7 +311,7 @@ def main(argv=None) -> int:
         sides = prepare(root, parent, Path(tmp), args.bytecode)
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(dict(README_CONFIG, n_trials=args.trials)), encoding="utf-8")
-        write_models(Path(tmp))  # the sweep's model documents, beside the config, for both sides
+        make_sweep_spec(sweep_spec(config), args.trials)  # and its model files, beside the config, for both sides
         samples = run_rounds(sides, config, args.rounds, problems)
         differing = differing_outputs(sides)
         lines = {side: src_bellsim_lines(Path(tmp) / side) for side in SIDES}
@@ -267,11 +322,10 @@ def main(argv=None) -> int:
     doc = {
         "parent": parent,
         "change": git(root, "rev-parse", "HEAD"),
-        "change_src_uncommitted": bool(git(root, "status", "--porcelain", "--", "src")),
+        "change_src_uncommitted": src_uncommitted(root),
         "n_trials": args.trials, "rounds": args.rounds, "bytecode": args.bytecode,
         "python": sys.version.split()[0], "src_bellsim_lines": lines, "rule": RULE, "interval_rule": INTERVAL_RULE,
-        # the CPUs this process may run on, as the manifest and the benchmark count them
-        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "nproc": usable_cpus(),
         "identical_outputs": not differing, "stages": summary,
     }
     if args.out is not None:
