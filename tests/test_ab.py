@@ -1,5 +1,7 @@
-"""tools/ab.py's statistics and verdicts, fed made-up samples, and its sweep stage, run once at a small trial count."""
+"""tools/ab.py's statistics and verdicts, fed made-up samples, its inputs, and its sweep stage, run once at a small
+trial count."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -7,10 +9,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = TOOLS.parent / "src"
 
 PARENT = [36.0, 36.1, 36.2, 36.1, 36.0, 36.2, 36.1, 36.0, 36.1, 36.2]  # quartiles 36.025, 36.1, 36.175 (IQR 0.15)
 
@@ -105,14 +109,67 @@ def test_summary_and_table_cover_every_stage_and_metric(ab):
     assert all(" gain " in line and "10/10" in line and line.endswith("(97.9%)") for line in lines[1:])
 
 
-def test_crlf_stages_read_and_write_the_crlf_copy(ab, tmp_path):
+def test_crlf_stages_read_and_write_the_crlf_copy(ab, tmp_path, monkeypatch):
+    # both sides read the one CRLF records file beside the config, as analyze of the benchmark's mode, and each
+    # writes into its own work / "crlf"
+    monkeypatch.syspath_prepend(str(ab.PERFBENCH))
+    import workloads
+
     config = tmp_path / "config.json"
     assert ab.stage_argv("run", tmp_path, config) == ["run", "--config", str(config), "--out-dir", str(tmp_path)]
-    crlf = tmp_path / "crlf"
-    assert ab.stage_argv("certify-crlf", tmp_path, config) == [
-        "certify", "--records", str(crlf / "records.csv"), "--report", str(crlf / "report.json"),
+    records, crlf = str(tmp_path / "records-crlf.csv"), tmp_path / "crlf"
+    assert ab.crlf_records(config) == tmp_path / "records-crlf.csv"
+    assert ab.stage_command("analyze-crlf", tmp_path, config) == [
+        "-m", "bellsim.cli", "analyze", "--records", records, "--mode", "qm_singlet", "--out-dir", str(crlf)]
+    assert ab.stage_command("certify-crlf", tmp_path, config) == [
+        "-m", "bellsim.cli", "certify", "--records", records, "--report", str(crlf / "report.json"),
         "--out-dir", str(crlf)]
+    assert ab.CRLF_MODE == workloads.reanalyze_config(0)["mode"]
     assert ab.stage_argv("analyze", tmp_path, config)[:3] == ["analyze", "--records", str(tmp_path / "records.csv")]
+
+
+@pytest.mark.parametrize("trials", [1_000_000, 3_000_000])
+def test_at_a_million_trials_or_more_the_crlf_records_are_the_benchmarks(ab, tmp_path, monkeypatch, trials):
+    # mapped back to LF, the records hash to the reanalyze-chsh-crlf golden report's records_sha256; the config
+    # takes --trials, and each sweep run the benchmark's 1 M trials
+    monkeypatch.syspath_prepend(str(ab.PERFBENCH))
+    import workloads
+
+    config = tmp_path / "config.json"
+    ab.write_inputs(config, trials)
+    golden = json.loads((ab.PERFBENCH / "golden" / "reanalyze-chsh-crlf" / "report.json").read_text())
+    data = ab.crlf_records(config).read_bytes()
+    assert hashlib.sha256(data.replace(b"\r\n", b"\n")).hexdigest() == golden["records_sha256"]
+    assert data.count(b"\n") == data.count(b"\r\n") == 1_000_001  # the header and a row per trial, CRLF-ended
+    assert json.loads(config.read_text(encoding="utf-8")) == {**workloads.pipeline_config(0), "n_trials": trials}
+    assert {op["config"]["n_trials"] for op in json.loads(ab.sweep_spec(config).read_text())["ops"]} == {1_000_000}
+
+
+def test_a_failed_run_is_reported_and_the_rounds_go_on(ab, tmp_path, monkeypatch):
+    # the parent's run exits 1 in round 1 and so writes no records; no later stage reads them, so the rounds
+    # finish and the failure is the one problem reported
+    config = tmp_path / "config.json"
+    ab.sweep_spec(config).write_text(json.dumps({"ops": []}), encoding="utf-8")
+    sides = {side: {"env": {"SIDE": side}, "work": tmp_path / side} for side in ab.SIDES}
+    failing = ab.stage_command("run", sides["parent"]["work"], config)
+    launched = []
+
+    def launch(args, env):
+        launched.append(args)
+        if args[0] == str(ab.PERFBENCH / "child.py"):
+            Path(args[-1]).write_text(json.dumps({"passes": [[]]}), encoding="utf-8")  # a pass of no ops
+        code = 1 if args == failing and launched.count(failing) == 1 else 0
+        return code, 0.5, SimpleNamespace(ru_utime=0.25, ru_stime=0.0, ru_minflt=100, ru_maxrss=1024)
+
+    for side in sides.values():
+        side["work"].mkdir()
+    monkeypatch.setattr(ab, "launch", launch)
+    problems = []
+    samples = ab.run_rounds(sides, config, 2, problems)
+    assert problems == ["round 1: parent run exited 1"]
+    assert launched.count(failing) == 2 and len(launched) == 2 * 2 * len(ab.STAGES)
+    assert all(len(values) == 2 for stage in ab.STAGES for by_side in samples[stage].values()
+               for values in by_side.values())
 
 
 def test_the_pooled_run_stage_writes_beside_the_run_and_must_write_its_records(ab, tmp_path):
@@ -169,10 +226,11 @@ def test_the_sweep_spec_is_the_benchmarks_own_sweep(ab, tmp_path, monkeypatch):
 
     from bellsim.protocol import ExperimentConfig, make_sampler
 
-    spec, bench = tmp_path / "ab" / "sweep-spec.json", tmp_path / "bench"
+    pipeline, bench = tmp_path / "ab" / "config.json", tmp_path / "bench"
+    spec = ab.sweep_spec(pipeline)
     spec.parent.mkdir()
     bench.mkdir()
-    ab.make_sweep_spec(spec, 2000)
+    ab.make_inputs(pipeline, 2000, SRC)  # in a child, as tools/ab.py writes them
     ops, expected = json.loads(spec.read_text(encoding="utf-8"))["ops"], workloads.sweep_specs(0, bench)
     assert [(op["op"], op["backend"]) for op in ops] == [(s["op"], s["backend"]) for s in expected]
     for op, s in zip(ops, expected):
@@ -186,8 +244,11 @@ def test_the_sweep_spec_is_the_benchmarks_own_sweep(ab, tmp_path, monkeypatch):
     for op in ops:
         if op["backend"] in ("hv:finite", "conspiracy:contextual"):
             assert make_sampler(ExperimentConfig.from_dict(op["config"]))._inner.shape[0] >= 1
-    ab.make_sweep_spec(spec, 3_000_000)  # the benchmark's trials when --trials asks for more
-    assert {op["config"]["n_trials"] for op in json.loads(spec.read_text(encoding="utf-8"))["ops"]} == {1_000_000}
+    assert json.loads(pipeline.read_text(encoding="utf-8")) == {**workloads.pipeline_config(0), "n_trials": 2000}
+    # below the benchmark's 1 M trials, the CRLF records hold the header and one row a trial, each CRLF-ended
+    data = ab.crlf_records(pipeline).read_bytes()
+    assert data.startswith(b"trial,context,slot_x,slot_y,s1,s2\r\n") and data.split(b"\r\n")[-2].startswith(b"1999,")
+    assert data.count(b"\n") == data.count(b"\r\n") == 2001
 
 
 def test_the_sweep_stage_writes_a_digest_of_every_pooled_run(ab, tmp_path, monkeypatch):
@@ -199,9 +260,9 @@ def test_the_sweep_stage_writes_a_digest_of_every_pooled_run(ab, tmp_path, monke
 
     config, work = tmp_path / "config.json", tmp_path / "work"
     work.mkdir()
-    ab.make_sweep_spec(ab.sweep_spec(config), 2000)
+    ab.make_inputs(config, 2000, SRC)
     ops = json.loads(ab.sweep_spec(config).read_text(encoding="utf-8"))["ops"]
-    env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     code, _, _ = ab.launch(ab.stage_command("sweep", work, config), env=env)
     assert code == 0
     seconds = ab.sweep_wall(work, ops, ok=True)
@@ -230,8 +291,8 @@ def test_the_launcher_imports_no_numpy_or_bellsim():
 def test_each_sweep_backend_gets_its_own_wall_samples_and_verdict(ab, tmp_path, monkeypatch):
     # two rounds of the sweep stage alone, on this checkout's source on both sides, at 2000 trials a run
     config = tmp_path / "config.json"
-    ab.make_sweep_spec(ab.sweep_spec(config), 2000)
-    env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
+    ab.make_inputs(config, 2000, SRC)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     sides = {side: {"env": env, "work": tmp_path / side} for side in ab.SIDES}
     for side in sides.values():
         side["work"].mkdir()

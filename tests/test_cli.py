@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,13 @@ RECHECKED_EDITS = [
     pytest.param(("n_trials",), 5000, id="n_trials"),
     pytest.param(("estimates", "AC", "mean"), lambda mean: mean + 0.001, id="mean"),
 ]
+
+
+def test_the_console_script_is_the_clis_main():
+    # pyproject.toml read as text, since Python 3.10 has no tomllib: its [project.scripts] table, to the next table
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.S | re.M).group(1)
+    assert re.findall(r'^(\S+) *= *"(.*)"$', scripts, re.M) == [("bellsim", "bellsim.cli:main")]
 
 
 class TestRun:

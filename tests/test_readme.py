@@ -1,9 +1,13 @@
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from bellsim.protocol import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_example_runs():
@@ -16,3 +20,13 @@ def test_library_example_runs():
     lines = out.getvalue().splitlines()
     assert lines[0].endswith("-> violation")
     assert len(lines) == 4 and lines[1].startswith("[[")
+
+
+def test_the_config_block_is_the_benchmarks_pipeline_config(monkeypatch):
+    # tools/stage_rss.py runs the README's block and tools/ab.py and the benchmark run workloads.pipeline_config(0):
+    # read the same way, they are one config
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    block = re.search(r"### Config\n\n```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    assert ExperimentConfig.from_dict(json.loads(block)) == ExperimentConfig.from_dict(workloads.pipeline_config(0))

@@ -5,26 +5,26 @@
 Run from anywhere inside a checkout.  The parent's ``src/`` is extracted
 with ``git archive REV`` into a temporary directory, and this checkout's
 ``src/`` (committed or not, without its ``__pycache__``) is copied beside
-it.  Each round runs, on both sides, ``python -c "import bellsim.cli"`` (the
-`import` stage, what the benchmark's ``setup_s`` times), the README
-config's `run`, `run --threads 2` (the `run-2-threads` stage, into a
-``pooled`` directory), `analyze` and `certify`, then `analyze` and
-`certify` of a CRLF copy of the records (made between the timed stages),
-and last the `sweep` stage: one pass of the benchmark's own runner,
-``perfbench/child.py sweep SPEC OUT``, over the benchmark's own
-`sweep-backends` ops (``perfbench/workloads.sweep_specs`` at seed 0: six
-backends at 8 angles, its seeded models, seeds and directions), each on
-``min(2, usable CPUs)`` threads, at ``min(--trials, 1 M)`` trials a run;
-SPEC and the model files are written once, before the rounds, by a short
-untimed child process, since this one imports no numpy.  Each stage runs on
-one side and then on the other before the next stage, and the side that
-goes first alternates from round to round.  The config and each `bellsim`
-stage's command line are ``tools/stage_rss.py``'s, and so is the launcher,
-which imports nothing large and reads the child's own resource usage from
-``os.wait4``.  The stages differ from the benchmark's workloads in one
-input: the `analyze-crlf` and `certify-crlf` stages read a CRLF copy of the
-README config's temporal records, while `reanalyze-chsh-crlf` reads CHSH
-records.
+it.  Every input is the benchmark's (``perfbench/workloads.py`` at seed
+0), written once, before the rounds, by a short untimed child process that
+imports bellsim from the parent's tree, since this one imports no numpy:
+the `pipeline-temporal` config at ``--trials`` trials, the `sweep-backends`
+ops with their model files, and the `reanalyze-chsh-crlf` records (its
+config's CHSH run, rendered by ``perfbench/checks.render_records`` with
+CRLF line ends).  The last two take ``min(--trials, 1 M)`` trials a run.
+Each round runs, on both sides, ``python -c "import bellsim.cli"`` (the
+`import` stage, what the benchmark's ``setup_s`` times), the config's
+`run`, `run --threads 2` (the `run-2-threads` stage, into a ``pooled``
+directory, the one stage no workload runs), `analyze` and `certify`, then
+`analyze --mode qm_singlet` and `certify` of the CRLF records (the
+`analyze-crlf` and `certify-crlf` stages, into ``crlf``), and last the
+`sweep` stage: one pass of the benchmark's own runner, ``perfbench/child.py
+sweep SPEC OUT``, over the sweep ops (six backends at 8 angles), each on
+``min(2, usable CPUs)`` threads.  Each stage runs on one side and then on
+the other before the next stage, and the side that goes first alternates
+from round to round.  The other `bellsim` stages' command lines are
+``tools/stage_rss.py``'s, and so is the launcher, which imports nothing
+large and reads the child's own resource usage from ``os.wait4``.
 
 With ``--bytecode uncached`` (the default, as the benchmark runs) no
 process writes bytecode, so every stage compiles bellsim's modules; with
@@ -73,7 +73,7 @@ import tempfile
 from pathlib import Path
 
 from bench_record import src_uncommitted
-from stage_rss import README_CONFIG, crlf_copy, launch, peak_mb, stage_argv
+from stage_rss import launch, peak_mb, stage_argv
 
 SIDES = ("parent", "change")
 STAGES = ("import", "run", "run-2-threads", "analyze", "certify", "analyze-crlf", "certify-crlf", "sweep")
@@ -84,6 +84,7 @@ TOOLS = Path(__file__).resolve().parent
 PERFBENCH = TOOLS.parent / "perfbench"
 SWEEP_OUT = "sweep.json"  # what perfbench/child.py writes in a side's work directory; read, then removed
 SWEEP_KEYS = ("digest", "estimates", "bell")  # of each sweep op's result, what sweep.txt holds
+CRLF_MODE = "qm_singlet"  # the mode of workloads.reanalyze_config, which the analyze-crlf stage names
 WIN_SHARE = 0.9  # the share of pairs the better side must win: 9 of 10
 MIN_ROUNDS = 10  # fewer rounds than this give no verdict
 RULE = (f"gain: the change is lower in at least {WIN_SHARE:.0%} of at least {MIN_ROUNDS} pairs, and its median is "
@@ -165,34 +166,58 @@ def sweep_spec(config: Path) -> Path:
     return config.with_name("sweep-spec.json")
 
 
-def write_sweep_spec(spec: Path, n_trials: int) -> None:
-    """Write to spec the benchmark's sweep ops at min(n_trials, the benchmark's) trials a run, and their model
-    files beside it.  Imports the benchmark's workloads, and so numpy: run it in a child (make_sweep_spec)."""
-    import workloads
+def crlf_records(config: Path) -> Path:
+    """The CRLF records that the analyze-crlf and certify-crlf stages read, beside config."""
+    return config.with_name("records-crlf.csv")
 
+
+def write_inputs(config: Path, n_trials: int) -> None:
+    """Write the benchmark's inputs: config, pipeline-temporal's at n_trials, and beside it the sweep SPEC with
+    its model files and the reanalyze-chsh-crlf records, each run at min(n_trials, the benchmark's) trials.
+    Imports the benchmark's workloads and checks, and so numpy and bellsim: run it in a child (make_inputs)."""
+    import checks
+    import workloads
+    from bellsim.protocol import ExperimentConfig, run_experiment
+
+    config.write_text(json.dumps({**workloads.pipeline_config(0), "n_trials": n_trials}), encoding="utf-8")
     threads = min(2, usable_cpus())
     ops = [{"op": s["op"], "backend": s["backend"], "threads": threads,
             "config": {**s["config"], "n_trials": min(n_trials, s["config"]["n_trials"])}}
-           for s in workloads.sweep_specs(0, spec.parent)]
+           for s in workloads.sweep_specs(0, config.parent)]
     # "seconds": 0 makes the child run one pass
-    spec.write_text(json.dumps({"ops": ops, "seconds": 0, "work": str(spec.parent)}), encoding="utf-8")
+    sweep_spec(config).write_text(json.dumps({"ops": ops, "seconds": 0, "work": str(config.parent)}),
+                                  encoding="utf-8")
+    chsh = workloads.reanalyze_config(0)
+    records = run_experiment(ExperimentConfig.from_dict({**chsh, "n_trials": min(n_trials, chsh["n_trials"])}),
+                             threads=1)
+    lf = checks.render_records(records.kind, records.codes, records.s1, records.s2)
+    crlf_records(config).write_bytes(lf.replace(b"\n", b"\r\n"))
 
 
-def make_sweep_spec(spec: Path, n_trials: int) -> None:
-    """write_sweep_spec in a short child process, so that this one imports no numpy."""
-    code = "import sys, ab; from pathlib import Path; ab.write_sweep_spec(Path(sys.argv[1]), int(sys.argv[2]))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TOOLS), str(PERFBENCH)])}
-    subprocess.run([sys.executable, "-c", code, str(spec), str(n_trials)], env=env, check=True)
+def make_inputs(config: Path, n_trials: int, src: Path) -> None:
+    """write_inputs in a short child process that imports bellsim from src, so that this one imports no numpy.
+    The child writes no bytecode, so that the tree of src gets none that the other side's has not."""
+    code = "import sys, ab; from pathlib import Path; ab.write_inputs(Path(sys.argv[1]), int(sys.argv[2]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TOOLS), str(PERFBENCH), str(src)]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, "-c", code, str(config), str(n_trials)], env=env, check=True)
 
 
 def stage_command(stage: str, work: Path, config: Path) -> list[str]:
     """The Python arguments of one stage: a fresh ``import bellsim.cli`` and nothing more for `import`,
-    ``perfbench/child.py sweep`` of the SPEC beside config into work / SWEEP_OUT for `sweep`, else the
-    `bellsim` stage of ``stage_rss.stage_argv``."""
+    ``perfbench/child.py sweep`` of the SPEC beside config into work / SWEEP_OUT for `sweep`, `analyze` or
+    `certify` of the CRLF records beside config into work / "crlf" for `analyze-crlf` or `certify-crlf`, else
+    the `bellsim` stage of ``stage_rss.stage_argv``."""
     if stage == "import":
         return ["-c", "import bellsim.cli"]
     if stage == "sweep":
         return [str(PERFBENCH / "child.py"), "sweep", str(sweep_spec(config)), str(work / SWEEP_OUT)]
+    if stage == "analyze-crlf":
+        return ["-m", "bellsim.cli", "analyze", "--records", str(crlf_records(config)), "--mode", CRLF_MODE,
+                "--out-dir", str(work / "crlf")]
+    if stage == "certify-crlf":
+        return ["-m", "bellsim.cli", "certify", "--records", str(crlf_records(config)),
+                "--report", str(work / "crlf" / "report.json"), "--out-dir", str(work / "crlf")]
     return ["-m", "bellsim.cli", *stage_argv(stage, work, config)]
 
 
@@ -235,11 +260,6 @@ def run_rounds(sides: dict, config: Path, rounds: int, problems: list[str]) -> d
     for r in range(rounds):
         order = SIDES if r % 2 == 0 else SIDES[::-1]
         for stage in STAGES:
-            if stage == "analyze-crlf":
-                for side in order:
-                    work = sides[side]["work"]
-                    (work / "crlf").mkdir(parents=True, exist_ok=True)
-                    crlf_copy(work / "records.csv", work / "crlf" / "records.csv")
             for side in order:
                 args = stage_command(stage, sides[side]["work"], config)
                 code, seconds, usage = launch(args, env=sides[side]["env"])
@@ -293,7 +313,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare this checkout with, e.g. HEAD~1")
     parser.add_argument("--rounds", type=int, default=10, help="rounds, at least 2 (default 10)")
-    parser.add_argument("--trials", type=int, default=3_000_000, help="n_trials of the README config (default 3 M)")
+    parser.add_argument("--trials", type=int, default=3_000_000,
+                        help="n_trials of the pipeline config, and the most of every other run (default 3 M)")
     parser.add_argument("--bytecode", choices=("uncached", "cached"), default="uncached",
                         help="whether the stages compile bellsim's modules or read them precompiled "
                              "(default uncached)")
@@ -310,8 +331,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         sides = prepare(root, parent, Path(tmp), args.bytecode)
         config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(dict(README_CONFIG, n_trials=args.trials)), encoding="utf-8")
-        make_sweep_spec(sweep_spec(config), args.trials)  # and its model files, beside the config, for both sides
+        make_inputs(config, args.trials, Path(tmp) / "parent" / "src")  # the inputs of both sides
         samples = run_rounds(sides, config, args.rounds, problems)
         differing = differing_outputs(sides)
         lines = {side: src_bellsim_lines(Path(tmp) / side) for side in SIDES}

@@ -38,8 +38,8 @@ SIZES = (3_000_000, 30_000_000)
 GROWTH_LIMIT = 1.1  # a 30 M stage's peak over its 3 M peak, at most
 PEAK_LIMIT_MB = 100.0
 
-# the README's "### Config" block: the config that this script, ab.py and cli_pipeline.py run, each at its
-# own n_trials
+# the README's "### Config" block, which this script runs at each of SIZES; tests/test_readme.py holds it equal
+# to the benchmark's pipeline config, which tools/ab.py runs
 README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 README_CONFIG = json.loads(re.search(r"### Config\n\n```json\n(.*?)```", README_TEXT, re.S).group(1))
 
