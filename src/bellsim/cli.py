@@ -106,9 +106,9 @@ def cmd_run(args) -> int:
     records_path = out / "records.csv"
     manifest_path = out / "manifest.json"
     with _committed(out, records_path, manifest_path) as (records_tmp, manifest_tmp):
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), time.process_time()
         records_sha256 = write_run(config, records_tmp, threads=threads)
-        run_s = time.perf_counter() - started
+        run_s, cpu_s = time.perf_counter() - started, time.process_time() - cpu_started
         manifest = {
             "artifact": "bellsim",
             "version": __version__,
@@ -121,6 +121,7 @@ def cmd_run(args) -> int:
             "duration_seconds": _json_float(run_s),
             "timings": {
                 "run_s": _json_float(run_s),  # simulation and writing, which run interleaved
+                "cpu_s": _json_float(cpu_s),  # every thread's CPU time over run_s: about run_s if they shared one CPU
                 "trials_per_s": _json_float(config.n_trials / run_s) if run_s > 0 else None,
                 "peak_rss_mb": _json_float(_peak_rss_mb()),
             },

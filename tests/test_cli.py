@@ -104,9 +104,10 @@ class TestRun:
         cfg, out = run_pipeline(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text())
         timings, environment = manifest["timings"], manifest["environment"]
-        assert set(timings) == {"run_s", "trials_per_s", "peak_rss_mb"}
+        assert set(timings) == {"run_s", "cpu_s", "trials_per_s", "peak_rss_mb"}
         assert timings["run_s"] > 0 and timings["trials_per_s"] > 0
         assert timings["peak_rss_mb"] is None or timings["peak_rss_mb"] > 0
+        assert math.isfinite(timings["cpu_s"]) and timings["cpu_s"] > 0
         assert manifest["duration_seconds"] == timings["run_s"]
         assert set(environment) == {"python", "numpy", "platform", "nproc", "threads", "threads_used"}
         assert environment["numpy"] == np.__version__ and environment["threads"] == environment["threads_used"] == 1
@@ -153,6 +154,7 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == manifest["environment"]["threads"] == 8
         assert manifest["environment"]["threads_used"] == 2
+        assert math.isfinite(manifest["timings"]["cpu_s"]) and manifest["timings"]["cpu_s"] > 0
 
     def test_environment_does_not_set_the_thread_count(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json")

@@ -13,8 +13,11 @@ every stage imports and does nothing else), so the memory a stage's work
 takes shows on its own, and exits 1 if any stage fails, if the two runs'
 records or the CRLF copy's report, bits or certification differ from the
 LF file's, or if a 30 M-trial stage peaks above 1.1 times its 3 M-trial
-peak or above 100 MB. The work files (about 1.2 GB at 30 M trials) go to
-a temporary directory.
+peak or above 100 MB. Each stage's line also gives its CPU seconds (user
+and system, of all its threads): a `run --threads 2` whose CPU time is
+about its wall time ran its two workers on one CPU. After both sizes it
+prints each stage's 30 M/3 M peak ratio next to that 1.1 limit. The work
+files (about 1.2 GB at 30 M trials) go to a temporary directory.
 
 On Linux a child's ru_maxrss starts at the high-water mark of the process
 that exec'd it, so this script imports nothing large (not numpy) and
@@ -75,10 +78,11 @@ def peak_mb(usage) -> float:
     return usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS, KiB elsewhere
 
 
-def stage(argv: list[str]) -> tuple[int, float, float]:
-    """Exit code, wall seconds and peak RSS in MB of one `bellsim` stage in a fresh process."""
+def stage(argv: list[str]) -> tuple[int, float, float, float]:
+    """Exit code, wall seconds, peak RSS in MB and CPU seconds (user + system) of one `bellsim` stage in a fresh
+    process."""
     code, seconds, usage = launch(["-m", "bellsim.cli", *argv])
-    return code, seconds, peak_mb(usage)
+    return code, seconds, peak_mb(usage), usage.ru_utime + usage.ru_stime
 
 
 def crlf_copy(src: Path, dst: Path) -> None:
@@ -88,7 +92,7 @@ def crlf_copy(src: Path, dst: Path) -> None:
             copy.write(block.replace(b"\n", b"\r\n"))
 
 
-def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> dict[str, tuple[int, float, float]]:
+def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> dict[str, tuple]:
     out = work / str(n_trials)
     crlf, pooled = out / "crlf", out / "pooled"
     config = work / f"config-{n_trials}.json"
@@ -102,8 +106,8 @@ def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> di
             crlf_copy(out / "records.csv", crlf / "records.csv")
             (out / "records.csv").unlink()  # keeps the disk use near one records file
         results[name] = stage(argv)
-        code, seconds, peak = results[name]
-        print(f"{n_trials:>11,} {name:13s} exit {code}  {seconds:7.2f} s  {peak:7.1f} MB  "
+        code, seconds, peak, cpu = results[name]
+        print(f"{n_trials:>11,} {name:13s} exit {code}  {seconds:7.2f} s  {cpu:7.2f} s CPU  {peak:7.1f} MB  "
               f"{peak - floor:+6.1f} MB over the floor", flush=True)
         if name == "run-2-threads":
             if not ((out / "records.csv").exists() and (pooled / "records.csv").exists()
@@ -121,12 +125,14 @@ def pipeline(work: Path, n_trials: int, floor: float, problems: list[str]) -> di
 
 def main() -> int:
     problems = []
-    code, _, floor = stage(["--version"])
+    code, _, floor, _ = stage(["--version"])
     print(f"import floor (bellsim --version): exit {code}  {floor:7.1f} MB", flush=True)
     with tempfile.TemporaryDirectory(prefix="stage-rss-") as tmp:
         small, large = (pipeline(Path(tmp), n, floor, problems) for n in SIZES)
-    for name, (code, _, peak) in large.items():
+    for name, (code, _, peak, _) in large.items():
         base = small[name][2]
+        print(f"{name:13s} peak at {SIZES[1]:,} / at {SIZES[0]:,} trials: {peak / base:.3f}  "
+              f"(limit {GROWTH_LIMIT})", flush=True)
         if code != 0 or small[name][0] != 0:
             problems.append(f"{name}: exit {small[name][0]} at {SIZES[0]:,}, {code} at {SIZES[1]:,} trials")
         if peak > GROWTH_LIMIT * base:
