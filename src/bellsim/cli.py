@@ -115,13 +115,11 @@ def cmd_run(args) -> int:
             "config": config.to_jsonable(),
             "selector_seed": config.selector_seed,
             "outcome_seed": config.outcome_seed,
-            "threads": threads,
             "outputs": {"records": str(records_path)},
             "records_sha256": records_sha256,
-            "duration_seconds": _json_float(run_s),
             "timings": {
                 "run_s": _json_float(run_s),  # simulation and writing, which run interleaved
-                "cpu_s": _json_float(cpu_s),  # every thread's CPU time over run_s: about run_s if they shared one CPU
+                "cpu_s": _json_float(cpu_s),  # every thread's CPU time over run_s, numpy's BLAS worker too
                 "trials_per_s": _json_float(config.n_trials / run_s) if run_s > 0 else None,
                 "peak_rss_mb": _json_float(_peak_rss_mb()),
             },

@@ -610,7 +610,7 @@ class RecordReader:
 
     @classmethod
     def read(cls, path) -> "RecordReader":
-        """Read a records file to its end, as :meth:`RecordBatch.from_csv` does, keeping no columns."""
+        """Read a records file to its end, keeping no columns: the file's errors, hash and counts."""
         with open(path, "rb") as f:
             reader = cls(f)
             for _ in reader:
@@ -746,27 +746,6 @@ class RecordBatch:
                 digest.update(chunk)
             self._sha256 = digest.hexdigest()
         return self._sha256
-
-    def write_csv(self, path) -> None:
-        """Write the canonical CSV _STEP rows at a time, hashing it on the way."""
-        self._sha256 = _write_csv(path, _span_rows(self.kind, 0, self.codes, self.s1, self.s2))
-
-    @classmethod
-    def from_csv(cls, path) -> "RecordBatch":
-        """Read a records CSV whose trial column runs 0..n-1.
-
-        Line ends may be LF, CRLF or CR, read as LF, so the hash of a CRLF
-        copy is that of the canonical file.  The file is read, checked, hashed
-        and counted one step of _STEP rows at a time by :class:`RecordReader`,
-        which refuses any row that is not in canonical form, and the steps'
-        columns are joined.
-        """
-        with open(path, "rb") as f:
-            reader = RecordReader(f)
-            columns = [step[1:] for step in reader]
-        batch = cls(reader.kind, *(np.concatenate(col) for col in zip(*columns)))
-        batch._sha256, batch._counts = reader.sha256(), reader.outcome_counts()
-        return batch
 
 
 def _span_rows(kind: str, lo: int, codes, s1, s2):
@@ -910,8 +889,8 @@ def run_experiment(config: ExperimentConfig, model=None, threads: int = 1) -> Re
 def write_run(config: ExperimentConfig, path, threads: int = 1) -> str:
     """Run an experiment straight into a records CSV, one span at a time; returns its SHA-256.
 
-    The file holds exactly the bytes ``run_experiment(config).write_csv(path)``
-    writes.  Each span is rendered into its chunks of _STEP rows where it is
+    The file holds exactly the bytes ``run_experiment(config).to_csv_bytes()``
+    gives.  Each span is rendered into its chunks of _STEP rows where it is
     computed, and this thread hashes and writes them in trial order, so no
     more than the spans in flight are held at once.
     """

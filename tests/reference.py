@@ -6,6 +6,9 @@ bit for bit; ``test_selector.py`` and ``test_protocol.py`` compare them.
 Kept beside the tests, the reference cannot change with a refactor of the
 package unless the test diff shows it.
 
+``read_records`` joins the steps that ``protocol.RecordReader`` yields
+into a ``RecordBatch``, for the tests that compare a file's columns.
+
 The gallery holds devices that no mode runs, as temporal records under the
 seeded selector: ``memory_strategy``, local but with memory, and
 ``crude_contextual``, whose first outcome depends on the context.
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from bellsim.protocol import ExperimentConfig, RecordBatch, make_sampler, run_experiment
+from bellsim.protocol import ExperimentConfig, RecordBatch, RecordReader, make_sampler, run_experiment
 from bellsim.selector import (
     _INV_2_53,
     GAMMA,
@@ -132,6 +135,18 @@ def independent_seed_pairs(count: int) -> list[tuple[int, int]]:
     SplitMix64 cycle, so neither run's selector reaches the other's draws.
     """
     return [((2 * k + 1) << 32, (2 * k) << 32) for k in range(count)]
+
+
+def read_records(path) -> tuple[RecordBatch, RecordReader]:
+    """A records file's columns as a batch, joined from the steps RecordReader yields, and the reader.
+
+    The reader answers for the file as read: its SHA-256 and outcome counts,
+    which the batch would compute afresh from its columns.
+    """
+    with open(path, "rb") as f:
+        reader = RecordReader(f)
+        columns = [step[1:] for step in reader]
+    return RecordBatch(reader.kind, *(np.concatenate(col) for col in zip(*columns))), reader
 
 
 # the product patterns (ab, ac, bc) that outcomes a, b, c of +-1 can give: ab * ac * bc = 1

@@ -219,6 +219,13 @@ def test_src_lines_are_those_of_the_packages_own_modules(ab, tmp_path):
     assert ab.src_bellsim_lines(tmp_path) == 4
 
 
+def test_usable_cpus_without_an_affinity_call_or_a_cpu_count_is_one(ab, monkeypatch):
+    # counted as protocol._usable_cpus counts, so that no None reaches the sweep's threads or the output's nproc
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ab.usable_cpus() == 1
+
+
 def test_the_sweep_spec_is_the_benchmarks_own_sweep(ab, tmp_path, monkeypatch):
     # the ops, seeds and model documents of perfbench's sweep-backends workload, each run capped at --trials
     monkeypatch.syspath_prepend(str(ab.PERFBENCH))

@@ -34,6 +34,7 @@ from bellsim.protocol import (
     CorrelatorEstimate,
     ExperimentConfig,
     RecordBatch,
+    RecordReader,
     analyze_records,
     bell_quantity,
     check_sigma_threshold,
@@ -49,7 +50,7 @@ from bellsim.protocol import (
 )
 from bellsim.quantum import QubitState, SequentialSampler
 from bellsim.selector import GAMMA, GEOMETRIES, MASK64, context_codes, mix64, state_after, trial_uniforms
-from reference import _run_reference
+from reference import _run_reference, read_records
 
 TRIPLE = max_violation_triple()
 QUAD = tsirelson_quadruple()
@@ -700,8 +701,8 @@ class TestEstimators:
             assert np.array_equal(counts, np.bincount(key, minlength=4 * n_ctx).reshape(n_ctx, 4))
             assert not counts.flags.writeable
         path = tmp_path / "records.csv"
-        batch.write_csv(path)
-        assert np.array_equal(RecordBatch.from_csv(path).outcome_counts(), counts)
+        path.write_bytes(batch.to_csv_bytes())
+        assert np.array_equal(RecordReader.read(path).outcome_counts(), counts)
 
     def test_default_contexts_cover_geometry(self):
         records = run_experiment(temporal_config(n_trials=2))
@@ -862,26 +863,26 @@ class TestRecordsCsv:
     def test_round_trip(self, tmp_path):
         records = run_experiment(temporal_config(n_trials=500))
         path = tmp_path / "records.csv"
-        records.write_csv(path)
-        loaded = RecordBatch.from_csv(path)
+        path.write_bytes(records.to_csv_bytes())
+        loaded, reader = read_records(path)
         assert loaded == records
-        assert loaded.sha256() == records.sha256()
+        assert reader.sha256() == records.sha256()
 
     def test_chsh_round_trip(self, tmp_path):
         records = run_experiment(temporal_config(mode="qm_singlet", directions=QUAD, n_trials=500))
         path = tmp_path / "records.csv"
-        records.write_csv(path)
-        assert RecordBatch.from_csv(path) == records
+        path.write_bytes(records.to_csv_bytes())
+        assert read_records(path)[0] == records
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("foo,bar\n")
         with pytest.raises(ValidationError, match="line 1"):
-            RecordBatch.from_csv(path)
+            RecordReader.read(path)
         # the first error is cited, also when a later line holds a non-ASCII byte
         path.write_bytes(b"trial,ctx,slot_x,slot_y,s1,s2\n0,AB,1,2,1,-1\n1,AB,1,2,1,-1\n2,\xe9B,1,2,1,-1\n")
         with pytest.raises(ValidationError, match="records line 1: expected header"):
-            RecordBatch.from_csv(path)
+            RecordReader.read(path)
 
     @pytest.mark.parametrize("step", [2, protocol._STEP])  # rows in later steps, or all in the first
     @pytest.mark.parametrize("text,message", [
@@ -919,10 +920,9 @@ class TestRecordsCsv:
         monkeypatch.setattr(protocol, "_STEP", step)
         path = tmp_path / "r.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        for read in (RecordBatch.from_csv, protocol.RecordReader.read):
-            with pytest.raises(ValidationError) as exc:
-                read(path)
-            assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            RecordReader.read(path)
+        assert str(exc.value) == message
 
     def test_leading_zeros_past_the_int_digit_limit(self, tmp_path, assert_refused):
         # int() refuses more than 4300 digits, even if all of them are zeros, so such a field is no integer
@@ -932,7 +932,7 @@ class TestRecordsCsv:
                               (f"{HEADER}{ROW0}1,BC,2,3,-1,{'0' * 5000}1\n", "records line 3: non-integer field")):
             path.write_text(text)
             with pytest.raises(ValidationError) as exc:
-                RecordBatch.from_csv(path)
+                RecordReader.read(path)
             assert str(exc.value) == message
             assert_refused(text.encode(), message)
 
@@ -941,13 +941,13 @@ class TestRecordsCsv:
         path = tmp_path / "r.csv"
         path.write_text(RECORDS_HEADER + "\n" + "".join(f"{t},AB,1,2,1,-1\n" for t in trials))
         with pytest.raises(ValidationError, match=f"line {lineno}: trial"):
-            RecordBatch.from_csv(path)
+            RecordReader.read(path)
 
     def test_rows_of_both_kinds_cite_the_first_other_kind(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(RECORDS_HEADER + "\n0,AB,1,2,1,-1\n1,AC,1,3,1,1\n2,ABp,1,4,1,1\n")
         with pytest.raises(ValidationError, match="line 4"):
-            RecordBatch.from_csv(path)
+            RecordReader.read(path)
 
     @pytest.mark.parametrize("row", ["2,AC,1,3,+1,1", "2,AC,01,3,1,1", " 2,AC,1,3,1,1", "2,AC,1,3,1,1 ",
                                      "2,AC,1,3,1, 1", "+2,AC,1,3,1,1", "2,AC,1,3,1,-0001"])
@@ -957,7 +957,7 @@ class TestRecordsCsv:
         path = tmp_path / "r.csv"
         path.write_text(HEADER + "".join(rows))
         with pytest.raises(ValidationError) as exc:
-            RecordBatch.from_csv(path)
+            RecordReader.read(path)
         assert str(exc.value) == "records line 4: not in canonical form"
         assert_refused(path.read_bytes(), "records line 4: not in canonical form")
 
@@ -965,20 +965,20 @@ class TestRecordsCsv:
         # the SHA-256 of the file after line-end mapping, which for a file bellsim wrote is its own
         records = run_experiment(temporal_config(n_trials=20))
         path = tmp_path / "records.csv"
-        records.write_csv(path)
+        path.write_bytes(records.to_csv_bytes())
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert RecordBatch.from_csv(path).sha256() == records.sha256() == digest
+        assert RecordReader.read(path).sha256() == records.sha256() == digest
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert RecordBatch.from_csv(path).sha256() == digest
+        assert RecordReader.read(path).sha256() == digest
 
     @pytest.mark.parametrize("kind", ["temporal", "chsh"])
     def test_header_only_file_is_rejected(self, tmp_path, kind):
         empty = np.array([], dtype=np.int64)
         path = tmp_path / "records.csv"
-        RecordBatch(kind, empty, empty, empty).write_csv(path)
+        path.write_bytes(RecordBatch(kind, empty, empty, empty).to_csv_bytes())
         assert path.read_text() == RECORDS_HEADER + "\n"
         with pytest.raises(ValidationError, match="line 2: no trial rows"):
-            RecordBatch.from_csv(path)
+            RecordReader.read(path)
 
     def test_no_context_slot_row_belongs_to_both_kinds(self):
         assert len(protocol._ROWS) == sum(len(tags) for tags, _ in GEOMETRIES.values())
@@ -1006,8 +1006,14 @@ class TestRecordsCsv:
         batch = RecordBatch("temporal", np.array([0, 2]), np.array([1, -1]), np.array([-1, -1]))
         assert batch.kind == "temporal" and batch.trial.tolist() == [0, 1]
         assert (batch.codes.dtype, batch.s1.dtype, batch.s2.dtype) == (np.uint8, np.int8, np.int8)
-        batch.write_csv(tmp_path / "records.csv")
+        (tmp_path / "records.csv").write_bytes(batch.to_csv_bytes())
         assert (tmp_path / "records.csv").read_text() == f"{RECORDS_HEADER}\n0,AB,1,2,1,-1\n1,BC,2,3,-1,-1\n"
+
+    def test_a_batch_never_equals_a_non_batch(self):
+        batch = RecordBatch("temporal", np.array([0, 2]), np.array([1, -1]), np.array([-1, -1]))
+        assert batch.__eq__(object()) is NotImplemented  # so Python asks the other operand, then compares identity
+        for other in (object(), batch.to_csv_bytes(), batch.kind, None):
+            assert batch != other and not batch == other
 
     def test_unknown_kind_is_rejected(self):
         one = np.array([1])

@@ -15,6 +15,7 @@ from bellsim.directions import max_violation_triple, tsirelson_quadruple
 from bellsim.errors import ValidationError
 from bellsim.protocol import RECORDS_HEADER, ExperimentConfig, RecordBatch, RecordReader, run_experiment, write_run
 from bellsim.selector import GEOMETRIES
+import reference
 
 N_CONTEXTS = {"temporal": 3, "chsh": 4}
 
@@ -83,13 +84,12 @@ def test_round_trip_for_every_line_end(batch, chunk):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(protocol, "_STEP", chunk)
         path = Path(tmp) / "records.csv"
-        batch.write_csv(path)
-        canonical = path.read_bytes()
+        canonical = batch.to_csv_bytes()
         for line_end in (b"\n", b"\r\n", b"\r"):
             path.write_bytes(canonical.replace(b"\n", line_end))
-            loaded = RecordBatch.from_csv(path)
+            loaded, reader = reference.read_records(path)
             assert loaded == batch
-            assert loaded.sha256() == batch.sha256()
+            assert reader.sha256() == batch.sha256()
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,18 +97,17 @@ def test_round_trip_for_every_line_end(batch, chunk):
 def test_one_changed_byte_is_rejected_or_changes_the_hash(batch, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
-        batch.write_csv(path)
-        old = path.read_bytes()
+        old = batch.to_csv_bytes()
         pos = data.draw(st.integers(0, len(old) - 1), label="pos")
         value = data.draw(st.integers(0, 255).filter(lambda v: v != old[pos]), label="value")
         assume(not (old[pos] == ord("\n") and value == ord("\r")))  # CR reads as LF
         path.write_bytes(old[:pos] + bytes([value]) + old[pos + 1:])
         try:
-            loaded = RecordBatch.from_csv(path)
+            reader = RecordReader.read(path)
         except ValidationError as exc:
             assert re.search(r"records line \d+:", str(exc)), exc
         else:
-            assert loaded.sha256() != batch.sha256()
+            assert reader.sha256() != batch.sha256()
 
 
 def test_hash_is_rendered_once(tmp_path, monkeypatch):
@@ -126,14 +125,10 @@ def test_hash_is_rendered_once(tmp_path, monkeypatch):
                               n_trials=1000, selector_seed=1, outcome_seed=2)
     path = tmp_path / "records.csv"
 
-    written = run_experiment(config)
-    written.write_csv(path)
+    path.write_bytes(run_experiment(config).to_csv_bytes())
     assert calls == [300, 300, 300, 100]
-    digest = written.sha256()
-    assert len(calls) == 4
 
-    loaded = RecordBatch.from_csv(path)  # checked where it lies, not rendered again
-    assert loaded.sha256() == digest
+    digest = RecordReader.read(path).sha256()  # checked where it lies, not rendered again
     assert len(calls) == 4
 
     path.write_bytes(path.read_bytes().replace(b"\n400,", b"\n+400,"))  # trial 400 in another spelling
@@ -225,14 +220,11 @@ def record_path_outputs(config: ExperimentConfig, threads: int, tmp: Path) -> li
     run_path, crlf_path = tmp / "run.csv", tmp / "crlf.csv"
     run_hash = write_run(config, run_path, threads=threads)
     batch = run_experiment(config, threads=threads)
-    batch.write_csv(tmp / "batch.csv")
     crlf_path.write_bytes(run_path.read_bytes().replace(b"\n", b"\r\n"))
-    outputs = [run_path.read_bytes(), run_hash, (tmp / "batch.csv").read_bytes(), batch.sha256(),
-               RecordBatch(batch.kind, batch.codes, batch.s1, batch.s2).sha256()]  # rendered afresh
+    outputs = [run_path.read_bytes(), run_hash, batch.to_csv_bytes(), batch.sha256()]  # rendered afresh
     for path in (run_path, crlf_path):
-        loaded, reader = RecordBatch.from_csv(path), RecordReader.read(path)
-        outputs += [(loaded.kind, loaded.codes.tolist(), loaded.s1.tolist(), loaded.s2.tolist(),
-                     loaded.sha256(), loaded.outcome_counts().tolist()),
+        loaded, reader = reference.read_records(path)
+        outputs += [(loaded.kind, loaded.codes.tolist(), loaded.s1.tolist(), loaded.s2.tolist()),
                     (reader.kind, len(reader), reader.sha256(), reader.outcome_counts().tolist())]
     return outputs
 
@@ -260,7 +252,7 @@ def test_span_and_step_sizes_change_no_output(chunk, step, n_trials, chsh, threa
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Every (size, bytes) read from the files that from_csv opens."""
+    """Every (size, bytes) read from the files that RecordReader.read and read_records open."""
     log = []
 
     class Logged(io.BufferedReader):
@@ -272,7 +264,8 @@ def reads(monkeypatch):
     def logged_open(path, mode):
         return Logged(io.FileIO(path, mode)) if mode == "rb" else open(path, mode)
 
-    monkeypatch.setattr(protocol, "open", logged_open, raising=False)
+    for module in (protocol, reference):
+        monkeypatch.setattr(module, "open", logged_open, raising=False)
     return log
 
 
@@ -292,15 +285,15 @@ def small_chunk_batch(monkeypatch, tmp_path, chunk=7, n_trials=500, **overrides)
     config.update(overrides)
     batch = run_experiment(ExperimentConfig(**config))
     path = tmp_path / "records.csv"
-    batch.write_csv(path)
+    path.write_bytes(batch.to_csv_bytes())
     return batch, path
 
 
 def assert_loads_as(path, batch):
-    loaded = RecordBatch.from_csv(path)
+    loaded, reader = reference.read_records(path)
     assert loaded == batch
-    assert loaded.sha256() == batch.sha256()
-    assert np.array_equal(loaded.outcome_counts(), batch.outcome_counts())
+    assert reader.sha256() == batch.sha256()
+    assert np.array_equal(reader.outcome_counts(), batch.outcome_counts())
 
 
 @pytest.mark.parametrize("chunk,n_trials", [(11, 2000), (9, 2000), (64, 5000)])
@@ -351,7 +344,7 @@ def test_slots_of_no_context_cite_their_line(monkeypatch, tmp_path):
     lines[row] = lines[row].replace(b",AB,1,2,", b",AB,1,9,")
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ValidationError, match=rf"^records line {row + 1}: unknown context/slot combination$"):
-        RecordBatch.from_csv(path)
+        RecordReader.read(path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -425,7 +418,7 @@ def test_bad_row_in_a_later_chunk_cites_its_line(monkeypatch, tmp_path):
     lines[300] = lines[300].rsplit(b",", 1)[0] + b",2"  # line 301, chunk 43 of 72
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ValidationError, match=r"^records line 301: outcomes must be \+1 or -1$"):
-        RecordBatch.from_csv(path)
+        RecordReader.read(path)
 
 
 @pytest.mark.parametrize("row", [b"", b"7", b"7,", b"7,AB", b"7,AB,1,2,-1"])
@@ -445,7 +438,7 @@ def test_a_long_line_is_read_on_only_to_cite_it(monkeypatch, tmp_path, reads):
     # trial 0 after 2 MB of spaces, far longer than any canonical row
     path.write_bytes(f"{RECORDS_HEADER}\n{' ' * 2_000_000}0,AB,1,2,1,-1\n1,BC,2,3,-1,1\n".encode())
     with pytest.raises(ValidationError, match="^records line 2: not in canonical form$"):
-        RecordBatch.from_csv(path)
+        RecordReader.read(path)
     assert len(reads[0][1]) < 200  # one step's worth first
     assert all(size != -1 for size, _ in reads)  # the file is never read whole ...
     assert len(reads) < 40  # ... and the long line in reads that double in size

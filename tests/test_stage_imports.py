@@ -54,8 +54,8 @@ def stage(tmp_path, *argv) -> tuple[int, str, set[str]]:
 @pytest.fixture(scope="module")
 def records(tmp_path_factory):
     out = tmp_path_factory.mktemp("stages")
-    run_experiment(ExperimentConfig("qm_sequential", max_violation_triple(), 2000, 11, 22)).write_csv(
-        out / "records.csv")
+    (out / "records.csv").write_bytes(
+        run_experiment(ExperimentConfig("qm_sequential", max_violation_triple(), 2000, 11, 22)).to_csv_bytes())
     return out
 
 

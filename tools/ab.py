@@ -158,7 +158,7 @@ def table(summary: dict) -> str:
 
 def usable_cpus() -> int:
     """The CPUs this process may run on, as the manifest and the benchmark count them."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
 
 def sweep_spec(config: Path) -> Path:
